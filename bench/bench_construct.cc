@@ -1,6 +1,8 @@
 // CONSTRUCT and graph-algebra benchmarks: grouping/skolem throughput,
-// aggregation (COUNT over groups), identity-preserving copies, and the
-// Appendix A.5 set operations that make the language closed.
+// aggregation (COUNT over groups), identity-preserving copies, stored-path
+// materialization, `CONSTRUCT g, ...` (the input graph unioned with new
+// objects), and the Appendix A.5 set operations that make the language
+// closed. scripts/run_bench.sh records them in BENCH_construct.json.
 #include <benchmark/benchmark.h>
 
 #include "engine/engine.h"
@@ -22,6 +24,8 @@ struct Fixture {
     catalog.RegisterGraph("snb", snb::Generate(options, catalog.ids()));
     catalog.SetDefaultGraph("snb");
     engine = std::make_unique<QueryEngine>(&catalog);
+    // CONSTRUCT is serial; a serial MATCH keeps the numbers about it.
+    engine->set_parallelism(1);
   }
 };
 
@@ -67,6 +71,39 @@ void BM_CountAggregatePerEdge(benchmark::State& state) {
   state.SetLabel("per-node COUNT(*) aggregation (Q10 shape)");
 }
 BENCHMARK(BM_CountAggregatePerEdge)
+    ->RangeMultiplier(4)
+    ->Range(100, 1600)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_StoredPathsConstruct(benchmark::State& state) {
+  Fixture f(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = f.engine->Execute(
+        "CONSTRUCT (n)-/@p:nearest/->(m) "
+        "MATCH (n:Person)-/p<:knows*>/->(m:Person) "
+        "WHERE n.firstName = 'John' AND n.lastName = 'Doe'");
+    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel("stored shortest paths: bodies share prefixes (@p)");
+}
+BENCHMARK(BM_StoredPathsConstruct)
+    ->RangeMultiplier(4)
+    ->Range(100, 1600)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_GraphUnionConstruct(benchmark::State& state) {
+  Fixture f(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto r = f.engine->Execute(
+        "CONSTRUCT snb, (x GROUP e :Company {name:=e})<-[y:worksAt]-(n) "
+        "MATCH (n:Person {employer=e})");
+    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel("CONSTRUCT g, ...: the input graph unioned with new objects");
+}
+BENCHMARK(BM_GraphUnionConstruct)
     ->RangeMultiplier(4)
     ->Range(100, 1600)
     ->Unit(benchmark::kMillisecond);

@@ -20,6 +20,10 @@
 #                                row-at-a-time evaluator: arithmetic WHERE,
 #                                3-conjunct AND, computed projection at
 #                                SNB 2k/20k, single-threaded
+#   BENCH_construct.json       — CONSTRUCT end to end through the engine:
+#                                identity copies, GROUP skolems, COUNT(*)
+#                                per group, stored paths, CONSTRUCT g, ...
+#                                unions, graph set operations (serial)
 # Extra arguments pass through to every bench binary, e.g.
 #   scripts/run_bench.sh --benchmark_filter='BM_ColumnarScan.*'
 set -euo pipefail
@@ -28,7 +32,16 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . >/dev/null
 cmake --build build --target bench_join_dedup bench_columnar_scan \
   bench_baseline_ablation bench_wcoj bench_storage bench_path_finding \
-  bench_serving bench_expr -j
+  bench_serving bench_expr bench_construct -j
+
+# Stamped into every JSON context: the commit, gcore's own build type
+# (google-benchmark's library_build_type describes the benchmark library)
+# and the core count.
+sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then sha="${sha}-dirty"; fi
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
+build_type="${build_type:-RelWithDebInfo}"  # CMakeLists.txt's default
+context="git_sha=${sha},build_type=${build_type},nproc=$(nproc)"
 
 run_bench() {
   local binary="$1" out="$2"
@@ -39,6 +52,7 @@ run_bench() {
     --benchmark_out_format=json \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
+    --benchmark_context="${context}" \
     "$@"
 }
 
@@ -49,6 +63,7 @@ run_bench bench_storage BENCH_storage.json "$@"
 run_bench bench_path_finding BENCH_paths.json "$@"
 run_bench bench_serving BENCH_serving.json "$@"
 run_bench bench_expr BENCH_expr.json "$@"
+run_bench bench_construct BENCH_construct.json "$@"
 # The stats filter comes last: google-benchmark honors the final
 # --benchmark_filter, so a user-passed filter cannot swap which
 # benchmarks land in BENCH_stats_ablation.json.

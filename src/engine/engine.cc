@@ -315,7 +315,7 @@ Result<PathPropertyGraph> QueryEngine::AnalyzeGraphBody(
       AppendChildLines(right_lines, /*last=*/true, lines);
       switch (body.kind) {
         case QueryBody::Kind::kUnion:
-          return GraphUnion(left, right);
+          return GraphUnion(std::move(left), std::move(right));
         case QueryBody::Kind::kIntersect:
           return GraphIntersect(left, right);
         default:
@@ -732,7 +732,7 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
       std::vector<std::vector<Datum>> vec_vals(exprs.size());
       std::vector<std::vector<uint8_t>> vec_fb(exprs.size());
       std::vector<uint8_t> vectorized(exprs.size(), 0);
-      if (options_.enable_vectorized_exprs && bindings.NumRows() > 0) {
+      if (scope->options.enable_vectorized_exprs && bindings.NumRows() > 0) {
         std::vector<size_t> all(bindings.NumRows());
         std::iota(all.begin(), all.end(), size_t{0});
         for (size_t e = 0; e < exprs.size(); ++e) {
@@ -795,6 +795,8 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
   ConstructorContext ctx;
   ctx.catalog = catalog_;
   ctx.default_graph = catalog_->default_graph();
+  // The spec mode of every layer: the row-at-a-time constructor.
+  ctx.use_spec = !scope->options.use_planner;
   ctx.exists_cb = [this, scope](const Query& subquery,
                                 const BindingTable& outer,
                                 size_t row) -> Result<bool> {
@@ -833,7 +835,7 @@ Result<PathPropertyGraph> QueryEngine::EvalBody(const QueryBody& body,
                              EvalBody(*body.right, scope));
       switch (body.kind) {
         case QueryBody::Kind::kUnion:
-          return GraphUnion(left, right);
+          return GraphUnion(std::move(left), std::move(right));
         case QueryBody::Kind::kIntersect:
           return GraphIntersect(left, right);
         default:

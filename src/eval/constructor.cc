@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "graph/graph_ops.h"
 
@@ -11,40 +12,7 @@ namespace gcore {
 
 namespace {
 
-/// Canonical, collision-free serialization of a datum for group keys.
-std::string DatumKey(const Datum& d) {
-  switch (d.kind()) {
-    case Datum::Kind::kUnbound:
-      return "U";
-    case Datum::Kind::kNode:
-      return "N" + std::to_string(d.node().value());
-    case Datum::Kind::kEdge:
-      return "E" + std::to_string(d.edge().value());
-    case Datum::Kind::kPath:
-      return "P" + std::to_string(d.path().id.value());
-    case Datum::Kind::kValues: {
-      std::string key = "V";
-      for (const Value& v : d.values()) {
-        key += std::to_string(static_cast<int>(v.type()));
-        key += ":";
-        key += v.ToString();
-        key += "|";
-      }
-      return key;
-    }
-    case Datum::Kind::kNodeList: {
-      std::string key = "NL";
-      for (NodeId n : d.node_list()) key += std::to_string(n.value()) + ",";
-      return key;
-    }
-    case Datum::Kind::kEdgeList: {
-      std::string key = "EL";
-      for (EdgeId e : d.edge_list()) key += std::to_string(e.value()) + ",";
-      return key;
-    }
-  }
-  return "?";
-}
+using ObjectData = PathPropertyGraph::ObjectData;
 
 /// All labels mentioned by construct-side label groups (flattened: the
 /// construct attaches every listed label).
@@ -57,11 +25,92 @@ std::vector<std::string> FlattenLabels(
   return out;
 }
 
-struct GroupInfo {
-  std::vector<size_t> rows;
+/// Set-union merge into `dst`; an empty target adopts the source whole
+/// (moved from when it is an rvalue).
+template <typename L>
+void MergeLabels(LabelSet* dst, L&& src) {
+  if (dst->empty()) {
+    *dst = std::forward<L>(src);
+  } else {
+    dst->UnionWith(src);
+  }
+}
+template <typename P>
+void MergeProps(PropertyMap* dst, P&& src) {
+  if (dst->empty()) {
+    *dst = std::forward<P>(src);
+  } else {
+    dst->UnionWith(src);
+  }
+}
+
+constexpr uint32_t kNoGroup = ~uint32_t{0};
+constexpr size_t kNoBuild = ~size_t{0};
+
+/// Open-addressed raw id → group number, numbering ids by first
+/// appearance; sized up front for `capacity` distinct ids.
+class IdGroups {
+ public:
+  explicit IdGroups(size_t capacity) {
+    size_t slots = 16;
+    while (slots < 2 * capacity) slots <<= 1;
+    slots_.assign(slots, {kEmpty, 0});
+  }
+
+  /// Group of `id`; a first appearance takes the next number.
+  uint32_t Insert(uint64_t id, bool* fresh) {
+    const size_t mask = slots_.size() - 1;
+    const uint64_t h = id * 0x9e3779b97f4a7c15ull;
+    size_t pos = (h ^ (h >> 29)) & mask;
+    while (slots_[pos].first != kEmpty) {
+      if (slots_[pos].first == id) {
+        *fresh = false;
+        return slots_[pos].second;
+      }
+      pos = (pos + 1) & mask;
+    }
+    slots_[pos] = {id, size_};
+    *fresh = true;
+    return size_++;
+  }
+
+ private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};  // never a valid id
+  std::vector<std::pair<uint64_t, uint32_t>> slots_;
+  uint32_t size_ = 0;
+};
+
+/// Source objects of per-group ids through one sorted batch lookup
+/// (`find` is FindNodes or FindEdges of the source graph).
+template <typename Id, typename FindFn>
+auto LookupByGroup(const std::vector<Id>& ids, FindFn find) {
+  std::vector<uint32_t> order(ids.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t x, uint32_t y) { return ids[x] < ids[y]; });
+  std::vector<Id> sorted(ids.size());
+  for (size_t i = 0; i < order.size(); ++i) sorted[i] = ids[order[i]];
+  auto found = find(sorted);
+  decltype(found) out(ids.size());
+  for (size_t i = 0; i < order.size(); ++i) out[order[i]] = found[i];
+  return out;
+}
+
+struct SourceObjectHash {
+  size_t operator()(const std::pair<const void*, uint64_t>& p) const {
+    return HashCombine(std::hash<const void*>{}(p.first),
+                       std::hash<uint64_t>{}(p.second));
+  }
 };
 
 }  // namespace
+
+size_t Constructor::KeyHash::operator()(const Key& key) const {
+  size_t h = HashCombine(std::hash<uint64_t>{}(key.a),
+                         std::hash<uint64_t>{}(key.b));
+  for (const Datum& d : key.parts) h = HashCombine(h, d.Hash());
+  return h;
+}
 
 Constructor::Constructor(ConstructorContext ctx) : ctx_(std::move(ctx)) {}
 
@@ -71,6 +120,8 @@ struct Constructor::ItemState {
   const ConstructItem& item;
   const BindingTable& bindings;
   std::vector<size_t> rows;  // binding rows participating (post pre-filter)
+  bool post_when = false;    // WHEN reads construct-defined variables
+  std::set<std::string> set_vars;  // targets of SET/REMOVE statements
 
   // Effective (possibly generated) names per chain element.
   struct NodeCtor {
@@ -93,11 +144,17 @@ struct Constructor::ItemState {
   std::vector<EdgeCtor> edge_ctors;
   std::vector<PathCtor> path_ctors;
 
-  // Build products.
+  // Build products: one per (constructor, group). `rows` holds the group's
+  // binding rows whenever assignments, SET statements or a post-WHEN read
+  // them (always, in the spec); `rep` is the first. The columnar path may
+  // leave a bound object's λ/σ in its source graph (`lazy`) when nothing
+  // edits them: `labels` then holds only the pattern's labels.
   struct NodeBuild {
     NodeId id;
     LabelSet labels;
     PropertyMap props;
+    const ObjectData* lazy = nullptr;
+    size_t rep = 0;
     std::vector<size_t> rows;
     std::string var;
     bool dropped = false;
@@ -108,6 +165,8 @@ struct Constructor::ItemState {
     NodeId dst;
     LabelSet labels;
     PropertyMap props;
+    const ObjectData* lazy = nullptr;
+    size_t rep = 0;
     std::vector<size_t> rows;
     std::string var;
     bool dropped = false;
@@ -120,6 +179,7 @@ struct Constructor::ItemState {
     std::vector<EdgeId> extra_edges;
     LabelSet labels;
     PropertyMap props;
+    size_t rep = 0;
     std::vector<size_t> rows;
     std::string var;
     const PathPropertyGraph* source;  // λ/σ source for body elements
@@ -129,8 +189,11 @@ struct Constructor::ItemState {
   std::vector<EdgeBuild> edge_builds;
   std::vector<PathBuild> path_builds;
 
-  // Per node-constructor: row -> assigned node id.
+  // Spec: per node-constructor, row -> assigned node id.
   std::vector<std::unordered_map<size_t, NodeId>> node_assign;
+  // Columnar: per node-constructor, a dense row-indexed vector (invalid id
+  // = the row built no node there).
+  std::vector<std::vector<NodeId>> node_of_row;
 
   ItemState(Constructor* owner, const ConstructItem& item,
             const BindingTable& bindings)
@@ -157,6 +220,32 @@ struct Constructor::ItemState {
     return eval;
   }
 
+  /// new(x, key) in `table`, drawing a fresh id from `next` on first use.
+  template <typename NextFn>
+  static uint64_t Skolem(SkolemTable* table, const Key& key, NextFn next) {
+    auto [it, inserted] = table->try_emplace(key, 0);
+    if (inserted) it->second = next().value();
+    return it->second;
+  }
+  NodeId NodeSkolem(const std::string& table, const Key& key) {
+    return NodeId(Skolem(&owner->node_skolems_[table], key,
+                         [&] { return ids()->NextNode(); }));
+  }
+  EdgeId EdgeSkolem(const std::string& table, const Key& key) {
+    return EdgeId(Skolem(&owner->edge_skolems_[table], key,
+                         [&] { return ids()->NextEdge(); }));
+  }
+
+  /// The GROUP list governing an unbound node constructor: its own, else
+  /// one declared at another occurrence of the variable, else none (the
+  /// whole binding row is the key).
+  const std::vector<std::unique_ptr<Expr>>* NodeGroupList(
+      const NodeCtor& nc) const {
+    if (!nc.pattern->group_by.empty()) return &nc.pattern->group_by;
+    auto cg = owner->clause_groups_.find(nc.name);
+    return cg == owner->clause_groups_.end() ? nullptr : cg->second;
+  }
+
   // --- setup -----------------------------------------------------------------
 
   void CollectConstructors() {
@@ -179,7 +268,7 @@ struct Constructor::ItemState {
       }
       prev = to_idx;
     }
-    node_assign.resize(node_ctors.size());
+    for (const auto& s : item.sets) set_vars.insert(s.var);
   }
 
   /// Names of variables this item creates or assigns properties to; WHEN
@@ -214,25 +303,29 @@ struct Constructor::ItemState {
     return defined;
   }
 
-  std::string FullRowKey(size_t row) const {
-    std::string key;
+  /// True when a build of `var` must carry its group rows and its full,
+  /// editable λ/σ: assignments, SET statements or a post-WHEN read them.
+  bool NeedsRows(const std::string& var, bool has_props) const {
+    return has_props || post_when || set_vars.count(var) > 0;
+  }
+
+  Key FullRowKey(size_t row) const {
+    Key key;
+    key.parts.reserve(bindings.NumColumns());
     for (size_t c = 0; c < bindings.NumColumns(); ++c) {
-      key += DatumKey(bindings.At(row, c));
-      key += ";";
+      key.parts.push_back(bindings.At(row, c));
     }
     return key;
   }
 
-  Result<std::string> GroupExprKey(
-      const std::vector<std::unique_ptr<Expr>>& group_by, size_t row) const {
+  Status AppendGroupExprs(const std::vector<std::unique_ptr<Expr>>& group_by,
+                          size_t row, Key* key) const {
     ExprEvaluator eval = MakeEvaluator(nullptr);
-    std::string key;
     for (const auto& g : group_by) {
       GCORE_ASSIGN_OR_RETURN(Datum d, eval.Eval(*g, bindings, row));
-      key += DatumKey(d);
-      key += ";";
+      key->parts.push_back(std::move(d));
     }
-    return key;
+    return Status::OK();
   }
 
   // --- property/label application ---------------------------------------------
@@ -241,6 +334,7 @@ struct Constructor::ItemState {
                           const std::vector<size_t>& group_rows,
                           const PathPropertyGraph* eval_graph,
                           PropertyMap* out) const {
+    if (props.empty()) return Status::OK();
     ExprEvaluator eval = MakeEvaluator(eval_graph);
     for (const auto& p : props) {
       if (p.mode != PropPattern::Mode::kAssign) {
@@ -260,67 +354,62 @@ struct Constructor::ItemState {
     return Status::OK();
   }
 
-  // --- phase 1: nodes -----------------------------------------------------------
+  // === the executable spec: row-at-a-time ========================================
 
-  Status BuildNodes() {
+  /// Rows grouped by key, groups in order of first appearance.
+  struct KeyedGroups {
+    std::unordered_map<Key, size_t, KeyHash> index;
+    std::vector<std::pair<Key, std::vector<size_t>>> groups;
+
+    /// Adds `row` to the group of `key`; returns the group's index.
+    size_t Add(Key key, size_t row) {
+      auto [it, inserted] = index.try_emplace(key, groups.size());
+      if (inserted) groups.emplace_back(std::move(key), std::vector<size_t>());
+      groups[it->second].second.push_back(row);
+      return it->second;
+    }
+  };
+
+  Status BuildNodesSpec() {
+    node_assign.resize(node_ctors.size());
     for (size_t ci = 0; ci < node_ctors.size(); ++ci) {
       const NodeCtor& nc = node_ctors[ci];
       const NodePattern& pat = *nc.pattern;
       const bool column_bound = bindings.HasColumn(nc.name);
       const bool identity_bound = column_bound && !pat.is_copy;
 
-      std::map<std::string, GroupInfo> groups;
+      KeyedGroups groups;
       for (size_t r : rows) {
-        std::string key;
+        Key key;
         if (identity_bound || pat.is_copy) {
           const Datum& d = bindings.Get(r, nc.name);
           if (d.IsUnbound()) continue;  // Ω'(x) undefined -> G∅ contribution
-          if (d.kind() != Datum::Kind::kNode) {
-            return Status::TypeError("variable '" + nc.name +
-                                     "' is not a node in CONSTRUCT");
-          }
-          key = DatumKey(d);
-        } else if (!pat.group_by.empty()) {
-          GCORE_ASSIGN_OR_RETURN(key, GroupExprKey(pat.group_by, r));
-        } else if (auto cg = owner->clause_groups_.find(nc.name);
-                   cg != owner->clause_groups_.end()) {
-          // Grouping declared at another occurrence of this variable.
-          GCORE_ASSIGN_OR_RETURN(key, GroupExprKey(*cg->second, r));
+          if (d.kind() != Datum::Kind::kNode) return NotANode(nc.name);
+          key.a = d.node().value();
+        } else if (const auto* group_by = NodeGroupList(nc)) {
+          GCORE_RETURN_NOT_OK(AppendGroupExprs(*group_by, r, &key));
         } else {
           key = FullRowKey(r);
         }
-        groups[key].rows.push_back(r);
+        groups.Add(std::move(key), r);
       }
 
-      for (auto& [key, info] : groups) {
+      for (auto& [key, group_rows] : groups.groups) {
         NodeBuild build;
         build.var = nc.name;
-        build.rows = info.rows;
-        const size_t rep = info.rows.front();
+        build.rows = group_rows;
+        build.rep = group_rows.front();
+        const size_t rep = build.rep;
 
         const PathPropertyGraph* source = nullptr;
         if (identity_bound) {
           build.id = bindings.Get(rep, nc.name).node();
           source = ProvenanceGraph(nc.name);
         } else if (pat.is_copy) {
-          auto skolem_key = std::make_pair(nc.name + "(copy)", key);
-          auto it = owner->node_skolems_.find(skolem_key);
-          if (it == owner->node_skolems_.end()) {
-            it = owner->node_skolems_
-                     .emplace(skolem_key, ids()->NextNode())
-                     .first;
-          }
-          build.id = it->second;
+          build.id = NodeSkolem(nc.name + "(copy)", key);
           source = ProvenanceGraph(nc.name);
         } else {
-          auto skolem_key = std::make_pair(nc.name, key);
-          auto it = owner->node_skolems_.find(skolem_key);
-          if (it == owner->node_skolems_.end()) {
-            it = owner->node_skolems_
-                     .emplace(skolem_key, ids()->NextNode())
-                     .first;
-          }
-          build.id = it->second;
+          build.id = NodeSkolem(nc.name, key);
         }
 
         // λ|v ∪ λS: existing labels/properties of the source object first.
@@ -334,31 +423,24 @@ struct Constructor::ItemState {
         for (const auto& l : FlattenLabels(pat.label_groups)) {
           build.labels.Insert(l);
         }
-        GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, info.rows,
+        GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows,
                                              source, &build.props));
 
-        for (size_t r : info.rows) node_assign[ci][r] = build.id;
+        for (size_t r : build.rows) node_assign[ci][r] = build.id;
         node_builds.push_back(std::move(build));
       }
     }
     return Status::OK();
   }
 
-  // --- phase 2: edges -------------------------------------------------------------
-
-  Status BuildEdges() {
+  Status BuildEdgesSpec() {
     for (const EdgeCtor& ec : edge_ctors) {
       const EdgePattern& pat = *ec.pattern;
       const bool column_bound = bindings.HasColumn(ec.name);
       const bool identity_bound = column_bound && !pat.is_copy;
 
-      struct EdgeGroup {
-        std::vector<size_t> rows;
-        NodeId src;
-        NodeId dst;
-      };
-      std::map<std::string, EdgeGroup> groups;
-
+      KeyedGroups groups;
+      std::vector<std::pair<NodeId, NodeId>> ends;  // per group, last row's
       for (size_t r : rows) {
         auto from_it = node_assign[ec.from_ctor].find(r);
         auto to_it = node_assign[ec.to_ctor].find(r);
@@ -373,67 +455,49 @@ struct Constructor::ItemState {
           std::swap(src, dst);
         }
 
-        std::string key;
+        Key key;
         if (identity_bound) {
           const Datum& d = bindings.Get(r, ec.name);
           if (d.IsUnbound()) continue;
-          if (d.kind() != Datum::Kind::kEdge) {
-            return Status::TypeError("variable '" + ec.name +
-                                     "' is not an edge in CONSTRUCT");
-          }
+          if (d.kind() != Datum::Kind::kEdge) return NotAnEdge(ec.name);
           // Re-using a bound edge requires its endpoints to be exactly the
           // endpoint bindings (Section 3: changing them violates identity).
           const PathPropertyGraph* source = ProvenanceGraph(ec.name);
           if (source != nullptr && source->HasEdge(d.edge())) {
             const auto [s, t] = source->EdgeEndpoints(d.edge());
-            if (s != src || t != dst) {
-              return Status::BindError(
-                  "bound edge '" + ec.name +
-                  "' constructed with different endpoints (identity "
-                  "violation); use -[=" +
-                  ec.name + "]- to copy instead");
-            }
+            if (s != src || t != dst) return IdentityViolation(ec.name);
           }
-          key = DatumKey(d);
+          key.a = d.edge().value();
         } else {
-          key = "S" + std::to_string(src.value()) + ">D" +
-                std::to_string(dst.value()) + ";";
+          key.a = src.value();
+          key.b = dst.value();
           if (!pat.group_by.empty()) {
-            GCORE_ASSIGN_OR_RETURN(std::string extra,
-                                   GroupExprKey(pat.group_by, r));
-            key += extra;
+            GCORE_RETURN_NOT_OK(AppendGroupExprs(pat.group_by, r, &key));
           }
-          if (pat.is_copy) {
-            key += "|copy:" + DatumKey(bindings.Get(r, ec.name));
-          }
+          if (pat.is_copy) key.parts.push_back(bindings.Get(r, ec.name));
         }
-        auto& group = groups[key];
-        group.rows.push_back(r);
-        group.src = src;
-        group.dst = dst;
+        const size_t g = groups.Add(std::move(key), r);
+        ends.resize(groups.groups.size());
+        ends[g] = {src, dst};
       }
 
-      for (auto& [key, group] : groups) {
+      for (size_t g = 0; g < groups.groups.size(); ++g) {
+        const Key& key = groups.groups[g].first;
         EdgeBuild build;
         build.var = ec.name;
-        build.rows = group.rows;
-        build.src = group.src;
-        build.dst = group.dst;
-        const size_t rep = group.rows.front();
+        build.rows = groups.groups[g].second;
+        build.rep = build.rows.front();
+        build.src = ends[g].first;
+        build.dst = ends[g].second;
+        const size_t rep = build.rep;
 
         const PathPropertyGraph* source = nullptr;
         if (identity_bound) {
           build.id = bindings.Get(rep, ec.name).edge();
           source = ProvenanceGraph(ec.name);
         } else {
-          auto skolem_key = std::make_pair("[e]" + ec.name, key);
-          auto it = owner->edge_skolems_.find(skolem_key);
-          if (it == owner->edge_skolems_.end()) {
-            it = owner->edge_skolems_
-                     .emplace(skolem_key, ids()->NextEdge())
-                     .first;
-          }
-          build.id = it->second;
+          build.id = EdgeSkolem(pat.is_copy ? ec.name + "(copy)" : ec.name,
+                                key);
           if (pat.is_copy) source = ProvenanceGraph(ec.name);
         }
 
@@ -447,7 +511,7 @@ struct Constructor::ItemState {
         for (const auto& l : FlattenLabels(pat.label_groups)) {
           build.labels.Insert(l);
         }
-        GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, group.rows,
+        GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows,
                                              source, &build.props));
         edge_builds.push_back(std::move(build));
       }
@@ -455,97 +519,669 @@ struct Constructor::ItemState {
     return Status::OK();
   }
 
-  // --- phase 3: paths --------------------------------------------------------------
+  static Status IdentityViolation(const std::string& var) {
+    return Status::BindError("bound edge '" + var +
+                             "' constructed with different endpoints "
+                             "(identity violation); use -[=" +
+                             var + "]- to copy instead");
+  }
 
-  Status BuildPaths() {
+  Status BuildPathsSpec() {
     for (const PathCtor& pc : path_ctors) {
       const PathPattern& pat = *pc.pattern;
-      if (!bindings.HasColumn(pc.name)) {
-        return Status::BindError(
-            "path construct '/" + pc.name +
-            "/' requires the variable to be bound in MATCH");
-      }
+      if (!bindings.HasColumn(pc.name)) return UnboundPath(pc.name);
 
-      std::map<std::string, GroupInfo> groups;
+      KeyedGroups groups;
       for (size_t r : rows) {
         const Datum& d = bindings.Get(r, pc.name);
         if (d.IsUnbound()) continue;
-        if (d.kind() != Datum::Kind::kPath) {
-          return Status::TypeError("variable '" + pc.name +
-                                   "' is not a path in CONSTRUCT");
-        }
-        groups[DatumKey(d)].rows.push_back(r);
+        if (d.kind() != Datum::Kind::kPath) return NotAPath(pc.name);
+        Key key;
+        key.a = d.path().id.value();
+        groups.Add(std::move(key), r);
       }
 
-      for (auto& [key, info] : groups) {
-        const size_t rep = info.rows.front();
-        const PathValue& pv = bindings.Get(rep, pc.name).path();
-
-        PathBuild build;
-        build.var = pc.name;
-        build.rows = info.rows;
-        build.make_object = pat.stored;
-        build.source = ProvenanceGraph(pc.name);
-        if (build.source == nullptr) {
-          return Status::BindError(
-              "cannot resolve source graph for path variable '" + pc.name +
-              "'");
-        }
-
-        if (pv.projection.has_value()) {
-          if (pat.stored) {
-            return Status::Unsupported(
-                "storing ALL-paths bindings (@" + pc.name +
-                ") is intractable; bind the variable without @ to project "
-                "the paths into a graph");
-          }
-          build.extra_nodes = pv.projection->first;
-          build.extra_edges = pv.projection->second;
-        } else {
-          build.body = pv.body;
-        }
-
-        if (pat.stored) {
-          build.id = pv.id;
-          if (pv.from_graph && build.source->HasPath(pv.id)) {
-            build.labels = build.source->Labels(pv.id);
-            build.props = build.source->Properties(pv.id);
-          }
-          for (const auto& l : FlattenLabels(pat.label_groups)) {
-            build.labels.Insert(l);
-          }
-          GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, info.rows,
-                                               build.source, &build.props));
-        }
-        path_builds.push_back(std::move(build));
+      for (auto& [key, group_rows] : groups.groups) {
+        const size_t rep = group_rows.front();
+        GCORE_RETURN_NOT_OK(AddPathBuild(pat, pc.name,
+                                         bindings.Get(rep, pc.name).path(),
+                                         ProvenanceGraph(pc.name), rep,
+                                         group_rows));
       }
     }
     return Status::OK();
   }
+
+  static Status NotANode(const std::string& var) {
+    return Status::TypeError("variable '" + var +
+                             "' is not a node in CONSTRUCT");
+  }
+  static Status NotAnEdge(const std::string& var) {
+    return Status::TypeError("variable '" + var +
+                             "' is not an edge in CONSTRUCT");
+  }
+  static Status UnboundPath(const std::string& var) {
+    return Status::BindError("path construct '/" + var +
+                             "/' requires the variable to be bound in MATCH");
+  }
+  static Status NotAPath(const std::string& var) {
+    return Status::TypeError("variable '" + var +
+                             "' is not a path in CONSTRUCT");
+  }
+
+  /// One path group's build (shared by both paths: path groups are few).
+  Status AddPathBuild(const PathPattern& pat, const std::string& var,
+                      const PathValue& pv, const PathPropertyGraph* source,
+                      size_t rep, std::vector<size_t> group_rows) {
+    PathBuild build;
+    build.var = var;
+    build.rep = rep;
+    build.rows = std::move(group_rows);
+    build.make_object = pat.stored;
+    build.source = source;
+    if (build.source == nullptr) {
+      return Status::BindError(
+          "cannot resolve source graph for path variable '" + var + "'");
+    }
+
+    if (pv.projection.has_value()) {
+      if (pat.stored) {
+        return Status::Unsupported(
+            "storing ALL-paths bindings (@" + var +
+            ") is intractable; bind the variable without @ to project "
+            "the paths into a graph");
+      }
+      build.extra_nodes = pv.projection->first;
+      build.extra_edges = pv.projection->second;
+    } else {
+      build.body = pv.body;
+    }
+
+    if (pat.stored) {
+      build.id = pv.id;
+      if (pv.from_graph && build.source->HasPath(pv.id)) {
+        build.labels = build.source->Labels(pv.id);
+        build.props = build.source->Properties(pv.id);
+      }
+      for (const auto& l : FlattenLabels(pat.label_groups)) {
+        build.labels.Insert(l);
+      }
+      GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows,
+                                           build.source, &build.props));
+    }
+    path_builds.push_back(std::move(build));
+    return Status::OK();
+  }
+
+  /// Copies a node's λ/σ from `source` into `graph` if not already richer.
+  static void ImportNode(const PathPropertyGraph& source, NodeId id,
+                         PathPropertyGraph* graph) {
+    graph->AddNode(id);
+    if (source.HasNode(id)) {
+      LabelSet labels = graph->Labels(id);
+      labels.UnionWith(source.Labels(id));
+      graph->SetLabels(id, std::move(labels));
+      PropertyMap props = graph->Properties(id);
+      props.UnionWith(source.Properties(id));
+      graph->SetProperties(id, std::move(props));
+    }
+  }
+
+  static void ImportEdge(const PathPropertyGraph& source, EdgeId id,
+                         PathPropertyGraph* graph) {
+    if (!source.HasEdge(id)) return;
+    const auto [s, d] = source.EdgeEndpoints(id);
+    ImportNode(source, s, graph);
+    ImportNode(source, d, graph);
+    Status st = graph->AddEdge(id, s, d);
+    (void)st;
+    LabelSet labels = graph->Labels(id);
+    labels.UnionWith(source.Labels(id));
+    graph->SetLabels(id, std::move(labels));
+    PropertyMap props = graph->Properties(id);
+    props.UnionWith(source.Properties(id));
+    graph->SetProperties(id, std::move(props));
+  }
+
+  Result<PathPropertyGraph> AssembleSpec() {
+    PathPropertyGraph graph;
+    for (const auto& b : node_builds) {
+      if (b.dropped) continue;
+      graph.AddNode(b.id);
+      LabelSet labels = graph.Labels(b.id);
+      labels.UnionWith(b.labels);
+      graph.SetLabels(b.id, std::move(labels));
+      PropertyMap props = graph.Properties(b.id);
+      props.UnionWith(b.props);
+      graph.SetProperties(b.id, std::move(props));
+    }
+    for (const auto& b : edge_builds) {
+      if (b.dropped) continue;
+      if (!graph.HasNode(b.src) || !graph.HasNode(b.dst)) continue;
+      GCORE_RETURN_NOT_OK(graph.AddEdge(b.id, b.src, b.dst));
+      LabelSet labels = graph.Labels(b.id);
+      labels.UnionWith(b.labels);
+      graph.SetLabels(b.id, std::move(labels));
+      PropertyMap props = graph.Properties(b.id);
+      props.UnionWith(b.props);
+      graph.SetProperties(b.id, std::move(props));
+    }
+    for (const auto& b : path_builds) {
+      if (b.dropped) continue;
+      // Materialize the walk's nodes and edges with λ/σ from the source
+      // graph.
+      for (NodeId n : b.body.nodes) ImportNode(*b.source, n, &graph);
+      for (EdgeId e : b.body.edges) ImportEdge(*b.source, e, &graph);
+      for (NodeId n : b.extra_nodes) ImportNode(*b.source, n, &graph);
+      for (EdgeId e : b.extra_edges) ImportEdge(*b.source, e, &graph);
+      if (b.make_object) {
+        GCORE_RETURN_NOT_OK(graph.AddPath(b.id, b.body));
+        graph.SetLabels(b.id, b.labels);
+        graph.SetProperties(b.id, b.props);
+      }
+    }
+    return graph;
+  }
+
+  // === the columnar fast path =====================================================
+
+  /// Evaluates a GROUP list per row: plain variables read their column
+  /// cell directly, anything else runs the row evaluator.
+  class GroupListEval {
+   public:
+    GroupListEval(const ItemState& state,
+                  const std::vector<std::unique_ptr<Expr>>& group_by)
+        : state_(state),
+          group_by_(group_by),
+          eval_(state.MakeEvaluator(nullptr)) {
+      for (const auto& g : group_by) {
+        cols_.push_back(g->kind == Expr::Kind::kVariable
+                            ? state.bindings.ColumnIndex(g->var)
+                            : BindingTable::kNpos);
+      }
+    }
+
+    Status Append(size_t row, Key* key) const {
+      for (size_t i = 0; i < group_by_.size(); ++i) {
+        if (group_by_[i]->kind == Expr::Kind::kVariable) {
+          key->parts.push_back(
+              cols_[i] == BindingTable::kNpos
+                  ? Datum()
+                  : state_.bindings.ColumnAt(cols_[i]).DatumAt(row));
+          continue;
+        }
+        GCORE_ASSIGN_OR_RETURN(
+            Datum d, eval_.Eval(*group_by_[i], state_.bindings, row));
+        key->parts.push_back(std::move(d));
+      }
+      return Status::OK();
+    }
+
+   private:
+    const ItemState& state_;
+    const std::vector<std::unique_ptr<Expr>>& group_by_;
+    ExprEvaluator eval_;
+    std::vector<size_t> cols_;
+  };
+
+  /// The rows of each group, in row order (only built when needed).
+  std::vector<std::vector<size_t>> RowsByGroup(
+      const std::vector<uint32_t>& group_of_row, size_t groups) const {
+    std::vector<std::vector<size_t>> out(groups);
+    for (size_t r : rows) {
+      if (group_of_row[r] != kNoGroup) out[group_of_row[r]].push_back(r);
+    }
+    return out;
+  }
+
+  /// Keys of a first-appearance index, by group number.
+  static std::vector<const Key*> KeysByGroup(
+      const std::unordered_map<Key, uint32_t, KeyHash>& index) {
+    std::vector<const Key*> out(index.size());
+    for (const auto& [key, g] : index) out[g] = &key;
+    return out;
+  }
+
+  Status BuildNodesColumnar() {
+    const size_t n = bindings.NumRows();
+    node_of_row.assign(node_ctors.size(), std::vector<NodeId>());
+    for (size_t ci = 0; ci < node_ctors.size(); ++ci) {
+      const NodeCtor& nc = node_ctors[ci];
+      const NodePattern& pat = *nc.pattern;
+      const size_t col = bindings.ColumnIndex(nc.name);
+      const bool identity_bound = col != BindingTable::kNpos && !pat.is_copy;
+      const bool by_id = identity_bound || pat.is_copy;
+      std::vector<NodeId>& assign = node_of_row[ci];
+      assign.assign(n, NodeId());
+      if (by_id && col == BindingTable::kNpos) continue;  // (=x), x unbound
+
+      // Row pass: each row's group, groups numbered by first appearance.
+      std::vector<uint32_t> group_of_row(n, kNoGroup);
+      std::vector<size_t> reps;
+      std::unordered_map<Key, uint32_t, KeyHash> key_index;
+      std::vector<NodeId> bound;  // by_id: each group's node
+      if (by_id) {
+        const Column& c = bindings.ColumnAt(col);
+        IdGroups index(rows.size());
+        for (size_t r : rows) {
+          const Column::Kind kind = c.KindAt(r);
+          if (kind == Column::Kind::kUnbound) continue;
+          if (kind != Column::Kind::kNode) return NotANode(nc.name);
+          bool fresh = false;
+          group_of_row[r] = index.Insert(c.NodeAt(r).value(), &fresh);
+          if (fresh) {
+            reps.push_back(r);
+            bound.push_back(c.NodeAt(r));
+          }
+        }
+      } else {
+        const auto* group_by = NodeGroupList(nc);
+        std::optional<GroupListEval> group_eval;
+        if (group_by != nullptr) group_eval.emplace(*this, *group_by);
+        for (size_t r : rows) {
+          Key key;
+          if (group_eval.has_value()) {
+            GCORE_RETURN_NOT_OK(group_eval->Append(r, &key));
+          } else {
+            key = FullRowKey(r);
+          }
+          auto [it, inserted] = key_index.try_emplace(
+              std::move(key), static_cast<uint32_t>(reps.size()));
+          if (inserted) reps.push_back(r);
+          group_of_row[r] = it->second;
+        }
+      }
+
+      // Group pass: identity, one source lookup, λ/σ, assignments.
+      const PathPropertyGraph* source =
+          by_id ? ProvenanceGraph(nc.name) : nullptr;
+      std::vector<const ObjectData*> objects(reps.size(), nullptr);
+      if (source != nullptr) {
+        objects = LookupByGroup(
+            bound, [&](const auto& ids) { return source->FindNodes(ids); });
+      }
+      const LabelSet pattern_labels(FlattenLabels(pat.label_groups));
+      const bool needs_rows = NeedsRows(nc.name, !pat.props.empty());
+      std::vector<std::vector<size_t>> group_rows;
+      if (needs_rows) group_rows = RowsByGroup(group_of_row, reps.size());
+      const std::vector<const Key*> keys = KeysByGroup(key_index);
+      SkolemTable* skolems =
+          identity_bound ? nullptr
+                         : &owner->node_skolems_[pat.is_copy
+                                                     ? nc.name + "(copy)"
+                                                     : nc.name];
+      auto next = [&] { return ids()->NextNode(); };
+      std::vector<NodeId> group_ids(reps.size());
+      for (size_t g = 0; g < reps.size(); ++g) {
+        NodeBuild build;
+        build.var = nc.name;
+        build.rep = reps[g];
+        if (identity_bound) {
+          build.id = bound[g];
+        } else if (pat.is_copy) {
+          Key key;
+          key.a = bound[g].value();
+          build.id = NodeId(Skolem(skolems, key, next));
+        } else {
+          build.id = NodeId(Skolem(skolems, *keys[g], next));
+        }
+        if (needs_rows) {
+          if (objects[g] != nullptr) {
+            build.labels = objects[g]->labels;
+            build.props = objects[g]->props;
+          }
+          build.labels.UnionWith(pattern_labels);
+          build.rows = std::move(group_rows[g]);
+          GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows, source,
+                                               &build.props));
+        } else {
+          build.lazy = objects[g];
+          build.labels = pattern_labels;
+        }
+        group_ids[g] = build.id;
+        node_builds.push_back(std::move(build));
+      }
+      for (size_t r : rows) {
+        if (group_of_row[r] != kNoGroup) assign[r] = group_ids[group_of_row[r]];
+      }
+    }
+    return Status::OK();
+  }
+
+  Status BuildEdgesColumnar() {
+    constexpr size_t kNoRow = ~size_t{0};
+    const size_t n = bindings.NumRows();
+    for (const EdgeCtor& ec : edge_ctors) {
+      const EdgePattern& pat = *ec.pattern;
+      const size_t col = bindings.ColumnIndex(ec.name);
+      const Column* column =
+          col == BindingTable::kNpos ? nullptr : &bindings.ColumnAt(col);
+      const bool identity_bound = column != nullptr && !pat.is_copy;
+      const bool reversed = pat.direction == EdgePattern::Direction::kLeft;
+      const std::vector<NodeId>& from = node_of_row[ec.from_ctor];
+      const std::vector<NodeId>& to = node_of_row[ec.to_ctor];
+      const PathPropertyGraph* source =
+          identity_bound || pat.is_copy ? ProvenanceGraph(ec.name) : nullptr;
+
+      // Row pass. A group keeps its first row and that row's endpoints, the
+      // first row whose endpoints differ from those, and the last row's
+      // endpoints (the build's ρ).
+      struct Group {
+        size_t rep;
+        NodeId first_src;
+        NodeId first_dst;
+        NodeId src;
+        NodeId dst;
+        size_t divergent;
+      };
+      std::vector<Group> groups;
+      std::vector<uint32_t> group_of_row(n, kNoGroup);
+      std::unordered_map<Key, uint32_t, KeyHash> key_index;
+      std::vector<EdgeId> bound;  // identity_bound: each group's edge
+      size_t type_error_row = kNoRow;
+      IdGroups id_index(identity_bound ? rows.size() : 0);
+      std::optional<GroupListEval> group_eval;
+      if (!identity_bound && !pat.group_by.empty()) {
+        group_eval.emplace(*this, pat.group_by);
+      }
+      for (size_t r : rows) {
+        NodeId src = from[r];
+        NodeId dst = to[r];
+        if (!src.valid() || !dst.valid()) continue;  // dangling prevention
+        if (reversed) std::swap(src, dst);
+        uint32_t g = 0;
+        bool fresh = false;
+        if (identity_bound) {
+          const Column::Kind kind = column->KindAt(r);
+          if (kind == Column::Kind::kUnbound) continue;
+          if (kind != Column::Kind::kEdge) {
+            type_error_row = r;
+            break;
+          }
+          g = id_index.Insert(column->EdgeAt(r).value(), &fresh);
+          if (fresh) bound.push_back(column->EdgeAt(r));
+        } else {
+          Key key;
+          key.a = src.value();
+          key.b = dst.value();
+          if (group_eval.has_value()) {
+            GCORE_RETURN_NOT_OK(group_eval->Append(r, &key));
+          }
+          if (pat.is_copy) {
+            key.parts.push_back(column != nullptr ? column->DatumAt(r)
+                                                  : Datum());
+          }
+          auto [it, inserted] = key_index.try_emplace(
+              std::move(key), static_cast<uint32_t>(groups.size()));
+          g = it->second;
+          fresh = inserted;
+        }
+        if (fresh) {
+          groups.push_back({r, src, dst, src, dst, kNoRow});
+        } else {
+          Group& group = groups[g];
+          if (group.divergent == kNoRow &&
+              (src != group.first_src || dst != group.first_dst)) {
+            group.divergent = r;
+          }
+          group.src = src;
+          group.dst = dst;
+        }
+        group_of_row[r] = g;
+      }
+
+      // A bound edge must keep its source endpoints (Section 3: changing
+      // them violates identity). Checked per distinct edge after one batch
+      // lookup; the earliest violating row decides, as row by row.
+      std::vector<const PathPropertyGraph::EdgeData*> objects(groups.size(),
+                                                              nullptr);
+      if (identity_bound && source != nullptr) {
+        objects = LookupByGroup(
+            bound, [&](const auto& ids) { return source->FindEdges(ids); });
+        size_t violation = kNoRow;
+        for (size_t g = 0; g < groups.size(); ++g) {
+          if (objects[g] == nullptr) continue;
+          const Group& group = groups[g];
+          const bool rep_differs = objects[g]->src != group.first_src ||
+                                   objects[g]->dst != group.first_dst;
+          violation =
+              std::min(violation, rep_differs ? group.rep : group.divergent);
+        }
+        if (violation != kNoRow) return IdentityViolation(ec.name);
+      }
+      if (type_error_row != kNoRow) return NotAnEdge(ec.name);
+
+      // Group pass.
+      const LabelSet pattern_labels(FlattenLabels(pat.label_groups));
+      const bool needs_rows = NeedsRows(ec.name, !pat.props.empty());
+      std::vector<std::vector<size_t>> group_rows;
+      if (needs_rows) group_rows = RowsByGroup(group_of_row, groups.size());
+      const std::vector<const Key*> keys = KeysByGroup(key_index);
+      SkolemTable* skolems =
+          identity_bound ? nullptr
+                         : &owner->edge_skolems_[pat.is_copy
+                                                     ? ec.name + "(copy)"
+                                                     : ec.name];
+      for (size_t g = 0; g < groups.size(); ++g) {
+        const Group& group = groups[g];
+        EdgeBuild build;
+        build.var = ec.name;
+        build.rep = group.rep;
+        build.src = group.src;
+        build.dst = group.dst;
+        const ObjectData* object = objects[g];
+        if (identity_bound) {
+          build.id = bound[g];
+        } else {
+          build.id = EdgeId(
+              Skolem(skolems, *keys[g], [&] { return ids()->NextEdge(); }));
+          if (source != nullptr && column != nullptr &&
+              column->KindAt(group.rep) == Column::Kind::kEdge) {
+            object = source->FindEdge(column->EdgeAt(group.rep));
+          }
+        }
+        if (needs_rows) {
+          if (object != nullptr) {
+            build.labels = object->labels;
+            build.props = object->props;
+          }
+          build.labels.UnionWith(pattern_labels);
+          build.rows = std::move(group_rows[g]);
+          GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows, source,
+                                               &build.props));
+        } else {
+          build.lazy = object;
+          build.labels = pattern_labels;
+        }
+        edge_builds.push_back(std::move(build));
+      }
+    }
+    return Status::OK();
+  }
+
+  Status BuildPathsColumnar() {
+    const size_t n = bindings.NumRows();
+    for (const PathCtor& pc : path_ctors) {
+      const PathPattern& pat = *pc.pattern;
+      const size_t col = bindings.ColumnIndex(pc.name);
+      if (col == BindingTable::kNpos) return UnboundPath(pc.name);
+      const Column& column = bindings.ColumnAt(col);
+
+      std::vector<uint32_t> group_of_row(n, kNoGroup);
+      std::vector<size_t> reps;
+      IdGroups index(rows.size());
+      for (size_t r : rows) {
+        const Column::Kind kind = column.KindAt(r);
+        if (kind == Column::Kind::kUnbound) continue;
+        if (kind != Column::Kind::kPath) return NotAPath(pc.name);
+        bool fresh = false;
+        group_of_row[r] =
+            index.Insert(column.HeavyAt(r).path().id.value(), &fresh);
+        if (fresh) reps.push_back(r);
+      }
+
+      const PathPropertyGraph* source = ProvenanceGraph(pc.name);
+      std::vector<std::vector<size_t>> group_rows;
+      if (NeedsRows(pc.name, !pat.props.empty())) {
+        group_rows = RowsByGroup(group_of_row, reps.size());
+      } else {
+        group_rows.resize(reps.size());
+      }
+      for (size_t g = 0; g < reps.size(); ++g) {
+        GCORE_RETURN_NOT_OK(AddPathBuild(pat, pc.name,
+                                         column.HeavyAt(reps[g]).path(),
+                                         source, reps[g],
+                                         std::move(group_rows[g])));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Moves every surviving build into a fresh graph in ascending id order.
+  /// Members built more than once (a variable at two chain positions, a
+  /// node on many path bodies) merge by set union, so each distinct
+  /// source object is copied once whatever its number of contributions.
+  Result<PathPropertyGraph> AssembleColumnar() {
+    struct Piece {
+      uint64_t id;
+      size_t build;  // kNoBuild for a path-body import
+      const ObjectData* object;  // source λ/σ to union in, or null
+      NodeId src;  // edges only
+      NodeId dst;
+    };
+    std::vector<Piece> nodes;
+    std::vector<Piece> edges;
+    nodes.reserve(node_builds.size());
+    edges.reserve(edge_builds.size());
+    for (size_t i = 0; i < node_builds.size(); ++i) {
+      const NodeBuild& b = node_builds[i];
+      if (!b.dropped) nodes.push_back({b.id.value(), i, b.lazy, {}, {}});
+    }
+    for (size_t i = 0; i < edge_builds.size(); ++i) {
+      const EdgeBuild& b = edge_builds[i];
+      if (!b.dropped) edges.push_back({b.id.value(), i, b.lazy, b.src, b.dst});
+    }
+
+    // Path bodies import each (source, object) pair once.
+    using SourceObject = std::pair<const void*, uint64_t>;
+    std::unordered_set<SourceObject, SourceObjectHash> imported_nodes;
+    std::unordered_set<SourceObject, SourceObjectHash> imported_edges;
+    auto import_node = [&](const PathPropertyGraph& source, NodeId id) {
+      if (imported_nodes.insert({&source, id.value()}).second) {
+        nodes.push_back({id.value(), kNoBuild, source.FindNode(id), {}, {}});
+      }
+    };
+    auto import_edge = [&](const PathPropertyGraph& source, EdgeId id) {
+      if (!imported_edges.insert({&source, id.value()}).second) return;
+      const PathPropertyGraph::EdgeData* object = source.FindEdge(id);
+      if (object == nullptr) return;
+      import_node(source, object->src);
+      import_node(source, object->dst);
+      edges.push_back({id.value(), kNoBuild, object, object->src, object->dst});
+    };
+    std::vector<size_t> stored;
+    for (size_t i = 0; i < path_builds.size(); ++i) {
+      const PathBuild& b = path_builds[i];
+      if (b.dropped) continue;
+      for (NodeId id : b.body.nodes) import_node(*b.source, id);
+      for (EdgeId id : b.body.edges) import_edge(*b.source, id);
+      for (NodeId id : b.extra_nodes) import_node(*b.source, id);
+      for (EdgeId id : b.extra_edges) import_edge(*b.source, id);
+      if (b.make_object) stored.push_back(i);
+    }
+
+    auto by_id = [](const Piece& x, const Piece& y) { return x.id < y.id; };
+    std::stable_sort(nodes.begin(), nodes.end(), by_id);
+    std::stable_sort(edges.begin(), edges.end(), by_id);
+
+    PathPropertyGraph graph;
+    std::vector<const ObjectData*> applied;
+    // Unions one run of equal-id pieces into `out`: each distinct source
+    // object once, then each build's own labels and properties (moved).
+    auto merge_run = [&](const std::vector<Piece>& pieces, size_t begin,
+                         size_t end, ObjectData* out, auto* builds) {
+      applied.clear();
+      for (size_t i = begin; i < end; ++i) {
+        const Piece& p = pieces[i];
+        if (p.object != nullptr &&
+            std::find(applied.begin(), applied.end(), p.object) ==
+                applied.end()) {
+          applied.push_back(p.object);
+          MergeLabels(&out->labels, p.object->labels);
+          MergeProps(&out->props, p.object->props);
+        }
+        if (p.build != kNoBuild) {
+          auto& b = (*builds)[p.build];
+          MergeLabels(&out->labels, std::move(b.labels));
+          MergeProps(&out->props, std::move(b.props));
+        }
+      }
+    };
+    auto run_end = [](const std::vector<Piece>& pieces, size_t begin) {
+      size_t end = begin + 1;
+      while (end < pieces.size() && pieces[end].id == pieces[begin].id) ++end;
+      return end;
+    };
+
+    for (size_t i = 0; i < nodes.size();) {
+      const size_t end = run_end(nodes, i);
+      merge_run(nodes, i, end, &graph.UpsertNode(NodeId(nodes[i].id)),
+                &node_builds);
+      i = end;
+    }
+    for (size_t i = 0; i < edges.size();) {
+      const size_t end = run_end(edges, i);
+      const Piece& first = edges[i];
+      // Builds precede imports within a run: a second build with other
+      // endpoints is an identity violation, a diverging import is not.
+      for (size_t j = i + 1; j < end; ++j) {
+        if (edges[j].build != kNoBuild &&
+            (edges[j].src != first.src || edges[j].dst != first.dst)) {
+          return Status::InvalidArgument(
+              "edge " + gcore::ToString(EdgeId(first.id)) +
+              " re-added with different endpoints (identity violation)");
+        }
+      }
+      GCORE_ASSIGN_OR_RETURN(
+          ObjectData * out,
+          graph.UpsertEdge(EdgeId(first.id), first.src, first.dst));
+      merge_run(edges, i, end, out, &edge_builds);
+      i = end;
+    }
+    // Stored paths replace λ/σ: the last build of an id wins.
+    std::stable_sort(stored.begin(), stored.end(), [&](size_t x, size_t y) {
+      return path_builds[x].id < path_builds[y].id;
+    });
+    for (size_t i : stored) {
+      PathBuild& b = path_builds[i];
+      GCORE_ASSIGN_OR_RETURN(ObjectData * out,
+                             graph.UpsertPath(b.id, std::move(b.body)));
+      out->labels = std::move(b.labels);
+      out->props = std::move(b.props);
+    }
+    return graph;
+  }
+
+  // === shared by both paths ========================================================
 
   // --- SET / REMOVE statements -----------------------------------------------------
 
   Status ApplySetStatements() {
     for (const auto& stmt : item.sets) {
       bool found = false;
-      for (auto& build : node_builds) {
-        if (build.var != stmt.var) continue;
-        found = true;
-        GCORE_RETURN_NOT_OK(ApplyOneSet(stmt, build.rows, &build.labels,
-                                        &build.props));
-      }
-      for (auto& build : edge_builds) {
-        if (build.var != stmt.var) continue;
-        found = true;
-        GCORE_RETURN_NOT_OK(ApplyOneSet(stmt, build.rows, &build.labels,
-                                        &build.props));
-      }
-      for (auto& build : path_builds) {
-        if (build.var != stmt.var) continue;
-        found = true;
-        GCORE_RETURN_NOT_OK(ApplyOneSet(stmt, build.rows, &build.labels,
-                                        &build.props));
-      }
+      ExprEvaluator eval = MakeEvaluator(nullptr);
+      auto apply = [&](auto& builds) -> Status {
+        for (auto& build : builds) {
+          if (build.var != stmt.var) continue;
+          found = true;
+          GCORE_RETURN_NOT_OK(ApplyOneSet(stmt, eval, build.rows,
+                                          &build.labels, &build.props));
+        }
+        return Status::OK();
+      };
+      GCORE_RETURN_NOT_OK(apply(node_builds));
+      GCORE_RETURN_NOT_OK(apply(edge_builds));
+      GCORE_RETURN_NOT_OK(apply(path_builds));
       if (!found) {
         return Status::BindError("SET/REMOVE on '" + stmt.var +
                                  "' which is not constructed by this item");
@@ -554,12 +1190,11 @@ struct Constructor::ItemState {
     return Status::OK();
   }
 
-  Status ApplyOneSet(const SetStatement& stmt,
+  Status ApplyOneSet(const SetStatement& stmt, const ExprEvaluator& eval,
                      const std::vector<size_t>& group_rows, LabelSet* labels,
                      PropertyMap* props) const {
     switch (stmt.kind) {
       case SetStatement::Kind::kSetProperty: {
-        ExprEvaluator eval = MakeEvaluator(nullptr);
         GCORE_ASSIGN_OR_RETURN(
             Datum d, eval.EvalWithGroup(*stmt.value, bindings, group_rows));
         if (d.kind() != Datum::Kind::kValues) {
@@ -609,7 +1244,6 @@ struct Constructor::ItemState {
   // --- WHEN (post-construction form) -------------------------------------------------
 
   Status ApplyPostWhen() {
-    if (item.when == nullptr) return Status::OK();
     // Scratch graph with the constructed objects so property lookups on
     // construct variables see the assigned values.
     PathPropertyGraph scratch;
@@ -667,18 +1301,16 @@ struct Constructor::ItemState {
     ExprEvaluator eval(&scratch, owner->ctx_.catalog);
     if (owner->ctx_.exists_cb) eval.set_exists_callback(owner->ctx_.exists_cb);
 
-    auto group_passes = [&](const std::vector<size_t>& group_rows)
-        -> Result<bool> {
-      const size_t rep = row_map[group_rows.front()];
-      return eval.EvalPredicate(*item.when, extended, rep);
+    auto group_passes = [&](size_t rep) -> Result<bool> {
+      return eval.EvalPredicate(*item.when, extended, row_map[rep]);
     };
 
     for (auto& b : edge_builds) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rows));
+      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rep));
       if (!keep) b.dropped = true;
     }
     for (auto& b : node_builds) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rows));
+      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rep));
       if (!keep) {
         b.dropped = true;
         // Drop edges touching the dropped node (dangling prevention).
@@ -688,87 +1320,15 @@ struct Constructor::ItemState {
       }
     }
     for (auto& b : path_builds) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rows));
+      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rep));
       if (!keep) b.dropped = true;
     }
     return Status::OK();
   }
 
-  // --- assembly ----------------------------------------------------------------------
-
-  /// Copies a node's λ/σ from `source` into `graph` if not already richer.
-  static void ImportNode(const PathPropertyGraph& source, NodeId id,
-                         PathPropertyGraph* graph) {
-    graph->AddNode(id);
-    if (source.HasNode(id)) {
-      LabelSet labels = graph->Labels(id);
-      labels.UnionWith(source.Labels(id));
-      graph->SetLabels(id, std::move(labels));
-      PropertyMap props = graph->Properties(id);
-      props.UnionWith(source.Properties(id));
-      graph->SetProperties(id, std::move(props));
-    }
-  }
-
-  static void ImportEdge(const PathPropertyGraph& source, EdgeId id,
-                         PathPropertyGraph* graph) {
-    if (!source.HasEdge(id)) return;
-    const auto [s, d] = source.EdgeEndpoints(id);
-    ImportNode(source, s, graph);
-    ImportNode(source, d, graph);
-    Status st = graph->AddEdge(id, s, d);
-    (void)st;
-    LabelSet labels = graph->Labels(id);
-    labels.UnionWith(source.Labels(id));
-    graph->SetLabels(id, std::move(labels));
-    PropertyMap props = graph->Properties(id);
-    props.UnionWith(source.Properties(id));
-    graph->SetProperties(id, std::move(props));
-  }
-
-  Result<PathPropertyGraph> Assemble() {
-    PathPropertyGraph graph;
-    for (const auto& b : node_builds) {
-      if (b.dropped) continue;
-      graph.AddNode(b.id);
-      LabelSet labels = graph.Labels(b.id);
-      labels.UnionWith(b.labels);
-      graph.SetLabels(b.id, std::move(labels));
-      PropertyMap props = graph.Properties(b.id);
-      props.UnionWith(b.props);
-      graph.SetProperties(b.id, std::move(props));
-    }
-    for (const auto& b : edge_builds) {
-      if (b.dropped) continue;
-      if (!graph.HasNode(b.src) || !graph.HasNode(b.dst)) continue;
-      GCORE_RETURN_NOT_OK(graph.AddEdge(b.id, b.src, b.dst));
-      LabelSet labels = graph.Labels(b.id);
-      labels.UnionWith(b.labels);
-      graph.SetLabels(b.id, std::move(labels));
-      PropertyMap props = graph.Properties(b.id);
-      props.UnionWith(b.props);
-      graph.SetProperties(b.id, std::move(props));
-    }
-    for (const auto& b : path_builds) {
-      if (b.dropped) continue;
-      // Materialize the walk's nodes and edges with λ/σ from the source
-      // graph.
-      for (NodeId n : b.body.nodes) ImportNode(*b.source, n, &graph);
-      for (EdgeId e : b.body.edges) ImportEdge(*b.source, e, &graph);
-      for (NodeId n : b.extra_nodes) ImportNode(*b.source, n, &graph);
-      for (EdgeId e : b.extra_edges) ImportEdge(*b.source, e, &graph);
-      if (b.make_object) {
-        GCORE_RETURN_NOT_OK(graph.AddPath(b.id, b.body));
-        graph.SetLabels(b.id, b.labels);
-        graph.SetProperties(b.id, b.props);
-      }
-    }
-    return graph;
-  }
-
   // --- driver ------------------------------------------------------------------------
 
-  Result<PathPropertyGraph> Run() {
+  Result<PathPropertyGraph> Run(bool spec) {
     CollectConstructors();
 
     rows.clear();
@@ -776,7 +1336,6 @@ struct Constructor::ItemState {
     for (size_t r = 0; r < bindings.NumRows(); ++r) rows.push_back(r);
 
     // WHEN over match-bound data only: pre-filter rows.
-    bool post_when = false;
     if (item.when != nullptr) {
       std::set<std::string> defined = ConstructDefinedVars();
       std::vector<std::string> mentioned;
@@ -799,14 +1358,20 @@ struct Constructor::ItemState {
       }
     }
 
-    GCORE_RETURN_NOT_OK(BuildNodes());
-    GCORE_RETURN_NOT_OK(BuildEdges());
-    GCORE_RETURN_NOT_OK(BuildPaths());
+    if (spec) {
+      GCORE_RETURN_NOT_OK(BuildNodesSpec());
+      GCORE_RETURN_NOT_OK(BuildEdgesSpec());
+      GCORE_RETURN_NOT_OK(BuildPathsSpec());
+    } else {
+      GCORE_RETURN_NOT_OK(BuildNodesColumnar());
+      GCORE_RETURN_NOT_OK(BuildEdgesColumnar());
+      GCORE_RETURN_NOT_OK(BuildPathsColumnar());
+    }
     GCORE_RETURN_NOT_OK(ApplySetStatements());
     if (post_when) {
       GCORE_RETURN_NOT_OK(ApplyPostWhen());
     }
-    return Assemble();
+    return spec ? AssembleSpec() : AssembleColumnar();
   }
 };
 
@@ -821,7 +1386,7 @@ Result<PathPropertyGraph> Constructor::EvalItem(const ConstructItem& item,
     return Status::BindError("construct item has neither pattern nor graph");
   }
   ItemState state(this, item, bindings);
-  return state.Run();
+  return state.Run(ctx_.use_spec);
 }
 
 Result<PathPropertyGraph> Constructor::EvalConstruct(
@@ -855,7 +1420,7 @@ Result<PathPropertyGraph> Constructor::EvalConstruct(
       result = std::move(piece);
       first = false;
     } else {
-      result = GraphUnion(result, piece);
+      result = GraphUnion(std::move(result), std::move(piece));
     }
   }
   return result;

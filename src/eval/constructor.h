@@ -16,11 +16,38 @@
 //     property computation;
 //   * stored-path constructs (@p) materialize the bound walk and its path
 //     object; plain path constructs project the walk's nodes and edges.
+//
+// Two implementations share the grouping contract below:
+//
+//   * the columnar fast path (the default) resolves each construct
+//     variable's column and provenance graph once per item, reads ids
+//     through Column::KindAt/NodeAt/EdgeAt, groups rows in hash tables
+//     keyed on raw ids (a bound object's identity determines every other
+//     attribute of it, so the id alone is its group key), records each
+//     row's node in dense per-row vectors, looks every distinct object up
+//     in its source graph once (λ/σ and, for a bound edge, ρ for the
+//     identity check), and moves the built objects into the result graph
+//     in ascending id order, importing each (source, object) pair of path
+//     bodies once;
+//   * the row-at-a-time executable spec (`ConstructorContext::use_spec`,
+//     which the engine sets under `use_planner = false`) reads bindings by
+//     column name, resolves provenance per row and assembles object by
+//     object. tests/eval/construct_differential_test.cc pins the two to
+//     identical result graphs, ids included, and identical error codes.
+//
+// Group contract (both paths): groups are formed in order of first
+// appearance among the binding rows, and group keys compare with Datum
+// equality (Datum::Hash / operator==, so Int(7) and Double(7.0) fall in one
+// group, as they do under SELECT DISTINCT). Fresh skolem identities are
+// drawn per item, node constructors before edge constructors, each in
+// chain order and then in group order — so both paths allocate the same
+// ids.
 #ifndef GCORE_EVAL_CONSTRUCTOR_H_
 #define GCORE_EVAL_CONSTRUCTOR_H_
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ast/ast.h"
@@ -34,6 +61,8 @@ struct ConstructorContext {
   GraphCatalog* catalog = nullptr;
   std::string default_graph;
   ExprEvaluator::ExistsCallback exists_cb;
+  /// Run the row-at-a-time executable spec instead of the columnar path.
+  bool use_spec = false;
 };
 
 class Constructor {
@@ -47,14 +76,33 @@ class Constructor {
  private:
   struct ItemState;
 
+  /// A typed group / skolem key: raw ids where identity decides (a copied
+  /// object's id; a default edge's source and destination) plus a Datum
+  /// tuple (GROUP values, full-row bindings, an edge copy's source).
+  struct Key {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    std::vector<Datum> parts;
+
+    friend bool operator==(const Key& x, const Key& y) {
+      return x.a == y.a && x.b == y.b && x.parts == y.parts;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const;
+  };
+  /// new(x, key) for one construct variable: key → raw object id.
+  using SkolemTable = std::unordered_map<Key, uint64_t, KeyHash>;
+
   Result<PathPropertyGraph> EvalItem(const ConstructItem& item,
                                      const BindingTable& bindings);
 
   ConstructorContext ctx_;
 
-  /// Clause-level skolem memory: (construct var, group key) -> identity.
-  std::map<std::pair<std::string, std::string>, NodeId> node_skolems_;
-  std::map<std::pair<std::string, std::string>, EdgeId> edge_skolems_;
+  /// Clause-level skolem memory, one table per construct variable (copies
+  /// `=x` under "x(copy)").
+  std::unordered_map<std::string, SkolemTable> node_skolems_;
+  std::unordered_map<std::string, SkolemTable> edge_skolems_;
   /// Clause-level grouping: a variable's GROUP list is declared at one
   /// occurrence and shared by all others (line 79 of the paper writes
   /// `(cust)-[:bought]->(prod)` after declaring GROUP on cust/prod).

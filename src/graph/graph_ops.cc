@@ -2,63 +2,69 @@
 
 namespace gcore {
 
-bool Consistent(const PathPropertyGraph& g1, const PathPropertyGraph& g2) {
+namespace {
+
+size_t NumMembers(const PathPropertyGraph& g) {
+  return g.NumNodes() + g.NumEdges() + g.NumPaths();
+}
+
+/// True when every edge/path of `small` that `large` also holds has the
+/// same ρ/δ there.
+bool ConsistentInto(const PathPropertyGraph& small,
+                    const PathPropertyGraph& large) {
   bool ok = true;
-  g1.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
-    if (!ok || !g2.HasEdge(e)) return;
-    if (g2.EdgeEndpoints(e) != std::make_pair(src, dst)) ok = false;
+  small.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
+    if (!ok) return;
+    const PathPropertyGraph::EdgeData* other = large.FindEdge(e);
+    if (other != nullptr && (other->src != src || other->dst != dst)) {
+      ok = false;
+    }
   });
   if (!ok) return false;
-  g1.ForEachPath([&](PathId p, const PathBody& body) {
-    if (!ok || !g2.HasPath(p)) return;
-    if (!(g2.Path(p) == body)) ok = false;
+  small.ForEachPath([&](PathId p, const PathBody& body) {
+    if (!ok) return;
+    const PathPropertyGraph::PathData* other = large.FindPath(p);
+    if (other != nullptr && !(other->body == body)) ok = false;
   });
   return ok;
 }
 
-namespace {
-
-/// Copies λ/σ of a node/edge/path from `src` into `dst` via set-union
-/// merge.
-template <typename IdType>
-void MergeObject(const PathPropertyGraph& src, IdType id,
-                 PathPropertyGraph* dst) {
-  LabelSet labels = dst->Labels(id);
-  labels.UnionWith(src.Labels(id));
-  dst->SetLabels(id, std::move(labels));
-  PropertyMap props = dst->Properties(id);
-  props.UnionWith(src.Properties(id));
-  dst->SetProperties(id, std::move(props));
+/// Set-union merge of one member's λ/σ into `dst`.
+void MergeObject(const PathPropertyGraph::ObjectData& src,
+                 PathPropertyGraph::ObjectData* dst) {
+  dst->labels.UnionWith(src.labels);
+  dst->props.UnionWith(src.props);
 }
 
 }  // namespace
 
-PathPropertyGraph GraphUnion(const PathPropertyGraph& g1,
+bool Consistent(const PathPropertyGraph& g1, const PathPropertyGraph& g2) {
+  return NumMembers(g1) <= NumMembers(g2) ? ConsistentInto(g1, g2)
+                                          : ConsistentInto(g2, g1);
+}
+
+PathPropertyGraph GraphUnion(PathPropertyGraph g1,
                              const PathPropertyGraph& g2) {
   if (!Consistent(g1, g2)) return PathPropertyGraph();
-  PathPropertyGraph out;
+  g1.set_name(std::string());
+  g2.ForEachNode([&](NodeId n) {
+    MergeObject(*g2.FindNode(n), &g1.UpsertNode(n));
+  });
+  g2.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
+    // Consistency was pre-checked and both endpoints were merged above.
+    auto out = g1.UpsertEdge(e, src, dst);
+    if (out.ok()) MergeObject(*g2.FindEdge(e), *out);
+  });
+  g2.ForEachPath([&](PathId p, const PathBody& body) {
+    auto out = g1.UpsertPath(p, body);
+    if (out.ok()) MergeObject(*g2.FindPath(p), *out);
+  });
+  return g1;
+}
 
-  for (const PathPropertyGraph* g : {&g1, &g2}) {
-    g->ForEachNode([&](NodeId n) {
-      out.AddNode(n);
-      MergeObject(*g, n, &out);
-    });
-  }
-  for (const PathPropertyGraph* g : {&g1, &g2}) {
-    g->ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
-      Status st = out.AddEdge(e, src, dst);
-      (void)st;  // consistency was pre-checked
-      MergeObject(*g, e, &out);
-    });
-  }
-  for (const PathPropertyGraph* g : {&g1, &g2}) {
-    g->ForEachPath([&](PathId p, const PathBody& body) {
-      Status st = out.AddPath(p, body);
-      (void)st;
-      MergeObject(*g, p, &out);
-    });
-  }
-  return out;
+PathPropertyGraph GraphUnion(PathPropertyGraph g1, PathPropertyGraph&& g2) {
+  if (NumMembers(g2) > NumMembers(g1)) std::swap(g1, g2);
+  return GraphUnion(std::move(g1), static_cast<const PathPropertyGraph&>(g2));
 }
 
 PathPropertyGraph GraphIntersect(const PathPropertyGraph& g1,

@@ -13,13 +13,21 @@
 
 namespace gcore {
 
-/// True when shared edges/paths agree on ρ/δ (Appendix A.5).
+/// True when shared edges/paths agree on ρ/δ (Appendix A.5). Walks the
+/// smaller graph and looks its edges/paths up in the larger one.
 bool Consistent(const PathPropertyGraph& g1, const PathPropertyGraph& g2);
 
 /// G1 ∪ G2. Labels and property value sets of shared objects are unioned.
 /// Returns the empty PPG if the graphs are inconsistent.
-PathPropertyGraph GraphUnion(const PathPropertyGraph& g1,
+///
+/// By-value contract: the left operand is taken by value and G2 is merged
+/// into it in place, so a caller that moves its accumulator in
+/// (`acc = GraphUnion(std::move(acc), piece)`) pays only for G2's members,
+/// never for re-copying G1. When both operands are rvalues the smaller is
+/// merged into the larger. The result is unnamed, like a fresh graph.
+PathPropertyGraph GraphUnion(PathPropertyGraph g1,
                              const PathPropertyGraph& g2);
+PathPropertyGraph GraphUnion(PathPropertyGraph g1, PathPropertyGraph&& g2);
 
 /// G1 ∩ G2. Shared objects keep the intersection of labels and per-key
 /// value sets. Returns the empty PPG if the graphs are inconsistent.

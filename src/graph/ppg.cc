@@ -122,30 +122,75 @@ std::string PropertyMap::ToString() const {
 
 // --- PathPropertyGraph ---------------------------------------------------------
 
-void PathPropertyGraph::AddNode(NodeId id) { nodes_.try_emplace(id); }
+namespace {
+
+/// Finds `id` in `store`, default-inserting it when absent. An id above
+/// every stored key is appended at the end without a tree search.
+template <typename Map, typename Id>
+std::pair<typename Map::iterator, bool> FindOrAppend(Map* store, Id id) {
+  if (store->empty() || store->rbegin()->first < id) {
+    return {store->emplace_hint(store->end(), id, typename Map::mapped_type()),
+            true};
+  }
+  return store->try_emplace(id);
+}
+
+/// Looks up ascending `ids` in `store` by walking it in order; a gap of
+/// more than a few members falls back to a tree search.
+template <typename Data, typename Map, typename Id>
+std::vector<const Data*> FindSorted(const Map& store,
+                                    const std::vector<Id>& ids) {
+  constexpr int kMaxSteps = 8;
+  std::vector<const Data*> out(ids.size(), nullptr);
+  auto it = store.begin();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (int step = 0; step < kMaxSteps && it != store.end() &&
+                       it->first < ids[i];
+         ++step) {
+      ++it;
+    }
+    if (it != store.end() && it->first < ids[i]) it = store.lower_bound(ids[i]);
+    if (it != store.end() && it->first == ids[i]) out[i] = &it->second;
+  }
+  return out;
+}
+
+}  // namespace
+
+void PathPropertyGraph::AddNode(NodeId id) { UpsertNode(id); }
 
 Status PathPropertyGraph::AddEdge(EdgeId id, NodeId src, NodeId dst) {
+  return UpsertEdge(id, src, dst).status();
+}
+
+Status PathPropertyGraph::AddPath(PathId id, PathBody body) {
+  return UpsertPath(id, std::move(body)).status();
+}
+
+PathPropertyGraph::ObjectData& PathPropertyGraph::UpsertNode(NodeId id) {
+  return FindOrAppend(&nodes_, id).first->second;
+}
+
+Result<PathPropertyGraph::ObjectData*> PathPropertyGraph::UpsertEdge(
+    EdgeId id, NodeId src, NodeId dst) {
   if (!HasNode(src) || !HasNode(dst)) {
     return Status::InvalidArgument("edge " + gcore::ToString(id) +
                                    " endpoints must be graph members");
   }
-  auto it = edges_.find(id);
-  if (it != edges_.end()) {
-    if (it->second.src != src || it->second.dst != dst) {
-      return Status::InvalidArgument(
-          "edge " + gcore::ToString(id) +
-          " re-added with different endpoints (identity violation)");
-    }
-    return Status::OK();
+  auto [it, inserted] = FindOrAppend(&edges_, id);
+  if (inserted) {
+    it->second.src = src;
+    it->second.dst = dst;
+  } else if (it->second.src != src || it->second.dst != dst) {
+    return Status::InvalidArgument(
+        "edge " + gcore::ToString(id) +
+        " re-added with different endpoints (identity violation)");
   }
-  EdgeData data;
-  data.src = src;
-  data.dst = dst;
-  edges_.emplace(id, std::move(data));
-  return Status::OK();
+  return static_cast<ObjectData*>(&it->second);
 }
 
-Status PathPropertyGraph::AddPath(PathId id, PathBody body) {
+Result<PathPropertyGraph::ObjectData*> PathPropertyGraph::UpsertPath(
+    PathId id, PathBody body) {
   if (body.nodes.size() != body.edges.size() + 1) {
     return Status::InvalidArgument("path body must have n+1 nodes for n edges");
   }
@@ -172,19 +217,43 @@ Status PathPropertyGraph::AddPath(PathId id, PathBody body) {
           " does not connect consecutive path nodes (Definition 2.1 (3))");
     }
   }
-  auto it = paths_.find(id);
-  if (it != paths_.end()) {
-    if (!(it->second.body == body)) {
-      return Status::InvalidArgument(
-          "path " + gcore::ToString(id) +
-          " re-added with different body (identity violation)");
-    }
-    return Status::OK();
+  auto [it, inserted] = FindOrAppend(&paths_, id);
+  if (inserted) {
+    it->second.body = std::move(body);
+  } else if (!(it->second.body == body)) {
+    return Status::InvalidArgument(
+        "path " + gcore::ToString(id) +
+        " re-added with different body (identity violation)");
   }
-  PathData data;
-  data.body = std::move(body);
-  paths_.emplace(id, std::move(data));
-  return Status::OK();
+  return static_cast<ObjectData*>(&it->second);
+}
+
+const PathPropertyGraph::ObjectData* PathPropertyGraph::FindNode(
+    NodeId id) const {
+  auto it = nodes_.find(id);
+  return it == nodes_.end() ? nullptr : &it->second;
+}
+
+const PathPropertyGraph::EdgeData* PathPropertyGraph::FindEdge(
+    EdgeId id) const {
+  auto it = edges_.find(id);
+  return it == edges_.end() ? nullptr : &it->second;
+}
+
+const PathPropertyGraph::PathData* PathPropertyGraph::FindPath(
+    PathId id) const {
+  auto it = paths_.find(id);
+  return it == paths_.end() ? nullptr : &it->second;
+}
+
+std::vector<const PathPropertyGraph::ObjectData*> PathPropertyGraph::FindNodes(
+    const std::vector<NodeId>& sorted_ids) const {
+  return FindSorted<ObjectData>(nodes_, sorted_ids);
+}
+
+std::vector<const PathPropertyGraph::EdgeData*> PathPropertyGraph::FindEdges(
+    const std::vector<EdgeId>& sorted_ids) const {
+  return FindSorted<EdgeData>(edges_, sorted_ids);
 }
 
 std::pair<NodeId, NodeId> PathPropertyGraph::EdgeEndpoints(EdgeId id) const {

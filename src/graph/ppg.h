@@ -117,6 +117,19 @@ struct PathBody {
 /// destination of an edge violates its identity", Section 3).
 class PathPropertyGraph {
  public:
+  /// λ and σ of one member.
+  struct ObjectData {
+    LabelSet labels;
+    PropertyMap props;
+  };
+  struct EdgeData : ObjectData {
+    NodeId src;
+    NodeId dst;
+  };
+  struct PathData : ObjectData {
+    PathBody body;
+  };
+
   PathPropertyGraph() = default;
   explicit PathPropertyGraph(std::string name) : name_(std::move(name)) {}
 
@@ -148,6 +161,29 @@ class PathPropertyGraph {
   /// concatenation of adjacent member edges (condition (3) of
   /// Definition 2.1); edges may be traversed in either direction.
   Status AddPath(PathId id, PathBody body);
+
+  // --- bulk assembly (CONSTRUCT, graph union) -------------------------------
+  //
+  // Add the member when absent (same checks as AddEdge/AddPath) and return
+  // its λ/σ for in-place editing. A member whose id exceeds every present
+  // id is appended in amortized O(1), so producers that emit members in
+  // ascending id order build a graph without per-member tree searches.
+
+  ObjectData& UpsertNode(NodeId id);
+  Result<ObjectData*> UpsertEdge(EdgeId id, NodeId src, NodeId dst);
+  Result<ObjectData*> UpsertPath(PathId id, PathBody body);
+
+  /// One lookup for ρ/δ, λ and σ of a member; null when absent.
+  const ObjectData* FindNode(NodeId id) const;
+  const EdgeData* FindEdge(EdgeId id) const;
+  const PathData* FindPath(PathId id) const;
+  /// FindNode/FindEdge over ids sorted ascending: out[i] is the member of
+  /// ids[i] or null. One in-order walk of the store replaces a tree search
+  /// per id while the ids are dense among the members.
+  std::vector<const ObjectData*> FindNodes(
+      const std::vector<NodeId>& sorted_ids) const;
+  std::vector<const EdgeData*> FindEdges(
+      const std::vector<EdgeId>& sorted_ids) const;
 
   // --- structure access ----------------------------------------------------
 
@@ -221,21 +257,8 @@ class PathPropertyGraph {
   std::string ToString() const;
 
  private:
-  struct ObjectData {
-    LabelSet labels;
-    PropertyMap props;
-  };
-  struct NodeData : ObjectData {};
-  struct EdgeData : ObjectData {
-    NodeId src;
-    NodeId dst;
-  };
-  struct PathData : ObjectData {
-    PathBody body;
-  };
-
   std::string name_;
-  std::map<NodeId, NodeData> nodes_;
+  std::map<NodeId, ObjectData> nodes_;
   std::map<EdgeId, EdgeData> edges_;
   std::map<PathId, PathData> paths_;
 };

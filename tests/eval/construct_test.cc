@@ -262,6 +262,50 @@ TEST_F(ConstructTest, MultipleItemsUnionWithSharedIdentities) {
   EXPECT_EQ(g->NumEdges(), 1u);
 }
 
+TEST_F(ConstructTest, GroupKeysFollowValueEquality) {
+  // GROUP keys compare like Values (and like SELECT DISTINCT): the distinct
+  // doubles 1000000.5 and 1000000.25 form two groups, Int(7) and
+  // Double(7.0) one; a two-valued set and a string spelling its elements
+  // are different keys.
+  PathPropertyGraph g;
+  for (const Value& v :
+       {Value::Double(1000000.5), Value::Double(1000000.25), Value::Int(7),
+        Value::Double(7.0)}) {
+    const NodeId n = catalog.ids()->NextNode();
+    g.AddNode(n);
+    g.AddLabel(n, "P");
+    g.SetProperty(n, "score", ValueSet(v));
+  }
+  for (const ValueSet& tag :
+       {ValueSet({Value::String("a"), Value::String("b")}),
+        ValueSet(Value::String("a|4:b"))}) {
+    const NodeId n = catalog.ids()->NextNode();
+    g.AddNode(n);
+    g.AddLabel(n, "Q");
+    g.SetProperty(n, "tag", tag);
+  }
+  catalog.RegisterGraph("scores", std::move(g));
+
+  auto groups =
+      Run("CONSTRUCT (x GROUP v :S {v:=v}) MATCH (n:P {score=v}) ON scores");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  EXPECT_EQ(groups->NumNodes(), 3u);
+  auto count = [&](const Value& v) {
+    int hits = 0;
+    groups->ForEachNode([&](NodeId n) {
+      if (groups->Property(n, "v") == ValueSet(v)) ++hits;
+    });
+    return hits;
+  };
+  EXPECT_EQ(count(Value::Double(1000000.5)), 1);
+  EXPECT_EQ(count(Value::Double(1000000.25)), 1);
+  EXPECT_EQ(count(Value::Int(7)), 1);
+
+  auto tags = Run("CONSTRUCT (x GROUP n.tag :T) MATCH (n:Q) ON scores");
+  ASSERT_TRUE(tags.ok()) << tags.status().ToString();
+  EXPECT_EQ(tags->NumNodes(), 2u);
+}
+
 TEST_F(ConstructTest, ConstructWithoutMatchUsesUnitBinding) {
   auto g = Run("CONSTRUCT (x :Marker {v:=1})");
   ASSERT_TRUE(g.ok()) << g.status().ToString();

@@ -194,6 +194,13 @@ TEST_P(GraphOpsLaws, UnionCommutes) {
   PathPropertyGraph a = Random(GetParam());
   PathPropertyGraph b = Random(GetParam() + 1000);
   EXPECT_TRUE(GraphEquals(GraphUnion(a, b), GraphUnion(b, a)));
+  // In place: a moved-in accumulator, and both operands moved (the smaller
+  // merges into the larger).
+  EXPECT_TRUE(GraphEquals(GraphUnion(PathPropertyGraph(a), b),
+                          GraphUnion(PathPropertyGraph(b), a)));
+  EXPECT_TRUE(GraphEquals(
+      GraphUnion(PathPropertyGraph(a), PathPropertyGraph(b)),
+      GraphUnion(a, b)));
 }
 
 TEST_P(GraphOpsLaws, IntersectCommutes) {
@@ -205,13 +212,16 @@ TEST_P(GraphOpsLaws, IntersectCommutes) {
 TEST_P(GraphOpsLaws, UnionIdempotent) {
   PathPropertyGraph a = Random(GetParam());
   EXPECT_TRUE(GraphEquals(GraphUnion(a, a), a));
+  EXPECT_TRUE(GraphEquals(GraphUnion(PathPropertyGraph(a), a), a));
+  EXPECT_TRUE(
+      GraphEquals(GraphUnion(PathPropertyGraph(a), PathPropertyGraph(a)), a));
 }
 
 TEST_P(GraphOpsLaws, IntersectSubsetOfUnion) {
   PathPropertyGraph a = Random(GetParam());
   PathPropertyGraph b = Random(GetParam() + 1000);
   PathPropertyGraph i = GraphIntersect(a, b);
-  PathPropertyGraph u = GraphUnion(a, b);
+  PathPropertyGraph u = GraphUnion(PathPropertyGraph(a), b);
   i.ForEachNode([&](NodeId n) { EXPECT_TRUE(u.HasNode(n)); });
   i.ForEachEdge([&](EdgeId e, NodeId, NodeId) { EXPECT_TRUE(u.HasEdge(e)); });
 }
