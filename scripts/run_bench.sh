@@ -24,6 +24,10 @@
 #                                identity copies, GROUP skolems, COUNT(*)
 #                                per group, stored paths, CONSTRUCT g, ...
 #                                unions, graph set operations (serial)
+#   BENCH_guided_tour.json     — the paper's guided-tour queries end to end
+#                                on the toy graphs, plus SNB 800 workloads
+#                                including the Q7 pattern predicate and the
+#                                Q9 correlated EXISTS
 # Extra arguments pass through to every bench binary, e.g.
 #   scripts/run_bench.sh --benchmark_filter='BM_ColumnarScan.*'
 set -euo pipefail
@@ -32,7 +36,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . >/dev/null
 cmake --build build --target bench_join_dedup bench_columnar_scan \
   bench_baseline_ablation bench_wcoj bench_storage bench_path_finding \
-  bench_serving bench_expr bench_construct -j
+  bench_serving bench_expr bench_construct bench_guided_tour -j
 
 # Stamped into every JSON context: the commit, gcore's own build type
 # (google-benchmark's library_build_type describes the benchmark library)
@@ -64,6 +68,7 @@ run_bench bench_path_finding BENCH_paths.json "$@"
 run_bench bench_serving BENCH_serving.json "$@"
 run_bench bench_expr BENCH_expr.json "$@"
 run_bench bench_construct BENCH_construct.json "$@"
+run_bench bench_guided_tour BENCH_guided_tour.json "$@"
 # The stats filter comes last: google-benchmark honors the final
 # --benchmark_filter, so a user-passed filter cannot swap which
 # benchmarks land in BENCH_stats_ablation.json.

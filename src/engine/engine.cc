@@ -70,10 +70,8 @@ Matcher QueryEngine::MakeMatcher(Scope* scope) {
   ctx.catalog = catalog_;
   ctx.views = &scope->views;
   ctx.default_graph = catalog_->default_graph();
-  ctx.exists_cb = [this, scope](const Query& subquery,
-                                const BindingTable& outer,
-                                size_t row) -> Result<bool> {
-    return EvalExists(subquery, outer, row, scope);
+  ctx.exists_cb = [this, scope](const Query& subquery) {
+    return ExistsRelation(subquery, scope);
   };
   return Matcher(ctx);
 }
@@ -472,10 +470,8 @@ Result<PathViewRelation> QueryEngine::MaterializePathView(
   ctx.catalog = catalog_;
   ctx.views = &scope->views;
   ctx.default_graph = graph_name;
-  ctx.exists_cb = [this, scope](const Query& subquery,
-                                const BindingTable& outer,
-                                size_t row) -> Result<bool> {
-    return EvalExists(subquery, outer, row, scope);
+  ctx.exists_cb = [this, scope](const Query& subquery) {
+    return ExistsRelation(subquery, scope);
   };
   Matcher matcher(ctx);
 
@@ -494,7 +490,6 @@ Result<PathViewRelation> QueryEngine::MaterializePathView(
   GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* view_graph,
                          matcher.ResolveGraph(""));
   ExprEvaluator eval(view_graph, catalog_);
-  ctx.exists_cb = nullptr;
 
   if (clause.where != nullptr) {
     BindingTable filtered(table.columns());
@@ -678,12 +673,14 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
       auto resolved = matcher.ResolveGraph("");
       if (resolved.ok()) default_graph = *resolved;
     }
+    // EXISTS inner relations are kept for the whole projection.
+    CorrelatedMemo correlated;
     ExprEvaluator eval(default_graph, catalog_);
-    eval.set_exists_callback([this, scope](const Query& subquery,
-                                           const BindingTable& outer,
-                                           size_t row) -> Result<bool> {
-      return EvalExists(subquery, outer, row, scope);
-    });
+    eval.set_exists_callback(
+        [this, scope](const Query& subquery) {
+          return ExistsRelation(subquery, scope);
+        },
+        &correlated);
 
     auto cell_of = [](const Datum& d) -> Value {
       if (d.kind() == Datum::Kind::kValues && d.values().is_singleton()) {
@@ -797,10 +794,8 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
   ctx.default_graph = catalog_->default_graph();
   // The spec mode of every layer: the row-at-a-time constructor.
   ctx.use_spec = !scope->options.use_planner;
-  ctx.exists_cb = [this, scope](const Query& subquery,
-                                const BindingTable& outer,
-                                size_t row) -> Result<bool> {
-    return EvalExists(subquery, outer, row, scope);
+  ctx.exists_cb = [this, scope](const Query& subquery) {
+    return ExistsRelation(subquery, scope);
   };
   Constructor constructor(ctx);
   GCORE_ASSIGN_OR_RETURN(PathPropertyGraph graph,
@@ -846,32 +841,29 @@ Result<PathPropertyGraph> QueryEngine::EvalBody(const QueryBody& body,
   return Status::EvaluationError("unhandled query body kind");
 }
 
-Result<bool> QueryEngine::EvalExists(const Query& subquery,
-                                     const BindingTable& outer, size_t row,
-                                     Scope* scope) {
-  // Correlated evaluation (Appendix A.2): ⟦γ⟧Ω,G = ⟦γ⟧G ⋉ Ω. The
-  // subquery's bindings are semijoined with the outer row; EXISTS is true
-  // iff any survive (CONSTRUCT over a non-empty binding set yields a
-  // non-empty graph).
+Result<BindingTable> QueryEngine::ExistsRelation(const Query& subquery,
+                                                 Scope* scope) {
+  // Correlated evaluation (Appendix A.2): ⟦γ⟧Ω,G = ⟦γ⟧G ⋉ Ω. A basic
+  // subquery answers with its bindings, which the caller's memo
+  // semijoins with each outer row (CONSTRUCT over a non-empty binding set
+  // yields a non-empty graph). Other bodies are uncorrelated: a nullary
+  // table with one row iff their graph is non-empty.
   const QueryBody* body = subquery.body.get();
-  if (body == nullptr) return false;
+  auto nonempty = [](bool any) {
+    return any ? BindingTable::Unit() : BindingTable();
+  };
+  if (body == nullptr) return nonempty(false);
   if (body->kind == QueryBody::Kind::kGraphRef) {
     GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* g,
                            catalog_->Lookup(body->graph_ref));
-    return !(*g).Empty();
+    return nonempty(!g->Empty());
   }
   if (body->kind != QueryBody::Kind::kBasic) {
-    // Full set-operation subquery: evaluate uncorrelated.
-    auto result = ExecuteWithScope(subquery, scope);
-    GCORE_RETURN_NOT_OK(result.status());
-    return result->graph.has_value() && !result->graph->Empty();
+    GCORE_ASSIGN_OR_RETURN(QueryResult result,
+                           ExecuteWithScope(subquery, scope));
+    return nonempty(result.graph.has_value() && !result.graph->Empty());
   }
-  GCORE_ASSIGN_OR_RETURN(BindingTable inner_bindings,
-                         EvalBindings(*body->basic, scope));
-  BindingTable outer_row(outer.columns());
-  outer_row.AppendRowFrom(outer, row);
-  BindingTable joined = TableSemijoin(outer_row, inner_bindings);
-  return !joined.Empty();
+  return EvalBindings(*body->basic, scope);
 }
 
 }  // namespace gcore

@@ -195,10 +195,15 @@ class QueryEngine {
                                                const std::string& graph_name,
                                                Scope* scope);
 
-  /// Correlated EXISTS: evaluates the subquery's bindings semijoined with
-  /// the outer row; TRUE iff non-empty.
-  Result<bool> EvalExists(const Query& subquery, const BindingTable& outer,
-                          size_t row, Scope* scope);
+  /// Inner relation of a correlated EXISTS (the ExistsCallback behind
+  /// every matcher, SELECT projection and constructor the engine wires):
+  /// a basic subquery's bindings, else a nullary table with one row iff
+  /// the subquery's graph is non-empty. The evaluator that owns the
+  /// callback keeps the result in its CorrelatedMemo and semijoins it
+  /// with each outer row, so one evaluation runs — and resolves the
+  /// inner graphs of — each subquery at most once, and never when no row
+  /// reaches the EXISTS.
+  Result<BindingTable> ExistsRelation(const Query& subquery, Scope* scope);
 
   Matcher MakeMatcher(Scope* scope);
 

@@ -472,7 +472,7 @@ void RowIndexSet::Grow() {
   const size_t mask = slots_.size() - 1;
   for (const auto& slot : old) {
     if (slot.second == 0) continue;
-    size_t pos = slot.first & mask;
+    size_t pos = Home(slot.first) & mask;
     while (slots_[pos].second != 0) pos = (pos + 1) & mask;
     slots_[pos] = slot;
   }

@@ -339,7 +339,7 @@ class RowIndexSet {
   bool InsertIfNew(size_t hash, size_t index, EqFn eq) {
     if ((used_ + 1) * 10 > slots_.size() * 7) Grow();
     const size_t mask = slots_.size() - 1;
-    size_t pos = hash & mask;
+    size_t pos = Home(hash) & mask;
     while (slots_[pos].second != 0) {
       if (slots_[pos].first == hash && eq(slots_[pos].second - 1)) {
         return false;
@@ -351,8 +351,36 @@ class RowIndexSet {
     return true;
   }
 
+  /// True when `eq(stored_index)` holds for some stored index with an
+  /// equal hash.
+  template <typename EqFn>
+  bool Contains(size_t hash, EqFn eq) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t pos = Home(hash) & mask; slots_[pos].second != 0;
+         pos = (pos + 1) & mask) {
+      if (slots_[pos].first == hash && eq(slots_[pos].second - 1)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
  private:
   void Grow();
+
+  /// Home slot of `hash` before masking. Row hashes combine raw ids,
+  /// whose low bits cluster (co-located pairs of nearby ids land on
+  /// runs of neighbouring slots); the 64-bit finalizer of MurmurHash3
+  /// spreads them over the table so linear probes stay short.
+  static size_t Home(size_t hash) {
+    uint64_t h = hash;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<size_t>(h);
+  }
 
   /// (hash, row index + 1); second == 0 marks an empty slot.
   std::vector<std::pair<size_t, size_t>> slots_;

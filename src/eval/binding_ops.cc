@@ -121,34 +121,6 @@ struct ProbeIndex {
     }
     for (size_t r : wildcard) fn(r);
   }
-
-  /// True when some row of b is compatible with row `ra` of `a`; stops at
-  /// the first hit instead of enumerating every candidate
-  /// (semijoin/antijoin probe).
-  bool AnyCompatible(const BindingTable& a, size_t ra, const BindingTable& b,
-                     const std::vector<std::pair<size_t, size_t>>& shared)
-      const {
-    size_t h = 0;
-    if (HashSharedAt<0>(a, ra, shared, &h)) {
-      auto it = keyed.find(h);
-      if (it != keyed.end()) {
-        for (size_t r : it->second) {
-          if (CompatibleAt(a, ra, b, r, shared)) return true;
-        }
-      }
-    } else {
-      for (const auto& [k, rows] : keyed) {
-        (void)k;
-        for (size_t r : rows) {
-          if (CompatibleAt(a, ra, b, r, shared)) return true;
-        }
-      }
-    }
-    for (size_t r : wildcard) {
-      if (CompatibleAt(a, ra, b, r, shared)) return true;
-    }
-    return false;
-  }
 };
 
 }  // namespace
@@ -546,34 +518,106 @@ BindingTable StreamingJoinProbe::Finish() {
   return canonical;
 }
 
-BindingTable TableSemijoin(const BindingTable& a, const BindingTable& b) {
+/// Existence needs one inner row per distinct key, not every row: inner
+/// rows whose shared cells are all bound are deduplicated on those cells
+/// into `keys` (a compatible bound outer key must equal one of them);
+/// rows with an unbound shared cell stay in `wildcard` and are checked
+/// against every outer row.
+struct SemijoinProbe::Impl {
+  const BindingTable& inner;
+  std::vector<std::string> outer_columns;
+  std::vector<std::pair<size_t, size_t>> shared;
+  RowIndexSet keys;
+  /// Inner row of each distinct key, in first-appearance order.
+  std::vector<size_t> key_rows;
+  std::vector<size_t> wildcard;
+
+  Impl(const BindingTable& outer_schema, const BindingTable& b)
+      : inner(b),
+        outer_columns(outer_schema.columns()),
+        shared(SharedColumns(outer_schema, b)) {
+    keys.Reserve(b.NumRows());
+    for (size_t r = 0; r < b.NumRows(); ++r) {
+      size_t h = 0;
+      if (!ProbeIndex::HashSharedAt<1>(b, r, shared, &h)) {
+        wildcard.push_back(r);
+        continue;
+      }
+      const bool fresh = keys.InsertIfNew(h, key_rows.size(), [&](size_t k) {
+        for (const auto& cols : shared) {
+          const Column& c = b.ColumnAt(cols.second);
+          if (!Column::CellsEqual(c, key_rows[k], c, r)) return false;
+        }
+        return true;
+      });
+      if (fresh) key_rows.push_back(r);
+    }
+  }
+
+  bool Any(const BindingTable& a, size_t ra) const {
+    size_t h = 0;
+    if (ProbeIndex::HashSharedAt<0>(a, ra, shared, &h)) {
+      if (keys.Contains(h, [&](size_t k) {
+            return CompatibleAt(a, ra, inner, key_rows[k], shared);
+          })) {
+        return true;
+      }
+    } else {
+      // Some outer shared cell unbound: any key may match.
+      for (size_t r : key_rows) {
+        if (CompatibleAt(a, ra, inner, r, shared)) return true;
+      }
+    }
+    for (size_t r : wildcard) {
+      if (CompatibleAt(a, ra, inner, r, shared)) return true;
+    }
+    return false;
+  }
+};
+
+SemijoinProbe::SemijoinProbe(const BindingTable& outer_schema,
+                             const BindingTable& inner)
+    : impl_(new Impl(outer_schema, inner)) {}
+
+SemijoinProbe::~SemijoinProbe() = default;
+SemijoinProbe::SemijoinProbe(SemijoinProbe&&) noexcept = default;
+SemijoinProbe& SemijoinProbe::operator=(SemijoinProbe&&) noexcept = default;
+
+bool SemijoinProbe::Any(const BindingTable& outer, size_t row) const {
+  return impl_->Any(outer, row);
+}
+
+const std::vector<std::string>& SemijoinProbe::outer_columns() const {
+  return impl_->outer_columns;
+}
+
+namespace {
+
+/// Rows of `a` whose probe answer equals `keep`, with a's schema and
+/// provenance (the shared body of ⋉ and ∖).
+BindingTable FilterBySemijoin(const BindingTable& a, const BindingTable& b,
+                              bool keep) {
   BindingTable out(a.columns());
   for (const auto& [var, graph] : a.column_graphs()) {
     out.SetColumnGraph(var, graph);
   }
-  const auto shared = SharedColumns(a, b);
-  const ProbeIndex index(b, shared);
+  const SemijoinProbe probe(a, b);
+  std::vector<size_t> kept;
   for (size_t ra = 0; ra < a.NumRows(); ++ra) {
-    if (index.AnyCompatible(a, ra, b, shared)) {
-      out.AppendRowFrom(a, ra);
-    }
+    if (probe.Any(a, ra) == keep) kept.push_back(ra);
   }
+  out.AppendRowsFrom(a, kept);
   return out;
 }
 
+}  // namespace
+
+BindingTable TableSemijoin(const BindingTable& a, const BindingTable& b) {
+  return FilterBySemijoin(a, b, true);
+}
+
 BindingTable TableAntijoin(const BindingTable& a, const BindingTable& b) {
-  BindingTable out(a.columns());
-  for (const auto& [var, graph] : a.column_graphs()) {
-    out.SetColumnGraph(var, graph);
-  }
-  const auto shared = SharedColumns(a, b);
-  const ProbeIndex index(b, shared);
-  for (size_t ra = 0; ra < a.NumRows(); ++ra) {
-    if (!index.AnyCompatible(a, ra, b, shared)) {
-      out.AppendRowFrom(a, ra);
-    }
-  }
-  return out;
+  return FilterBySemijoin(a, b, false);
 }
 
 BindingTable TableLeftOuterJoin(const BindingTable& a,

@@ -88,6 +88,31 @@ BindingTable TableLeftOuterJoinParallel(const BindingTable& a,
                                         size_t parallelism,
                                         size_t morsel_rows = 0);
 
+/// Reusable probe side of Ω ⋉ Ω2: `inner` (Ω2) is hash-indexed once on
+/// the columns it shares with `outer_schema` (only its column names are
+/// read), then each outer row is answered by one bucket lookup plus
+/// compatibility checks of the candidates. Any(outer, row) is exactly
+/// !TableSemijoin({row}, inner).Empty(); with no shared columns it is
+/// !inner.Empty() on every row. `inner` must outlive the probe and stay
+/// unmodified.
+class SemijoinProbe {
+ public:
+  SemijoinProbe(const BindingTable& outer_schema, const BindingTable& inner);
+  ~SemijoinProbe();
+  SemijoinProbe(SemijoinProbe&&) noexcept;
+  SemijoinProbe& operator=(SemijoinProbe&&) noexcept;
+
+  /// True when some inner row is compatible with row `row` of `outer`,
+  /// whose columns must be outer_columns().
+  bool Any(const BindingTable& outer, size_t row) const;
+  /// The outer schema the index was built for.
+  const std::vector<std::string>& outer_columns() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
 /// Ω1 ⋉ Ω2: rows of Ω1 with at least one compatible row in Ω2.
 BindingTable TableSemijoin(const BindingTable& a, const BindingTable& b);
 

@@ -215,7 +215,7 @@ struct Constructor::ItemState {
   ExprEvaluator MakeEvaluator(const PathPropertyGraph* graph) const {
     ExprEvaluator eval(graph, owner->ctx_.catalog);
     if (owner->ctx_.exists_cb) {
-      eval.set_exists_callback(owner->ctx_.exists_cb);
+      eval.set_exists_callback(owner->ctx_.exists_cb, &owner->correlated_);
     }
     return eval;
   }
@@ -1299,7 +1299,9 @@ struct Constructor::ItemState {
     }
 
     ExprEvaluator eval(&scratch, owner->ctx_.catalog);
-    if (owner->ctx_.exists_cb) eval.set_exists_callback(owner->ctx_.exists_cb);
+    if (owner->ctx_.exists_cb) {
+      eval.set_exists_callback(owner->ctx_.exists_cb, &owner->correlated_);
+    }
 
     auto group_passes = [&](size_t rep) -> Result<bool> {
       return eval.EvalPredicate(*item.when, extended, row_map[rep]);

@@ -60,6 +60,8 @@ namespace gcore {
 struct ConstructorContext {
   GraphCatalog* catalog = nullptr;
   std::string default_graph;
+  /// EXISTS in WHEN / SET: returns the subquery's uncorrelated bindings;
+  /// the constructor keeps them for its lifetime and semijoins each row.
   ExprEvaluator::ExistsCallback exists_cb;
   /// Run the row-at-a-time executable spec instead of the columnar path.
   bool use_spec = false;
@@ -108,6 +110,8 @@ class Constructor {
   /// `(cust)-[:bought]->(prod)` after declaring GROUP on cust/prod).
   std::map<std::string, const std::vector<std::unique_ptr<Expr>>*>
       clause_groups_;
+  /// Inner relations of the EXISTS predicates in WHEN / SET.
+  CorrelatedMemo correlated_;
 };
 
 }  // namespace gcore

@@ -4,6 +4,26 @@
 
 namespace gcore {
 
+Result<bool> CorrelatedMemo::Any(const void* site, const BindingTable& outer,
+                                 size_t row, const InnerFn& inner) {
+  auto it = sites_.find(site);
+  if (it == sites_.end()) {
+    ++inner_evals_;
+    // The relation is computed before the site is entered: evaluating it
+    // may reach other sites of this memo (nested predicates).
+    GCORE_ASSIGN_OR_RETURN(BindingTable relation, inner());
+    auto fresh = std::make_unique<Site>();
+    fresh->inner = std::move(relation);
+    it = sites_.emplace(site, std::move(fresh)).first;
+  }
+  Site& s = *it->second;
+  for (const SemijoinProbe& probe : s.probes) {
+    if (probe.outer_columns() == outer.columns()) return probe.Any(outer, row);
+  }
+  s.probes.emplace_back(outer, s.inner);
+  return s.probes.back().Any(outer, row);
+}
+
 ExprEvaluator::ExprEvaluator(const PathPropertyGraph* default_graph,
                              const GraphCatalog* catalog)
     : default_graph_(default_graph), catalog_(catalog) {}
@@ -219,8 +239,11 @@ Result<Datum> ExprEvaluator::Eval(const Expr& expr, const BindingTable& table,
             ")' cannot be evaluated here: no subquery evaluator is wired "
             "into this context (engine-level evaluation required)");
       }
-      GCORE_ASSIGN_OR_RETURN(bool nonempty,
-                             exists_cb_(*expr.subquery, table, row));
+      const Query& subquery = *expr.subquery;
+      GCORE_ASSIGN_OR_RETURN(
+          bool nonempty,
+          exists_memo_->Any(&subquery, table, row,
+                            [&] { return exists_cb_(subquery); }));
       return Datum::OfBool(nonempty);
     }
 
@@ -229,8 +252,11 @@ Result<Datum> ExprEvaluator::Eval(const Expr& expr, const BindingTable& table,
         return Status::EvaluationError(
             "pattern predicate is not supported in this context");
       }
-      GCORE_ASSIGN_OR_RETURN(bool matched,
-                             pattern_cb_(*expr.pattern, table, row));
+      const GraphPattern& pattern = *expr.pattern;
+      GCORE_ASSIGN_OR_RETURN(
+          bool matched,
+          pattern_memo_->Any(&pattern, table, row,
+                             [&] { return pattern_cb_(pattern); }));
       return Datum::OfBool(matched);
     }
   }

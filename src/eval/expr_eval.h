@@ -4,7 +4,9 @@
 // *set* of literals, and the comparison/membership semantics of pp. 8-9
 // (singleton unwrap, `=` as set equality, `IN`, `SUBSET`, absent = ∅)
 // are implemented here. EXISTS subqueries and implicit pattern
-// predicates are delegated through callbacks wired by the engine.
+// predicates are correlated here too: callbacks wired by the engine and
+// the matcher supply their uncorrelated inner relations, and a
+// CorrelatedMemo owned by the enclosing evaluation answers each row.
 //
 // This row-at-a-time evaluator is the *executable spec* of expression
 // semantics. The hot paths (WHERE conjuncts, residual filters, computed
@@ -16,32 +18,81 @@
 #ifndef GCORE_EVAL_EXPR_EVAL_H_
 #define GCORE_EVAL_EXPR_EVAL_H_
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "ast/ast.h"
 #include "eval/binding.h"
+#include "eval/binding_ops.h"
 #include "graph/catalog.h"
 
 namespace gcore {
 
+/// The inner relations of correlated predicates for one evaluation.
+/// Appendix A.2 defines ⟦γ⟧Ω,G = ⟦γ⟧G ⋉ Ω: the inner relation ⟦γ⟧G of an
+/// EXISTS subquery or implicit pattern predicate does not depend on the
+/// outer row. The memo evaluates it at most once per predicate site — on
+/// the first row that reaches the predicate, so a predicate no row
+/// reaches is never evaluated and its errors never surface — and answers
+/// every row with one SemijoinProbe lookup, indexed once per outer
+/// schema. A failed evaluation is not kept: the next row that reaches
+/// the site evaluates again (and fails the same way). Not thread-safe:
+/// the executor runs stages with correlated predicates serially
+/// (ExprParallelSafe). Whatever the inner relations read must stay valid
+/// for the memo's lifetime (its owner pins the graphs it resolves).
+class CorrelatedMemo {
+ public:
+  using InnerFn = std::function<Result<BindingTable>()>;
+
+  /// ⟦site⟧ ⋉ {row of outer} ≠ ∅. `inner` computes the site's relation
+  /// when the memo has none yet.
+  Result<bool> Any(const void* site, const BindingTable& outer, size_t row,
+                   const InnerFn& inner);
+
+  /// Inner relations evaluated so far (EXPLAIN ANALYZE's inner_evals).
+  uint64_t inner_evals() const { return inner_evals_; }
+
+ private:
+  struct Site {
+    BindingTable inner;
+    /// One probe per outer schema that reached the site.
+    std::vector<SemijoinProbe> probes;
+  };
+  std::unordered_map<const void*, std::unique_ptr<Site>> sites_;
+  uint64_t inner_evals_ = 0;
+};
+
 class ExprEvaluator {
  public:
-  /// Returns whether the subquery/pattern has at least one result when
-  /// correlated with the given row.
-  using ExistsCallback = std::function<Result<bool>(
-      const Query&, const BindingTable&, size_t row)>;
-  using PatternCallback = std::function<Result<bool>(
-      const GraphPattern&, const BindingTable&, size_t row)>;
+  /// Uncorrelated inner relation ⟦γ⟧G of an EXISTS subquery or implicit
+  /// pattern predicate; the evaluator correlates it with the current row
+  /// through the CorrelatedMemo passed next to the callback, so a
+  /// callback runs at most once per site and memo. A subquery whose body
+  /// is not a basic query answers with a nullary table: one row when its
+  /// graph is non-empty, none otherwise.
+  using ExistsCallback = std::function<Result<BindingTable>(const Query&)>;
+  using PatternCallback =
+      std::function<Result<BindingTable>(const GraphPattern&)>;
 
   /// `default_graph` resolves λ/σ lookups for columns without provenance;
   /// `catalog` (optional) resolves provenance graph names.
   ExprEvaluator(const PathPropertyGraph* default_graph,
                 const GraphCatalog* catalog);
 
-  void set_exists_callback(ExistsCallback cb) { exists_cb_ = std::move(cb); }
-  void set_pattern_callback(PatternCallback cb) {
+  /// Wires EXISTS / pattern predicates. `memo` must outlive every use
+  /// of this evaluator (and its copies); evaluators sharing a memo share
+  /// the inner relations.
+  void set_exists_callback(ExistsCallback cb, CorrelatedMemo* memo) {
+    exists_cb_ = std::move(cb);
+    exists_memo_ = memo;
+  }
+  void set_pattern_callback(PatternCallback cb, CorrelatedMemo* memo) {
     pattern_cb_ = std::move(cb);
+    pattern_memo_ = memo;
   }
 
   /// ⟦expr⟧ on one row. Aggregates are errors here (use EvalWithGroup).
@@ -77,7 +128,9 @@ class ExprEvaluator {
   const PathPropertyGraph* default_graph_;
   const GraphCatalog* catalog_;
   ExistsCallback exists_cb_;
+  CorrelatedMemo* exists_memo_ = nullptr;
   PatternCallback pattern_cb_;
+  CorrelatedMemo* pattern_memo_ = nullptr;
 };
 
 /// Property lookup on whatever object `datum` denotes, against `graph`.

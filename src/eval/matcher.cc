@@ -183,9 +183,9 @@ std::string Matcher::FreshAnonName() {
 ExprEvaluator Matcher::MakeEvaluator(const PathPropertyGraph* graph) {
   ExprEvaluator eval(graph, ctx_.catalog);
   eval.set_pattern_callback(
-      [this](const GraphPattern& pattern, const BindingTable& outer,
-             size_t row) { return PatternHasMatch(pattern, outer, row); });
-  if (ctx_.exists_cb) eval.set_exists_callback(ctx_.exists_cb);
+      [this](const GraphPattern& pattern) { return PatternRelation(pattern); },
+      &correlated_);
+  if (ctx_.exists_cb) eval.set_exists_callback(ctx_.exists_cb, &correlated_);
   return eval;
 }
 
@@ -1478,22 +1478,18 @@ BindingTable Matcher::ProjectChunk(
   return result;
 }
 
-Result<bool> Matcher::PatternHasMatch(const GraphPattern& pattern,
-                                      const BindingTable& outer, size_t row) {
+Result<BindingTable> Matcher::PatternRelation(const GraphPattern& pattern) {
   // Pattern predicates may themselves be pushdown filters; disable
   // pushdown while evaluating them to avoid re-entering ourselves.
   std::map<std::string, std::vector<const Expr*>> saved;
   saved.swap(pushdown_filters_);
-  auto restore = [&]() { pushdown_filters_.swap(saved); };
   auto chain = EvalChainInternal(pattern, nullptr);
-  restore();
+  pushdown_filters_.swap(saved);
   if (!chain.ok()) return chain.status();
-  BindingTable t = std::move(*chain);
-  // Correlate: keep only matches compatible with the outer row.
-  BindingTable outer_row(outer.columns());
-  outer_row.AppendRowFrom(outer, row);
-  BindingTable joined = TableSemijoin(std::move(outer_row), t);
-  return !joined.Empty();
+  // Anonymous elements are existential: only named variables correlate
+  // with the outer row, so the generated columns go (a plan-cache hit
+  // runs a plan whose generated names this matcher's counter re-issues).
+  return ProjectChunk(*chain, nullptr);
 }
 
 }  // namespace gcore

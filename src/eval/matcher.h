@@ -48,7 +48,10 @@ struct MatcherContext : EngineOptions {
   /// Graph used when a pattern has no ON clause.
   std::string default_graph;
   /// Correlated-EXISTS hook (wired by the engine; may be empty — EXISTS
-  /// then errors, naming the subquery).
+  /// then errors, naming the subquery). It returns the subquery's
+  /// uncorrelated bindings; evaluators from MakeEvaluator correlate them
+  /// through the matcher's memo, so each EXISTS site runs at most once
+  /// per matcher.
   ExprEvaluator::ExistsCallback exists_cb;
   /// Resolved ON-(subquery) locations: the engine evaluates each
   /// pattern's subquery to a temporary catalog graph and records its name
@@ -161,10 +164,10 @@ class Matcher {
   /// Chain evaluation preserving anonymous element columns.
   Result<ChainResult> EvalChainDetailed(const GraphPattern& pattern);
 
-  /// True when `pattern` has at least one match compatible with row
-  /// `row` of `outer` (the ⋉ of correlated predicates).
-  Result<bool> PatternHasMatch(const GraphPattern& pattern,
-                               const BindingTable& outer, size_t row);
+  /// Inner relations evaluated so far by this matcher's correlated
+  /// predicates (EXISTS subqueries and pattern predicates): the executor
+  /// attributes the growth across a stage to its operator.
+  uint64_t inner_evals() const { return correlated_.inner_evals(); }
 
   /// Resolves a graph name (or the default when empty); a registered
   /// *table* of that name is interpreted as a graph of isolated nodes
@@ -245,6 +248,12 @@ class Matcher {
                             const std::vector<std::string>* output) const;
 
   std::string FreshAnonName();
+  /// Row evaluator wired with this matcher's correlated predicates: a
+  /// pattern predicate's inner relation is its chain evaluated once
+  /// (PatternRelation), an EXISTS subquery's comes from ctx.exists_cb,
+  /// and both are kept for the matcher's lifetime — which pins every
+  /// graph image they read — in one CorrelatedMemo shared by every
+  /// evaluator this matcher makes.
   ExprEvaluator MakeEvaluator(const PathPropertyGraph* graph);
 
   /// Vectorized program for `expr` over `table`'s schema (eval/expr_vec.h),
@@ -266,6 +275,10 @@ class Matcher {
       std::unique_ptr<PlanNode>* plan_out);
   Result<BindingTable> EvalChainInternal(const GraphPattern& pattern,
                                          ChainResult* detail);
+  /// Uncorrelated inner relation of an implicit pattern predicate: the
+  /// chain's matches over its named variables (duplicates kept — the
+  /// semijoin probe needs existence, not set semantics).
+  Result<BindingTable> PatternRelation(const GraphPattern& pattern);
 
   /// Label-group test: every group must have at least one matching label.
   static bool LabelsMatch(const LabelSet& labels,
@@ -320,6 +333,8 @@ class Matcher {
                    std::shared_ptr<const VecProgram>>
       vec_cache_;
   int anon_counter_ = 0;
+  /// Inner relations of the correlated predicates this matcher evaluates.
+  CorrelatedMemo correlated_;
 };
 
 /// True for matcher-internal generated column names.

@@ -32,6 +32,12 @@ void ExecStats::RecordTime(const PlanNode* node, double ms) {
   ms_[node] += ms;
 }
 
+void ExecStats::RecordInnerEvals(const PlanNode* node, uint64_t n) {
+  if (n == 0) return;
+  std::lock_guard<std::mutex> lk(mu_);
+  inner_evals_[node] += n;
+}
+
 int64_t ExecStats::Rows(const PlanNode* node) const {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = rows_.find(node);
@@ -44,11 +50,18 @@ double ExecStats::TimeMs(const PlanNode* node) const {
   return it == ms_.end() ? -1.0 : it->second;
 }
 
+uint64_t ExecStats::InnerEvals(const PlanNode* node) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = inner_evals_.find(node);
+  return it == inner_evals_.end() ? 0 : it->second;
+}
+
 void ExecStats::AnnotateActuals(PlanNode* plan) const {
   const int64_t rows = Rows(plan);
   if (rows >= 0) plan->actual_rows = rows;
   const double ms = TimeMs(plan);
   if (ms >= 0.0) plan->actual_ms = ms;
+  plan->inner_evals = InnerEvals(plan);
   for (auto& child : plan->children) AnnotateActuals(child.get());
 }
 
@@ -397,6 +410,7 @@ class PathSearchOp : public PhysicalOp {
     // Own-work timing starts after the child is drained: actual_ms is
     // this operator's search + filter time, not its input's.
     const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t evals = rt_->inner_evals();
     GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* graph,
                            rt_->ResolveGraph(plan_->graph));
     GCORE_ASSIGN_OR_RETURN(
@@ -410,6 +424,7 @@ class PathSearchOp : public PhysicalOp {
     if (stats_ != nullptr) {
       stats_->Record(plan_, filtered.NumRows());
       stats_->RecordTime(plan_, MsSince(t0));
+      stats_->RecordInnerEvals(plan_, rt_->inner_evals() - evals);
     }
     return Chunk(std::move(filtered));
   }
@@ -437,6 +452,7 @@ class DrainingFilterOp : public PhysicalOp {
     done_ = true;
     GCORE_ASSIGN_OR_RETURN(BindingTable table, Drain(child_.get()));
     const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t evals = rt_->inner_evals();
     const PathPropertyGraph* graph = nullptr;
     auto resolved = rt_->ResolveGraph(plan_->graph);
     if (resolved.ok()) graph = *resolved;
@@ -446,6 +462,7 @@ class DrainingFilterOp : public PhysicalOp {
     if (stats_ != nullptr) {
       stats_->Record(plan_, filtered.NumRows());
       stats_->RecordTime(plan_, MsSince(t0));
+      stats_->RecordInnerEvals(plan_, rt_->inner_evals() - evals);
     }
     return Chunk(std::move(filtered));
   }
@@ -629,17 +646,22 @@ struct ResolvedGraph {
 /// Wraps a stage transform with actual-row and wall-time recording
 /// against `plan` (per-morsel counts and times accumulate; stages may run
 /// on worker threads, which ExecStats tolerates — worker times sum, so a
-/// parallel stage's actual_ms can exceed the query's wall clock).
+/// parallel stage's actual_ms can exceed the query's wall clock). A stage
+/// that is not thread-safe may evaluate correlated predicates; it runs
+/// serially, so the growth of the runtime's inner-evaluation count across
+/// the call is its own.
 std::function<Result<BindingTable>(BindingTable)> Recorded(
-    std::function<Result<BindingTable>(BindingTable)> fn,
-    const PlanNode* plan, ExecStats* stats) {
+    std::function<Result<BindingTable>(BindingTable)> fn, Matcher* rt,
+    const PlanNode* plan, ExecStats* stats, bool thread_safe) {
   if (stats == nullptr) return fn;
-  return [fn = std::move(fn), plan, stats](
+  return [fn = std::move(fn), rt, plan, stats, thread_safe](
              BindingTable morsel) -> Result<BindingTable> {
     const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t evals = thread_safe ? 0 : rt->inner_evals();
     GCORE_ASSIGN_OR_RETURN(BindingTable out, fn(std::move(morsel)));
     stats->Record(plan, out.NumRows());
     stats->RecordTime(plan, MsSince(t0));
+    if (!thread_safe) stats->RecordInnerEvals(plan, rt->inner_evals() - evals);
     return out;
   };
 }
@@ -652,13 +674,13 @@ Stage MakePushedFilterStage(Matcher* rt, const PlanNode* plan,
     GCORE_ASSIGN_OR_RETURN(resolved->graph, rt->ResolveGraph(plan->graph));
     return Status::OK();
   };
+  stage.thread_safe = ExprsParallelSafe(plan->pushed);
   stage.fn = Recorded(
       [rt, plan, resolved](BindingTable morsel) {
         return rt->FilterByConjuncts(std::move(morsel), plan->pushed,
                                      resolved->graph);
       },
-      plan, stats);
-  stage.thread_safe = ExprsParallelSafe(plan->pushed);
+      rt, plan, stats, stage.thread_safe);
   return stage;
 }
 
@@ -671,6 +693,9 @@ Stage MakeExpandEdgeStage(Matcher* rt, const PlanNode* plan,
     rt->Snapshot(*resolved->graph);  // warm the snapshot cache off the workers
     return Status::OK();
   };
+  stage.thread_safe = ExprsParallelSafe(plan->pushed) &&
+                      PropsParallelSafe(plan->edge->props) &&
+                      PropsParallelSafe(plan->to->props);
   stage.fn = Recorded(
       [rt, plan, resolved](BindingTable morsel) -> Result<BindingTable> {
         GCORE_ASSIGN_OR_RETURN(
@@ -681,10 +706,7 @@ Stage MakeExpandEdgeStage(Matcher* rt, const PlanNode* plan,
         return rt->FilterByConjuncts(std::move(expanded), plan->pushed,
                                      resolved->graph);
       },
-      plan, stats);
-  stage.thread_safe = ExprsParallelSafe(plan->pushed) &&
-                      PropsParallelSafe(plan->edge->props) &&
-                      PropsParallelSafe(plan->to->props);
+      rt, plan, stats, stage.thread_safe);
   return stage;
 }
 
@@ -701,6 +723,9 @@ Stage MakeMultiwayExpandStage(Matcher* rt, const PlanNode* plan,
     rt->Snapshot(*resolved->graph);  // warm the snapshot cache off the workers
     return Status::OK();
   };
+  // The rewrite only absorbs literal-filter props (admission needs no row
+  // context), so thread safety hinges on the pushed conjuncts alone.
+  stage.thread_safe = ExprsParallelSafe(plan->pushed);
   stage.fn = Recorded(
       [rt, plan, resolved](BindingTable morsel) -> Result<BindingTable> {
         GCORE_ASSIGN_OR_RETURN(
@@ -710,10 +735,7 @@ Stage MakeMultiwayExpandStage(Matcher* rt, const PlanNode* plan,
         return rt->FilterByConjuncts(std::move(expanded), plan->pushed,
                                      resolved->graph);
       },
-      plan, stats);
-  // The rewrite only absorbs literal-filter props (admission needs no row
-  // context), so thread safety hinges on the pushed conjuncts alone.
-  stage.thread_safe = ExprsParallelSafe(plan->pushed);
+      rt, plan, stats, stage.thread_safe);
   return stage;
 }
 
@@ -728,13 +750,13 @@ Stage MakeResidualFilterStage(Matcher* rt, const PlanNode* plan,
     if (graph.ok()) resolved->graph = *graph;
     return Status::OK();
   };
+  stage.thread_safe = ExprParallelSafe(*plan->predicate);
   stage.fn = Recorded(
       [rt, plan, resolved](BindingTable morsel) {
         return rt->FilterTable(std::move(morsel), *plan->predicate,
                                resolved->graph);
       },
-      plan, stats);
-  stage.thread_safe = ExprParallelSafe(*plan->predicate);
+      rt, plan, stats, stage.thread_safe);
   return stage;
 }
 

@@ -45,21 +45,29 @@ class ExecStats {
   /// workers (so a stage's total can exceed the query's wall clock).
   void RecordTime(const PlanNode* node, double ms);
 
+  /// Adds `n` inner-relation evaluations of correlated predicates
+  /// (EXISTS, pattern predicates) run by `node`'s work. Thread-safe.
+  void RecordInnerEvals(const PlanNode* node, uint64_t n);
+
   /// Rows recorded for `node`; negative when it never executed.
   int64_t Rows(const PlanNode* node) const;
 
   /// Milliseconds recorded for `node`; negative when it was never timed.
   double TimeMs(const PlanNode* node) const;
 
+  /// Inner evaluations recorded for `node` (0 when none).
+  uint64_t InnerEvals(const PlanNode* node) const;
+
   /// Copies the recorded counts and times into PlanNode::actual_rows /
-  /// actual_ms over `plan`'s subtree (operators that never ran stay at
-  /// -1, so EXPLAIN ANALYZE renders them estimate-only).
+  /// actual_ms / inner_evals over `plan`'s subtree (operators that never
+  /// ran stay at -1, so EXPLAIN ANALYZE renders them estimate-only).
   void AnnotateActuals(PlanNode* plan) const;
 
  private:
   mutable std::mutex mu_;
   std::map<const PlanNode*, uint64_t> rows_;
   std::map<const PlanNode*, double> ms_;
+  std::map<const PlanNode*, uint64_t> inner_evals_;
 };
 
 /// Execution-wide knobs of the physical pipeline.

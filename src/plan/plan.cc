@@ -181,6 +181,10 @@ std::string PlanNode::Describe() const {
       sep();
       out << "actual_ms=" << std::setprecision(3) << actual_ms;
     }
+    if (inner_evals > 0) {
+      sep();
+      out << "inner_evals=" << inner_evals;
+    }
     out << ")";
   }
   return out.str();

@@ -138,6 +138,11 @@ struct PlanNode {
   /// excluded at the recording sites); parallel stages sum the time their
   /// workers spent, so actual_ms can exceed the query's wall clock.
   double actual_ms = -1.0;
+  /// Inner relations of correlated predicates (EXISTS, pattern
+  /// predicates) the operator evaluated during EXPLAIN ANALYZE; each is
+  /// computed once per evaluation and probed per row, so this stays at
+  /// one per predicate however many rows reach it. Rendered when > 0.
+  uint64_t inner_evals = 0;
 
   PlanNode() = default;
   explicit PlanNode(PlanOp o) : op(o) {}

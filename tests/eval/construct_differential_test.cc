@@ -16,7 +16,6 @@
 #include "bench/paper_queries.h"
 #include "engine/engine.h"
 #include "engine/tabular.h"
-#include "eval/binding_ops.h"
 #include "eval/constructor.h"
 #include "graph/graph_ops.h"
 #include "parser/parser.h"
@@ -165,16 +164,10 @@ class ConstructDifferential : public ::testing::TestWithParam<size_t> {
       ctx.default_graph = catalog->default_graph();
       ctx.parallelism = GetParam();
       ctx.morsel_size = GetParam() > 1 ? 2 : 0;
-      // Correlated EXISTS (Appendix A.2): the subquery's bindings
-      // semijoined with the outer row.
-      ctx.exists_cb = [this, catalog](const Query& sub,
-                                      const BindingTable& outer,
-                                      size_t row) -> Result<bool> {
-        GCORE_ASSIGN_OR_RETURN(BindingTable inner,
-                               Bindings(catalog, *sub.body->basic));
-        BindingTable one(outer.columns());
-        one.AppendRowFrom(outer, row);
-        return !TableSemijoin(one, inner).Empty();
+      // Correlated EXISTS (Appendix A.2): the subquery's bindings, which
+      // the matcher semijoins with each outer row.
+      ctx.exists_cb = [this, catalog](const Query& sub) {
+        return Bindings(catalog, *sub.body->basic);
       };
       return Matcher(ctx).EvalMatchClause(*basic.match);
     }
