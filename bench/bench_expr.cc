@@ -1,24 +1,28 @@
 // Vectorized expression kernel bench (scripts/run_bench.sh →
 // BENCH_expr.json).
 //
-// Row-at-a-time ExprEvaluator vs the compiled VecProgram kernels
-// (eval/expr_vec.h) on the three sites the PR wires up, at SNB 2k and
-// 20k persons, single-threaded:
+// The row-at-a-time ExprEvaluator vs the compiled VecProgram kernels
+// (eval/expr_vec.h) on the three sites that use them, at SNB 2k and 20k
+// persons, single-threaded. The _Row variants run the matcher in its
+// use_planner = false spec mode, i.e. the pure row evaluator; the _Vec
+// variants run the default fast path:
 //
-//   *_ArithFilter      one non-specializable WHERE conjunct,
+//   *_ArithFilter      one arithmetic WHERE conjunct,
 //                      (n.age + n.score) * 2 > K, through
 //                      Matcher::FilterTable (the residual-WHERE stage);
 //   *_ThreeConjunctAnd three AND-ed conjuncts through
 //                      Matcher::FilterByConjuncts (the pushdown stage;
-//                      specialization and stats reordering stay on, so
-//                      this measures the shipped pipeline end to end);
+//                      stats reordering stays on, so this measures the
+//                      shipped pipeline end to end);
 //   *_Projection       a computed projection batch, (n.age + n.score)/2,
 //                      row Eval loop vs VecProgram::EvalValues.
 //
 // Every _Vec variant verifies at setup that its result is identical to
 // the _Row variant's (row count and per-row rendered cells) and exports
 // identical=1; the acceptance trajectory tracks the single-thread
-// Row/Vec ratio on the arithmetic filter (target >= 2x).
+// Row/Vec ratio on the arithmetic filter (target >= 2x). Recordings
+// before the two-tier filter had ThreeConjunctAnd_Row scan `n.age >= 20`
+// through a specialized typed-column probe; it is now row-evaluated.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -80,7 +84,7 @@ MatcherContext MakeCtx(Fixture& fx, bool vectorized) {
   MatcherContext ctx;
   ctx.catalog = &fx.catalog;
   ctx.default_graph = "snb";
-  ctx.enable_vectorized_exprs = vectorized;
+  ctx.use_planner = vectorized;
   ctx.parallelism = 1;
   return ctx;
 }
@@ -107,7 +111,7 @@ constexpr const char* kArithFilter = "(n.age + n.score) * 2 > 80";
 const char* kConjuncts[] = {"n.age >= 20", "(n.age + n.score) * 2 > 80",
                             "n.age % 7 <> 3"};
 
-// --- non-specializable arithmetic WHERE (FilterTable) -----------------------
+// --- arithmetic WHERE (FilterTable) -----------------------------------------
 
 void RunArithFilter(benchmark::State& state, bool vectorized) {
   Fixture& fx = FixtureFor(static_cast<size_t>(state.range(0)));

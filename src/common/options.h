@@ -15,9 +15,11 @@
 namespace gcore {
 
 struct EngineOptions {
-  /// Evaluate through the logical-plan pipeline (default). Off = the
-  /// pre-planner recursive tree-walk, kept for differential tests and as
-  /// the executable spec of Appendix A.2.
+  /// Evaluate through the fast paths (default). Off is the spec mode of
+  /// every layer, kept for differential tests: the pre-planner recursive
+  /// tree-walk for MATCH (the executable spec of Appendix A.2), the
+  /// row-at-a-time ExprEvaluator for every filter and projection, and the
+  /// row-at-a-time constructor for CONSTRUCT.
   bool use_planner = true;
   /// Optimizer rule: selection pushdown of single-variable WHERE
   /// conjuncts into chain evaluation.
@@ -29,15 +31,9 @@ struct EngineOptions {
   /// intersection when the AGM/max-degree bound wins. Requires
   /// reorder_joins and usable statistics.
   bool enable_multiway = true;
-  /// Optimizer rule: estimated-cost-driven HashJoin build-side swap.
-  bool choose_build_side = true;
   /// Per-column statistics in the cardinality estimator; off falls back
   /// to the seed's constant selectivities (the ablation mode).
   bool use_column_stats = true;
-  /// Vectorized expression kernels (eval/expr_vec.h) for generic WHERE
-  /// conjuncts, residual filters and computed projections; off keeps the
-  /// row-at-a-time ExprEvaluator everywhere (the ablation/spec mode).
-  bool enable_vectorized_exprs = true;
   /// Morsel-parallel execution degree: 0 = one worker per hardware
   /// thread, 1 = serial (the differential-test mode).
   size_t parallelism = 0;
@@ -53,9 +49,7 @@ struct EngineOptions {
     f |= static_cast<uint64_t>(enable_pushdown) << 1;
     f |= static_cast<uint64_t>(reorder_joins) << 2;
     f |= static_cast<uint64_t>(enable_multiway) << 3;
-    f |= static_cast<uint64_t>(choose_build_side) << 4;
-    f |= static_cast<uint64_t>(use_column_stats) << 5;
-    f |= static_cast<uint64_t>(enable_vectorized_exprs) << 6;
+    f |= static_cast<uint64_t>(use_column_stats) << 4;
     // Mix the two size knobs in with distinct odd multipliers (the knob
     // space is tiny; this only has to separate, not avalanche).
     f ^= static_cast<uint64_t>(parallelism) * 0x9e3779b97f4a7c15ull;
@@ -68,9 +62,7 @@ struct EngineOptions {
            a.enable_pushdown == b.enable_pushdown &&
            a.reorder_joins == b.reorder_joins &&
            a.enable_multiway == b.enable_multiway &&
-           a.choose_build_side == b.choose_build_side &&
            a.use_column_stats == b.use_column_stats &&
-           a.enable_vectorized_exprs == b.enable_vectorized_exprs &&
            a.parallelism == b.parallelism && a.morsel_size == b.morsel_size;
   }
   friend bool operator!=(const EngineOptions& a, const EngineOptions& b) {

@@ -717,10 +717,10 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
       // Computed projections run vectorized (eval/expr_vec.h) when the
       // expression compiles: one column-major batch per ORDER BY key and
       // select item, then a row-major assembly loop. Rows a kernel could
-      // not decide — and every expression when the knob is off — evaluate
-      // through the row evaluator inside that same loop, so row-level
-      // errors surface for exactly the (row, expression) the serial loop
-      // would reach first.
+      // not decide — and every expression under use_planner = false —
+      // evaluate through the row evaluator inside that same loop, so
+      // row-level errors surface for exactly the (row, expression) the
+      // serial loop would reach first.
       const size_t num_keys = select.order_by.size();
       std::vector<const Expr*> exprs;
       exprs.reserve(num_keys + select.items.size());
@@ -729,7 +729,7 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
       std::vector<std::vector<Datum>> vec_vals(exprs.size());
       std::vector<std::vector<uint8_t>> vec_fb(exprs.size());
       std::vector<uint8_t> vectorized(exprs.size(), 0);
-      if (scope->options.enable_vectorized_exprs && bindings.NumRows() > 0) {
+      if (scope->options.use_planner && bindings.NumRows() > 0) {
         std::vector<size_t> all(bindings.NumRows());
         std::iota(all.begin(), all.end(), size_t{0});
         for (size_t e = 0; e < exprs.size(); ++e) {

@@ -101,24 +101,17 @@ class QueryEngine {
   /// concurrent sessions — sessions carry their own frozen copy.
   const EngineOptions& options() const { return options_; }
   void set_options(const EngineOptions& options) { options_ = options; }
+  /// Off = the spec mode of every layer (common/options.h).
   void set_use_planner(bool on) { options_.use_planner = on; }
   void set_enable_pushdown(bool on) { options_.enable_pushdown = on; }
   void set_reorder_joins(bool on) { options_.reorder_joins = on; }
   /// Cycle → MultiwayExpand rewrite (worst-case-optimal multiway joins);
   /// off keeps binary join trees — the bench_wcoj ablation mode.
   void set_enable_multiway(bool on) { options_.enable_multiway = on; }
-  /// Estimated-cost-driven HashJoin build-side swap.
-  void set_choose_build_side(bool on) { options_.choose_build_side = on; }
   /// Per-column statistics in the cardinality estimator (graph/stats.h);
   /// off falls back to the seed's constant selectivities (the
   /// stats-ablation bench mode).
   void set_use_column_stats(bool on) { options_.use_column_stats = on; }
-  /// Vectorized expression kernels (eval/expr_vec.h) for generic WHERE
-  /// conjuncts, residual filters and computed projections; off keeps the
-  /// row-at-a-time ExprEvaluator everywhere (the ablation/spec mode).
-  void set_enable_vectorized_exprs(bool on) {
-    options_.enable_vectorized_exprs = on;
-  }
   /// Morsel-parallel execution degree (0 = one worker per hardware
   /// thread, 1 = serial) and morsel granularity (0 = default; tests use
   /// tiny morsels to exercise multi-chunk execution on toy data).
@@ -227,7 +220,8 @@ class QueryEngine {
   /// graph set operations run too, results discarded — execution errors
   /// surface exactly as they would without ANALYZE) and renders the plan
   /// with actual_rows annotated next to every estimate. Always analyzes
-  /// the planner pipeline, regardless of set_use_planner.
+  /// the planner pipeline, regardless of set_use_planner (whose spec mode
+  /// still runs the plan's filters through the row evaluator).
   Result<QueryResult> ExplainAnalyze(const Query& query, Scope* scope);
   /// Instrumented mirror of EvalBody: renders into `lines` while
   /// evaluating (set operations included, with EvalBody's graph-typing

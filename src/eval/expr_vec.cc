@@ -596,13 +596,12 @@ struct VecProgram::Impl {
               out[i] = {Tag::kEmpty, 0};
               break;
             case Datum::Kind::kNode: {
-              const NodeId nid = col.NodeAt(r);
-              if (node.node_col == nullptr || !adj.Contains(nid)) {
-                out[i] = {Tag::kEmpty, 0};  // non-carrier or non-member
-              } else {
-                out[i] = GatherCell(*node.node_col, adj.IndexOf(nid),
-                                    *node.snap, s);
-              }
+              const DenseNodeIndex idx = node.node_col == nullptr
+                                             ? adj.num_nodes()
+                                             : adj.Find(col.NodeAt(r));
+              out[i] = idx == adj.num_nodes()
+                           ? Cell{Tag::kEmpty, 0}  // non-carrier or non-member
+                           : GatherCell(*node.node_col, idx, *node.snap, s);
               break;
             }
             case Datum::Kind::kEdge: {
@@ -634,10 +633,9 @@ struct VecProgram::Impl {
           const size_t r = rows[i];
           switch (col.KindAt(r)) {
             case Datum::Kind::kNode: {
-              const NodeId nid = col.NodeAt(r);
+              const DenseNodeIndex nidx = adj.Find(col.NodeAt(r));
               bool hit = false;
-              if (adj.Contains(nid)) {
-                const DenseNodeIndex nidx = adj.IndexOf(nid);
+              if (nidx != adj.num_nodes()) {
                 for (const uint32_t label : node.label_ids) {
                   if (node.snap->NodeHasLabel(nidx, label)) {
                     hit = true;

@@ -849,23 +849,6 @@ Result<BindingTable> Matcher::ApplyPushdownFilters(
 
 namespace {
 
-/// One pushed conjunct of the shape `x.key CMP literal` (either operand
-/// order) compiled against the typed property columns: the per-row test
-/// reads one kind byte and one 64-bit slot instead of materializing
-/// ValueSets through the expression evaluator.
-struct ColumnFilterSpec {
-  /// Normalized so the property is the left operand (order ops flip).
-  BinaryOp op{};
-  size_t obj_col = 0;
-  const GraphSnapshot* snap = nullptr;
-  /// Columns of the key over each object class; null = no carrier.
-  const GraphSnapshot::PropertyColumn* node_col = nullptr;
-  const GraphSnapshot::PropertyColumn* edge_col = nullptr;
-  /// Null when the literal is `null`, which evaluates to the empty set
-  /// (so equality means "property absent").
-  const Value* literal = nullptr;
-};
-
 bool IsComparisonOp(BinaryOp op) {
   return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
          op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
@@ -883,105 +866,6 @@ BinaryOp FlipComparison(BinaryOp op) {
       return BinaryOp::kLe;
     default:
       return op;  // eq/ne are symmetric
-  }
-}
-
-bool TrySpecializeConjunct(const Matcher& matcher, const Expr& conjunct,
-                           const BindingTable& table,
-                           const ExprEvaluator& eval,
-                           ColumnFilterSpec* spec) {
-  if (conjunct.kind != Expr::Kind::kBinary) return false;
-  if (!IsComparisonOp(conjunct.binary_op)) return false;
-  const Expr* a = conjunct.args[0].get();
-  const Expr* b = conjunct.args[1].get();
-  const Expr* prop = nullptr;
-  const Expr* lit = nullptr;
-  bool flipped = false;
-  if (a->kind == Expr::Kind::kProperty && b->kind == Expr::Kind::kLiteral) {
-    prop = a;
-    lit = b;
-  } else if (a->kind == Expr::Kind::kLiteral &&
-             b->kind == Expr::Kind::kProperty) {
-    prop = b;
-    lit = a;
-    flipped = true;
-  } else {
-    return false;
-  }
-  spec->obj_col = table.ColumnIndex(prop->var);
-  if (spec->obj_col == BindingTable::kNpos) return false;
-  // σ must be read from the graph the evaluator would resolve for this
-  // column (provenance, else the stage default); null means ∅ for every
-  // row — rare enough to leave to the generic path.
-  const PathPropertyGraph* resolved = eval.GraphFor(table, prop->var);
-  if (resolved == nullptr) return false;
-  spec->op = flipped ? FlipComparison(conjunct.binary_op) : conjunct.binary_op;
-  spec->snap = &matcher.Snapshot(*resolved);
-  spec->node_col = spec->snap->NodeColumn(prop->key);
-  spec->edge_col = spec->snap->EdgeColumn(prop->key);
-  spec->literal = lit->value.is_null() ? nullptr : &lit->value;
-  return true;
-}
-
-/// The specialized per-row test; `fallback` is set for path-valued cells
-/// (virtual cost/length properties), which take the generic evaluator.
-bool SpecKeepsRow(const ColumnFilterSpec& s, const Column& cells, size_t r,
-                  bool* fallback) {
-  const GraphSnapshot::PropertyColumn* col = nullptr;
-  uint32_t idx = 0;
-  bool member = false;
-  switch (cells.KindAt(r)) {
-    case Datum::Kind::kNode: {
-      const NodeId id = cells.NodeAt(r);
-      if (s.snap->adjacency().Contains(id)) {
-        member = true;
-        col = s.node_col;
-        idx = s.snap->adjacency().IndexOf(id);
-      }
-      break;
-    }
-    case Datum::Kind::kEdge: {
-      const DenseEdgeIndex e = s.snap->FindEdge(cells.EdgeAt(r));
-      if (e != GraphSnapshot::kNoEdge) {
-        member = true;
-        col = s.edge_col;
-        idx = e;
-      }
-      break;
-    }
-    case Datum::Kind::kPath:
-      *fallback = true;
-      return false;
-    default:
-      break;  // unbound / value / list objects: σ is ∅
-  }
-  const bool absent = !member || col == nullptr || col->AbsentAt(idx);
-  switch (s.op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe: {
-      const bool eq =
-          s.literal == nullptr
-              ? absent  // σ(x, k) == ∅
-              : !absent && s.snap->CellEqualsSingleton(*col, idx, *s.literal);
-      return s.op == BinaryOp::kEq ? eq : !eq;
-    }
-    default: {
-      // Order comparisons: both sides must be singletons, else FALSE.
-      if (s.literal == nullptr || absent) return false;
-      bool ok = false;
-      const int cmp = s.snap->CompareCellSingleton(*col, idx, *s.literal, &ok);
-      if (!ok) return false;
-      switch (s.op) {
-        case BinaryOp::kLt:
-          return cmp < 0;
-        case BinaryOp::kLe:
-          return cmp <= 0;
-        case BinaryOp::kGt:
-          return cmp > 0;
-        default:
-          return cmp >= 0;
-      }
-    }
   }
 }
 
@@ -1072,9 +956,26 @@ Result<BindingTable> Matcher::FilterByConjuncts(
     const PathPropertyGraph* graph) {
   if (conjuncts.empty()) return table;
   ExprEvaluator eval = MakeEvaluator(graph);
-  // Conjunct-at-a-time over the surviving row set: property-vs-literal
-  // comparisons scan the snapshot's typed columns, everything else runs
-  // the generic evaluator — only on rows still alive (short-circuit).
+  // Conjunct-at-a-time over the surviving row set, only on rows still
+  // alive (short-circuit). Each conjunct runs its vectorized program when
+  // it compiles (eval/expr_vec.h) and the row evaluator otherwise — the
+  // only path under use_planner = false. Either way the result is
+  // row-for-row identical, including which row's error surfaces first
+  // (kernel-undecidable rows replay through the same EvalPredicate in the
+  // same order). Programs are looked up once per call: compaction below
+  // keeps the schema, so they stay valid for the whole loop.
+  struct Step {
+    const Expr* conjunct;
+    std::shared_ptr<const VecProgram> prog;  // null = row evaluator
+    double rank = 0.0;
+  };
+  std::vector<Step> steps;
+  steps.reserve(conjuncts.size());
+  for (const Expr* c : conjuncts) {
+    Step step{c, nullptr};
+    if (ctx_.use_planner) step.prog = VecProgramFor(*c, table, eval, graph);
+    steps.push_back(std::move(step));
+  }
   auto gather = [](const BindingTable& t, const std::vector<size_t>& rows) {
     BindingTable g(t.columns());
     for (const auto& [v, gr] : t.column_graphs()) g.SetColumnGraph(v, gr);
@@ -1083,107 +984,61 @@ Result<BindingTable> Matcher::FilterByConjuncts(
   };
   // Evaluation-order pre-pass (only with column statistics on — the seed
   // order is the ablation baseline): rank conjuncts by estimated
-  // selectivity gain per unit cost, (sel − 1) / cost, so a cheap
-  // column-specialized filter that drops most rows runs before an
-  // expensive generic predicate that keeps most of them. The sort is
-  // stable: conjuncts the statistics cannot tell apart stay in source
-  // order. Reordering is semantics-preserving for the *result* (AND is
-  // commutative over these error-free rows) but can change which
-  // erroring row is reached first — the documented trade of this knob.
-  std::vector<const Expr*> ordered(conjuncts);
+  // selectivity gain per unit cost, (sel − 1) / cost, so a cheap compiled
+  // filter that drops most rows runs before an expensive row-evaluated
+  // predicate that keeps most of them. The sort is stable: conjuncts the
+  // statistics cannot tell apart stay in source order. Reordering is
+  // semantics-preserving for the *result* (AND is commutative over these
+  // error-free rows) but can change which erroring row is reached first —
+  // the documented trade of this knob.
   if (ctx_.use_column_stats && graph != nullptr && ctx_.catalog != nullptr &&
-      ordered.size() > 1) {
+      steps.size() > 1) {
     auto stats = ctx_.catalog->Stats(graph->name());
     if (stats.ok()) {
-      std::vector<double> rank(ordered.size());
-      for (size_t i = 0; i < ordered.size(); ++i) {
-        const double sel = EstimateConjunctSelectivity(*ordered[i], **stats);
-        ColumnFilterSpec spec;
-        double cost = 25.0;  // generic row-at-a-time evaluation
-        if (TrySpecializeConjunct(*this, *ordered[i], table, eval, &spec)) {
-          cost = 1.0;  // typed column probe
-        } else if (ctx_.enable_vectorized_exprs &&
-                   VecProgramFor(*ordered[i], table, eval, graph) != nullptr) {
-          cost = 4.0;  // vectorized kernels
-        }
-        rank[i] = (sel - 1.0) / cost;
+      for (Step& step : steps) {
+        const double sel =
+            EstimateConjunctSelectivity(*step.conjunct, **stats);
+        // Vectorized kernels vs generic row-at-a-time evaluation.
+        const double cost = step.prog != nullptr ? 4.0 : 25.0;
+        step.rank = (sel - 1.0) / cost;
       }
-      std::vector<size_t> order(ordered.size());
-      std::iota(order.begin(), order.end(), size_t{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [&rank](size_t a, size_t b) { return rank[a] < rank[b]; });
-      std::vector<const Expr*> sorted(ordered.size());
-      for (size_t i = 0; i < order.size(); ++i) sorted[i] = ordered[order[i]];
-      ordered = std::move(sorted);
+      std::stable_sort(
+          steps.begin(), steps.end(),
+          [](const Step& a, const Step& b) { return a.rank < b.rank; });
     }
   }
-  std::vector<size_t> kept;
-  bool narrowed = false;  // false = every row still alive, `kept` unset
-  for (size_t ci = 0; ci < ordered.size(); ++ci) {
-    const Expr* conjunct = ordered[ci];
-    const size_t live = narrowed ? kept.size() : table.NumRows();
-    if (live == 0) break;
+  // Surviving rows of `table`, ascending.
+  std::vector<size_t> kept(table.NumRows());
+  std::iota(kept.begin(), kept.end(), size_t{0});
+  for (size_t ci = 0; ci < steps.size() && !kept.empty(); ++ci) {
+    const Step& step = steps[ci];
     std::vector<size_t> next;
-    next.reserve(live);
-    ColumnFilterSpec spec;
-    if (TrySpecializeConjunct(*this, *conjunct, table, eval, &spec)) {
-      const Column& cells = table.ColumnAt(spec.obj_col);
-      for (size_t i = 0; i < live; ++i) {
-        const size_t r = narrowed ? kept[i] : i;
-        bool fallback = false;
-        bool keep = SpecKeepsRow(spec, cells, r, &fallback);
-        if (fallback) {
-          GCORE_ASSIGN_OR_RETURN(keep,
-                                 eval.EvalPredicate(*conjunct, table, r));
-        }
+    next.reserve(kept.size());
+    if (step.prog != nullptr) {
+      GCORE_RETURN_NOT_OK(step.prog->FilterRows(table, kept.data(),
+                                                kept.size(), eval, &next));
+    } else {
+      for (const size_t r : kept) {
+        GCORE_ASSIGN_OR_RETURN(bool keep,
+                               eval.EvalPredicate(*step.conjunct, table, r));
         if (keep) next.push_back(r);
       }
-    } else {
-      // Generic conjunct: vectorized kernels over the live selection when
-      // the expression compiles (eval/expr_vec.h), the row evaluator
-      // otherwise — and row-for-row identical either way, including which
-      // row's error surfaces first (kernel-undecidable rows replay
-      // through the same EvalPredicate in the same order).
-      std::shared_ptr<const VecProgram> prog =
-          ctx_.enable_vectorized_exprs
-              ? VecProgramFor(*conjunct, table, eval, graph)
-              : nullptr;
-      if (prog != nullptr) {
-        if (narrowed) {
-          GCORE_RETURN_NOT_OK(
-              prog->FilterRows(table, kept.data(), live, eval, &next));
-        } else {
-          std::vector<size_t> rows(live);
-          std::iota(rows.begin(), rows.end(), size_t{0});
-          GCORE_RETURN_NOT_OK(
-              prog->FilterRows(table, rows.data(), live, eval, &next));
-        }
-      } else {
-        for (size_t i = 0; i < live; ++i) {
-          const size_t r = narrowed ? kept[i] : i;
-          GCORE_ASSIGN_OR_RETURN(bool keep,
-                                 eval.EvalPredicate(*conjunct, table, r));
-          if (keep) next.push_back(r);
-        }
-      }
     }
-    if (!narrowed && next.size() == table.NumRows()) continue;
     kept = std::move(next);
-    narrowed = true;
-    // Compaction pre-pass: later conjuncts (the generic evaluator in
-    // particular) read rows through the kept-index indirection; once the
-    // live set drops below half, gather the survivors column-at-a-time
-    // into a dense table so the remaining conjuncts scan contiguously.
-    // The gather keeps row order, so the final output is unchanged.
-    if (ci + 1 < ordered.size() && kept.size() * 2 < table.NumRows()) {
+    // Compaction pre-pass: later conjuncts read rows through the
+    // kept-index indirection; once the live set drops below half, gather
+    // the survivors column-at-a-time into a dense table so the remaining
+    // conjuncts scan contiguously. The gather keeps row order, so the
+    // final output is unchanged.
+    if (ci + 1 < steps.size() && kept.size() * 2 < table.NumRows()) {
       table = gather(table, kept);
-      kept.clear();
-      narrowed = false;
+      kept.resize(table.NumRows());
+      std::iota(kept.begin(), kept.end(), size_t{0});
     }
   }
   // Nothing dropped since the last compaction: the table is already the
   // answer (the common case for re-checked WHERE conjuncts).
-  if (!narrowed) return table;
+  if (kept.size() == table.NumRows()) return table;
   return gather(table, kept);
 }
 
@@ -1276,8 +1131,7 @@ Result<BindingTable> Matcher::FilterTable(BindingTable table,
   // EvalPredicate in ascending row order, so results and error order
   // match the serial loop below exactly.
   std::shared_ptr<const VecProgram> prog =
-      ctx_.enable_vectorized_exprs ? VecProgramFor(where, table, eval, graph)
-                                   : nullptr;
+      ctx_.use_planner ? VecProgramFor(where, table, eval, graph) : nullptr;
   if (prog != nullptr) {
     std::vector<size_t> rows(table.NumRows());
     std::iota(rows.begin(), rows.end(), size_t{0});

@@ -226,11 +226,14 @@ class Matcher {
   bool EdgeAdmits(const EdgePattern& edge, EdgeId id,
                   const PathPropertyGraph& graph) const;
 
-  /// Keeps the rows of `table` on which `predicate` holds.
+  /// Keeps the rows of `table` on which `predicate` holds. Runs the
+  /// predicate's VecProgram when it compiles, the row evaluator otherwise
+  /// and always under `ctx.use_planner = false` (the spec mode).
   Result<BindingTable> FilterTable(BindingTable table, const Expr& predicate,
                                    const PathPropertyGraph* graph);
 
-  /// Applies each conjunct in turn (pushdown filters of one operator).
+  /// Applies each conjunct in turn (pushdown filters of one operator),
+  /// each through the same two tiers as FilterTable.
   Result<BindingTable> FilterByConjuncts(
       BindingTable table, const std::vector<const Expr*>& conjuncts,
       const PathPropertyGraph* graph);

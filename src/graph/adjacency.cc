@@ -83,6 +83,13 @@ DenseNodeIndex AdjacencyIndex::IndexOf(NodeId id) const {
   return static_cast<DenseNodeIndex>(std::lower_bound(begin, end, id) - begin);
 }
 
+DenseNodeIndex AdjacencyIndex::Find(NodeId id) const {
+  const DenseNodeIndex idx = IndexOf(id);
+  return idx < view_.num_nodes && view_.node_ids[idx] == id
+             ? idx
+             : static_cast<DenseNodeIndex>(view_.num_nodes);
+}
+
 bool AdjacencyIndex::Contains(NodeId id) const {
   const NodeId* begin = view_.node_ids;
   const NodeId* end = begin + view_.num_nodes;

@@ -103,6 +103,9 @@ class AdjacencyIndex {
   /// Binary search over the ascending id array; requires membership.
   DenseNodeIndex IndexOf(NodeId id) const;
   bool Contains(NodeId id) const;
+  /// Dense index of `id`, or num_nodes() when it is not a member: one
+  /// binary search where Contains + IndexOf take two.
+  DenseNodeIndex Find(NodeId id) const;
   NodeId IdOf(DenseNodeIndex idx) const { return view_.node_ids[idx]; }
 
   /// Outgoing half-edges of `n` in forward direction.

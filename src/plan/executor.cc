@@ -494,7 +494,7 @@ class HashJoinOp : public PhysicalOp {
     // Orientation is fixed at *plan* time: provenance and schema always
     // follow the left side (canonical order), and a swap_build plan
     // builds over the left when statistics predicted the right side much
-    // larger — the choose_build_side rule. Never a runtime size check,
+    // larger — the planner's build-side rule. Never a runtime size check,
     // so execution stays deterministic for a given plan. The streamed
     // result is pinned byte-identical to draining both sides and calling
     // TableJoinParallel / TableJoinSwapBuild.

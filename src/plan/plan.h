@@ -106,7 +106,7 @@ struct PlanNode {
   /// them for its degree-aware join bound.
   std::vector<std::string> join_vars;
   /// kHashJoin: build over the left (accumulated) side instead of the
-  /// right — set by the planner's choose_build_side rule when statistics
+  /// right — set by the planner's build-side rule when statistics
   /// predict the right side is much larger. The executor re-merges the
   /// swapped join into canonical (left-first) column order, so schema and
   /// provenance are identical either way.

@@ -459,10 +459,8 @@ PlanPtr Planner::EnumerateJoins(std::vector<JoinUnit> units) {
     // right (fresh) side dwarfs the accumulated left, building over the
     // left is cheaper. The executor re-merges canonically, so this is
     // invisible to schema, provenance and the result set.
-    if (options_.choose_build_side && left_est >= 0.0 &&
-        right_est > kSwapBuildFactor * left_est) {
-      join->swap_build = true;
-    }
+    join->swap_build =
+        left_est >= 0.0 && right_est > kSwapBuildFactor * left_est;
     join->children.push_back(std::move(left));
     join->children.push_back(std::move(right));
     return join;

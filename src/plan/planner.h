@@ -48,10 +48,9 @@ struct MatcherContext;
 /// (common/options.h): enable_pushdown gates the pushdown rewrite (main
 /// WHERE and per OPTIONAL block), reorder_joins the subset-DP join
 /// enumeration, enable_multiway the cycle → MultiwayExpand rewrite
-/// (priced, never unconditional), choose_build_side the HashJoin
-/// build-side swap, use_column_stats the statistics-backed estimator
-/// (off = seed constants, the ablation mode), and parallelism is
-/// annotated on the plan root for EXPLAIN. use_planner/morsel_size ride
+/// (priced, never unconditional), use_column_stats the statistics-backed
+/// estimator (off = seed constants, the ablation mode), and parallelism
+/// is annotated on the plan root for EXPLAIN. use_planner/morsel_size ride
 /// along unused — the struct exists so MatcherContext → PlannerOptions
 /// is one slice assignment.
 struct PlannerOptions : EngineOptions {

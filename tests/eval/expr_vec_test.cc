@@ -3,9 +3,10 @@
 // spec — across every Value kind (null/absent, interned strings, dates
 // including non-calendar literals, multi-valued sets, paths), the AND/OR
 // short-circuit (including its error suppression), morsel sizes
-// {1, 7, 1024}, and engine-level parallelism 1/2/8. The
-// enable_vectorized_exprs=false runs double as the seed-path baseline:
-// every configuration must reproduce them byte-identically.
+// {1, 7, 1024}, and engine-level parallelism 1/2/8. At the engine level
+// the use_planner=false spec mode (tree-walk MATCH, row evaluator for
+// every filter and projection) is the baseline every configuration must
+// reproduce.
 #include "eval/expr_vec.h"
 
 #include <gtest/gtest.h>
@@ -62,6 +63,27 @@ class ExprVecTest : public ::testing::Test {
     // but distinct field identity, which the packed kernels must keep.
     g.SetProperty(NodeId(snb::kAliceId), "birthday",
                   ValueSet(Value::OfDate(MkDate(2009, 2, 31))));
+    // Edge column: knows edges carry `since` as ints, one double, one
+    // multi-valued cell and one absence, in edge-id order.
+    size_t knows = 0;
+    for (EdgeId e : g.EdgeIds()) {
+      if (!g.Labels(e).Contains("knows")) continue;
+      switch (knows++ % 4) {
+        case 0:
+          g.SetProperty(e, "since",
+                        ValueSet(Value::Int(2000 + static_cast<int64_t>(knows))));
+          break;
+        case 1:
+          g.SetProperty(e, "since", ValueSet(Value::Double(2004.5)));
+          break;
+        case 2:
+          g.SetProperty(e, "since",
+                        ValueSet({Value::Int(2001), Value::Int(2010)}));
+          break;
+        default:
+          break;  // absent
+      }
+    }
     catalog.RegisterGraph("social_graph", std::move(g));
     catalog.SetDefaultGraph("social_graph");
     graph = *catalog.Lookup("social_graph");
@@ -354,7 +376,7 @@ TEST_F(ExprVecTest, EngineResultsIdenticalAcrossKnobMorselsParallelism) {
       "SELECT n.firstName AS name, n.age + 1 AS a MATCH (n:Person) "
       "WHERE CASE WHEN n.age >= 17 THEN n.age + 0 >= 17 ELSE FALSE END "
       "ORDER BY n.firstName",
-      // Conjunct reordering candidates: specialized + vectorizable mix.
+      // Conjunct reordering candidates: property-vs-literal + arithmetic.
       "SELECT n.firstName AS name MATCH (n:Person) "
       "WHERE n.age >= 17 AND "
       "(CASE WHEN n.age >= 17 THEN n.age * 2 < 100 ELSE FALSE END) AND "
@@ -366,30 +388,90 @@ TEST_F(ExprVecTest, EngineResultsIdenticalAcrossKnobMorselsParallelism) {
       "SELECT n.firstName AS name, c.name AS city "
       "MATCH (n:Person)-[:isLocatedIn]->(c:City) "
       "WHERE n.age >= 17 OR c.name = 'Austin' ORDER BY name",
+      // Pushed `x.k CMP literal` conjuncts, literal on the left.
+      "SELECT n.firstName AS name MATCH (n:Person) "
+      "WHERE 'Alice' = n.firstName",
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE 30 < n.age",
+      "SELECT n.firstName AS name MATCH (n:Person) "
+      "WHERE 17 >= n.age AND 'Acme' <> n.employer",
+      // Comparisons against null (⟦null⟧ = ∅) over int, double, {null}
+      // and absent cells.
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.age = null",
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.age <> null",
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.age < null",
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE null = n.employer",
+      // A key no object carries.
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.nickname = 'Jo'",
+      "SELECT n.firstName AS name, n.nickname AS nick MATCH (n:Person) "
+      "WHERE n.nickname <> 'Jo'",
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.nickname = null",
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.nickname >= 1",
+      // Multi-valued cells under equality and order comparisons.
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.employer = 'MIT'",
+      "SELECT n.firstName AS name MATCH (n:Person) "
+      "WHERE n.employer <> 'Acme'",
+      "SELECT n.firstName AS name MATCH (n:Person) WHERE n.score >= 1",
+      // Edge-variable properties (ints, a double, a multi-valued cell, an
+      // absence), pushed onto the expansion.
+      "SELECT n.firstName AS a, m.firstName AS b "
+      "MATCH (n:Person)-[e:knows]->(m:Person) WHERE e.since >= 2003",
+      "SELECT n.firstName AS a, m.firstName AS b "
+      "MATCH (n:Person)-[e:knows]->(m:Person) WHERE 2004.5 = e.since",
+      "SELECT n.firstName AS a, m.firstName AS b, e.since AS s "
+      "MATCH (n:Person)-[e:knows]->(m:Person) WHERE e.since <> 2001",
+      "SELECT n.firstName AS a, m.firstName AS b "
+      "MATCH (n:Person)-[e:knows]->(m:Person) WHERE e.since = null",
+      // An OPTIONAL variable: absent from the main WHERE's bindings, and
+      // unbound on some rows of the projections and ORDER BY keys.
+      "SELECT n.firstName AS name MATCH (n:Person) "
+      "WHERE t.name = null OPTIONAL (n)-[:hasInterest]->(t)",
+      "SELECT n.firstName AS name MATCH (n:Person) "
+      "WHERE t.name = 'Wagner' OPTIONAL (n)-[:hasInterest]->(t)",
+      "SELECT n.firstName AS name, t.name AS tag, "
+      "CASE WHEN t.name = 'Wagner' THEN 1 ELSE 0 END AS fan "
+      "MATCH (n:Person) OPTIONAL (n)-[:hasInterest]->(t) "
+      "ORDER BY t.name, name",
+      // Path-valued cells: the virtual cost/length properties need the row
+      // evaluator, in pushed conjuncts, the residual WHERE and projections.
+      "SELECT n.firstName AS a, m.firstName AS b, p.length AS len, "
+      "p.cost AS cost MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->"
+      "(m:Person) WHERE p.length >= 2 AND p.cost < 3 ORDER BY a, b",
+      "SELECT n.firstName AS a, m.firstName AS b "
+      "MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) "
+      "WHERE 1 = p.length OR n.firstName = 'Frank' ORDER BY a, b",
+  };
+  auto sorted = [](Table t) {
+    t.SortRows();
+    return t.ToString();
   };
   for (const char* q : queries) {
-    // Seed baseline: knob off, serial, default morsels.
-    QueryEngine base(&catalog);
-    base.set_enable_vectorized_exprs(false);
-    base.set_parallelism(1);
-    auto want = base.Execute(q);
+    // Spec baseline: tree-walk MATCH with the row evaluator everywhere.
+    QueryEngine spec(&catalog);
+    spec.set_use_planner(false);
+    spec.set_parallelism(1);
+    auto want = spec.Execute(q);
     ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
     ASSERT_TRUE(want->table.has_value()) << q;
-    const std::string want_s = want->table->ToString();
-    for (bool vec : {false, true}) {
-      for (size_t par : {size_t{1}, size_t{2}, size_t{8}}) {
-        for (size_t morsel : kMorsels) {
-          QueryEngine e(&catalog);
-          e.set_enable_vectorized_exprs(vec);
-          e.set_parallelism(par);
-          e.set_morsel_size(morsel);
-          auto got = e.Execute(q);
-          ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
-          ASSERT_TRUE(got->table.has_value()) << q;
-          EXPECT_EQ(got->table->ToString(), want_s)
-              << q << " vec=" << vec << " par=" << par
-              << " morsel=" << morsel;
-        }
+    const std::string want_s = sorted(*want->table);
+    // Planner + kernels, serial: every degree and morsel size must also
+    // reproduce its row order byte for byte.
+    QueryEngine serial(&catalog);
+    serial.set_parallelism(1);
+    auto first = serial.Execute(q);
+    ASSERT_TRUE(first.ok()) << q << ": " << first.status().ToString();
+    ASSERT_TRUE(first->table.has_value()) << q;
+    EXPECT_EQ(sorted(*first->table), want_s) << q;
+    const std::string first_s = first->table->ToString();
+    for (size_t par : {size_t{1}, size_t{2}, size_t{8}}) {
+      for (size_t morsel : kMorsels) {
+        QueryEngine e(&catalog);
+        e.set_parallelism(par);
+        e.set_morsel_size(morsel);
+        auto got = e.Execute(q);
+        ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+        ASSERT_TRUE(got->table.has_value()) << q;
+        EXPECT_EQ(got->table->ToString(), first_s)
+            << q << " par=" << par << " morsel=" << morsel;
       }
     }
   }

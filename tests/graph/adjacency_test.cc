@@ -29,6 +29,21 @@ TEST(AdjacencyIndex, DenseNumberingIsIdOrdered) {
   }
 }
 
+TEST(AdjacencyIndex, FindAgreesWithContainsAndIndexOf) {
+  PathPropertyGraph g;
+  for (uint64_t i : {2, 5, 9}) g.AddNode(NodeId(i));
+  AdjacencyIndex adj(g);
+  for (uint64_t i = 0; i <= 10; ++i) {
+    const DenseNodeIndex got = adj.Find(NodeId(i));
+    if (adj.Contains(NodeId(i))) {
+      EXPECT_EQ(got, adj.IndexOf(NodeId(i))) << i;
+    } else {
+      EXPECT_EQ(got, adj.num_nodes()) << i;
+    }
+  }
+  EXPECT_EQ(AdjacencyIndex(PathPropertyGraph()).Find(NodeId(1)), 0u);
+}
+
 TEST(AdjacencyIndex, OutListsForwardHalfEdges) {
   SmallGraph f;
   AdjacencyIndex adj(f.g);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "engine/engine.h"
 #include "eval/matcher.h"
@@ -168,21 +169,57 @@ TEST_F(DifferentialMatch, ErrorEquivalence) {
   EXPECT_FALSE(via_walk.ok());
 }
 
+/// The paper's guided-tour queries (Section 3).
+const char* const kGuidedTourQueries[] = {
+    "CONSTRUCT (n) MATCH (n:Person) ON social_graph "
+    "WHERE n.employer = 'Acme'",
+    "CONSTRUCT (c)<-[:worksAt]-(n) "
+    "MATCH (c:Company) ON company_graph, (n:Person) ON social_graph "
+    "WHERE c.name = n.employer UNION social_graph",
+    "CONSTRUCT (c)<-[:worksAt]-(n) "
+    "MATCH (c:Company) ON company_graph, (n:Person) ON social_graph "
+    "WHERE c.name IN n.employer UNION social_graph",
+    "CONSTRUCT social_graph, "
+    "(x GROUP e :Company {name:=e})<-[y:worksAt]-(n) "
+    "MATCH (n:Person {employer=e})",
+    "CONSTRUCT (n)-/@p:localPeople{distance:=c}/->(m) "
+    "MATCH (n)-/3 SHORTEST p<:knows*> COST c/->(m) "
+    "WHERE (n:Person) AND (m:Person) "
+    "AND n.firstName = 'John' AND n.lastName = 'Doe' "
+    "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)",
+    "CONSTRUCT (m) MATCH (n:Person)-/<:knows*>/->(m:Person) "
+    "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
+    "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)",
+    "CONSTRUCT (n)-/p/->(m) "
+    "MATCH (n:Person)-/ALL p<:knows*>/->(m:Person) "
+    "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
+    "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)",
+    "CONSTRUCT (m) MATCH (m:Person), (n:Person) "
+    "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
+    "AND EXISTS ( CONSTRUCT () "
+    "MATCH (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m) )",
+};
+
 /// Engine-level differential: full queries (construction, views, set
-/// operations, tabular extensions) through both pipelines.
+/// operations, tabular extensions) through the planner and the
+/// use_planner = false spec.
 class DifferentialEngine : public ::testing::Test {
  protected:
-  Result<QueryResult> Run(const std::string& query, bool use_planner) {
+  Result<QueryResult> Run(const std::string& query,
+                          const EngineOptions& options) {
     GraphCatalog catalog;
     snb::RegisterToyData(&catalog);
     QueryEngine engine(&catalog);
-    engine.set_use_planner(use_planner);
+    engine.set_options(options);
     return engine.Execute(query);
   }
 
-  void ExpectSameResult(const std::string& query) {
-    auto planned = Run(query, true);
-    auto legacy = Run(query, false);
+  void ExpectSameResult(const std::string& query,
+                        const EngineOptions& planned_options = {}) {
+    EngineOptions spec_options;
+    spec_options.use_planner = false;
+    auto planned = Run(query, planned_options);
+    auto legacy = Run(query, spec_options);
     ASSERT_EQ(planned.ok(), legacy.ok())
         << query << "\nplanner: " << planned.status().ToString()
         << "\nlegacy: " << legacy.status().ToString();
@@ -201,41 +238,23 @@ class DifferentialEngine : public ::testing::Test {
 };
 
 TEST_F(DifferentialEngine, GuidedTourQueries) {
-  ExpectSameResult(
-      "CONSTRUCT (n) MATCH (n:Person) ON social_graph "
-      "WHERE n.employer = 'Acme'");
-  ExpectSameResult(
-      "CONSTRUCT (c)<-[:worksAt]-(n) "
-      "MATCH (c:Company) ON company_graph, (n:Person) ON social_graph "
-      "WHERE c.name = n.employer UNION social_graph");
-  ExpectSameResult(
-      "CONSTRUCT (c)<-[:worksAt]-(n) "
-      "MATCH (c:Company) ON company_graph, (n:Person) ON social_graph "
-      "WHERE c.name IN n.employer UNION social_graph");
-  ExpectSameResult(
-      "CONSTRUCT social_graph, "
-      "(x GROUP e :Company {name:=e})<-[y:worksAt]-(n) "
-      "MATCH (n:Person {employer=e})");
-  ExpectSameResult(
-      "CONSTRUCT (n)-/@p:localPeople{distance:=c}/->(m) "
-      "MATCH (n)-/3 SHORTEST p<:knows*> COST c/->(m) "
-      "WHERE (n:Person) AND (m:Person) "
-      "AND n.firstName = 'John' AND n.lastName = 'Doe' "
-      "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)");
-  ExpectSameResult(
-      "CONSTRUCT (m) MATCH (n:Person)-/<:knows*>/->(m:Person) "
-      "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
-      "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)");
-  ExpectSameResult(
-      "CONSTRUCT (n)-/p/->(m) "
-      "MATCH (n:Person)-/ALL p<:knows*>/->(m:Person) "
-      "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
-      "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)");
-  ExpectSameResult(
-      "CONSTRUCT (m) MATCH (m:Person), (n:Person) "
-      "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
-      "AND EXISTS ( CONSTRUCT () "
-      "MATCH (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m) )");
+  for (const char* query : kGuidedTourQueries) ExpectSameResult(query);
+}
+
+// The whole lattice of plan-shaping knobs: every one of the 16
+// combinations must reproduce the spec.
+TEST_F(DifferentialEngine, GuidedTourQueriesOverKnobLattice) {
+  for (unsigned bits = 0; bits < 16; ++bits) {
+    EngineOptions options;
+    options.enable_pushdown = (bits & 1u) != 0;
+    options.reorder_joins = (bits & 2u) != 0;
+    options.enable_multiway = (bits & 4u) != 0;
+    options.use_column_stats = (bits & 8u) != 0;
+    SCOPED_TRACE("knob bits " + std::to_string(bits));
+    for (const char* query : kGuidedTourQueries) {
+      ExpectSameResult(query, options);
+    }
+  }
 }
 
 TEST_F(DifferentialEngine, ViewsAndOptionals) {
