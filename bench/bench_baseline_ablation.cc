@@ -190,7 +190,6 @@ struct StatsFixture {
 
   explicit StatsFixture(size_t n) {
     GraphBuilder b("skew", catalog.ids());
-    b.EnableStatsCollection();
     std::vector<NodeId> as;
     std::vector<NodeId> bs;
     for (size_t i = 0; i < n; ++i) {
@@ -205,8 +204,7 @@ struct StatsFixture {
         b.AddEdge(as[i], as[(i + 7) % n], "e");
       }
     }
-    GraphStats stats = b.Stats();
-    catalog.RegisterGraph("skew", b.Build(), std::move(stats));
+    catalog.RegisterGraph("skew", b.Build());
     catalog.SetDefaultGraph("skew");
   }
 };
@@ -251,9 +249,10 @@ BENCHMARK(BM_StatsOrderingOff)
     ->Range(2000, 16000)
     ->Unit(benchmark::kMillisecond);
 
-/// Cost of the statistics themselves: the full collection scan (what
-/// GraphCatalog::Stats runs lazily on first use per graph) on generated
-/// SNB data — the price of having real selectivities at all.
+/// Cost of the statistics themselves: the full collection scan (the
+/// reference GraphStats::Collect; GraphCatalog::Stats runs the snapshot
+/// sweep it is pinned to) on generated SNB data — the price of having
+/// real selectivities at all.
 void BM_StatsCollect(benchmark::State& state) {
   IdAllocator ids;
   snb::GeneratorOptions options;

@@ -4,17 +4,17 @@
 // grow (the "most powerful path query functionality ... while carefully
 // avoiding intractable complexity" claim).
 //
-// The *_Serial / *_Delta / *_Batched / *_Bidirectional families are the
-// parallel-path-engine ablation (scripts/run_bench.sh → BENCH_paths.json):
-// the serial executable spec vs the bucketed / 64-lane-wave / meet-in-
-// the-middle kernels, at parallelism 1 and at one-thread-per-core (0).
+// The *_PerSource / *_Batched and *_Forward / *_Bidirectional families
+// are the parallel-path-engine ablation (scripts/run_bench.sh →
+// BENCH_paths.json): the serial executable spec vs the 64-lane-wave and
+// meet-in-the-middle kernels, at parallelism 1 and at
+// one-thread-per-core (0).
 #include <benchmark/benchmark.h>
 
 #include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/all_paths.h"
 #include "paths/batched_bfs.h"
-#include "paths/delta_stepping.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
 #include "snb/generator.h"
@@ -172,113 +172,6 @@ BENCHMARK(BM_WeightedViewTraversal)
     ->Range(200, 3200)
     ->Unit(benchmark::kMillisecond);
 
-/// SNB graph with a synthetic integer weight property on every edge
-/// (the generator emits no numeric edge properties), snapshotted so the
-/// delta kernels read weights through the typed column via
-/// AdjacencyEntry::edge_dense.
-struct WeightedFixture {
-  IdAllocator ids;
-  PathPropertyGraph graph;
-  std::unique_ptr<GraphSnapshot> snap;
-  NodeId src;
-  std::vector<NodeId> persons;
-
-  explicit WeightedFixture(size_t num_persons) {
-    snb::GeneratorOptions options;
-    options.num_persons = num_persons;
-    graph = snb::Generate(options, &ids);
-    std::vector<EdgeId> edges;
-    graph.ForEachEdge([&](EdgeId e, NodeId, NodeId) { edges.push_back(e); });
-    uint64_t i = 0;
-    for (EdgeId e : edges) {
-      graph.SetProperty(
-          e, "w", ValueSet(Value::Int(static_cast<int64_t>(1 + i++ % 7))));
-    }
-    snap = std::make_unique<GraphSnapshot>(graph);
-    graph.ForEachNode([&](NodeId n) {
-      if (!graph.Labels(n).Contains(snb::kPerson)) return;
-      if (!src.valid()) src = n;
-      persons.push_back(n);
-    });
-  }
-
-  DenseEdgeWeightFn Weight() const {
-    return SnapshotWeightFn(snap->EdgeWeights("w"));
-  }
-};
-
-// Weighted SSSP: serial binary heap (the executable spec, forced via a
-// huge serial_cutoff) vs the bucketed delta-stepping kernel at
-// parallelism 1 and hardware (range(1)).
-void BM_WeightedSssp_Heap(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  for (auto _ : state) {
-    auto r = KSsspHeapFrom(f.snap->adjacency(), f.src, weight, 1);
-    if (!r.ok()) state.SkipWithError("heap sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_WeightedSssp_Heap)
-    ->Args({2000})
-    ->Args({20000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_WeightedSssp_Delta(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  ParallelSsspOptions opts;
-  opts.parallelism = static_cast<size_t>(state.range(1));
-  opts.serial_cutoff = 0;
-  for (auto _ : state) {
-    auto r = DeltaSsspFrom(f.snap->adjacency(), f.src, weight, opts);
-    if (!r.ok()) state.SkipWithError("delta sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel("parallelism=" + std::to_string(opts.parallelism));
-}
-BENCHMARK(BM_WeightedSssp_Delta)
-    ->Args({2000, 1})
-    ->Args({2000, 0})
-    ->Args({20000, 1})
-    ->Args({20000, 0})
-    ->Unit(benchmark::kMillisecond);
-
-// 4-SSSP: the four cheapest walk costs per node.
-void BM_KSssp4_Heap(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  for (auto _ : state) {
-    auto r = KSsspHeapFrom(f.snap->adjacency(), f.src, weight, 4);
-    if (!r.ok()) state.SkipWithError("heap 4-sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_KSssp4_Heap)
-    ->Args({2000})
-    ->Args({20000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_KSssp4_Delta(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  ParallelSsspOptions opts;
-  opts.parallelism = static_cast<size_t>(state.range(1));
-  opts.serial_cutoff = 0;
-  for (auto _ : state) {
-    auto r = DeltaKSsspFrom(f.snap->adjacency(), f.src, weight, 4, opts);
-    if (!r.ok()) state.SkipWithError("delta 4-sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel("parallelism=" + std::to_string(opts.parallelism));
-}
-BENCHMARK(BM_KSssp4_Delta)
-    ->Args({2000, 1})
-    ->Args({2000, 0})
-    ->Args({20000, 1})
-    ->Args({20000, 0})
-    ->Unit(benchmark::kMillisecond);
-
 // RPQ pair query: full forward fixpoint vs the bidirectional
 // meet-in-the-middle probe, src = first person, dst = last person.
 void BM_RpqPair_Forward(benchmark::State& state) {
@@ -311,12 +204,31 @@ BENCHMARK(BM_RpqPair_Bidirectional)
     ->Args({20000})
     ->Unit(benchmark::kMillisecond);
 
+/// SNB graph frozen into a snapshot, so the reachability kernels admit
+/// labels through interned ids as the engine does.
+struct SnapshotFixture {
+  IdAllocator ids;
+  PathPropertyGraph graph;
+  std::unique_ptr<GraphSnapshot> snap;
+  std::vector<NodeId> persons;
+
+  explicit SnapshotFixture(size_t num_persons) {
+    snb::GeneratorOptions options;
+    options.num_persons = num_persons;
+    graph = snb::Generate(options, &ids);
+    snap = std::make_unique<GraphSnapshot>(graph);
+    graph.ForEachNode([&](NodeId n) {
+      if (graph.Labels(n).Contains(snb::kPerson)) persons.push_back(n);
+    });
+  }
+};
+
 // Multi-source reachability, 64 sources: one traversal per source (what
 // PathSearchOp used to launch per row) vs one 64-lane mask wave. The
 // acceptance trajectory tracks the single-thread PerSource/Batched ratio
 // at SNB 20k.
 void BM_MultiSourceReach_PerSource(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
+  SnapshotFixture f(static_cast<size_t>(state.range(0)));
   Nfa nfa = CompileOrDie(":knows*");
   PathSearchContext ctx;
   ctx.adj = &f.snap->adjacency();
@@ -342,7 +254,7 @@ BENCHMARK(BM_MultiSourceReach_PerSource)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MultiSourceReach_Batched(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
+  SnapshotFixture f(static_cast<size_t>(state.range(0)));
   Nfa nfa = CompileOrDie(":knows*");
   PathSearchContext ctx;
   ctx.adj = &f.snap->adjacency();

@@ -30,7 +30,6 @@ namespace {
 /// multiway intersection exists to close.
 void RegisterTriangleGraph(GraphCatalog* catalog) {
   GraphBuilder b("tri_communities", catalog->ids());
-  b.EnableStatsCollection();
   for (int c = 0; c < 250; ++c) {
     std::vector<NodeId> members;
     members.reserve(20);
@@ -49,8 +48,7 @@ void RegisterTriangleGraph(GraphCatalog* catalog) {
     b.AddEdge(t2, t3, "knows");
     b.AddEdge(t3, t1, "knows");
   }
-  GraphStats stats = b.Stats();
-  catalog->RegisterGraph("tri_communities", b.Build(), std::move(stats));
+  catalog->RegisterGraph("tri_communities", b.Build());
   catalog->SetDefaultGraph("tri_communities");
 }
 
@@ -59,7 +57,6 @@ void RegisterTriangleGraph(GraphCatalog* catalog) {
 /// honest output-bound case of the ablation).
 void RegisterDiamondGraph(GraphCatalog* catalog) {
   GraphBuilder b("dia_communities", catalog->ids());
-  b.EnableStatsCollection();
   for (int c = 0; c < 500; ++c) {
     std::vector<NodeId> members;
     members.reserve(10);
@@ -70,8 +67,7 @@ void RegisterDiamondGraph(GraphCatalog* catalog) {
       }
     }
   }
-  GraphStats stats = b.Stats();
-  catalog->RegisterGraph("dia_communities", b.Build(), std::move(stats));
+  catalog->RegisterGraph("dia_communities", b.Build());
   catalog->SetDefaultGraph("dia_communities");
 }
 

@@ -10,9 +10,12 @@
 #                                vs the PPG map-walk read path, plus
 #                                arena persistence: save / load / mmap
 #                                vs re-freeze at SNB 2k and 20k persons
-#   BENCH_paths.json           — parallel path engine ablation: serial
-#                                spec vs delta-stepping / batched waves /
-#                                bidirectional probes, parallelism 1 and max
+#   BENCH_paths.json           — path machinery: reachability, (k-)
+#                                shortest, PATH-view traversal, ALL-paths,
+#                                plus the parallel path engine ablation:
+#                                serial spec vs 64-source batched waves /
+#                                bidirectional pair probes, parallelism 1
+#                                and max
 #   BENCH_serving.json         — concurrent session serving: SNB query mix
 #                                QPS + p50/p95/p99, cold vs warm plan
 #                                cache, 1/2/max threads
@@ -28,15 +31,47 @@
 #                                on the toy graphs, plus SNB 800 workloads
 #                                including the Q7 pattern predicate and the
 #                                Q9 correlated EXISTS
-# Extra arguments pass through to every bench binary, e.g.
-#   scripts/run_bench.sh --benchmark_filter='BM_ColumnarScan.*'
+# A leading bench_<name> argument restricts the run to that binary; the
+# remaining arguments pass through to every binary that runs, e.g.
+#   scripts/run_bench.sh bench_path_finding
+#   scripts/run_bench.sh bench_columnar_scan --benchmark_filter='BM_ColumnarScan.*'
+# A run that records no benchmark (say, a filter matching nothing) leaves
+# its committed BENCH_*.json untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Binary → recorded file, in run order.
+benches=(
+  bench_join_dedup:BENCH_join_dedup.json
+  bench_columnar_scan:BENCH_columnar_scan.json
+  bench_wcoj:BENCH_wcoj.json
+  bench_storage:BENCH_storage.json
+  bench_path_finding:BENCH_paths.json
+  bench_serving:BENCH_serving.json
+  bench_expr:BENCH_expr.json
+  bench_construct:BENCH_construct.json
+  bench_guided_tour:BENCH_guided_tour.json
+  bench_baseline_ablation:BENCH_stats_ablation.json
+)
+
+only=""
+if [ $# -gt 0 ] && [[ "$1" == bench_* ]]; then
+  only="$1"
+  shift
+fi
+selected=()
+for entry in "${benches[@]}"; do
+  if [ -z "${only}" ] || [ "${entry%%:*}" = "${only}" ]; then
+    selected+=("${entry}")
+  fi
+done
+if [ "${#selected[@]}" -eq 0 ]; then
+  echo "run_bench.sh: unknown bench binary '${only}'" >&2
+  exit 2
+fi
+
 cmake -B build -S . >/dev/null
-cmake --build build --target bench_join_dedup bench_columnar_scan \
-  bench_baseline_ablation bench_wcoj bench_storage bench_path_finding \
-  bench_serving bench_expr bench_construct bench_guided_tour -j
+cmake --build build --target "${selected[@]%%:*}" -j
 
 # Stamped into every JSON context: the commit, gcore's own build type
 # (google-benchmark's library_build_type describes the benchmark library)
@@ -46,31 +81,41 @@ if [ -n "$(git status --porcelain 2>/dev/null)" ]; then sha="${sha}-dirty"; fi
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
 build_type="${build_type:-RelWithDebInfo}"  # CMakeLists.txt's default
 context="git_sha=${sha},build_type=${build_type},nproc=$(nproc)"
+trap 'rm -f BENCH_*.json.tmp' EXIT
 
+# Runs one binary into `out`.tmp and moves that over `out` only when it
+# recorded at least one benchmark: google-benchmark truncates its
+# --benchmark_out file to 0 bytes and exits 0 when a filter matches
+# nothing.
 run_bench() {
   local binary="$1" out="$2"
   shift 2
+  local tmp="${out}.tmp"
   "./build/${binary}" \
     --benchmark_format=json \
-    --benchmark_out="${out}" \
+    --benchmark_out="${tmp}" \
     --benchmark_out_format=json \
     --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_context="${context}" \
     "$@"
+  if [ -s "${tmp}" ] && grep -q '"name":' "${tmp}"; then
+    mv "${tmp}" "${out}"
+  else
+    rm -f "${tmp}"
+    echo "run_bench.sh: ${binary} recorded no benchmarks; ${out} left as is" >&2
+  fi
 }
 
-run_bench bench_join_dedup BENCH_join_dedup.json "$@"
-run_bench bench_columnar_scan BENCH_columnar_scan.json "$@"
-run_bench bench_wcoj BENCH_wcoj.json "$@"
-run_bench bench_storage BENCH_storage.json "$@"
-run_bench bench_path_finding BENCH_paths.json "$@"
-run_bench bench_serving BENCH_serving.json "$@"
-run_bench bench_expr BENCH_expr.json "$@"
-run_bench bench_construct BENCH_construct.json "$@"
-run_bench bench_guided_tour BENCH_guided_tour.json "$@"
-# The stats filter comes last: google-benchmark honors the final
-# --benchmark_filter, so a user-passed filter cannot swap which
-# benchmarks land in BENCH_stats_ablation.json.
-run_bench bench_baseline_ablation BENCH_stats_ablation.json "$@" \
-  --benchmark_filter='BM_Stats.*'
+for entry in "${selected[@]}"; do
+  binary="${entry%%:*}"
+  out="${entry#*:}"
+  if [ "${binary}" = bench_baseline_ablation ]; then
+    # The stats filter comes last: google-benchmark honors the final
+    # --benchmark_filter, so a user-passed filter cannot swap which
+    # benchmarks land in BENCH_stats_ablation.json.
+    run_bench "${binary}" "${out}" "$@" --benchmark_filter='BM_Stats.*'
+  else
+    run_bench "${binary}" "${out}" "$@"
+  fi
+done

@@ -432,24 +432,6 @@ BindingTable TableJoinParallel(const BindingTable& a, const BindingTable& b,
   return JoinParallelTracked(a, b, parallelism, morsel_rows, nullptr);
 }
 
-BindingTable TableJoinSwapBuild(const BindingTable& a, const BindingTable& b,
-                                size_t parallelism, size_t morsel_rows) {
-  // Build over a / probe b, then re-merge into the canonical a-first
-  // schema: every canonical column copies the equally-named column of the
-  // swapped result wholesale. Cell values agree pair-by-pair with the
-  // unswapped join (a bound shared cell equals the b cell it matched; an
-  // unbound one was filled from b either way), so only row order differs.
-  BindingTable swapped = TableJoinParallel(b, a, parallelism, morsel_rows);
-  std::vector<size_t> b_extra;
-  BindingTable out = JoinSchema(a, b, &b_extra);
-  std::vector<size_t> kept(out.NumColumns());
-  for (size_t c = 0; c < out.NumColumns(); ++c) {
-    kept[c] = swapped.ColumnIndex(out.columns()[c]);
-  }
-  out.AdoptProjectedColumnsMove(std::move(swapped), kept);
-  return out;
-}
-
 /// Owns the build index and the chunk-spanning dedup state; lazily
 /// initialized from the first probe chunk (which fixes the schema the
 /// same way draining the probe side would).
@@ -507,7 +489,10 @@ BindingTable StreamingJoinProbe::Finish() {
   if (!s.started) s.Start(BindingTable());
   if (!s.swap_output) return std::move(s.out);
   // Canonical build-first schema, every column moved wholesale from the
-  // equally-named probe-first column (the TableJoinSwapBuild re-merge).
+  // equally-named probe-first column. Cell values agree pair-by-pair with
+  // the unswapped join (a bound shared cell equals the cell it matched; an
+  // unbound one was filled from the other side either way), so only row
+  // order differs.
   std::vector<size_t> extra;
   BindingTable canonical = JoinSchema(s.build, s.probe_schema, &extra);
   std::vector<size_t> kept(canonical.NumColumns());

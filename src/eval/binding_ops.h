@@ -42,23 +42,18 @@ BindingTable TableJoin(const BindingTable& a, const BindingTable& b);
 BindingTable TableJoinParallel(const BindingTable& a, const BindingTable& b,
                                size_t parallelism, size_t morsel_rows = 0);
 
-/// Ω1 ⋈ Ω2 computed with the build/probe roles reversed — build over Ω1,
-/// probe Ω2 — and the result re-merged into the canonical Ω1-first column
-/// order of TableJoin(a, b), with identical schema and provenance. The
-/// output *set* equals TableJoin(a, b); only row order (probe order of b)
-/// differs. The planner requests this via PlanNode::swap_build when
-/// statistics predict the default build side (b) dwarfs a.
-BindingTable TableJoinSwapBuild(const BindingTable& a, const BindingTable& b,
-                                size_t parallelism, size_t morsel_rows = 0);
-
 /// Streaming probe side of Ω1 ⋈ Ω2: the build table is indexed once up
 /// front, then probe chunks are pushed in arrival order — the hash join
 /// no longer drains its probe input, so probing overlaps the upstream
 /// pipeline that is still producing it. Dedup state spans chunks, so the
 /// result is pinned byte-identical (rows *and* order) to draining the
-/// probe side and calling TableJoinParallel(probe, build) — or, with
-/// `swap_output`, to TableJoinSwapBuild(build, probe): Finish() re-merges
-/// the probe-first columns into the canonical build-first schema.
+/// probe side and calling TableJoinParallel(probe, build). With
+/// `swap_output`, Finish() re-merges the probe-first columns into the
+/// canonical build-first schema of TableJoin(build, probe): the planner
+/// requests this (PlanNode::swap_build) when statistics predict the
+/// right join input dwarfs the left, so the left is built over and the
+/// right probed, and only row order (probe order) differs from the
+/// unswapped join.
 class StreamingJoinProbe {
  public:
   StreamingJoinProbe(BindingTable build, bool swap_output);

@@ -707,12 +707,11 @@ Result<BindingTable> Matcher::ExpandPathHop(
                                ctx_.views->Lookup(view_name));
         per_src.resize(sources.size());
         std::vector<Status> status(sources.size(), Status::OK());
-        ParallelSsspOptions opts;
         // Sources fan across threads already; nest workers only when a
         // lone source would leave the pool idle.
-        opts.parallelism = sources.size() > 1 ? 1 : ctx.parallelism;
+        const size_t inner = sources.size() > 1 ? 1 : ctx.parallelism;
         ParallelFor(ctx.parallelism, sources.size(), [&](size_t i) {
-          auto sssp = ViewStarSssp(*ctx.adj, *view, sources[i], opts);
+          auto sssp = ViewStarSssp(*ctx.adj, *view, sources[i], inner);
           if (!sssp.ok()) {
             status[i] = sssp.status();
             return;

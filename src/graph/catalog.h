@@ -57,9 +57,11 @@ class GraphCatalog {
   /// version; the old graph/stats/snapshot images are epoch-retired (kept
   /// alive until no reader is active).
   void RegisterGraph(const std::string& name, PathPropertyGraph graph);
-  /// Registers a graph together with precomputed statistics (e.g. a
-  /// GraphBuilder's incrementally collected GraphBuilder::Stats()),
-  /// seeding the cache Stats() reads so no collection scan runs later.
+  /// Registers a graph together with given statistics, seeding the cache
+  /// Stats() reads so no collection runs later. Kept for tests that
+  /// inject edited statistics (WcojTest.RewriteSurvivesMissingMaxDegree-
+  /// Buckets); everything else registers without stats and lets Stats()
+  /// sweep the snapshot.
   void RegisterGraph(const std::string& name, PathPropertyGraph graph,
                      GraphStats stats);
   /// Registers a graph synthesized from the same-name table (the

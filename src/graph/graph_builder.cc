@@ -31,9 +31,6 @@ NodeId GraphBuilder::AddNode(std::initializer_list<std::string> labels,
   const NodeId id = ids_->NextNode();
   graph_.AddNode(id);
   ApplyLabelsProps(id, labels, props);
-  if (collect_stats_) {
-    stats_.AddNode(graph_.Labels(id), graph_.Properties(id));
-  }
   return id;
 }
 
@@ -44,19 +41,12 @@ NodeId GraphBuilder::AddNodeWithId(uint64_t raw_id,
   const NodeId id(raw_id);
   graph_.AddNode(id);
   ApplyLabelsProps(id, labels, props);
-  if (collect_stats_) {
-    stats_.AddNode(graph_.Labels(id), graph_.Properties(id));
-  }
   return id;
 }
 
 void GraphBuilder::AddNodePropertyValue(NodeId node, const std::string& key,
                                         Value value) {
   ValueSet values = graph_.Property(node, key);
-  if (collect_stats_) {
-    stats_.AddNodePropertyValue(graph_.Labels(node), key, value,
-                                values.empty());
-  }
   values.Insert(std::move(value));
   graph_.SetProperty(node, key, std::move(values));
 }
@@ -64,10 +54,6 @@ void GraphBuilder::AddNodePropertyValue(NodeId node, const std::string& key,
 void GraphBuilder::AddEdgePropertyValue(EdgeId edge, const std::string& key,
                                         Value value) {
   ValueSet values = graph_.Property(edge, key);
-  if (collect_stats_) {
-    stats_.AddEdgePropertyValue(graph_.Labels(edge), key, value,
-                                values.empty());
-  }
   values.Insert(std::move(value));
   graph_.SetProperty(edge, key, std::move(values));
 }
@@ -80,10 +66,6 @@ EdgeId GraphBuilder::AddEdge(NodeId src, NodeId dst, const std::string& label,
   if (!label.empty()) graph_.AddLabel(id, label);
   for (const auto& p : props) {
     graph_.SetProperty(id, p.key, ValueSet(p.value));
-  }
-  if (collect_stats_) {
-    stats_.AddEdge(graph_.Labels(id), graph_.Properties(id),
-                   graph_.Labels(src), graph_.Labels(dst), src, dst);
   }
   return id;
 }
@@ -98,10 +80,6 @@ EdgeId GraphBuilder::AddEdgeWithId(uint64_t raw_id, NodeId src, NodeId dst,
   if (!label.empty()) graph_.AddLabel(id, label);
   for (const auto& p : props) {
     graph_.SetProperty(id, p.key, ValueSet(p.value));
-  }
-  if (collect_stats_) {
-    stats_.AddEdge(graph_.Labels(id), graph_.Properties(id),
-                   graph_.Labels(src), graph_.Labels(dst), src, dst);
   }
   return id;
 }
@@ -128,7 +106,6 @@ Result<PathId> GraphBuilder::AddPathWithId(
   for (const auto& p : props) {
     graph_.SetProperty(id, p.key, ValueSet(p.value));
   }
-  if (collect_stats_) stats_.AddPath();
   return id;
 }
 

@@ -4,6 +4,10 @@
 // All graphs in one engine session draw identities from a single
 // IdAllocator so that query outputs can share objects with inputs and the
 // graph-level set operations of Appendix A.5 are meaningful.
+//
+// The builder collects no statistics: register the built graph with
+// GraphCatalog::RegisterGraph(name, graph) and the catalog computes them
+// from its snapshot on first use (GraphStats::CollectFromSnapshot).
 #ifndef GCORE_GRAPH_GRAPH_BUILDER_H_
 #define GCORE_GRAPH_GRAPH_BUILDER_H_
 
@@ -14,7 +18,6 @@
 #include <vector>
 
 #include "graph/ppg.h"
-#include "graph/stats.h"
 
 namespace gcore {
 
@@ -106,34 +109,12 @@ class GraphBuilder {
   /// Moves the built graph out.
   PathPropertyGraph Build() { return std::move(graph_); }
 
-  /// Opt-in incremental statistics: call before the first Add* and the
-  /// builder streams every object into a StatsCollector as it is added,
-  /// so large loads can register with their statistics precomputed
-  /// (GraphCatalog::RegisterGraph(name, graph, stats)) without a second
-  /// scan. Off by default — distinct-value tracking retains a copy of
-  /// every property value, which throwaway graphs should not pay for.
-  /// Reflects builder-API mutations only: editing graph() directly
-  /// bypasses the collector.
-  GraphBuilder& EnableStatsCollection() {
-    collect_stats_ = true;
-    return *this;
-  }
-
-  /// Statistics of the graph built so far: the incremental collector's
-  /// snapshot when enabled, otherwise a full collection scan (identical
-  /// result either way, pinned by tests/graph/stats_test.cc).
-  GraphStats Stats() const {
-    return collect_stats_ ? stats_.Finish() : GraphStats::Collect(graph_);
-  }
-
  private:
   void ApplyLabelsProps(NodeId id, std::initializer_list<std::string> labels,
                         std::initializer_list<Prop> props);
 
   PathPropertyGraph graph_;
   IdAllocator* ids_;
-  bool collect_stats_ = false;
-  StatsCollector stats_;
 };
 
 }  // namespace gcore

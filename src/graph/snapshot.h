@@ -46,7 +46,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -268,32 +267,6 @@ class GraphSnapshot {
   const std::vector<std::pair<std::string, PropertyColumn>>& edge_columns()
       const {
     return edge_columns_;
-  }
-
-  /// Numeric fast-path view over one edge property column, for weighted
-  /// path kernels: a `COST x.w` expression over int/double singletons
-  /// reduces to one kind-byte test and one slot read per edge, keyed by
-  /// the dense edge index the adjacency entries already carry. Non-numeric
-  /// and absent cells yield nullopt ("traversal has no weight here").
-  struct EdgeWeightView {
-    const PropertyColumn* col = nullptr;
-    bool valid() const { return col != nullptr; }
-    std::optional<double> At(DenseEdgeIndex e) const {
-      if (col == nullptr) return std::nullopt;
-      switch (col->KindAt(e)) {
-        case PropKind::kInt:
-          return static_cast<double>(col->IntAt(e));
-        case PropKind::kDouble:
-          return col->DoubleAt(e);
-        default:
-          return std::nullopt;
-      }
-    }
-  };
-  /// Weight view of edge key `key`; `valid()` is false when no edge
-  /// carries the key.
-  EdgeWeightView EdgeWeights(const std::string& key) const {
-    return EdgeWeightView{EdgeColumn(key)};
   }
 
   // --- string pool -----------------------------------------------------------

@@ -1,16 +1,22 @@
 #include "graph/stats.h"
 
+#include <set>
+#include <unordered_map>
+#include <vector>
+
 #include "graph/snapshot.h"
 
 namespace gcore {
 
 namespace {
 
+/// Edge counts keyed [endpoint label][edge label].
+using Buckets = std::map<std::string, std::map<std::string, size_t>>;
+
 /// Buckets of one endpoint-label map an edge contributes to: every label
 /// the endpoint carries, plus the "" any-label bucket.
-void CountEdgeBuckets(
-    const LabelSet& endpoint_labels, const LabelSet& edge_labels,
-    std::map<std::string, std::map<std::string, size_t>>* counts) {
+void CountEdgeBuckets(const LabelSet& endpoint_labels,
+                      const LabelSet& edge_labels, Buckets* counts) {
   auto count_edge_labels = [&](const std::string& endpoint_label) {
     auto& by_edge_label = (*counts)[endpoint_label];
     ++by_edge_label[""];
@@ -18,6 +24,18 @@ void CountEdgeBuckets(
   };
   count_edge_labels("");
   for (const auto& label : endpoint_labels) count_edge_labels(label);
+}
+
+/// Raises every bucket of `maxima` to one node's count in it; the ""
+/// keys make maxima[""][""] the global maximum degree.
+void FoldMaxima(const Buckets& node, Buckets* maxima) {
+  for (const auto& [endpoint_label, by_edge] : node) {
+    auto& out = (*maxima)[endpoint_label];
+    for (const auto& [edge_label, count] : by_edge) {
+      size_t& slot = out[edge_label];
+      if (count > slot) slot = count;
+    }
+  }
 }
 
 /// Folds one property value into `stats` (count/distinct handled by the
@@ -35,25 +53,19 @@ void FoldRange(PropertyStats* stats, const Value& value) {
   if (v > stats->max) stats->max = v;
 }
 
-void FoldPropertyValue(const std::string& key, const Value& value,
-                       bool is_new_key,
-                       std::map<std::string, PropertyStats>* props,
-                       std::map<std::string, std::set<Value>>* values) {
-  PropertyStats& stats = (*props)[key];
-  if (is_new_key) ++stats.count;
-  (*values)[key].insert(value);
-  FoldRange(&stats, value);
-}
-
+/// Folds one object's property map: one count per carried key, its values
+/// into the distinct-tracking set and the numeric range.
 void FoldPropertyMap(const PropertyMap& map,
                      std::map<std::string, PropertyStats>* props,
                      std::map<std::string, std::set<Value>>* values) {
   for (const auto& [key, value_set] : map.entries()) {
     if (value_set.empty()) continue;
-    bool first = true;
+    PropertyStats& stats = (*props)[key];
+    ++stats.count;
+    auto& distinct = (*values)[key];
     for (const auto& value : value_set) {
-      FoldPropertyValue(key, value, first, props, values);
-      first = false;
+      distinct.insert(value);
+      FoldRange(&stats, value);
     }
   }
 }
@@ -150,6 +162,85 @@ void SweepColumn(const GraphSnapshot& snap, const std::string& key,
     (*by_label)[snap.LabelName(label)][key].distinct = set.size();
   }
 }
+
+/// Accumulates the statistics of a PPG one object at a time; Collect
+/// feeds it every node, edge and path, and Finish() resolves the distinct
+/// counts and degree maxima. Distinct-value tracking keeps one value set
+/// per property key until Finish, so it costs what the graph's property
+/// data costs.
+class StatsCollector {
+ public:
+  void AddNode(const LabelSet& labels, const PropertyMap& props) {
+    ++stats_.num_nodes;
+    for (const auto& label : labels) ++stats_.node_label_counts[label];
+    FoldPropertyMap(props, &stats_.node_props, &node_values_.global);
+    if (HasAnyProperty(props)) {
+      for (const auto& label : labels) {
+        FoldPropertyMap(props, &stats_.node_props_by_label[label],
+                        &node_values_.by_label[label]);
+      }
+    }
+  }
+
+  /// `src`/`dst` identify the endpoints so per-node degree counters (the
+  /// max-degree histograms) can accumulate.
+  void AddEdge(const LabelSet& edge_labels, const PropertyMap& props,
+               const LabelSet& src_labels, const LabelSet& dst_labels,
+               NodeId src, NodeId dst) {
+    ++stats_.num_edges;
+    for (const auto& label : edge_labels) ++stats_.edge_label_counts[label];
+    FoldPropertyMap(props, &stats_.edge_props, &edge_values_.global);
+    if (HasAnyProperty(props)) {
+      for (const auto& label : edge_labels) {
+        FoldPropertyMap(props, &stats_.edge_props_by_label[label],
+                        &edge_values_.by_label[label]);
+      }
+    }
+    CountEdgeBuckets(src_labels, edge_labels, &stats_.out_edge_counts);
+    CountEdgeBuckets(dst_labels, edge_labels, &stats_.in_edge_counts);
+    CountEdgeBuckets(src_labels, edge_labels, &out_degrees_[src.value()]);
+    CountEdgeBuckets(dst_labels, edge_labels, &in_degrees_[dst.value()]);
+  }
+
+  void AddPath() { ++stats_.num_paths; }
+
+  GraphStats Finish() const {
+    GraphStats stats = stats_;
+    ResolveDistinct(node_values_.global, &stats.node_props);
+    ResolveDistinct(edge_values_.global, &stats.edge_props);
+    for (const auto& [label, values] : node_values_.by_label) {
+      ResolveDistinct(values, &stats.node_props_by_label[label]);
+    }
+    for (const auto& [label, values] : edge_values_.by_label) {
+      ResolveDistinct(values, &stats.edge_props_by_label[label]);
+    }
+    for (const auto& [node, buckets] : out_degrees_) {
+      FoldMaxima(buckets, &stats.out_degree_max);
+    }
+    for (const auto& [node, buckets] : in_degrees_) {
+      FoldMaxima(buckets, &stats.in_degree_max);
+    }
+    return stats;
+  }
+
+ private:
+  /// Distinct-value tracking sets of one object class: global per key,
+  /// and per (label, key) for the label-restricted buckets.
+  struct ValueSets {
+    std::map<std::string, std::set<Value>> global;
+    std::map<std::string, std::map<std::string, std::set<Value>>> by_label;
+  };
+  /// Per-node edge counters of one direction, keyed
+  /// [node][endpoint label][edge label]; Finish() folds them into maxima
+  /// (order-independent, so the node key hashes).
+  using DegreeCounts = std::unordered_map<uint64_t, Buckets>;
+
+  GraphStats stats_;
+  ValueSets node_values_;
+  ValueSets edge_values_;
+  DegreeCounts out_degrees_;
+  DegreeCounts in_degrees_;
+};
 
 }  // namespace
 
@@ -257,7 +348,6 @@ GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
   for (size_t n = 0; n < snap.num_nodes(); ++n) {
     node_labels[n] = names_of(snap.NodeLabelIds(static_cast<DenseNodeIndex>(n)));
   }
-  using Buckets = std::map<std::string, std::map<std::string, size_t>>;
   std::vector<Buckets> out_deg(snap.num_nodes());
   std::vector<Buckets> in_deg(snap.num_nodes());
   for (size_t e = 0; e < snap.num_edges(); ++e) {
@@ -270,112 +360,12 @@ GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
     CountEdgeBuckets(node_labels[src], edge_labels, &out_deg[src]);
     CountEdgeBuckets(node_labels[dst], edge_labels, &in_deg[dst]);
   }
-  auto fold_maxima = [](const std::vector<Buckets>& per_node,
-                        Buckets* maxima) {
-    for (const Buckets& buckets : per_node) {
-      for (const auto& [endpoint_label, by_edge] : buckets) {
-        auto& out = (*maxima)[endpoint_label];
-        for (const auto& [edge_label, count] : by_edge) {
-          size_t& slot = out[edge_label];
-          if (count > slot) slot = count;
-        }
-      }
-    }
-  };
-  fold_maxima(out_deg, &stats.out_degree_max);
-  fold_maxima(in_deg, &stats.in_degree_max);
-  return stats;
-}
-
-void StatsCollector::AddNode(const LabelSet& labels,
-                             const PropertyMap& props) {
-  ++stats_.num_nodes;
-  for (const auto& label : labels) ++stats_.node_label_counts[label];
-  FoldPropertyMap(props, &stats_.node_props, &node_values_.global);
-  if (HasAnyProperty(props)) {
-    for (const auto& label : labels) {
-      FoldPropertyMap(props, &stats_.node_props_by_label[label],
-                      &node_values_.by_label[label]);
-    }
+  for (const Buckets& buckets : out_deg) {
+    FoldMaxima(buckets, &stats.out_degree_max);
   }
-}
-
-void StatsCollector::AddEdge(const LabelSet& edge_labels,
-                             const PropertyMap& props,
-                             const LabelSet& src_labels,
-                             const LabelSet& dst_labels, NodeId src,
-                             NodeId dst) {
-  ++stats_.num_edges;
-  for (const auto& label : edge_labels) ++stats_.edge_label_counts[label];
-  FoldPropertyMap(props, &stats_.edge_props, &edge_values_.global);
-  if (HasAnyProperty(props)) {
-    for (const auto& label : edge_labels) {
-      FoldPropertyMap(props, &stats_.edge_props_by_label[label],
-                      &edge_values_.by_label[label]);
-    }
+  for (const Buckets& buckets : in_deg) {
+    FoldMaxima(buckets, &stats.in_degree_max);
   }
-  CountEdgeBuckets(src_labels, edge_labels, &stats_.out_edge_counts);
-  CountEdgeBuckets(dst_labels, edge_labels, &stats_.in_edge_counts);
-  CountEdgeBuckets(src_labels, edge_labels, &out_degrees_[src.value()]);
-  CountEdgeBuckets(dst_labels, edge_labels, &in_degrees_[dst.value()]);
-}
-
-void StatsCollector::AddPath() { ++stats_.num_paths; }
-
-void StatsCollector::AddNodePropertyValue(const LabelSet& labels,
-                                          const std::string& key,
-                                          const Value& value,
-                                          bool is_new_key) {
-  FoldPropertyValue(key, value, is_new_key, &stats_.node_props,
-                    &node_values_.global);
-  for (const auto& label : labels) {
-    FoldPropertyValue(key, value, is_new_key,
-                      &stats_.node_props_by_label[label],
-                      &node_values_.by_label[label]);
-  }
-}
-
-void StatsCollector::AddEdgePropertyValue(const LabelSet& labels,
-                                          const std::string& key,
-                                          const Value& value,
-                                          bool is_new_key) {
-  FoldPropertyValue(key, value, is_new_key, &stats_.edge_props,
-                    &edge_values_.global);
-  for (const auto& label : labels) {
-    FoldPropertyValue(key, value, is_new_key,
-                      &stats_.edge_props_by_label[label],
-                      &edge_values_.by_label[label]);
-  }
-}
-
-GraphStats StatsCollector::Finish() const {
-  GraphStats stats = stats_;
-  ResolveDistinct(node_values_.global, &stats.node_props);
-  ResolveDistinct(edge_values_.global, &stats.edge_props);
-  for (const auto& [label, values] : node_values_.by_label) {
-    ResolveDistinct(values, &stats.node_props_by_label[label]);
-  }
-  for (const auto& [label, values] : edge_values_.by_label) {
-    ResolveDistinct(values, &stats.edge_props_by_label[label]);
-  }
-  // Per-node degree counters fold into the per-bucket maxima; the "" keys
-  // make out_degree_max[""][""] the global maximum degree.
-  auto fold_maxima =
-      [](const DegreeCounts& per_node,
-         std::map<std::string, std::map<std::string, size_t>>* maxima) {
-        for (const auto& [node, buckets] : per_node) {
-          (void)node;
-          for (const auto& [endpoint_label, by_edge] : buckets) {
-            auto& out = (*maxima)[endpoint_label];
-            for (const auto& [edge_label, count] : by_edge) {
-              size_t& slot = out[edge_label];
-              if (count > slot) slot = count;
-            }
-          }
-        }
-      };
-  fold_maxima(out_degrees_, &stats.out_degree_max);
-  fold_maxima(in_degrees_, &stats.in_degree_max);
   return stats;
 }
 

@@ -19,26 +19,19 @@
 //     label-fraction independence double-charge (the global per-key
 //     distribution remains the fallback when a bucket is missing).
 //
-// Three collection paths produce identical statistics:
+// Two collection paths produce identical statistics:
 //   * GraphStats::CollectFromSnapshot(snapshot) — a column sweep over the
 //     frozen GraphSnapshot; what GraphCatalog::Stats runs lazily (and
 //     caches) on first use, sharing the snapshot it caches anyway.
 //   * GraphStats::Collect(graph) — one full scan of the mutable PPG; the
-//     reference implementation the other two are pinned against.
-//   * StatsCollector — incremental accumulation as objects are added;
-//     GraphBuilder maintains one so builder-constructed graphs can be
-//     registered with their statistics precomputed
-//     (GraphCatalog::RegisterGraph(name, graph, stats)), skipping the scan.
+//     reference implementation CollectFromSnapshot is pinned against
+//     (tests/graph/snapshot_test.cc).
 #ifndef GCORE_GRAPH_STATS_H_
 #define GCORE_GRAPH_STATS_H_
 
 #include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "common/value.h"
 #include "graph/ppg.h"
 
 namespace gcore {
@@ -66,7 +59,8 @@ struct PropertyStats {
 
 /// Summary statistics of one catalog graph. Computed lazily per graph by
 /// GraphCatalog::Stats (cached until the graph is re-registered or
-/// dropped), or handed in precomputed by a StatsCollector.
+/// dropped), or handed in through GraphCatalog::RegisterGraph(name,
+/// graph, stats).
 struct GraphStats {
   size_t num_nodes = 0;
   size_t num_edges = 0;
@@ -152,55 +146,6 @@ struct GraphStats {
            a.out_degree_max == b.out_degree_max &&
            a.in_degree_max == b.in_degree_max;
   }
-};
-
-/// Incremental statistics accumulator: feed it every object as it is
-/// added (GraphBuilder does this for its construction API) and Finish()
-/// yields the same GraphStats a full Collect() scan would produce.
-/// Distinct-value tracking keeps one value set per property key until
-/// Finish, so the collector costs what the graph's property data costs.
-class StatsCollector {
- public:
-  void AddNode(const LabelSet& labels, const PropertyMap& props);
-  /// `src_labels`/`dst_labels` are the endpoint labels at insertion time;
-  /// GraphBuilder adds edges after their endpoints are fully labeled.
-  /// `src`/`dst` identify the endpoints so per-node degree counters (the
-  /// max-degree histograms) can accumulate.
-  void AddEdge(const LabelSet& edge_labels, const PropertyMap& props,
-               const LabelSet& src_labels, const LabelSet& dst_labels,
-               NodeId src, NodeId dst);
-  void AddPath();
-  /// One value appended to a node/edge property; `is_new_key` is true
-  /// when the object held no value for `key` before. `labels` are the
-  /// object's labels at that moment (per-label distribution buckets).
-  void AddNodePropertyValue(const LabelSet& labels, const std::string& key,
-                            const Value& value, bool is_new_key);
-  void AddEdgePropertyValue(const LabelSet& labels, const std::string& key,
-                            const Value& value, bool is_new_key);
-
-  /// Snapshot of the accumulated statistics (distinct counts and degree
-  /// maxima resolved).
-  GraphStats Finish() const;
-
- private:
-  /// Distinct-value tracking sets of one object class: global per key,
-  /// and per (label, key) for the label-restricted buckets.
-  struct ValueSets {
-    std::map<std::string, std::set<Value>> global;
-    std::map<std::string, std::map<std::string, std::set<Value>>> by_label;
-  };
-  /// Per-node edge counters of one direction, keyed
-  /// [node][endpoint label][edge label]; Finish() folds them into maxima
-  /// (order-independent, so the node key hashes — this sits on the
-  /// stats-enabled edge-ingest hot path).
-  using DegreeCounts = std::unordered_map<
-      uint64_t, std::map<std::string, std::map<std::string, size_t>>>;
-
-  GraphStats stats_;
-  ValueSets node_values_;
-  ValueSets edge_values_;
-  DegreeCounts out_degrees_;
-  DegreeCounts in_degrees_;
 };
 
 }  // namespace gcore

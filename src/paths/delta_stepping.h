@@ -1,112 +1,58 @@
-// Delta-stepping parallel SSSP / K-SSSP kernels (Meyer & Sanders) over
-// the CSR adjacency, plus the PATH-view specialization behind the
-// engine's `<~w*>` weighted-shortest fast path.
+// Delta-stepping SSSP over one PATH view's segment graph (Meyer &
+// Sanders) — the engine's `<~view*>` weighted-shortest fast path.
 //
-// Shape: distances are kept in buckets of width Δ; one bucket at a time
-// is relaxed to a fixpoint, with the frontier's edge scans fanned onto
-// worker threads that emit relaxation candidates into per-slice buffers.
-// A coordinator merges the buffers serially under the canonical
-// acceptance rule, so the result is a pure function of the input at
-// every parallelism degree:
+// G-CORE path costs come only from a PATH view's COST, so the `~view*`
+// regex shape degenerates the graph × NFA product to a plain weighted
+// graph whose edges are the view's segments. The product Dijkstra
+// (KShortestPathsFrom, k_shortest.h) stays the executable spec; this
+// kernel is its fast path for that shape.
+//
+// Shape: distances are kept in buckets of width Δ (the mean segment
+// cost); one bucket at a time is relaxed to a fixpoint, with the
+// frontier's segment scans fanned onto worker threads that emit
+// relaxation candidates into per-slice buffers. A coordinator merges the
+// buffers serially under the canonical acceptance rule, so the result is
+// a pure function of the input at every parallelism degree:
 //
 //   * a candidate with a strictly smaller distance always wins;
-//   * at equal distance (and strictly positive edge weight), the parent
-//     with the lexicographically smallest (parent node, edge id) pair
-//     wins — the paper's "fixed lexicographical order" tiebreak
-//     (Appendix A.1, footnote 4), the same rule the serial binary-heap
-//     DijkstraFrom applies, so delta ≡ heap on distances *and* parents.
-//     (Zero-weight ties keep exact distances but leave the parent choice
-//     to discovery order — a positive-weight tie parent is provably
-//     cycle-free, a zero-weight one is not.)
+//   * at equal distance the parent with the lexicographically smallest
+//     (parent node, segment ordinal) pair wins — the paper's "fixed
+//     lexicographical order" tiebreak (Appendix A.1, footnote 4). View
+//     costs are > 0 (PathViewRelation::AddSegment rejects the rest), so
+//     a tie parent is strictly closer and the parent forest stays
+//     acyclic.
 //
-// DijkstraFrom (dijkstra.h) stays the executable spec: graphs below
-// ParallelSsspOptions::serial_cutoff take it verbatim, and the
-// differential suite (tests/paths/parallel_paths_test.cc) pins the
-// kernels against it at parallelism 1/2/8.
+// tests/paths/parallel_paths_test.cc pins distances against the product
+// Dijkstra and the whole result across parallelism 1/2/8.
 #ifndef GCORE_PATHS_DELTA_STEPPING_H_
 #define GCORE_PATHS_DELTA_STEPPING_H_
 
-#include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "common/result.h"
-#include "graph/snapshot.h"
-#include "paths/dijkstra.h"
+#include "graph/adjacency.h"
 #include "paths/path_view.h"
 
 namespace gcore {
 
-/// Weight of traversing one half-edge. Entry-keyed (unlike EdgeWeightFn)
-/// so snapshot weight columns can be read by dense index without a
-/// per-edge binary search.
-using DenseEdgeWeightFn =
-    std::function<std::optional<double>(const AdjacencyEntry&)>;
-
-/// Adapts an id-keyed EdgeWeightFn (the DijkstraFrom signature).
-DenseEdgeWeightFn WrapWeightFn(EdgeWeightFn fn);
-
-/// The `x.w`-cost fast path: weights straight from a snapshot edge
-/// column via AdjacencyEntry::edge_dense — one kind byte and one slot
-/// read per half-edge.
-DenseEdgeWeightFn SnapshotWeightFn(GraphSnapshot::EdgeWeightView weights);
-
-/// Tuning knobs of the parallel kernels.
-struct ParallelSsspOptions {
-  /// Worker threads for frontier edge scans; 0 = hardware concurrency.
-  size_t parallelism = 1;
-  /// Bucket width; 0 = auto (mean sampled edge weight).
-  double delta = 0.0;
-  /// Below this many nodes the serial heap runs instead (bucket overhead
-  /// exceeds the win); 0 disables the fallback (differential tests).
-  size_t serial_cutoff = 2048;
-};
-
-/// Delta-stepping single-source shortest paths. Result-identical to
-/// DijkstraFrom for strictly positive weights (see header comment);
-/// negative weights are an error.
-Result<SsspResult> DeltaSsspFrom(const AdjacencyIndex& adj, NodeId src,
-                                 const DenseEdgeWeightFn& weight,
-                                 const ParallelSsspOptions& opts = {},
-                                 bool follow_forward = true,
-                                 bool follow_backward = false);
-
-/// K-SSSP: the k cheapest walk costs per node, ascending, with walk
-/// multiplicity (two distinct walks of equal cost occupy two slots) —
-/// the katana K_SSSP contract. Indexed by dense node index.
-using KSsspDistances = std::vector<std::vector<double>>;
-
-/// Serial executable spec: binary-heap label-correcting search popping at
-/// most k labels per node.
-Result<KSsspDistances> KSsspHeapFrom(const AdjacencyIndex& adj, NodeId src,
-                                     const DenseEdgeWeightFn& weight,
-                                     size_t k, bool follow_forward = true,
-                                     bool follow_backward = false);
-
-/// Bucketed parallel K-SSSP; value-identical to KSsspHeapFrom.
-Result<KSsspDistances> DeltaKSsspFrom(const AdjacencyIndex& adj, NodeId src,
-                                      const DenseEdgeWeightFn& weight,
-                                      size_t k,
-                                      const ParallelSsspOptions& opts = {},
-                                      bool follow_forward = true,
-                                      bool follow_backward = false);
-
-/// SSSP over the segment graph of one PATH view — the `<~w*>` regex
-/// shape, where the graph × NFA product degenerates to a plain weighted
-/// graph whose edges are view segments (cost > 0 enforced at view
-/// construction, so parents are fully canonical).
+/// Result of ViewStarSssp; indexed by dense node index.
 struct ViewSsspResult {
-  std::vector<double> distance;  // SsspResult::kUnreachable when not reached
+  static constexpr double kUnreachable =
+      std::numeric_limits<double>::infinity();
+  std::vector<double> distance;  // kUnreachable when not reached
   std::vector<int64_t> parent;   // dense parent node, -1 for source/unreached
   std::vector<const PathViewSegment*> parent_seg;  // borrowed from the view
-  bool Reached(DenseNodeIndex n) const {
-    return distance[n] != SsspResult::kUnreachable;
-  }
+  bool Reached(DenseNodeIndex n) const { return distance[n] != kUnreachable; }
 };
 
+/// SSSP from `src` over the segments of `view`. `parallelism` bounds the
+/// worker threads of the frontier scans (0 = hardware concurrency); the
+/// result is identical at every degree.
 Result<ViewSsspResult> ViewStarSssp(const AdjacencyIndex& adj,
                                     const PathViewRelation& view, NodeId src,
-                                    const ParallelSsspOptions& opts = {});
+                                    size_t parallelism = 1);
 
 /// Concatenates the parent segment chain into the walk from `src` to
 /// `dst`; nullopt when unreached. dst == src yields the empty walk.

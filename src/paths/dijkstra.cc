@@ -1,26 +1,13 @@
 #include "paths/dijkstra.h"
 
-#include <algorithm>
 #include <deque>
-#include <queue>
 
 namespace gcore {
 
-namespace {
-
-SsspResult MakeResult(size_t n) {
-  SsspResult r;
-  r.distance.assign(n, SsspResult::kUnreachable);
-  r.parent.assign(n, -1);
-  r.parent_edge.assign(n, EdgeId());
-  return r;
-}
-
-}  // namespace
-
 SsspResult BfsFrom(const AdjacencyIndex& adj, NodeId src, bool follow_forward,
                    bool follow_backward) {
-  SsspResult r = MakeResult(adj.num_nodes());
+  SsspResult r;
+  r.distance.assign(adj.num_nodes(), SsspResult::kUnreachable);
   const DenseNodeIndex s = adj.IndexOf(src);
   r.distance[s] = 0.0;
   std::deque<DenseNodeIndex> queue{s};
@@ -31,8 +18,6 @@ SsspResult BfsFrom(const AdjacencyIndex& adj, NodeId src, bool follow_forward,
       for (const AdjacencyEntry* e = begin; e != end; ++e) {
         if (r.distance[e->neighbor] != SsspResult::kUnreachable) continue;
         r.distance[e->neighbor] = r.distance[n] + 1.0;
-        r.parent[e->neighbor] = n;
-        r.parent_edge[e->neighbor] = e->edge;
         queue.push_back(e->neighbor);
       }
     };
@@ -46,91 +31,6 @@ SsspResult BfsFrom(const AdjacencyIndex& adj, NodeId src, bool follow_forward,
     }
   }
   return r;
-}
-
-Result<SsspResult> DijkstraFrom(const AdjacencyIndex& adj, NodeId src,
-                                const EdgeWeightFn& weight,
-                                bool follow_forward, bool follow_backward) {
-  SsspResult r = MakeResult(adj.num_nodes());
-  const DenseNodeIndex s = adj.IndexOf(src);
-  r.distance[s] = 0.0;
-
-  using Entry = std::pair<double, DenseNodeIndex>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  heap.emplace(0.0, s);
-  std::vector<bool> settled(adj.num_nodes(), false);
-
-  Status error = Status::OK();
-  while (!heap.empty()) {
-    auto [dist, n] = heap.top();
-    heap.pop();
-    if (settled[n]) continue;
-    settled[n] = true;
-
-    auto visit = [&](const AdjacencyEntry* begin, const AdjacencyEntry* end) {
-      for (const AdjacencyEntry* e = begin; e != end; ++e) {
-        std::optional<double> w = weight(e->edge, e->forward);
-        if (!w.has_value()) continue;
-        if (*w < 0.0) {
-          error = Status::EvaluationError(
-              "Dijkstra requires non-negative edge weights");
-          return;
-        }
-        const double nd = dist + *w;
-        if (nd < r.distance[e->neighbor]) {
-          r.distance[e->neighbor] = nd;
-          r.parent[e->neighbor] = n;
-          r.parent_edge[e->neighbor] = e->edge;
-          heap.emplace(nd, e->neighbor);
-        } else if (nd == r.distance[e->neighbor] && *w > 0.0 &&
-                   r.parent[e->neighbor] >= 0 &&
-                   (static_cast<int64_t>(n) < r.parent[e->neighbor] ||
-                    (static_cast<int64_t>(n) == r.parent[e->neighbor] &&
-                     e->edge < r.parent_edge[e->neighbor]))) {
-          // Canonical tiebreak: at equal distance, prefer the smallest
-          // (parent, edge) pair — the fixed lexicographic criterion of
-          // Appendix A.1 footnote 4, and the rule the parallel
-          // delta-stepping kernel applies, so serial and parallel SSSP
-          // agree on the whole parent forest, not just distances.
-          // Positive weight only: such a parent is strictly closer, so
-          // the forest stays acyclic (a zero-weight tie parent need not
-          // be).
-          r.parent[e->neighbor] = n;
-          r.parent_edge[e->neighbor] = e->edge;
-        }
-      }
-    };
-    if (follow_forward) {
-      auto [b, e] = adj.Out(n);
-      visit(b, e);
-    }
-    if (!error.ok()) return error;
-    if (follow_backward) {
-      auto [b, e] = adj.In(n);
-      visit(b, e);
-    }
-    if (!error.ok()) return error;
-  }
-  return r;
-}
-
-std::optional<PathBody> ReconstructWalk(const AdjacencyIndex& adj,
-                                        const SsspResult& sssp, NodeId src,
-                                        NodeId dst) {
-  const DenseNodeIndex s = adj.IndexOf(src);
-  const DenseNodeIndex d = adj.IndexOf(dst);
-  if (!sssp.Reached(d)) return std::nullopt;
-  PathBody body;
-  DenseNodeIndex cur = d;
-  while (cur != s) {
-    body.nodes.push_back(adj.IdOf(cur));
-    body.edges.push_back(sssp.parent_edge[cur]);
-    cur = static_cast<DenseNodeIndex>(sssp.parent[cur]);
-  }
-  body.nodes.push_back(adj.IdOf(s));
-  std::reverse(body.nodes.begin(), body.nodes.end());
-  std::reverse(body.edges.begin(), body.edges.end());
-  return body;
 }
 
 }  // namespace gcore

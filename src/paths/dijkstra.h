@@ -1,60 +1,26 @@
-// Plain single-source shortest paths over a PPG (no regex): classic BFS /
-// Dijkstra utilities.
-//
-// Used by examples, benchmarks and as the simple substrate the product
-// search specializes. Edge weights come from a caller-supplied functional
-// so property-derived weights (e.g. 1/(1+nr_messages)) are possible
-// without coupling to the evaluator.
+// Plain single-source BFS over a PPG's adjacency (no regex): the unit-cost
+// oracle the product search is checked against (ProductVsBfs in
+// tests/paths/path_finding_test.cc).
 #ifndef GCORE_PATHS_DIJKSTRA_H_
 #define GCORE_PATHS_DIJKSTRA_H_
 
-#include <functional>
 #include <limits>
-#include <optional>
 #include <vector>
 
-#include "common/result.h"
 #include "graph/adjacency.h"
 
 namespace gcore {
-
-/// Weight of traversing `edge` in the given direction, or nullopt when the
-/// traversal is not allowed.
-using EdgeWeightFn =
-    std::function<std::optional<double>(EdgeId edge, bool forward)>;
 
 /// Result of a single-source run; indexed by dense node index.
 struct SsspResult {
   static constexpr double kUnreachable =
       std::numeric_limits<double>::infinity();
-  std::vector<double> distance;   // kUnreachable when not reached
-  std::vector<int64_t> parent;    // dense parent node, -1 for source/unreached
-  std::vector<EdgeId> parent_edge;
-
-  bool Reached(DenseNodeIndex n) const {
-    return distance[n] != kUnreachable;
-  }
+  std::vector<double> distance;  // kUnreachable when not reached
 };
 
 /// Unit-weight BFS over all edges (both directions optional).
 SsspResult BfsFrom(const AdjacencyIndex& adj, NodeId src,
                    bool follow_forward = true, bool follow_backward = false);
-
-/// Dijkstra with per-edge weights; negative weights are an error. Parents
-/// are canonical: at equal distance (over positive-weight edges) the
-/// lexicographically smallest (parent, edge id) pair wins, the same rule
-/// DeltaSsspFrom (delta_stepping.h) applies — this function is that
-/// kernel's executable spec.
-Result<SsspResult> DijkstraFrom(const AdjacencyIndex& adj, NodeId src,
-                                const EdgeWeightFn& weight,
-                                bool follow_forward = true,
-                                bool follow_backward = false);
-
-/// Reconstructs the node/edge walk from `src` to `dst` out of an SSSP
-/// result; nullopt when unreached.
-std::optional<PathBody> ReconstructWalk(const AdjacencyIndex& adj,
-                                        const SsspResult& sssp, NodeId src,
-                                        NodeId dst);
 
 }  // namespace gcore
 

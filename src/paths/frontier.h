@@ -1,7 +1,9 @@
 // Shared infrastructure of the parallel path kernels.
 //
-// The batch-oriented engines (delta_stepping.h, batched_bfs.h, the
-// bidirectional product-BFS) share three ingredients:
+// The batch-oriented kernels (batched_bfs.h, the bidirectional
+// product-BFS in product_bfs.h, and the `<~view*>` SSSP in
+// delta_stepping.h, which uses only the fan-out helpers) share three
+// ingredients:
 //
 //   * CompiledNfa — the regex automaton with every transition label
 //     pre-resolved against a GraphSnapshot's interned label ids, so the

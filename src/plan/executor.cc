@@ -497,7 +497,8 @@ class HashJoinOp : public PhysicalOp {
     // larger — the planner's build-side rule. Never a runtime size check,
     // so execution stays deterministic for a given plan. The streamed
     // result is pinned byte-identical to draining both sides and calling
-    // TableJoinParallel / TableJoinSwapBuild.
+    // TableJoinParallel (swapped: TableJoin with the inputs reversed,
+    // columns re-merged into the canonical order).
     PhysicalOp* build_op = plan_->swap_build ? left_.get() : right_.get();
     PhysicalOp* probe_op = plan_->swap_build ? right_.get() : left_.get();
     GCORE_ASSIGN_OR_RETURN(BindingTable build, Drain(build_op));

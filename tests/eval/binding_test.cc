@@ -242,22 +242,38 @@ TEST(StreamingJoinProbe, PinnedToDrainedJoinAtEveryChunking) {
   }
 }
 
-TEST(StreamingJoinProbe, SwapOutputPinnedToTableJoinSwapBuild) {
+TEST(StreamingJoinProbe, SwapOutputPinnedToReversedTableJoin) {
   BindingTable a({"x", "y"});
+  a.SetColumnGraph("x", "ga");
+  a.SetColumnGraph("y", "ga");
   for (uint64_t i = 0; i < 60; ++i) {
     ASSERT_TRUE(a.AddRow({N(i % 20), N(10000 + i % 15)}).ok());
   }
   BindingTable b({"y", "z"});
+  b.SetColumnGraph("y", "gb");
+  b.SetColumnGraph("z", "gb");
   for (uint64_t j = 0; j < 300; ++j) {
     ASSERT_TRUE(b.AddRow({N(10000 + j % 15), N(20000 + j % 45)}).ok());
   }
-  // TableJoinSwapBuild(a, b) builds over a and probes b, then re-merges
-  // into the canonical a-first schema — the streaming probe side is b.
-  const BindingTable drained = TableJoinSwapBuild(a, b, /*parallelism=*/1);
+  // Swapped, the stream builds over a and probes b: rows and their order
+  // are those of TableJoin(b, a), re-merged into the canonical schema of
+  // TableJoin(a, b) — its column order and a-first provenance.
+  const BindingTable reversed = TableJoin(b, a);
+  const BindingTable canonical = TableJoin(a, b);
   for (size_t chunk_rows : {3, 50, 100000}) {
-    ExpectSameRowsAndOrder(StreamJoin(b, a, /*swap_output=*/true,
-                                      chunk_rows),
-                           drained);
+    const BindingTable got =
+        StreamJoin(b, a, /*swap_output=*/true, chunk_rows);
+    EXPECT_EQ(got.columns(), canonical.columns());
+    for (const std::string& col : canonical.columns()) {
+      EXPECT_EQ(got.ColumnGraph(col), canonical.ColumnGraph(col)) << col;
+    }
+    ASSERT_EQ(got.NumRows(), reversed.NumRows());
+    for (size_t r = 0; r < reversed.NumRows(); ++r) {
+      for (const std::string& col : canonical.columns()) {
+        ASSERT_EQ(got.Get(r, col), reversed.Get(r, col))
+            << "row " << r << " column " << col << " chunk " << chunk_rows;
+      }
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // GraphSnapshot tests: the frozen columnar image must agree with the
 // PathPropertyGraph it was built from on labels, topology, property
 // cells and label spans; stats collected by sweeping the columns must
-// match the incremental collector and the PPG walk; the compiled
+// match the PPG walk; the compiled
 // SnapshotPred must agree with NodeAdmits/EdgeAdmits; and the catalog
 // must cache one snapshot per graph and invalidate it on re-register.
 #include "graph/snapshot.h"
@@ -25,7 +25,6 @@ namespace {
 /// property, and a key carried by both a node and an edge.
 GraphBuilder MakeMixedGraph(IdAllocator* ids) {
   GraphBuilder b("mixed", ids);
-  b.EnableStatsCollection();
   const NodeId p0 = b.AddNode({"Person"}, {{"age", int64_t{30}},
                                            {"name", "alice"},
                                            {"score", 2.5}});
@@ -219,7 +218,6 @@ TEST(GraphSnapshot, StatsFromColumnsMatchAllCollectionPaths) {
   const GraphSnapshot snap(b.graph());
   const GraphStats from_columns = GraphStats::CollectFromSnapshot(snap);
   EXPECT_EQ(from_columns, GraphStats::Collect(b.graph()));
-  EXPECT_EQ(from_columns, b.Stats());
 }
 
 TEST(GraphSnapshot, StatsFromColumnsMatchOnGeneratedGraph) {

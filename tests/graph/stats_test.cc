@@ -1,13 +1,15 @@
-// GraphStats tests: the incremental StatsCollector (GraphBuilder) must
-// match a full Collect() scan exactly, and the derived quantities the
-// estimator reads (distinct counts, numeric ranges, average degrees)
-// must be correct on a known graph.
+// GraphStats tests: the snapshot sweep the catalog runs
+// (CollectFromSnapshot) must match the full Collect() scan exactly, and
+// the derived quantities the estimator reads (distinct counts, numeric
+// ranges, average and maximum degrees, per-label buckets) must be correct
+// on a known graph.
 #include "graph/stats.h"
 
 #include <gtest/gtest.h>
 
 #include "graph/catalog.h"
 #include "graph/graph_builder.h"
+#include "graph/snapshot.h"
 
 namespace gcore {
 namespace {
@@ -17,7 +19,6 @@ namespace {
 /// weight prop), one unlabeled edge B1 -> B0, one stored path.
 GraphBuilder MakeKnownGraph(IdAllocator* ids) {
   GraphBuilder b("g", ids);
-  b.EnableStatsCollection();
   std::vector<NodeId> as;
   for (int i = 0; i < 4; ++i) {
     as.push_back(b.AddNode({"A"}, {{"k", int64_t{i % 2}},
@@ -34,29 +35,16 @@ GraphBuilder MakeKnownGraph(IdAllocator* ids) {
   return b;
 }
 
-TEST(GraphStatsTest, IncrementalCollectorMatchesFullScan) {
-  IdAllocator ids;
-  GraphBuilder builder = MakeKnownGraph(&ids);
-  const GraphStats incremental = builder.Stats();
-  const GraphStats scanned = GraphStats::Collect(builder.graph());
-  EXPECT_EQ(incremental, scanned);
-}
-
-TEST(GraphStatsTest, StatsWithoutOptInFallsBackToFullScan) {
-  IdAllocator ids;
-  GraphBuilder b("plain", &ids);  // no EnableStatsCollection()
-  const NodeId x = b.AddNode({"X"}, {{"p", int64_t{7}}});
-  b.AddEdge(x, b.AddNode({"Y"}), "e");
-  const GraphStats stats = b.Stats();
-  EXPECT_EQ(stats, GraphStats::Collect(b.graph()));
-  EXPECT_EQ(stats.num_nodes, 2u);
-  EXPECT_EQ(stats.node_props.at("p").distinct, 1u);
+/// The statistics GraphCatalog::Stats computes for `b`'s graph: the
+/// column sweep over its snapshot.
+GraphStats StatsOf(const GraphBuilder& b) {
+  return GraphStats::CollectFromSnapshot(GraphSnapshot(b.graph()));
 }
 
 TEST(GraphStatsTest, CountsAndLabelHistograms) {
   IdAllocator ids;
   GraphBuilder builder = MakeKnownGraph(&ids);
-  const GraphStats stats = builder.Stats();
+  const GraphStats stats = StatsOf(builder);
   EXPECT_EQ(stats.num_nodes, 6u);
   EXPECT_EQ(stats.num_edges, 9u);
   EXPECT_EQ(stats.num_paths, 1u);
@@ -71,7 +59,7 @@ TEST(GraphStatsTest, CountsAndLabelHistograms) {
 TEST(GraphStatsTest, PropertyDistributions) {
   IdAllocator ids;
   GraphBuilder builder = MakeKnownGraph(&ids);
-  const GraphStats stats = builder.Stats();
+  const GraphStats stats = StatsOf(builder);
 
   const PropertyStats& k = stats.node_props.at("k");
   EXPECT_EQ(k.count, 4u);
@@ -96,14 +84,13 @@ TEST(GraphStatsTest, PropertyDistributions) {
 TEST(GraphStatsTest, MultiValuedPropertyCountsObjectsOnce) {
   IdAllocator ids;
   GraphBuilder b("mv", &ids);
-  b.EnableStatsCollection();
   const NodeId n = b.AddNode({"P"}, {{"employer", "CWI"}});
   b.AddNodePropertyValue(n, "employer", Value::String("MIT"));
   b.AddNodePropertyValue(n, "employer", Value::String("MIT"));  // dup value
   const NodeId m = b.AddNode({"P"}, {{"employer", "Acme"}});
   const EdgeId e = b.AddEdge(n, m, "rated", {{"score", int64_t{3}}});
   b.AddEdgePropertyValue(e, "score", Value::Int(5));
-  const GraphStats stats = b.Stats();
+  const GraphStats stats = StatsOf(b);
   const PropertyStats& employer = stats.node_props.at("employer");
   EXPECT_EQ(employer.count, 2u);     // two carrying objects
   EXPECT_EQ(employer.distinct, 3u);  // CWI, MIT, Acme
@@ -119,7 +106,7 @@ TEST(GraphStatsTest, MultiValuedPropertyCountsObjectsOnce) {
 TEST(GraphStatsTest, AverageDegrees) {
   IdAllocator ids;
   GraphBuilder builder = MakeKnownGraph(&ids);
-  const GraphStats stats = builder.Stats();
+  const GraphStats stats = StatsOf(builder);
   // Every A has exactly one :link out-edge; B0 has four :hop out-edges
   // over two B nodes.
   EXPECT_DOUBLE_EQ(stats.AvgOutDegree("A", "link"), 1.0);
@@ -141,7 +128,7 @@ TEST(GraphStatsTest, AverageDegrees) {
 TEST(GraphStatsTest, MaxDegrees) {
   IdAllocator ids;
   GraphBuilder builder = MakeKnownGraph(&ids);
-  const GraphStats stats = builder.Stats();
+  const GraphStats stats = StatsOf(builder);
   // Each A has exactly one :link out-edge; B0 alone holds all four :hop
   // out-edges (the bucket's maximum, vs the 2.0 average over both Bs).
   EXPECT_EQ(stats.MaxOutDegree("A", "link"), 1u);
@@ -160,12 +147,11 @@ TEST(GraphStatsTest, MaxDegrees) {
 TEST(GraphStatsTest, PerLabelPropertyDistributions) {
   IdAllocator ids;
   GraphBuilder b("pl", &ids);
-  b.EnableStatsCollection();
   // k lives only on :A nodes (4 of them, 2 distinct values); :B nodes
   // carry a disjoint key.
   for (int i = 0; i < 4; ++i) b.AddNode({"A"}, {{"k", int64_t{i % 2}}});
   for (int i = 0; i < 6; ++i) b.AddNode({"B"}, {{"m", int64_t{i}}});
-  const GraphStats stats = b.Stats();
+  const GraphStats stats = StatsOf(b);
   const PropertyStats* a_k = stats.NodePropStatsFor("A", "k");
   ASSERT_NE(a_k, nullptr);
   EXPECT_EQ(a_k->count, 4u);     // every :A carries k
@@ -180,14 +166,14 @@ TEST(GraphStatsTest, PerLabelPropertyDistributions) {
   // The empty label addresses the global distribution.
   ASSERT_NE(stats.NodePropStatsFor("", "k"), nullptr);
   EXPECT_EQ(stats.NodePropStatsFor("", "k")->count, 4u);
-  // Incremental path stays identical (per-label buckets included).
+  // The full scan agrees (per-label buckets included).
   EXPECT_EQ(stats, GraphStats::Collect(b.graph()));
 }
 
 TEST(GraphStatsTest, CatalogSeedsAndCachesPrecomputedStats) {
   GraphCatalog catalog;
   GraphBuilder builder = MakeKnownGraph(catalog.ids());
-  GraphStats stats = builder.Stats();
+  GraphStats stats = GraphStats::Collect(builder.graph());
   catalog.RegisterGraph("g", builder.Build(), std::move(stats));
   auto cached = catalog.Stats("g");
   ASSERT_TRUE(cached.ok());

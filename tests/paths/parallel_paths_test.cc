@@ -1,16 +1,13 @@
 // Differential suite for the parallel/batched path kernels: every kernel
 // must be *result-identical* to its serial executable spec at parallelism
 // 1 / 2 / 8 —
-//   DeltaSsspFrom        ≡ DijkstraFrom   (distances, parents, edges),
-//   DeltaKSsspFrom       ≡ KSsspHeapFrom  (k-cheapest cost multisets),
 //   BatchedReachableFrom ≡ ReachableFrom per source (incl. >64 sources,
 //                          so the 64-lane wave split is exercised),
 //   IsReachable (bidirectional) ≡ membership in the full fixpoint,
-//   ViewStarSssp         ≡ the product Dijkstra on `~view*`.
-// Weight fixtures draw from {1, 2} so equal-distance ties are common and
-// the canonical (parent, edge) tiebreak is actually exercised; the
-// engine-level suite (tests/plan/parallel_test.cc) pins tables and path
-// ids on top, and this file adds the 1-row-morsel degree sweep.
+//   ViewStarSssp         ≡ the product Dijkstra on `~view*` (costs), and
+//                          identical distances and parents at every degree.
+// The engine-level suite (tests/plan/parallel_test.cc) pins tables and
+// path ids on top, and this file adds the 1-row-morsel degree sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +17,6 @@
 #include "parser/parser.h"
 #include "paths/batched_bfs.h"
 #include "paths/delta_stepping.h"
-#include "paths/dijkstra.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
 #include "snb/toy_graphs.h"
@@ -55,104 +51,10 @@ struct RandomGraph {
   }
 };
 
-/// Weights from {1.0, 2.0} keyed on edge id — plenty of equal-distance
-/// ties, so the canonical tiebreak decides many parents.
-std::optional<double> TieWeight(EdgeId edge, bool) {
-  return edge.value() % 2 == 0 ? 1.0 : 2.0;
-}
-
 Nfa CompileRegex(const std::string& text) {
   auto r = ParseRpq(text);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return Nfa::Compile(**r);
-}
-
-void ExpectSameSssp(const SsspResult& want, const SsspResult& got,
-                    const std::string& label) {
-  EXPECT_EQ(want.distance, got.distance) << label;
-  EXPECT_EQ(want.parent, got.parent) << label;
-  ASSERT_EQ(want.parent_edge.size(), got.parent_edge.size()) << label;
-  for (size_t n = 0; n < want.parent_edge.size(); ++n) {
-    EXPECT_EQ(want.parent_edge[n], got.parent_edge[n])
-        << label << " parent_edge of dense node " << n;
-  }
-}
-
-TEST(DeltaStepping, MatchesDijkstraWithTies) {
-  RandomGraph rg(180, 700);
-  auto want = DijkstraFrom(*rg.adj, NodeId(1), TieWeight);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-  const DenseEdgeWeightFn weight = WrapWeightFn(TieWeight);
-  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (double delta : {0.0, 0.5, 1.0, 10.0}) {
-      ParallelSsspOptions opts;
-      opts.parallelism = parallelism;
-      opts.delta = delta;
-      opts.serial_cutoff = 0;  // force the bucketed kernel
-      auto got = DeltaSsspFrom(*rg.adj, NodeId(1), weight, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameSssp(*want, *got,
-                     "parallelism " + std::to_string(parallelism) +
-                         " delta " + std::to_string(delta));
-    }
-  }
-}
-
-TEST(DeltaStepping, MatchesDijkstraUndirected) {
-  RandomGraph rg(120, 360);
-  auto want = DijkstraFrom(*rg.adj, NodeId(7), TieWeight,
-                           /*follow_forward=*/true, /*follow_backward=*/true);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ParallelSsspOptions opts;
-  opts.parallelism = 8;
-  opts.serial_cutoff = 0;
-  auto got = DeltaSsspFrom(*rg.adj, NodeId(7), WrapWeightFn(TieWeight), opts,
-                           /*follow_forward=*/true, /*follow_backward=*/true);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSameSssp(*want, *got, "undirected");
-}
-
-TEST(DeltaStepping, SerialCutoffFallbackIdentical) {
-  // Below the cutoff the heap runs; both routes must agree anyway.
-  RandomGraph rg(60, 150);
-  ParallelSsspOptions bucketed;
-  bucketed.serial_cutoff = 0;
-  ParallelSsspOptions heap;
-  heap.serial_cutoff = 1u << 20;
-  const DenseEdgeWeightFn weight = WrapWeightFn(TieWeight);
-  auto a = DeltaSsspFrom(*rg.adj, NodeId(3), weight, bucketed);
-  auto b = DeltaSsspFrom(*rg.adj, NodeId(3), weight, heap);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectSameSssp(*a, *b, "cutoff");
-}
-
-TEST(DeltaStepping, NegativeWeightRejected) {
-  RandomGraph rg(20, 40);
-  auto negative = [](const AdjacencyEntry&) {
-    return std::optional<double>(-1.0);
-  };
-  ParallelSsspOptions opts;
-  opts.serial_cutoff = 0;
-  EXPECT_FALSE(DeltaSsspFrom(*rg.adj, NodeId(1), negative, opts).ok());
-}
-
-TEST(KSssp, DeltaMatchesHeap) {
-  RandomGraph rg(100, 400);
-  const DenseEdgeWeightFn weight = WrapWeightFn(TieWeight);
-  for (size_t k : {size_t{1}, size_t{3}, size_t{4}}) {
-    auto want = KSsspHeapFrom(*rg.adj, NodeId(1), weight, k);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-      ParallelSsspOptions opts;
-      opts.parallelism = parallelism;
-      opts.serial_cutoff = 0;
-      auto got = DeltaKSsspFrom(*rg.adj, NodeId(1), weight, k, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*want, *got)
-          << "k " << k << " parallelism " << parallelism;
-    }
-  }
 }
 
 TEST(BatchedReachability, MatchesPerSourceAcrossWaveSplit) {
@@ -186,12 +88,15 @@ TEST(BatchedReachability, MatchesPerSourceAcrossWaveSplit) {
 }
 
 /// Shared fixture with a PATH view and a node label, so view-ref and
-/// node-test transitions are covered too.
+/// node-test transitions are covered too. The view covers every other
+/// edge with cost 1 + (edge id mod `cost_range`).
 struct ViewFixture {
-  RandomGraph rg{40, 120};
+  RandomGraph rg;
   PathViewRegistry views;
 
-  ViewFixture() {
+  explicit ViewFixture(size_t nodes = 40, size_t edges = 120,
+                       uint64_t cost_range = 3)
+      : rg(nodes, edges) {
     PathViewRelation rel("w");
     size_t i = 0;
     rg.g.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
@@ -199,7 +104,7 @@ struct ViewFixture {
       PathViewSegment seg;
       seg.src = src;
       seg.dst = dst;
-      seg.cost = 1.0 + static_cast<double>(e.value() % 3);
+      seg.cost = 1.0 + static_cast<double>(e.value() % cost_range);
       seg.body.nodes = {src, dst};
       seg.body.edges = {e};
       ASSERT_TRUE(rel.AddSegment(std::move(seg)).ok());
@@ -296,9 +201,7 @@ TEST(ViewStarSssp, MatchesProductDijkstraOnTree) {
   auto lookup = views.Lookup("w");
   ASSERT_TRUE(lookup.ok());
   for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-    ParallelSsspOptions opts;
-    opts.parallelism = parallelism;
-    auto sssp = ViewStarSssp(adj, **lookup, NodeId(1), opts);
+    auto sssp = ViewStarSssp(adj, **lookup, NodeId(1), parallelism);
     ASSERT_TRUE(sssp.ok()) << sssp.status().ToString();
     size_t reached = 0;
     for (size_t n = 0; n < adj.num_nodes(); ++n) {
@@ -322,32 +225,65 @@ TEST(ViewStarSssp, MatchesProductDijkstraOnTree) {
 }
 
 TEST(ViewStarSssp, MatchesProductDijkstraCostsWithTies) {
-  // Equal-cost alternatives: distances must still agree (bodies may
-  // legitimately differ between the two tiebreak families).
-  ViewFixture f;
-  Nfa nfa = CompileRegex("~w*");
-  PathSearchContext ctx = f.Ctx(&nfa);
-  auto lookup = f.views.Lookup("w");
-  ASSERT_TRUE(lookup.ok());
-  for (uint64_t s = 1; s <= f.rg.num_nodes; s += 7) {
-    auto want = KShortestPathsFrom(ctx, NodeId(s), 1);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ParallelSsspOptions opts;
-    opts.parallelism = 4;
-    auto sssp = ViewStarSssp(*f.rg.adj, **lookup, NodeId(s), opts);
-    ASSERT_TRUE(sssp.ok()) << sssp.status().ToString();
-    size_t reached = 0;
-    for (size_t n = 0; n < f.rg.adj->num_nodes(); ++n) {
-      const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
-      if (!sssp->Reached(dn)) continue;
-      ++reached;
-      const NodeId dst = f.rg.adj->IdOf(dn);
-      auto it = want->find(dst);
-      ASSERT_NE(it, want->end());
-      EXPECT_EQ(sssp->distance[dn], it->second.front().cost)
-          << "source " << s << " dst " << ToString(dst);
+  // Equal-cost alternatives: distances must still agree with the product
+  // search (bodies may legitimately differ between the two tiebreak
+  // families), and the whole result must be identical at every degree.
+  // The small graph keeps each bucket's frontier within one worker slice;
+  // the 600-node ones run many buckets whose frontiers span several
+  // slices, so the parallel merge decides distances and parents.
+  struct Input {
+    size_t nodes;
+    size_t edges;
+    uint64_t cost_range;
+  };
+  for (const Input& in : {Input{40, 120, 3}, Input{600, 3600, 3},
+                          Input{600, 3600, 2}}) {
+    ViewFixture f(in.nodes, in.edges, in.cost_range);
+    Nfa nfa = CompileRegex("~w*");
+    PathSearchContext ctx = f.Ctx(&nfa);
+    auto lookup = f.views.Lookup("w");
+    ASSERT_TRUE(lookup.ok());
+    const std::string graph = std::to_string(in.nodes) + " nodes, costs 1.." +
+                              std::to_string(in.cost_range);
+    size_t max_reached = 0;
+    double max_dist = 0.0;
+    for (uint64_t s = 1; s <= f.rg.num_nodes; s += 7) {
+      auto want = KShortestPathsFrom(ctx, NodeId(s), 1);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      auto serial = ViewStarSssp(*f.rg.adj, **lookup, NodeId(s), 1);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      size_t reached = 0;
+      for (size_t n = 0; n < f.rg.adj->num_nodes(); ++n) {
+        const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
+        if (!serial->Reached(dn)) continue;
+        ++reached;
+        max_dist = std::max(max_dist, serial->distance[dn]);
+        const NodeId dst = f.rg.adj->IdOf(dn);
+        auto it = want->find(dst);
+        ASSERT_NE(it, want->end());
+        EXPECT_EQ(serial->distance[dn], it->second.front().cost)
+            << graph << ": source " << s << " dst " << ToString(dst);
+      }
+      EXPECT_EQ(reached, want->size()) << graph << ": source " << s;
+      max_reached = std::max(max_reached, reached);
+      for (size_t parallelism : {size_t{2}, size_t{8}}) {
+        auto got = ViewStarSssp(*f.rg.adj, **lookup, NodeId(s), parallelism);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const std::string label = graph + ": source " + std::to_string(s) +
+                                  " @ parallelism " +
+                                  std::to_string(parallelism);
+        EXPECT_EQ(got->distance, serial->distance) << label;
+        EXPECT_EQ(got->parent, serial->parent) << label;
+        EXPECT_EQ(got->parent_seg, serial->parent_seg) << label;
+      }
     }
-    EXPECT_EQ(reached, want->size()) << "source " << s;
+    if (in.nodes > 100) {
+      // Δ is the mean segment cost, at most cost_range: distances beyond
+      // 4 × cost_range span at least five buckets, and hundreds of
+      // reached nodes give frontiers wider than one 16-node slice.
+      EXPECT_GT(max_dist, 4.0 * static_cast<double>(in.cost_range)) << graph;
+      EXPECT_GE(max_reached, 200u) << graph;
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the product-automaton path machinery: reachability, (k-)
 // shortest conforming walks, weighted PATH views, ALL-paths projection,
-// and the plain BFS/Dijkstra substrate.
+// and the plain BFS oracle of the product search.
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
@@ -316,7 +316,7 @@ TEST(AllPaths, EmptyWhenUnreachable) {
   EXPECT_TRUE(proj->Empty());
 }
 
-// --- plain BFS / Dijkstra substrate -----------------------------------------------
+// --- plain BFS oracle --------------------------------------------------------
 
 TEST(Sssp, BfsHopCounts) {
   TestGraph t;
@@ -324,49 +324,6 @@ TEST(Sssp, BfsHopCounts) {
   EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(1))], 0.0);
   EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(4))], 1.0);
   EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(5))], 2.0);
-}
-
-TEST(Sssp, DijkstraWithWeights) {
-  TestGraph t;
-  auto weight = [&](EdgeId e, bool) -> std::optional<double> {
-    return e == EdgeId(13) ? 10.0 : 1.0;  // make the shortcut expensive
-  };
-  auto r = DijkstraFrom(*t.adj, NodeId(1), weight);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->distance[t.adj->IndexOf(NodeId(4))], 3.0);
-}
-
-TEST(Sssp, DijkstraRejectsNegativeWeights) {
-  TestGraph t;
-  auto weight = [](EdgeId, bool) -> std::optional<double> { return -1.0; };
-  EXPECT_FALSE(DijkstraFrom(*t.adj, NodeId(1), weight).ok());
-}
-
-TEST(Sssp, WeightFilterBlocksEdges) {
-  TestGraph t;
-  auto weight = [&](EdgeId e, bool) -> std::optional<double> {
-    if (!t.g.Labels(e).Contains("a")) return std::nullopt;
-    return 1.0;
-  };
-  auto r = DijkstraFrom(*t.adj, NodeId(1), weight);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->distance[t.adj->IndexOf(NodeId(4))], 3.0);  // not via b
-}
-
-TEST(Sssp, ReconstructWalk) {
-  TestGraph t;
-  SsspResult r = BfsFrom(*t.adj, NodeId(1));
-  auto walk = ReconstructWalk(*t.adj, r, NodeId(1), NodeId(5));
-  ASSERT_TRUE(walk.has_value());
-  EXPECT_EQ(walk->nodes.front(), NodeId(1));
-  EXPECT_EQ(walk->nodes.back(), NodeId(5));
-  EXPECT_EQ(walk->edges.size(), 2u);
-}
-
-TEST(Sssp, UnreachableReconstructIsNull) {
-  TestGraph t;
-  SsspResult r = BfsFrom(*t.adj, NodeId(5));  // forward only: 5 is a sink
-  EXPECT_FALSE(ReconstructWalk(*t.adj, r, NodeId(5), NodeId(1)).has_value());
 }
 
 // Parameterized consistency: for unit costs, the product search over `_*`

@@ -19,10 +19,9 @@ namespace {
 /// Test graph "g": 20 :A nodes with k = i%5 (5 distinct) and v = i
 /// (distinct 20, range [0, 19]); 10 :B nodes (no properties); per A one
 /// :link edge and four :link2 edges to B nodes; per B three :hop edges
-/// to A nodes. Registered with the builder's incremental statistics.
+/// to A nodes. The catalog computes its statistics from the snapshot.
 void RegisterTestGraph(GraphCatalog* catalog) {
   GraphBuilder b("g", catalog->ids());
-  b.EnableStatsCollection();
   std::vector<NodeId> as;
   std::vector<NodeId> bs;
   for (int i = 0; i < 20; ++i) {
@@ -41,8 +40,7 @@ void RegisterTestGraph(GraphCatalog* catalog) {
       b.AddEdge(bs[i], as[(3 * i + j) % 20], "hop");
     }
   }
-  GraphStats stats = b.Stats();
-  catalog->RegisterGraph("g", b.Build(), std::move(stats));
+  catalog->RegisterGraph("g", b.Build());
 }
 
 constexpr double kNodes = 30.0;   // 20 A + 10 B
@@ -130,11 +128,9 @@ TEST_F(CostTest, LabelSelectivityMultiLabelGroupDoesNotDoubleCount) {
 TEST_F(CostTest, MultiLabelScanUsesUnionFormula) {
   // A dedicated graph where 8 of 10 nodes carry both X and Y.
   GraphBuilder b("ml", catalog.ids());
-  b.EnableStatsCollection();
   for (int i = 0; i < 8; ++i) b.AddNode({"X", "Y"});
   for (int i = 0; i < 2; ++i) b.AddNode();
-  GraphStats stats = b.Stats();
-  catalog.RegisterGraph("ml", b.Build(), std::move(stats));
+  catalog.RegisterGraph("ml", b.Build());
   PlanPtr plan = Plan("CONSTRUCT (m) MATCH (m:X|Y) ON ml");
   ASSERT_NE(plan, nullptr);
   const PlanNode* scan = FindOp(plan.get(), PlanOp::kNodeScan);

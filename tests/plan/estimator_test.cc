@@ -23,7 +23,6 @@ namespace {
 /// (out- and in-degree exactly 1; 7 is coprime to 100).
 void RegisterAccuracyGraph(GraphCatalog* catalog) {
   GraphBuilder b("acc", catalog->ids());
-  b.EnableStatsCollection();
   std::vector<NodeId> persons;
   for (int i = 0; i < 100; ++i) {
     persons.push_back(
@@ -36,8 +35,7 @@ void RegisterAccuracyGraph(GraphCatalog* catalog) {
     }
     b.AddEdge(persons[i], persons[(7 * i + 1) % 100], "follows");
   }
-  GraphStats stats = b.Stats();
-  catalog->RegisterGraph("acc", b.Build(), std::move(stats));
+  catalog->RegisterGraph("acc", b.Build());
   catalog->SetDefaultGraph("acc");
 }
 
@@ -157,13 +155,11 @@ class JoinOrderFlipTest : public ::testing::Test {
     // σ(a.k = 1) keeps 50 rows (> 30), constants say 25 (< 30): the two
     // models disagree on which chain is smaller.
     GraphBuilder b("flip", catalog.ids());
-    b.EnableStatsCollection();
     for (int i = 0; i < 100; ++i) {
       b.AddNode({"A"}, {{"k", int64_t{i % 2}}});
     }
     for (int i = 0; i < 30; ++i) b.AddNode({"B"});
-    GraphStats stats = b.Stats();
-    catalog.RegisterGraph("flip", b.Build(), std::move(stats));
+    catalog.RegisterGraph("flip", b.Build());
     catalog.SetDefaultGraph("flip");
   }
 

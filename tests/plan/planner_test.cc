@@ -182,7 +182,6 @@ TEST_F(PlannerTest, ChainsOrderedByEstimatedCardinality) {
 // 600/N) and keeps the S chain first — the existing goldens' behavior.
 TEST_F(PlannerTest, ChainReorderingFollowsMeasuredDegrees) {
   GraphBuilder b("deg", catalog.ids());
-  b.EnableStatsCollection();
   std::vector<NodeId> hubs;
   for (int i = 0; i < 10; ++i) hubs.push_back(b.AddNode({"H"}));
   for (int i = 0; i < 5; ++i) {
@@ -194,8 +193,7 @@ TEST_F(PlannerTest, ChainReorderingFollowsMeasuredDegrees) {
     b.AddEdge(t, hubs[i % 10], "sparse");
     if (i < 10) b.AddEdge(t, hubs[(i + 1) % 10], "sparse");
   }
-  GraphStats stats = b.Stats();
-  catalog.RegisterGraph("deg", b.Build(), std::move(stats));
+  catalog.RegisterGraph("deg", b.Build());
 
   const std::string query =
       "CONSTRUCT (s) MATCH (s:S)-[:dense]->(h) ON deg, "

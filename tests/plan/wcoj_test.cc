@@ -30,7 +30,6 @@ namespace {
 /// (~|E|²/N), which is what makes the rewrite fire.
 void RegisterCycleGraph(GraphCatalog* catalog) {
   GraphBuilder b("cyc", catalog->ids());
-  b.EnableStatsCollection();
   std::vector<NodeId> ring;
   for (int i = 0; i < 40; ++i) ring.push_back(b.AddNode({"P"}));
   for (int i = 0; i < 40; ++i) {
@@ -45,8 +44,7 @@ void RegisterCycleGraph(GraphCatalog* catalog) {
     b.AddEdge(t2, t3, "e");
     b.AddEdge(t3, t1, "e");
   }
-  GraphStats stats = b.Stats();
-  catalog->RegisterGraph("cyc", b.Build(), std::move(stats));
+  catalog->RegisterGraph("cyc", b.Build());
 }
 
 constexpr const char* kTriangleQuery =
@@ -282,14 +280,13 @@ TEST_F(WcojTest, AnalyzeShowsMultiwayBeatsBinaryIntermediates) {
 TEST_F(WcojTest, RewriteSurvivesMissingMaxDegreeBuckets) {
   GraphCatalog doctored;
   GraphBuilder b("cyc", doctored.ids());
-  b.EnableStatsCollection();
   std::vector<NodeId> ring;
   for (int i = 0; i < 40; ++i) ring.push_back(b.AddNode({"P"}));
   for (int i = 0; i < 40; ++i) {
     b.AddEdge(ring[i], ring[(i + 1) % 40], "e");
     b.AddEdge(ring[i], ring[(i + 2) % 40], "e");
   }
-  GraphStats stats = b.Stats();
+  GraphStats stats = GraphStats::Collect(b.graph());
   stats.out_degree_max.clear();
   stats.in_degree_max.clear();
   doctored.RegisterGraph("cyc", b.Build(), std::move(stats));
@@ -312,7 +309,6 @@ TEST_F(WcojTest, RewriteSurvivesMissingMaxDegreeBuckets) {
 TEST(BushyJoinTest, TwoClustersProduceABushyTree) {
   GraphCatalog catalog;
   GraphBuilder b("bushy", catalog.ids());
-  b.EnableStatsCollection();
   // Cluster 1: 100 :S --:p--> 100 :M --:q--> :U nodes carrying u = i % 5
   // (the u = 1 filter keeps ~20); cluster 2 mirrors it over :T/:N/:V.
   // Each cluster join shrinks (≈3 rows estimated), while interleaving
@@ -332,8 +328,7 @@ TEST(BushyJoinTest, TwoClustersProduceABushyTree) {
     b.AddEdge(t, n, "r");
     b.AddEdge(n, v, "s");
   }
-  GraphStats stats = b.Stats();
-  catalog.RegisterGraph("bushy", b.Build(), std::move(stats));
+  catalog.RegisterGraph("bushy", b.Build());
   catalog.SetDefaultGraph("bushy");
 
   auto parsed = ParseQuery(
@@ -375,7 +370,6 @@ class BuildSideTest : public ::testing::Test {
  protected:
   BuildSideTest() {
     GraphBuilder b("skew", catalog.ids());
-    b.EnableStatsCollection();
     // 4 :Small nodes vs 200 :Big nodes sharing the key k — the Big chain
     // is ≫ 4× the Small chain, which trips the swap rule.
     for (int i = 0; i < 4; ++i) {
@@ -384,8 +378,7 @@ class BuildSideTest : public ::testing::Test {
     for (int i = 0; i < 200; ++i) {
       b.AddNode({"Big"}, {{"k", int64_t{i % 4}}});
     }
-    GraphStats stats = b.Stats();
-    catalog.RegisterGraph("skew", b.Build(), std::move(stats));
+    catalog.RegisterGraph("skew", b.Build());
     catalog.SetDefaultGraph("skew");
   }
 
@@ -448,8 +441,9 @@ TEST(ParallelLeftOuterJoinTest, MatchesSerialCompositionExactly) {
   }
 }
 
-// TableJoinSwapBuild produces the same set as TableJoin with canonical
-// schema and provenance (only row order may differ).
+// The swapped streaming join (build over a, probe b) produces the same
+// set as TableJoin with canonical schema and provenance (only row order
+// may differ).
 TEST(SwapBuildJoinTest, CanonicalSchemaAndSameRowSet) {
   BindingTable a({"x", "y"});
   a.SetColumnGraph("x", "ga");
@@ -468,7 +462,9 @@ TEST(SwapBuildJoinTest, CanonicalSchemaAndSameRowSet) {
     ASSERT_TRUE(st.ok());
   }
   const BindingTable plain = TableJoin(a, b);
-  const BindingTable swapped = TableJoinSwapBuild(a, b, 2, 4);
+  StreamingJoinProbe probe(a, /*swap_output=*/true);
+  probe.Probe(b);
+  const BindingTable swapped = probe.Finish();
   EXPECT_EQ(swapped.columns(), plain.columns());
   EXPECT_EQ(swapped.ColumnGraph("y"), plain.ColumnGraph("y"));
   EXPECT_EQ(swapped.ColumnGraph("z"), plain.ColumnGraph("z"));
