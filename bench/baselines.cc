@@ -39,6 +39,7 @@ void ZeroWidthClosure(const Nfa& nfa, const PathPropertyGraph& graph,
 }
 
 struct WalkEnumerator {
+  const PathPropertyGraph& graph;
   const AdjacencyIndex& adj;
   const Nfa& nfa;
   NodeId dst;
@@ -65,12 +66,12 @@ struct WalkEnumerator {
                           const AdjacencyEntry* end) {
           for (const AdjacencyEntry* e = begin; e != end; ++e) {
             if (t.type != NfaTransition::Type::kAnyEdge &&
-                !adj.graph().Labels(e->edge).Contains(t.label)) {
+                !graph.Labels(e->edge).Contains(t.label)) {
               continue;
             }
             std::vector<bool> next(nfa.num_states(), false);
             next[t.target] = true;
-            ZeroWidthClosure(nfa, adj.graph(), adj.IdOf(e->neighbor), &next);
+            ZeroWidthClosure(nfa, graph, adj.IdOf(e->neighbor), &next);
             Recurse(e->neighbor, next, hops + 1);
             if (stats.budget_exhausted) return;
           }
@@ -92,6 +93,7 @@ struct WalkEnumerator {
 };
 
 struct SimplePathSearch {
+  const PathPropertyGraph& graph;
   const AdjacencyIndex& adj;
   const Nfa& nfa;
   NodeId dst;
@@ -122,12 +124,12 @@ struct SimplePathSearch {
           for (const AdjacencyEntry* e = begin; e != end; ++e) {
             if (visited[e->neighbor]) continue;  // simple-path restriction
             if (t.type != NfaTransition::Type::kAnyEdge &&
-                !adj.graph().Labels(e->edge).Contains(t.label)) {
+                !graph.Labels(e->edge).Contains(t.label)) {
               continue;
             }
             std::vector<bool> next(nfa.num_states(), false);
             next[t.target] = true;
-            ZeroWidthClosure(nfa, adj.graph(), adj.IdOf(e->neighbor), &next);
+            ZeroWidthClosure(nfa, graph, adj.IdOf(e->neighbor), &next);
             Recurse(e->neighbor, next, hops + 1);
             if (stats.budget_exhausted) return;
           }
@@ -159,22 +161,24 @@ std::vector<bool> StartStates(const Nfa& nfa, const PathPropertyGraph& graph,
 
 }  // namespace
 
-EnumerationStats EnumerateConformingWalks(const AdjacencyIndex& adj,
+EnumerationStats EnumerateConformingWalks(const PathPropertyGraph& graph,
+                                          const AdjacencyIndex& adj,
                                           const Nfa& nfa, NodeId src,
                                           NodeId dst, size_t max_hops,
                                           uint64_t budget) {
-  WalkEnumerator enumerator{adj, nfa, dst, max_hops, budget, {}};
-  enumerator.Recurse(adj.IndexOf(src), StartStates(nfa, adj.graph(), src), 0);
+  WalkEnumerator enumerator{graph, adj, nfa, dst, max_hops, budget, {}};
+  enumerator.Recurse(adj.IndexOf(src), StartStates(nfa, graph, src), 0);
   return enumerator.stats;
 }
 
-std::optional<size_t> ShortestSimplePath(const AdjacencyIndex& adj,
+std::optional<size_t> ShortestSimplePath(const PathPropertyGraph& graph,
+                                         const AdjacencyIndex& adj,
                                          const Nfa& nfa, NodeId src,
                                          NodeId dst, uint64_t budget,
                                          EnumerationStats* stats) {
-  SimplePathSearch search{adj, nfa, dst, budget, {}, {}, {}};
+  SimplePathSearch search{graph, adj, nfa, dst, budget, {}, {}, {}};
   search.visited.assign(adj.num_nodes(), false);
-  search.Recurse(adj.IndexOf(src), StartStates(nfa, adj.graph(), src), 0);
+  search.Recurse(adj.IndexOf(src), StartStates(nfa, graph, src), 0);
   if (stats != nullptr) *stats = search.stats;
   return search.best;
 }

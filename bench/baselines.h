@@ -32,12 +32,15 @@ SeedRows MaterializeRows(const BindingTable& table);
 /// Counts conforming walks from src to dst up to `max_hops` hops by naive
 /// enumeration (DFS over walks). Exponential in max_hops on dense graphs;
 /// stops early after `budget` expansions and reports how many were used.
+/// Topology comes from `adj`; labels are read from `graph`, the PPG
+/// `adj` was frozen from, the way the seed evaluator read them.
 struct EnumerationStats {
   uint64_t walks_found = 0;
   uint64_t expansions = 0;
   bool budget_exhausted = false;
 };
-EnumerationStats EnumerateConformingWalks(const AdjacencyIndex& adj,
+EnumerationStats EnumerateConformingWalks(const PathPropertyGraph& graph,
+                                          const AdjacencyIndex& adj,
                                           const Nfa& nfa, NodeId src,
                                           NodeId dst, size_t max_hops,
                                           uint64_t budget);
@@ -45,8 +48,10 @@ EnumerationStats EnumerateConformingWalks(const AdjacencyIndex& adj,
 /// Shortest *simple* path (no repeated node) from src to dst conforming to
 /// the regex, by exhaustive backtracking — the NP-hard semantics Cypher 9
 /// uses and G-CORE deliberately avoids. Returns its length, or nullopt.
-/// Stops after `budget` expansions (sets stats.budget_exhausted).
-std::optional<size_t> ShortestSimplePath(const AdjacencyIndex& adj,
+/// Stops after `budget` expansions (sets stats.budget_exhausted). Reads
+/// `graph` and `adj` like EnumerateConformingWalks.
+std::optional<size_t> ShortestSimplePath(const PathPropertyGraph& graph,
+                                         const AdjacencyIndex& adj,
                                          const Nfa& nfa, NodeId src,
                                          NodeId dst, uint64_t budget,
                                          EnumerationStats* stats);

@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "graph/catalog.h"
 #include "graph/graph_builder.h"
+#include "graph/snapshot.h"
 #include "graph/stats.h"
 #include "eval/matcher.h"
 #include "parser/parser.h"
@@ -27,7 +28,7 @@ namespace {
 struct AblationFixture {
   IdAllocator ids;
   PathPropertyGraph graph;
-  std::unique_ptr<AdjacencyIndex> adj;
+  std::unique_ptr<GraphSnapshot> snap;
   NodeId src;
   NodeId dst;
   Nfa nfa;
@@ -37,7 +38,7 @@ struct AblationFixture {
     snb::GeneratorOptions options;
     options.num_persons = persons;
     graph = snb::Generate(options, &ids);
-    adj = std::make_unique<AdjacencyIndex>(graph);
+    snap = std::make_unique<GraphSnapshot>(graph);
     graph.ForEachNode([&](NodeId n) {
       if (!graph.Labels(n).Contains(snb::kPerson)) return;
       if (!src.valid()) src = n;
@@ -53,7 +54,7 @@ struct AblationFixture {
 
   PathSearchContext Ctx() const {
     PathSearchContext ctx;
-    ctx.adj = adj.get();
+    ctx.snap = snap.get();
     ctx.nfa = &nfa;
     return ctx;
   }
@@ -81,8 +82,8 @@ void BM_NaiveWalkEnumeration(benchmark::State& state) {
   uint64_t expansions = 0;
   bool exhausted = false;
   for (auto _ : state) {
-    auto stats = bench::EnumerateConformingWalks(*f.adj, f.nfa, f.src, f.dst,
-                                                 max_hops, kBudget);
+    auto stats = bench::EnumerateConformingWalks(
+        f.graph, f.snap->adjacency(), f.nfa, f.src, f.dst, max_hops, kBudget);
     expansions = stats.expansions;
     exhausted = stats.budget_exhausted;
     benchmark::DoNotOptimize(stats);
@@ -103,9 +104,8 @@ void BM_SimplePathSemantics(benchmark::State& state) {
   bool exhausted = false;
   for (auto _ : state) {
     bench::EnumerationStats stats;
-    auto best =
-        bench::ShortestSimplePath(*f.adj, f.nfa, f.src, f.dst, kBudget,
-                                  &stats);
+    auto best = bench::ShortestSimplePath(f.graph, f.snap->adjacency(), f.nfa,
+                                          f.src, f.dst, kBudget, &stats);
     expansions = stats.expansions;
     exhausted = stats.budget_exhausted;
     benchmark::DoNotOptimize(best);

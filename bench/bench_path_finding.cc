@@ -23,29 +23,31 @@
 namespace gcore {
 namespace {
 
+/// SNB graph frozen into a snapshot, the only graph the path kernels
+/// read: topology from its CSR, labels admitted through interned ids.
 struct PathFixture {
   IdAllocator ids;
   PathPropertyGraph graph;
-  std::unique_ptr<AdjacencyIndex> adj;
-  NodeId src;
-  NodeId dst;
+  std::unique_ptr<GraphSnapshot> snap;
+  std::vector<NodeId> persons;
+  NodeId src;  // first Person
+  NodeId dst;  // last Person
 
-  explicit PathFixture(size_t persons) {
+  explicit PathFixture(size_t num_persons) {
     snb::GeneratorOptions options;
-    options.num_persons = persons;
+    options.num_persons = num_persons;
     graph = snb::Generate(options, &ids);
-    adj = std::make_unique<AdjacencyIndex>(graph);
-    // First and last Person nodes as endpoints.
+    snap = std::make_unique<GraphSnapshot>(graph);
     graph.ForEachNode([&](NodeId n) {
-      if (!graph.Labels(n).Contains(snb::kPerson)) return;
-      if (!src.valid()) src = n;
-      dst = n;
+      if (graph.Labels(n).Contains(snb::kPerson)) persons.push_back(n);
     });
+    src = persons.front();
+    dst = persons.back();
   }
 
   PathSearchContext Ctx(const Nfa* nfa) const {
     PathSearchContext ctx;
-    ctx.adj = adj.get();
+    ctx.snap = snap.get();
     ctx.nfa = nfa;
     return ctx;
   }
@@ -204,36 +206,14 @@ BENCHMARK(BM_RpqPair_Bidirectional)
     ->Args({20000})
     ->Unit(benchmark::kMillisecond);
 
-/// SNB graph frozen into a snapshot, so the reachability kernels admit
-/// labels through interned ids as the engine does.
-struct SnapshotFixture {
-  IdAllocator ids;
-  PathPropertyGraph graph;
-  std::unique_ptr<GraphSnapshot> snap;
-  std::vector<NodeId> persons;
-
-  explicit SnapshotFixture(size_t num_persons) {
-    snb::GeneratorOptions options;
-    options.num_persons = num_persons;
-    graph = snb::Generate(options, &ids);
-    snap = std::make_unique<GraphSnapshot>(graph);
-    graph.ForEachNode([&](NodeId n) {
-      if (graph.Labels(n).Contains(snb::kPerson)) persons.push_back(n);
-    });
-  }
-};
-
 // Multi-source reachability, 64 sources: one traversal per source (what
 // PathSearchOp used to launch per row) vs one 64-lane mask wave. The
 // acceptance trajectory tracks the single-thread PerSource/Batched ratio
 // at SNB 20k.
 void BM_MultiSourceReach_PerSource(benchmark::State& state) {
-  SnapshotFixture f(static_cast<size_t>(state.range(0)));
+  PathFixture f(static_cast<size_t>(state.range(0)));
   Nfa nfa = CompileOrDie(":knows*");
-  PathSearchContext ctx;
-  ctx.adj = &f.snap->adjacency();
-  ctx.nfa = &nfa;
-  ctx.snap = f.snap.get();
+  PathSearchContext ctx = f.Ctx(&nfa);
   const size_t n = std::min<size_t>(64, f.persons.size());
   size_t reached = 0;
   for (auto _ : state) {
@@ -254,12 +234,9 @@ BENCHMARK(BM_MultiSourceReach_PerSource)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MultiSourceReach_Batched(benchmark::State& state) {
-  SnapshotFixture f(static_cast<size_t>(state.range(0)));
+  PathFixture f(static_cast<size_t>(state.range(0)));
   Nfa nfa = CompileOrDie(":knows*");
-  PathSearchContext ctx;
-  ctx.adj = &f.snap->adjacency();
-  ctx.nfa = &nfa;
-  ctx.snap = f.snap.get();
+  PathSearchContext ctx = f.Ctx(&nfa);
   ctx.parallelism = static_cast<size_t>(state.range(1));
   const size_t n = std::min<size_t>(64, f.persons.size());
   std::vector<NodeId> sources(f.persons.begin(), f.persons.begin() + n);

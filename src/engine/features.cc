@@ -200,10 +200,10 @@ class Detector {
 
   void VisitConstruct(const ConstructClause& construct) {
     Add(QueryFeature::kGraphConstruction);
-    bool has_graph_ref = false;
+    bool graph_ref_seen = false;
     for (const auto& item : construct.items) {
       if (!item.graph_ref.empty()) {
-        has_graph_ref = true;
+        graph_ref_seen = true;
         continue;
       }
       VisitPattern(*item.pattern);
@@ -220,7 +220,7 @@ class Detector {
       }
       if (item.when != nullptr) VisitExpr(*item.when);
     }
-    if (has_graph_ref && construct.items.size() > 1) {
+    if (graph_ref_seen && construct.items.size() > 1) {
       Add(QueryFeature::kGraphSetOperations);  // shorthand union
     }
   }

@@ -26,16 +26,20 @@ Result<bool> CorrelatedMemo::Any(const void* site, const BindingTable& outer,
 
 ExprEvaluator::ExprEvaluator(const PathPropertyGraph* default_graph,
                              const GraphCatalog* catalog)
-    : default_graph_(default_graph), catalog_(catalog) {}
+    : default_graph_(default_graph) {
+  if (catalog == nullptr) return;
+  resolve_provenance_ = [catalog](const std::string& name) {
+    auto g = catalog->Lookup(name);
+    return g.ok() ? *g : nullptr;
+  };
+}
 
 const PathPropertyGraph* ExprEvaluator::GraphFor(
     const BindingTable& table, const std::string& var) const {
   const std::string& provenance = table.ColumnGraph(var);
-  if (!provenance.empty() && catalog_ != nullptr) {
-    auto g = catalog_->Lookup(provenance);
-    if (g.ok()) return *g;
-  }
-  return default_graph_;
+  if (provenance.empty() || !resolve_provenance_) return default_graph_;
+  const PathPropertyGraph* g = resolve_provenance_(provenance);
+  return g != nullptr ? g : default_graph_;
 }
 
 ValueSet DatumProperty(const Datum& datum, const std::string& key,

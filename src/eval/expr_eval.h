@@ -78,10 +78,20 @@ class ExprEvaluator {
   using PatternCallback =
       std::function<Result<BindingTable>(const GraphPattern&)>;
 
+  /// Provenance graph name → graph; null falls back to the default graph.
+  using ProvenanceResolver =
+      std::function<const PathPropertyGraph*(const std::string&)>;
+
   /// `default_graph` resolves λ/σ lookups for columns without provenance;
   /// `catalog` (optional) resolves provenance graph names.
   ExprEvaluator(const PathPropertyGraph* default_graph,
                 const GraphCatalog* catalog);
+
+  /// Resolves provenance names through `resolve` instead of the catalog
+  /// (a matcher's per-query graph pins).
+  void set_provenance_resolver(ProvenanceResolver resolve) {
+    resolve_provenance_ = std::move(resolve);
+  }
 
   /// Wires EXISTS / pattern predicates. `memo` must outlive every use
   /// of this evaluator (and its copies); evaluators sharing a memo share
@@ -126,7 +136,7 @@ class ExprEvaluator {
                              size_t row) const;
 
   const PathPropertyGraph* default_graph_;
-  const GraphCatalog* catalog_;
+  ProvenanceResolver resolve_provenance_;
   ExistsCallback exists_cb_;
   CorrelatedMemo* exists_memo_ = nullptr;
   PatternCallback pattern_cb_;

@@ -181,7 +181,11 @@ std::string Matcher::FreshAnonName() {
 }
 
 ExprEvaluator Matcher::MakeEvaluator(const PathPropertyGraph* graph) {
-  ExprEvaluator eval(graph, ctx_.catalog);
+  ExprEvaluator eval(graph, /*catalog=*/nullptr);
+  eval.set_provenance_resolver([this](const std::string& name) {
+    auto g = ResolveGraph(name);
+    return g.ok() ? *g : nullptr;
+  });
   eval.set_pattern_callback(
       [this](const GraphPattern& pattern) { return PatternRelation(pattern); },
       &correlated_);
@@ -320,8 +324,9 @@ Result<bool> Matcher::NodeAdmits(const NodePattern& node, NodeId id,
   // ApplyPropPatterns after the column exists.
   const GraphSnapshot& snap = Snapshot(graph);
   const SnapshotPred pred = SnapshotPred::ForNode(snap, node);
-  if (!snap.adjacency().Contains(id)) return pred.unconstrained();
-  return pred.Admits(snap.adjacency().IndexOf(id));
+  const DenseNodeIndex n = snap.adjacency().Find(id);
+  if (n == snap.num_nodes()) return pred.unconstrained();
+  return pred.Admits(n);
 }
 
 Result<BindingTable> Matcher::MatchStartNode(const NodePattern& node,
@@ -453,8 +458,8 @@ Result<BindingTable> Matcher::ExpandEdgeHop(
   for (size_t r = 0; !nothing_admits && r < table.NumRows(); ++r) {
     if (from_cells.KindAt(r) != Datum::Kind::kNode) continue;
     const NodeId from_node = from_cells.NodeAt(r);
-    if (!adj.Contains(from_node)) continue;
-    const DenseNodeIndex n = adj.IndexOf(from_node);
+    const DenseNodeIndex n = adj.Find(from_node);
+    if (n == adj.num_nodes()) continue;
 
     auto try_entry = [&](const AdjacencyEntry& entry) {
       if (!edge_pred.Admits(entry.edge_dense)) return;
@@ -498,10 +503,12 @@ Result<BindingTable> Matcher::ExpandPathHop(
     const std::string& to_var, const PathPropertyGraph& graph,
     const std::string& graph_name) {
   const GraphSnapshot& snap = Snapshot(graph);
+  const AdjacencyIndex& adj = snap.adjacency();
   const SnapshotPred to_pred = SnapshotPred::ForNode(snap, to);
   auto to_admits = [&](NodeId target) {
-    if (!snap.adjacency().Contains(target)) return to_pred.unconstrained();
-    return to_pred.Admits(snap.adjacency().IndexOf(target));
+    const DenseNodeIndex n = adj.Find(target);
+    if (n == adj.num_nodes()) return to_pred.unconstrained();
+    return to_pred.Admits(n);
   };
   BindingTable next(table.columns());
   for (const auto& [v, g] : table.column_graphs()) next.SetColumnGraph(v, g);
@@ -570,10 +577,9 @@ Result<BindingTable> Matcher::ExpandPathHop(
   }
   const Nfa nfa = Nfa::Compile(*path.rpq);
   PathSearchContext ctx;
-  ctx.adj = &snap.adjacency();
+  ctx.snap = &snap;
   ctx.nfa = &nfa;
   ctx.views = ctx_.views;
-  ctx.snap = &snap;
   ctx.parallelism = ctx_.parallelism;
 
   // --- batch phase --------------------------------------------------------
@@ -593,7 +599,7 @@ Result<BindingTable> Matcher::ExpandPathHop(
   auto valid_src = [&](size_t r, NodeId* src) {
     if (from_cells.KindAt(r) != Datum::Kind::kNode) return false;
     *src = from_cells.NodeAt(r);
-    return ctx.adj->Contains(*src);
+    return adj.Contains(*src);
   };
   auto target_bound_to_node = [&](size_t r) {
     return to_cells != nullptr && to_cells->BoundAt(r) &&
@@ -711,16 +717,16 @@ Result<BindingTable> Matcher::ExpandPathHop(
         // lone source would leave the pool idle.
         const size_t inner = sources.size() > 1 ? 1 : ctx.parallelism;
         ParallelFor(ctx.parallelism, sources.size(), [&](size_t i) {
-          auto sssp = ViewStarSssp(*ctx.adj, *view, sources[i], inner);
+          auto sssp = ViewStarSssp(adj, *view, sources[i], inner);
           if (!sssp.ok()) {
             status[i] = sssp.status();
             return;
           }
-          for (size_t n = 0; n < ctx.adj->num_nodes(); ++n) {
+          for (size_t n = 0; n < adj.num_nodes(); ++n) {
             const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
             if (!sssp->Reached(dn)) continue;
-            const NodeId dst = ctx.adj->IdOf(dn);
-            auto body = ReconstructViewWalk(*ctx.adj, *sssp, sources[i], dst);
+            const NodeId dst = adj.IdOf(dn);
+            auto body = ReconstructViewWalk(adj, *sssp, sources[i], dst);
             FoundPath found;
             found.cost = sssp->distance[dn];
             found.body = std::move(*body);

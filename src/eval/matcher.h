@@ -180,10 +180,6 @@ class Matcher {
   /// cache from the coordinator, but worker-thread lookups (and stray
   /// builds) serialize on an internal mutex.
   const GraphSnapshot& Snapshot(const PathPropertyGraph& graph) const;
-  /// The snapshot's CSR topology (same cache).
-  const AdjacencyIndex& Adjacency(const PathPropertyGraph& graph) {
-    return Snapshot(graph).adjacency();
-  }
 
   const MatcherContext& context() const { return ctx_; }
 
@@ -256,7 +252,8 @@ class Matcher {
   /// (PatternRelation), an EXISTS subquery's comes from ctx.exists_cb,
   /// and both are kept for the matcher's lifetime — which pins every
   /// graph image they read — in one CorrelatedMemo shared by every
-  /// evaluator this matcher makes.
+  /// evaluator this matcher makes. Column provenance resolves through
+  /// this matcher's graph pins (ResolveGraph), not the live catalog.
   ExprEvaluator MakeEvaluator(const PathPropertyGraph* graph);
 
   /// Vectorized program for `expr` over `table`'s schema (eval/expr_vec.h),

@@ -67,7 +67,6 @@ AdjacencyIndex::AdjacencyIndex(const PathPropertyGraph& graph) {
               in_entries_.begin() + in_offsets_[i + 1], cmp);
   }
 
-  view_.graph = &graph;
   view_.node_ids = node_ids_.data();
   view_.num_nodes = n;
   view_.num_edges = graph.NumEdges();

@@ -1,6 +1,6 @@
-// CSR adjacency topology of a PPG, used by the matcher and path finders.
-// GraphSnapshot (snapshot.h) embeds one and layers label spans and typed
-// property columns over its dense numbering; the read path reaches it
+// CSR adjacency topology of a PPG. GraphSnapshot (snapshot.h) embeds one
+// and layers label spans and typed property columns over its dense
+// numbering; the matcher, the multiway join and the path kernels reach it
 // through the snapshot.
 //
 // Path evaluation (Appendix A.1) is defined over graph traversal in both
@@ -12,7 +12,7 @@
 //
 // Storage comes in two modes behind one accessor surface:
 //   * owned  — built from a PPG; the CSR arrays live in this object's
-//     vectors (the standalone construction path finders use directly);
+//     vectors (the freeze builds one and packs it into the arena);
 //   * borrowed — a View over arrays that live elsewhere, in practice the
 //     flat arena of a GraphSnapshot (freshly frozen or loaded from disk).
 // Either way the accessors read raw pointer + count members, so the read
@@ -56,10 +56,8 @@ class AdjacencyIndex {
   /// The raw CSR storage: pointers + counts, either into this index's own
   /// vectors (owned mode) or into a GraphSnapshot arena (borrowed mode).
   /// GraphSnapshot packs an owned index into its arena through this view
-  /// and re-attaches one over the arena on load. `graph` may be null for
-  /// an image loaded from disk until a reconstructed PPG is bound.
+  /// and re-attaches one over the arena on load.
   struct View {
-    const PathPropertyGraph* graph = nullptr;
     const NodeId* node_ids = nullptr;  // dense -> id, sorted ascending
     size_t num_nodes = 0;
     size_t num_edges = 0;
@@ -87,17 +85,9 @@ class AdjacencyIndex {
 
   /// The raw storage (GraphSnapshot serializes through this).
   const View& view() const { return view_; }
-  /// (Re)binds the source graph — snapshot loaders attach the CSR first
-  /// and bind the reconstructed PPG afterwards.
-  void set_graph(const PathPropertyGraph* graph) { view_.graph = graph; }
-  bool has_graph() const { return view_.graph != nullptr; }
 
   size_t num_nodes() const { return view_.num_nodes; }
   size_t num_edges() const { return view_.num_edges; }
-  /// The source PPG; requires has_graph() (true for every index built from
-  /// a PPG, and for loaded snapshots once the catalog binds the
-  /// reconstruction).
-  const PathPropertyGraph& graph() const { return *view_.graph; }
 
   /// Dense index of `id`; nodes are numbered in increasing id order.
   /// Binary search over the ascending id array; requires membership.

@@ -50,12 +50,11 @@ Status GraphCatalog::RegisterSnapshotFile(const std::string& name,
   GCORE_ASSIGN_OR_RETURN(std::shared_ptr<GraphSnapshot> snap,
                          use_mmap ? MmapSnapshotFile(path)
                                   : LoadSnapshotFile(path));
-  // Rebuild the PPG the image describes and bind it, so the evaluation
-  // tail that reads the source graph (CONSTRUCT, expression eval over
-  // stored paths) works exactly as on a freshly registered graph.
+  // The image serves the read path as is. The catalog entry owns the PPG
+  // it describes, rebuilt here, for the evaluation tail that still reads
+  // PPGs (CONSTRUCT, expression eval over stored paths).
   auto graph = std::make_shared<const PathPropertyGraph>(
       snap->ReconstructGraph(name));
-  snap->BindGraph(graph);
 
   // Loaded ids were chosen by the saving session; keep this session's
   // allocator from re-issuing them.

@@ -713,7 +713,7 @@ GraphSnapshot::GraphSnapshot(const PathPropertyGraph& graph) {
   FreezeState fs;
   GatherFromGraph(graph, &fs);
   arena_ = ArenaBuffer::Own(PackArena(fs));
-  const Status st = Attach(&graph, /*trusted=*/true);
+  const Status st = Attach(/*trusted=*/true);
   assert(st.ok() && "freshly packed arena must attach");
   (void)st;
 }
@@ -722,7 +722,7 @@ Result<std::shared_ptr<GraphSnapshot>> GraphSnapshot::FromArena(
     ArenaBuffer arena) {
   std::shared_ptr<GraphSnapshot> snap(new GraphSnapshot());
   snap->arena_ = std::move(arena);
-  const Status st = snap->Attach(nullptr, /*trusted=*/false);
+  const Status st = snap->Attach(/*trusted=*/false);
   if (!st.ok()) return st;
   return snap;
 }
@@ -797,7 +797,7 @@ bool OffsetsWellFormed(const T* offsets, size_t count, uint64_t limit) {
 
 }  // namespace
 
-Status GraphSnapshot::Attach(const PathPropertyGraph* graph, bool trusted) {
+Status GraphSnapshot::Attach(bool trusted) {
   const uint8_t* base = arena_.data();
   if (arena_.size() < sizeof(ArenaHeader)) {
     return Corrupt("buffer smaller than the header");
@@ -872,7 +872,6 @@ Status GraphSnapshot::Attach(const PathPropertyGraph* graph, bool trusted) {
   }
 
   AdjacencyIndex::View view;
-  view.graph = graph;
   view.node_ids = reinterpret_cast<const NodeId*>(data(kRNodeIds));
   view.num_nodes = num_nodes;
   view.num_edges = num_edges_;
@@ -1035,11 +1034,6 @@ Status GraphSnapshot::Attach(const PathPropertyGraph* graph, bool trusted) {
   paths_data_ = data(kRPaths);
   paths_size_ = size(kRPaths);
   return Status::OK();
-}
-
-void GraphSnapshot::BindGraph(std::shared_ptr<const PathPropertyGraph> graph) {
-  bound_graph_ = std::move(graph);
-  adj_.set_graph(bound_graph_.get());
 }
 
 PathPropertyGraph GraphSnapshot::ReconstructGraph(std::string name) const {

@@ -170,9 +170,9 @@ class GraphSnapshot {
   /// Attaches a snapshot over an existing arena image (the snapshot_io.h
   /// loaders produce these). Validates the header, region table and
   /// intra-region invariants; InvalidArgument on a malformed image. The
-  /// result has no bound PPG (has_graph() is false) until BindGraph —
-  /// column reads, label spans, topology and the path kernels all work
-  /// without one, only graph() itself needs the binding.
+  /// image is self-contained: column reads, label spans, topology and the
+  /// path kernels need no PPG, and ReconstructGraph rebuilds one for the
+  /// evaluation tail that still reads PPGs.
   static Result<std::shared_ptr<GraphSnapshot>> FromArena(ArenaBuffer arena);
 
   /// The packed image (snapshot_io.h serializes these bytes verbatim).
@@ -183,15 +183,6 @@ class GraphSnapshot {
   /// freezing the reconstruction yields a byte-identical image.
   PathPropertyGraph ReconstructGraph(std::string name = "") const;
 
-  /// Binds (shared ownership) the PPG this image describes — for loaded
-  /// snapshots, typically the ReconstructGraph() result — making graph()
-  /// and the PPG-reading evaluation tail (CONSTRUCT, expression eval)
-  /// usable on it.
-  void BindGraph(std::shared_ptr<const PathPropertyGraph> graph);
-
-  /// True when a source PPG is attached (always, for frozen snapshots).
-  bool has_graph() const { return adj_.has_graph(); }
-  const PathPropertyGraph& graph() const { return adj_.graph(); }
   /// The CSR out/in topology (same dense node numbering as the rest of
   /// the snapshot); path finders keep consuming this type directly.
   const AdjacencyIndex& adjacency() const { return adj_; }
@@ -316,13 +307,11 @@ class GraphSnapshot {
 
   /// Points every accessor member into arena_ (and decodes the small
   /// materialized side tables: label names, column directory, overflow
-  /// sets). `graph` is the PPG to bind (null for loaded images);
-  /// `trusted` skips the structural validation for freshly packed arenas.
-  Status Attach(const PathPropertyGraph* graph, bool trusted);
+  /// sets). `trusted` skips the structural validation for freshly packed
+  /// arenas.
+  Status Attach(bool trusted);
 
   ArenaBuffer arena_;
-  /// Keeps a reconstructed PPG alive for loaded images (BindGraph).
-  std::shared_ptr<const PathPropertyGraph> bound_graph_;
 
   AdjacencyIndex adj_;  // borrowed mode, over the arena
 

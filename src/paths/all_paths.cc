@@ -17,10 +17,11 @@ namespace {
 /// AllSegments per visited node.
 Status BackwardProductReachability(const PathSearchContext& ctx, NodeId dst,
                                    std::vector<bool>* marks) {
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
   const Nfa rev = ctx.nfa->Reversed();
-  const CompiledNfa nfa(rev, *ctx.adj, ctx.snap);
+  const CompiledNfa nfa(rev, *ctx.snap);
   const size_t num_states = nfa.num_states();
-  marks->assign(ctx.adj->num_nodes() * num_states, false);
+  marks->assign(adj.num_nodes() * num_states, false);
 
   std::deque<std::pair<DenseNodeIndex, NfaStateId>> queue;
   auto push = [&](DenseNodeIndex n, NfaStateId q) {
@@ -29,7 +30,7 @@ Status BackwardProductReachability(const PathSearchContext& ctx, NodeId dst,
     (*marks)[idx] = true;
     queue.emplace_back(n, q);
   };
-  push(ctx.adj->IndexOf(dst), rev.start());  // rev.start == original accept
+  push(adj.IndexOf(dst), rev.start());  // rev.start == original accept
 
   ViewBackIndex back_index;
   while (!queue.empty()) {
@@ -57,11 +58,11 @@ Status BackwardProductReachability(const PathSearchContext& ctx, NodeId dst,
             }
           };
           if (t.type != NfaTransition::Type::kEdgeBackward) {
-            auto [b, e] = ctx.adj->In(n);
+            auto [b, e] = adj.In(n);
             try_entries(b, e);
           }
           if (t.type != NfaTransition::Type::kEdgeForward) {
-            auto [b, e] = ctx.adj->Out(n);
+            auto [b, e] = adj.Out(n);
             try_entries(b, e);
           }
           break;
@@ -75,9 +76,9 @@ Status BackwardProductReachability(const PathSearchContext& ctx, NodeId dst,
           auto rel = ctx.views->Lookup(*t.label);
           if (!rel.ok()) return rel.status();
           for (const PathViewSegment* seg :
-               back_index.SegmentsInto(**rel, ctx.adj->IdOf(n))) {
-            if (!ctx.adj->Contains(seg->src)) continue;
-            push(ctx.adj->IndexOf(seg->src), t.target);
+               back_index.SegmentsInto(**rel, adj.IdOf(n))) {
+            const DenseNodeIndex src = adj.Find(seg->src);
+            if (src != adj.num_nodes()) push(src, t.target);
           }
           break;
         }
@@ -91,10 +92,11 @@ Status BackwardProductReachability(const PathSearchContext& ctx, NodeId dst,
 
 Result<PathProjection> AllPathsProjection(const PathSearchContext& ctx,
                                           NodeId src, NodeId dst) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
-  if (!ctx.adj->Contains(src) || !ctx.adj->Contains(dst)) {
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
+  if (!adj.Contains(src) || !adj.Contains(dst)) {
     return Status::InvalidArgument("endpoints are not in the graph");
   }
 
@@ -103,7 +105,7 @@ Result<PathProjection> AllPathsProjection(const PathSearchContext& ctx,
   std::vector<bool> bwd;
   GCORE_RETURN_NOT_OK(BackwardProductReachability(ctx, dst, &bwd));
 
-  const CompiledNfa nfa(*ctx.nfa, *ctx.adj, ctx.snap);
+  const CompiledNfa nfa(*ctx.nfa, *ctx.snap);
   const size_t num_states = nfa.num_states();
   auto useful = [&](DenseNodeIndex n, NfaStateId q) {
     const size_t idx = static_cast<size_t>(n) * num_states + q;
@@ -115,9 +117,9 @@ Result<PathProjection> AllPathsProjection(const PathSearchContext& ctx,
   // An edge participates in a conforming walk iff some edge transition
   // (v, q) -> (u, q') crosses it with (v, q) forward-reachable and
   // (u, q') backward-reachable.
-  for (size_t ni = 0; ni < ctx.adj->num_nodes(); ++ni) {
+  for (size_t ni = 0; ni < adj.num_nodes(); ++ni) {
     const DenseNodeIndex n = static_cast<DenseNodeIndex>(ni);
-    const NodeId here = ctx.adj->IdOf(n);
+    const NodeId here = adj.IdOf(n);
     for (NfaStateId q = 0; q < num_states; ++q) {
       if (!fwd[ni * num_states + q]) continue;
       for (const CompiledTransition& t : nfa.TransitionsFrom(q)) {
@@ -145,15 +147,15 @@ Result<PathProjection> AllPathsProjection(const PathSearchContext& ctx,
                 }
                 out.edges.insert(e->edge);
                 out.nodes.insert(here);
-                out.nodes.insert(ctx.adj->IdOf(e->neighbor));
+                out.nodes.insert(adj.IdOf(e->neighbor));
               }
             };
             if (t.type != NfaTransition::Type::kEdgeBackward) {
-              auto [b, e] = ctx.adj->Out(n);
+              auto [b, e] = adj.Out(n);
               try_entries(b, e);
             }
             if (t.type != NfaTransition::Type::kEdgeForward) {
-              auto [b, e] = ctx.adj->In(n);
+              auto [b, e] = adj.In(n);
               try_entries(b, e);
             }
             break;
@@ -163,10 +165,9 @@ Result<PathProjection> AllPathsProjection(const PathSearchContext& ctx,
             auto rel = ctx.views->Lookup(*t.label);
             if (!rel.ok()) break;
             for (const PathViewSegment& seg : (*rel)->SegmentsFrom(here)) {
-              if (!ctx.adj->Contains(seg.dst)) continue;
-              if (!bwd[static_cast<size_t>(ctx.adj->IndexOf(seg.dst)) *
-                           num_states +
-                       t.target]) {
+              const DenseNodeIndex d = adj.Find(seg.dst);
+              if (d == adj.num_nodes() ||
+                  !bwd[static_cast<size_t>(d) * num_states + t.target]) {
                 continue;
               }
               out.nodes.insert(seg.body.nodes.begin(), seg.body.nodes.end());
@@ -182,7 +183,7 @@ Result<PathProjection> AllPathsProjection(const PathSearchContext& ctx,
   // The endpoints themselves participate when any walk exists at all —
   // read off the forward sweep directly instead of a third traversal.
   const bool reachable =
-      fwd[static_cast<size_t>(ctx.adj->IndexOf(dst)) * num_states +
+      fwd[static_cast<size_t>(adj.IndexOf(dst)) * num_states +
           ctx.nfa->accept()];
   if (reachable) {
     out.nodes.insert(src);

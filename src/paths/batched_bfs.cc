@@ -17,7 +17,7 @@ namespace {
 Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
                const NodeId* sources, size_t count,
                std::set<NodeId>* out_sets) {
-  const AdjacencyIndex& adj = *ctx.adj;
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
   const size_t num_states = nfa.num_states();
   std::vector<uint64_t> masks(adj.num_nodes() * num_states, 0);
   std::deque<size_t> worklist;
@@ -95,10 +95,9 @@ Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
           }
           for (const PathViewSegment& seg :
                it->second->SegmentsFrom(adj.IdOf(n))) {
-            if (!adj.Contains(seg.dst)) continue;
-            merge(static_cast<size_t>(adj.IndexOf(seg.dst)) * num_states +
-                      t.target,
-                  m);
+            const DenseNodeIndex dst = adj.Find(seg.dst);
+            if (dst == adj.num_nodes()) continue;
+            merge(static_cast<size_t>(dst) * num_states + t.target, m);
           }
           break;
         }
@@ -126,18 +125,18 @@ Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
 
 Result<std::vector<std::set<NodeId>>> BatchedReachableFrom(
     const PathSearchContext& ctx, const std::vector<NodeId>& sources) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
   for (NodeId src : sources) {
-    if (!ctx.adj->Contains(src)) {
+    if (!ctx.snap->adjacency().Contains(src)) {
       return Status::InvalidArgument("source node is not in the graph");
     }
   }
   std::vector<std::set<NodeId>> out(sources.size());
   if (sources.empty()) return out;
 
-  const CompiledNfa nfa(*ctx.nfa, *ctx.adj, ctx.snap);
+  const CompiledNfa nfa(*ctx.nfa, *ctx.snap);
   const size_t num_waves = (sources.size() + 63) / 64;
   std::vector<Status> wave_status(num_waves, Status::OK());
   ParallelFor(ctx.parallelism, num_waves, [&](size_t w) {

@@ -145,17 +145,19 @@ void RunDelta(DeltaState& state, DenseNodeIndex src_idx, double delta,
 Result<ViewSsspResult> ViewStarSssp(const AdjacencyIndex& adj,
                                     const PathViewRelation& view, NodeId src,
                                     size_t parallelism) {
-  if (!adj.Contains(src)) {
+  const DenseNodeIndex s = adj.Find(src);
+  if (s == adj.num_nodes()) {
     return Status::EvaluationError("path search source is not in the graph");
   }
   DeltaState state(adj.num_nodes());
-  RunDelta(state, adj.IndexOf(src), AutoDelta(view), parallelism,
+  RunDelta(state, s, AutoDelta(view), parallelism,
            [&](DenseNodeIndex u, double du, std::vector<Candidate>* out) {
              const auto& segs = view.SegmentsFrom(adj.IdOf(u));
              for (size_t i = 0; i < segs.size(); ++i) {
                const PathViewSegment& seg = segs[i];
-               if (!adj.Contains(seg.dst)) continue;
-               out->push_back(Candidate{adj.IndexOf(seg.dst), du + seg.cost,
+               const DenseNodeIndex v = adj.Find(seg.dst);
+               if (v == adj.num_nodes()) continue;
+               out->push_back(Candidate{v, du + seg.cost,
                                         static_cast<int64_t>(u),
                                         static_cast<uint64_t>(i), &seg});
              }

@@ -33,9 +33,8 @@ void ParallelFor(size_t parallelism, size_t n,
   for (auto& t : pool) t.join();
 }
 
-CompiledNfa::CompiledNfa(const Nfa& nfa, const AdjacencyIndex& adj,
-                         const GraphSnapshot* snap)
-    : adj_(&adj), snap_(snap), start_(nfa.start()), accept_(nfa.accept()) {
+CompiledNfa::CompiledNfa(const Nfa& nfa, const GraphSnapshot& snap)
+    : snap_(&snap), start_(nfa.start()), accept_(nfa.accept()) {
   states_.resize(nfa.num_states());
   for (NfaStateId s = 0; s < nfa.num_states(); ++s) {
     const auto& transitions = nfa.TransitionsFrom(s);
@@ -45,9 +44,9 @@ CompiledNfa::CompiledNfa(const Nfa& nfa, const AdjacencyIndex& adj,
       ct.type = t.type;
       ct.target = t.target;
       ct.label = &t.label;
-      if (snap_ != nullptr && (t.type == NfaTransition::Type::kEdgeForward ||
-                               t.type == NfaTransition::Type::kEdgeBackward ||
-                               t.type == NfaTransition::Type::kNodeTest)) {
+      if (t.type == NfaTransition::Type::kEdgeForward ||
+          t.type == NfaTransition::Type::kEdgeBackward ||
+          t.type == NfaTransition::Type::kNodeTest) {
         ct.label_id = snap_->LabelId(t.label);
       }
       states_[s].push_back(ct);

@@ -8,9 +8,8 @@
 //   * CompiledNfa — the regex automaton with every transition label
 //     pre-resolved against a GraphSnapshot's interned label ids, so the
 //     per-half-edge admission test is one sorted-span lookup over dense
-//     indices instead of a std::map walk plus string compares. Without a
-//     snapshot (raw-AdjacencyIndex callers: tests, benches) admission
-//     falls back to the PPG label sets with identical semantics.
+//     indices instead of a std::map walk plus string compares. The
+//     snapshot is the only graph the path kernels read.
 //
 //   * ParallelFor — a deterministic fan-out helper: fixed contiguous
 //     slicing over an index range onto at most `parallelism` worker
@@ -57,23 +56,17 @@ struct CompiledTransition {
   NfaTransition::Type type;
   NfaStateId target;
   /// Interned label id; GraphSnapshot::kNoLabel when the label occurs
-  /// nowhere in the graph (the transition then admits nothing) or when no
-  /// snapshot is available (string fallback).
+  /// nowhere in the graph (the transition then admits nothing).
   uint32_t label_id = GraphSnapshot::kNoLabel;
-  /// Borrowed from the source Nfa (view names and the no-snapshot
-  /// fallback path).
+  /// Borrowed from the source Nfa; kViewRef transitions name their view.
   const std::string* label = nullptr;
 };
 
 /// An Nfa with transition labels pre-interned against a snapshot. Borrows
-/// the Nfa, the adjacency index and (optionally) the snapshot — all must
-/// outlive it.
+/// the Nfa and the snapshot — both must outlive it.
 class CompiledNfa {
  public:
-  /// `snap` may be null (raw-adjacency callers); admission then routes
-  /// through the PPG's string label sets.
-  CompiledNfa(const Nfa& nfa, const AdjacencyIndex& adj,
-              const GraphSnapshot* snap);
+  CompiledNfa(const Nfa& nfa, const GraphSnapshot& snap);
 
   size_t num_states() const { return states_.size(); }
   NfaStateId start() const { return start_; }
@@ -87,25 +80,18 @@ class CompiledNfa {
   /// business (it picks the Out/In span).
   bool EdgeAdmitted(const CompiledTransition& t,
                     const AdjacencyEntry& e) const {
-    if (t.type == NfaTransition::Type::kAnyEdge) return true;
-    if (snap_ != nullptr) {
-      return t.label_id != GraphSnapshot::kNoLabel &&
-             snap_->EdgeHasLabel(e.edge_dense, t.label_id);
-    }
-    return adj_->graph().Labels(e.edge).Contains(*t.label);
+    return t.type == NfaTransition::Type::kAnyEdge ||
+           (t.label_id != GraphSnapshot::kNoLabel &&
+            snap_->EdgeHasLabel(e.edge_dense, t.label_id));
   }
 
   /// Node-test admission (kNodeTest) of the node at dense index `n`.
   bool NodeAdmitted(const CompiledTransition& t, DenseNodeIndex n) const {
-    if (snap_ != nullptr) {
-      return t.label_id != GraphSnapshot::kNoLabel &&
-             snap_->NodeHasLabel(n, t.label_id);
-    }
-    return adj_->graph().Labels(adj_->IdOf(n)).Contains(*t.label);
+    return t.label_id != GraphSnapshot::kNoLabel &&
+           snap_->NodeHasLabel(n, t.label_id);
   }
 
  private:
-  const AdjacencyIndex* adj_;
   const GraphSnapshot* snap_;
   NfaStateId start_;
   NfaStateId accept_;

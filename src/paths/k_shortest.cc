@@ -44,15 +44,15 @@ class ProductDijkstra {
   ProductDijkstra(const PathSearchContext& ctx, NodeId src, size_t k,
                   std::optional<NodeId> single_dst)
       : ctx_(ctx),
-        nfa_(*ctx.nfa, *ctx.adj, ctx.snap),
+        adj_(ctx.snap->adjacency()),
+        nfa_(*ctx.nfa, *ctx.snap),
         k_(k),
         single_dst_(single_dst),
-        num_states_(ctx.nfa->num_states()) {
-    src_idx_ = ctx_.adj->IndexOf(src);
-  }
+        num_states_(ctx.nfa->num_states()),
+        src_idx_(adj_.IndexOf(src)) {}
 
   Result<std::map<NodeId, std::vector<FoundPath>>> Run() {
-    const size_t product_size = ctx_.adj->num_nodes() * num_states_;
+    const size_t product_size = adj_.num_nodes() * num_states_;
     pops_.assign(product_size, 0);
 
     PushLabel(Label{0.0, 0, src_idx_, ctx_.nfa->start(), -1, {}});
@@ -69,7 +69,7 @@ class ProductDijkstra {
       ++pop_count;
 
       if (lab.state == ctx_.nfa->accept()) {
-        const NodeId dst = ctx_.adj->IdOf(lab.node);
+        const NodeId dst = adj_.IdOf(lab.node);
         std::vector<FoundPath>& found = results[dst];
         if (found.size() < k_) {
           FoundPath path = Reconstruct(top.label);
@@ -93,12 +93,6 @@ class ProductDijkstra {
       }
 
       GCORE_RETURN_NOT_OK(Expand(top.label));
-    }
-
-    // Drop destinations that only accumulated empty vectors (shouldn't
-    // occur, but keeps the contract tight).
-    for (auto it = results.begin(); it != results.end();) {
-      it = it->second.empty() ? results.erase(it) : std::next(it);
     }
     return results;
   }
@@ -132,7 +126,7 @@ class ProductDijkstra {
     // Copy: pushing labels may reallocate the arena.
     const Label lab = labels_[label_idx];
     if (ctx_.max_hops != 0 && lab.hops >= ctx_.max_hops) return Status::OK();
-    const NodeId here = ctx_.adj->IdOf(lab.node);
+    const NodeId here = adj_.IdOf(lab.node);
 
     for (const CompiledTransition& t : nfa_.TransitionsFrom(lab.state)) {
       switch (t.type) {
@@ -166,15 +160,15 @@ class ProductDijkstra {
           GCORE_ASSIGN_OR_RETURN(const PathViewRelation* rel,
                                  ctx_.views->Lookup(*t.label));
           for (const PathViewSegment& seg : rel->SegmentsFrom(here)) {
-            if (!ctx_.adj->Contains(seg.dst)) continue;
+            const DenseNodeIndex dst = adj_.Find(seg.dst);
+            if (dst == adj_.num_nodes()) continue;
             TraversalStep step;
             step.kind = TraversalStep::Kind::kViewSegment;
             step.segment = &seg;
             PushLabel(Label{
                 lab.cost + seg.cost,
-                lab.hops + static_cast<uint32_t>(seg.body.edges.size()),
-                ctx_.adj->IndexOf(seg.dst), t.target,
-                static_cast<int32_t>(label_idx), step});
+                lab.hops + static_cast<uint32_t>(seg.body.edges.size()), dst,
+                t.target, static_cast<int32_t>(label_idx), step});
           }
           break;
         }
@@ -198,12 +192,12 @@ class ProductDijkstra {
     };
     if (t.type == NfaTransition::Type::kAnyEdge ||
         t.type == NfaTransition::Type::kEdgeForward) {
-      auto [b, e] = ctx_.adj->Out(lab.node);
+      auto [b, e] = adj_.Out(lab.node);
       try_entries(b, e);
     }
     if (t.type == NfaTransition::Type::kAnyEdge ||
         t.type == NfaTransition::Type::kEdgeBackward) {
-      auto [b, e] = ctx_.adj->In(lab.node);
+      auto [b, e] = adj_.In(lab.node);
       try_entries(b, e);
     }
   }
@@ -216,20 +210,17 @@ class ProductDijkstra {
     }
     FoundPath out;
     out.cost = labels_[label_idx].cost;
-    out.body.nodes.push_back(ctx_.adj->IdOf(src_idx_));
-    const PathPropertyGraph& graph = ctx_.adj->graph();
+    out.body.nodes.push_back(adj_.IdOf(src_idx_));
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       const Label& l = **it;
       switch (l.step.kind) {
         case TraversalStep::Kind::kNone:
           break;
-        case TraversalStep::Kind::kEdge: {
-          const NodeId prev = out.body.nodes.back();
-          auto [s, d] = graph.EdgeEndpoints(l.step.edge);
+        case TraversalStep::Kind::kEdge:
+          // The label sits at the neighbor the edge was crossed to.
           out.body.edges.push_back(l.step.edge);
-          out.body.nodes.push_back(s == prev ? d : s);
+          out.body.nodes.push_back(adj_.IdOf(l.node));
           break;
-        }
         case TraversalStep::Kind::kViewSegment: {
           const PathBody& seg = l.step.segment->body;
           // Junction node is already present; append the rest.
@@ -246,12 +237,12 @@ class ProductDijkstra {
   }
 
   const PathSearchContext& ctx_;
-  /// Admission over interned snapshot labels when ctx.snap is set.
+  const AdjacencyIndex& adj_;
   const CompiledNfa nfa_;
   const size_t k_;
   const std::optional<NodeId> single_dst_;
   const size_t num_states_;
-  DenseNodeIndex src_idx_ = 0;
+  const DenseNodeIndex src_idx_;
 
   std::vector<Label> labels_;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
@@ -261,7 +252,7 @@ class ProductDijkstra {
 };
 
 Status ValidateContext(const PathSearchContext& ctx, NodeId src, size_t k) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
   if (k == 0) {
@@ -270,7 +261,7 @@ Status ValidateContext(const PathSearchContext& ctx, NodeId src, size_t k) {
   if (k > 255) {
     return Status::InvalidArgument("k-shortest supports k <= 255");
   }
-  if (!ctx.adj->Contains(src)) {
+  if (!ctx.snap->adjacency().Contains(src)) {
     return Status::InvalidArgument("source node is not in the graph");
   }
   return Status::OK();
@@ -289,7 +280,7 @@ Result<std::vector<FoundPath>> KShortestPaths(const PathSearchContext& ctx,
                                               NodeId src, NodeId dst,
                                               size_t k) {
   GCORE_RETURN_NOT_OK(ValidateContext(ctx, src, k));
-  if (!ctx.adj->Contains(dst)) {
+  if (!ctx.snap->adjacency().Contains(dst)) {
     return Status::InvalidArgument("destination node is not in the graph");
   }
   ProductDijkstra search(ctx, src, k, dst);

@@ -8,7 +8,7 @@
 // times per (node, NFA-state) product state.
 //
 // Determinism: ties are broken by label insertion order on top of the
-// deterministic neighbor order of AdjacencyIndex, realizing the paper's
+// deterministic neighbor order of the snapshot's CSR, realizing the paper's
 // "fixed lexicographical order" tiebreak (Appendix A.1, footnote 4).
 #ifndef GCORE_PATHS_K_SHORTEST_H_
 #define GCORE_PATHS_K_SHORTEST_H_
@@ -38,15 +38,12 @@ struct FoundPath {
 
 /// Inputs shared by all path searches.
 struct PathSearchContext {
-  const AdjacencyIndex* adj = nullptr;
+  /// The frozen graph searched: topology from its CSR, edge/node labels
+  /// admitted via interned ids over dense indices (CompiledNfa).
+  const GraphSnapshot* snap = nullptr;
   const Nfa* nfa = nullptr;
   /// Required iff the regex references `~view` atoms.
   const PathViewRegistry* views = nullptr;
-  /// Optional frozen snapshot of the same graph. When set, kernels admit
-  /// edge/node labels via interned ids over dense indices (CompiledNfa)
-  /// instead of the PPG's string label sets — same semantics, no string
-  /// compares on the hot path.
-  const GraphSnapshot* snap = nullptr;
   /// Safety bound on walk length in edges (0 = unlimited).
   size_t max_hops = 0;
   /// Worker threads for the batched kernels (1 = serial, 0 = one per

@@ -37,14 +37,15 @@ class ViewResolver {
 
 Status ProductReachability(const PathSearchContext& ctx, NodeId src,
                            std::vector<bool>* marks) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
-  if (!ctx.adj->Contains(src)) {
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
+  const DenseNodeIndex s = adj.Find(src);
+  if (s == adj.num_nodes()) {
     return Status::InvalidArgument("source node is not in the graph");
   }
-  const AdjacencyIndex& adj = *ctx.adj;
-  const CompiledNfa nfa(*ctx.nfa, adj, ctx.snap);
+  const CompiledNfa nfa(*ctx.nfa, *ctx.snap);
   const size_t num_states = nfa.num_states();
   marks->assign(adj.num_nodes() * num_states, false);
 
@@ -56,7 +57,7 @@ Status ProductReachability(const PathSearchContext& ctx, NodeId src,
     queue.emplace_back(n, q);
   };
 
-  push(adj.IndexOf(src), nfa.start());
+  push(s, nfa.start());
 
   ViewResolver resolver(ctx.views);
   while (!queue.empty()) {
@@ -93,8 +94,8 @@ Status ProductReachability(const PathSearchContext& ctx, NodeId src,
           GCORE_ASSIGN_OR_RETURN(const PathViewRelation* rel,
                                  resolver.Resolve(*t.label));
           for (const PathViewSegment& seg : rel->SegmentsFrom(adj.IdOf(n))) {
-            if (!adj.Contains(seg.dst)) continue;
-            push(adj.IndexOf(seg.dst), t.target);
+            const DenseNodeIndex dst = adj.Find(seg.dst);
+            if (dst != adj.num_nodes()) push(dst, t.target);
           }
           break;
         }
@@ -164,12 +165,12 @@ Result<std::set<NodeId>> ReachableFrom(const PathSearchContext& ctx,
   GCORE_RETURN_NOT_OK(ProductReachability(ctx, src, &marks));
   const size_t num_states = ctx.nfa->num_states();
   const NfaStateId accept = ctx.nfa->accept();
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
   std::set<NodeId> out;
   // Dense indices ascend with node id: end-hinted insertion is O(1).
-  for (size_t n = 0; n < ctx.adj->num_nodes(); ++n) {
+  for (size_t n = 0; n < adj.num_nodes(); ++n) {
     if (marks[n * num_states + accept]) {
-      out.emplace_hint(out.end(),
-                       ctx.adj->IdOf(static_cast<DenseNodeIndex>(n)));
+      out.emplace_hint(out.end(), adj.IdOf(static_cast<DenseNodeIndex>(n)));
     }
   }
   return out;
@@ -184,11 +185,11 @@ namespace {
 class BidirSide {
  public:
   BidirSide(const PathSearchContext& ctx, const Nfa& nfa, bool backward)
-      : adj_(*ctx.adj),
-        nfa_(nfa, *ctx.adj, ctx.snap),
+      : adj_(ctx.snap->adjacency()),
+        nfa_(nfa, *ctx.snap),
         resolver_(ctx.views),
         backward_(backward),
-        marks_(ctx.adj->num_nodes() * nfa.num_states(), false) {}
+        marks_(adj_.num_nodes() * nfa.num_states(), false) {}
 
   const std::vector<bool>& marks() const { return marks_; }
   size_t frontier_size() const { return frontier_.size(); }
@@ -257,16 +258,16 @@ class BidirSide {
             if (backward_) {
               for (const PathViewSegment* seg :
                    back_index_.SegmentsInto(**rel, adj_.IdOf(n))) {
-                if (!adj_.Contains(seg->src)) continue;
-                if (Mark(adj_.IndexOf(seg->src), t.target, other)) {
+                const DenseNodeIndex src = adj_.Find(seg->src);
+                if (src != adj_.num_nodes() && Mark(src, t.target, other)) {
                   return true;
                 }
               }
             } else {
               for (const PathViewSegment& seg :
                    (*rel)->SegmentsFrom(adj_.IdOf(n))) {
-                if (!adj_.Contains(seg.dst)) continue;
-                if (Mark(adj_.IndexOf(seg.dst), t.target, other)) {
+                const DenseNodeIndex dst = adj_.Find(seg.dst);
+                if (dst != adj_.num_nodes() && Mark(dst, t.target, other)) {
                   return true;
                 }
               }
@@ -304,19 +305,22 @@ class BidirSide {
 
 Result<bool> IsReachable(const PathSearchContext& ctx, NodeId src,
                          NodeId dst) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
-  if (!ctx.adj->Contains(src)) {
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
+  const DenseNodeIndex s = adj.Find(src);
+  if (s == adj.num_nodes()) {
     return Status::InvalidArgument("source node is not in the graph");
   }
-  if (!ctx.adj->Contains(dst)) return false;
+  const DenseNodeIndex d = adj.Find(dst);
+  if (d == adj.num_nodes()) return false;
 
   const Nfa reversed = ctx.nfa->Reversed();
   BidirSide fwd(ctx, *ctx.nfa, /*backward=*/false);
   BidirSide bwd(ctx, reversed, /*backward=*/true);
-  if (fwd.Seed(ctx.adj->IndexOf(src), ctx.nfa->start(), bwd)) return true;
-  if (bwd.Seed(ctx.adj->IndexOf(dst), reversed.start(), fwd)) return true;
+  if (fwd.Seed(s, ctx.nfa->start(), bwd)) return true;
+  if (bwd.Seed(d, reversed.start(), fwd)) return true;
 
   // Alternate expanding the smaller frontier; a side running dry has
   // computed its full fixpoint, so no meet means no conforming walk.

@@ -22,7 +22,7 @@ Result<std::set<NodeId>> ReachableFrom(const PathSearchContext& ctx,
 Result<bool> IsReachable(const PathSearchContext& ctx, NodeId src, NodeId dst);
 
 /// Forward product reachability: marks (node, state) pairs reachable from
-/// (src, nfa start). `marks` has adj->num_nodes() * nfa->num_states()
+/// (src, nfa start). `marks` has snap->num_nodes() * nfa->num_states()
 /// slots, indexed node * num_states + state. Exposed for the ALL-paths
 /// projection.
 Status ProductReachability(const PathSearchContext& ctx, NodeId src,

@@ -159,5 +159,42 @@ TEST_F(MatcherTest, ProvenanceRecordedPerColumn) {
   EXPECT_EQ(t->ColumnGraph("e"), "g");
 }
 
+// A WHERE over a column with provenance `g` reads σ from the graph the
+// matcher pinned, even after a writer re-registers `g` mid-query — in
+// both the VecProgram tier (use_planner) and the row evaluator.
+TEST(MatcherPins, FilterReadsPinnedProvenanceGraph) {
+  auto where = ParseExpression("n.name = 'old'");
+  ASSERT_TRUE(where.ok()) << where.status().ToString();
+  for (const bool use_planner : {true, false}) {
+    for (const bool re_register : {false, true}) {
+      GraphCatalog catalog;
+      GraphBuilder b("g", catalog.ids());
+      const NodeId n = b.AddNode({"Person"}, {{"name", "old"}});
+      catalog.RegisterGraph("g", b.Build());
+      MatcherContext ctx;
+      ctx.catalog = &catalog;
+      ctx.default_graph = "g";
+      ctx.use_planner = use_planner;
+      Matcher matcher(ctx);
+      auto pinned = matcher.ResolveGraph("g");
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      if (re_register) {
+        PathPropertyGraph next = **pinned;
+        next.SetProperty(n, "name", ValueSet(Value::String("new")));
+        catalog.RegisterGraph("g", std::move(next));
+      }
+
+      BindingTable table({"n"});
+      table.SetColumnGraph("n", "g");
+      table.MutableColumn(0).Append(Datum::OfNode(n));
+      table.CommitRow();
+      auto kept = matcher.FilterTable(std::move(table), **where, *pinned);
+      ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+      EXPECT_EQ(kept->NumRows(), 1u) << "use_planner=" << use_planner
+                                     << " re_register=" << re_register;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gcore

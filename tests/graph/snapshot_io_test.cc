@@ -16,6 +16,9 @@
 #include "engine/engine.h"
 #include "graph/catalog.h"
 #include "graph/graph_builder.h"
+#include "parser/parser.h"
+#include "paths/k_shortest.h"
+#include "snb/generator.h"
 #include "snb/toy_graphs.h"
 
 namespace gcore {
@@ -74,7 +77,6 @@ void ExpectRoundTrips(const PathPropertyGraph& g, const std::string& tag) {
   auto loaded = LoadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(SameBytes((*loaded)->arena(), frozen.arena()));
-  EXPECT_FALSE((*loaded)->has_graph());  // no PPG until BindGraph
 
   auto mapped = MmapSnapshotFile(path, /*verify_checksum=*/true);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -254,11 +256,20 @@ TEST(SnapshotIo, CatalogServesLoadedSnapshotByteIdentically) {
       "MATCH (n:Person)-[:knows]->(m:Person)",
       "CONSTRUCT (n) MATCH (n:Person)-/<:knows*>/->(m:Person) "
       "WHERE m.firstName = 'Frank'",
+      // Guided-tour lines 23-27: k-shortest reconstruction over the image.
+      "CONSTRUCT (n)-/@p:localPeople{distance:=c}/->(m) "
+      "MATCH (n)-/3 SHORTEST p<:knows*> COST c/->(m) "
+      "WHERE (n:Person) AND (m:Person) "
+      "AND n.firstName = 'John' AND n.lastName = 'Doe' "
+      "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)",
   };
 
   GraphCatalog fresh;
   snb::RegisterToyData(&fresh);
   QueryEngine fresh_engine(&fresh);
+  // Both sides draw the fresh path ids of the stored-path CONSTRUCT from
+  // the same counter value, so its output compares byte for byte too.
+  const uint64_t last_path_id = fresh.ids()->NextPath().value();
   std::vector<std::string> expected;
   for (const char* q : kMix) {
     auto r = fresh_engine.Execute(q);
@@ -275,6 +286,7 @@ TEST(SnapshotIo, CatalogServesLoadedSnapshotByteIdentically) {
     GraphCatalog served;
     ASSERT_TRUE(
         served.RegisterSnapshotFile("social_graph", path, use_mmap).ok());
+    served.ids()->ReservePathUpTo(last_path_id);
     served.SetDefaultGraph("social_graph");
     EXPECT_GT(served.GraphVersion("social_graph"), 0u);
 
@@ -282,7 +294,6 @@ TEST(SnapshotIo, CatalogServesLoadedSnapshotByteIdentically) {
     // request must hand back an attached snapshot without freezing.
     auto cached = served.Snapshot("social_graph");
     ASSERT_TRUE(cached.ok());
-    EXPECT_TRUE((*cached)->has_graph());
     EXPECT_EQ((*cached)->num_nodes(), (*snap)->num_nodes());
 
     // Loaded ids are reserved: fresh allocations never collide.
@@ -305,6 +316,58 @@ TEST(SnapshotIo, CatalogServesLoadedSnapshotByteIdentically) {
         served.RegisterSnapshotFile("social_graph", path, use_mmap).ok());
     EXPECT_GT(served.GraphVersion("social_graph"), v);
   }
+  std::remove(path.c_str());
+}
+
+// The path kernels read only the image: k-shortest over a loaded file,
+// with no PPG behind it, returns the costs and bodies it returns over the
+// frozen original.
+TEST(SnapshotIo, KShortestOverLoadedImageMatchesFrozen) {
+  IdAllocator ids;
+  snb::GeneratorOptions options;
+  options.seed = 7;
+  options.num_persons = 120;
+  const PathPropertyGraph g = snb::Generate(options, &ids);
+  const GraphSnapshot frozen(g);
+  const std::string path = TempPath("kshortest");
+  ASSERT_TRUE(SaveSnapshot(frozen, path).ok());
+  auto loaded = LoadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto mapped = MmapSnapshotFile(path, /*verify_checksum=*/true);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  const std::vector<NodeId> node_ids = g.NodeIds();
+  size_t multi_hop = 0;
+  for (const char* regex : {":knows*", ":knows+ !Person", "(:knows-)+"}) {
+    auto rpq = ParseRpq(regex);
+    ASSERT_TRUE(rpq.ok()) << rpq.status().ToString();
+    const Nfa nfa = Nfa::Compile(**rpq);
+    for (size_t i = 0; i < node_ids.size(); i += 37) {
+      PathSearchContext ctx;
+      ctx.nfa = &nfa;
+      ctx.snap = &frozen;
+      auto want = KShortestPathsFrom(ctx, node_ids[i], 3);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      for (const GraphSnapshot* image : {loaded->get(), mapped->get()}) {
+        ctx.snap = image;
+        auto got = KShortestPathsFrom(ctx, node_ids[i], 3);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got->size(), want->size()) << regex;
+        for (const auto& [dst, paths] : *want) {
+          const auto it = got->find(dst);
+          ASSERT_NE(it, got->end()) << regex << " " << ToString(dst);
+          ASSERT_EQ(it->second.size(), paths.size());
+          for (size_t p = 0; p < paths.size(); ++p) {
+            EXPECT_EQ(it->second[p].cost, paths[p].cost);
+            EXPECT_EQ(it->second[p].body.nodes, paths[p].body.nodes);
+            EXPECT_EQ(it->second[p].body.edges, paths[p].body.edges);
+            if (paths[p].body.edges.size() > 1) ++multi_hop;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_hop, 0u);
   std::remove(path.c_str());
 }
 

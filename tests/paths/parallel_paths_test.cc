@@ -14,6 +14,7 @@
 #include <set>
 
 #include "eval/matcher.h"
+#include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/batched_bfs.h"
 #include "paths/delta_stepping.h"
@@ -29,7 +30,7 @@ namespace {
 /// distance ties.
 struct RandomGraph {
   PathPropertyGraph g;
-  std::unique_ptr<AdjacencyIndex> adj;
+  std::unique_ptr<GraphSnapshot> snap;
   size_t num_nodes;
 
   RandomGraph(size_t nodes, size_t edges) : num_nodes(nodes) {
@@ -47,8 +48,11 @@ struct RandomGraph {
       if (!g.AddEdge(id, NodeId(s), NodeId(d)).ok()) std::abort();
       g.AddLabel(id, "a");
     }
-    adj = std::make_unique<AdjacencyIndex>(g);
+    Freeze();
   }
+
+  /// Re-freezes the snapshot after `g` changed.
+  void Freeze() { snap = std::make_unique<GraphSnapshot>(g); }
 };
 
 Nfa CompileRegex(const std::string& text) {
@@ -63,7 +67,7 @@ TEST(BatchedReachability, MatchesPerSourceAcrossWaveSplit) {
   RandomGraph rg(100, 300);
   Nfa nfa = CompileRegex(":a*");
   PathSearchContext ctx;
-  ctx.adj = rg.adj.get();
+  ctx.snap = rg.snap.get();
   ctx.nfa = &nfa;
 
   std::vector<NodeId> sources;
@@ -111,11 +115,12 @@ struct ViewFixture {
     });
     views.Register(std::move(rel));
     rg.g.AddLabel(NodeId(5), "Hub");
+    rg.Freeze();
   }
 
   PathSearchContext Ctx(const Nfa* nfa) {
     PathSearchContext ctx;
-    ctx.adj = rg.adj.get();
+    ctx.snap = rg.snap.get();
     ctx.nfa = nfa;
     ctx.views = &views;
     return ctx;
@@ -186,13 +191,14 @@ TEST(ViewStarSssp, MatchesProductDijkstraOnTree) {
   add_seg(3, 6, 4.0);
   add_seg(4, 7, 2.0);
   add_seg(5, 8, 0.75);
-  AdjacencyIndex adj(g);
+  const GraphSnapshot snap(g);
+  const AdjacencyIndex& adj = snap.adjacency();
   PathViewRegistry views;
   views.Register(std::move(rel));
 
   Nfa nfa = CompileRegex("~w*");
   PathSearchContext ctx;
-  ctx.adj = &adj;
+  ctx.snap = &snap;
   ctx.nfa = &nfa;
   ctx.views = &views;
   auto want = KShortestPathsFrom(ctx, NodeId(1), 1);
@@ -250,15 +256,16 @@ TEST(ViewStarSssp, MatchesProductDijkstraCostsWithTies) {
     for (uint64_t s = 1; s <= f.rg.num_nodes; s += 7) {
       auto want = KShortestPathsFrom(ctx, NodeId(s), 1);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
-      auto serial = ViewStarSssp(*f.rg.adj, **lookup, NodeId(s), 1);
+      const AdjacencyIndex& adj = f.rg.snap->adjacency();
+      auto serial = ViewStarSssp(adj, **lookup, NodeId(s), 1);
       ASSERT_TRUE(serial.ok()) << serial.status().ToString();
       size_t reached = 0;
-      for (size_t n = 0; n < f.rg.adj->num_nodes(); ++n) {
+      for (size_t n = 0; n < adj.num_nodes(); ++n) {
         const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
         if (!serial->Reached(dn)) continue;
         ++reached;
         max_dist = std::max(max_dist, serial->distance[dn]);
-        const NodeId dst = f.rg.adj->IdOf(dn);
+        const NodeId dst = adj.IdOf(dn);
         auto it = want->find(dst);
         ASSERT_NE(it, want->end());
         EXPECT_EQ(serial->distance[dn], it->second.front().cost)
@@ -267,7 +274,7 @@ TEST(ViewStarSssp, MatchesProductDijkstraCostsWithTies) {
       EXPECT_EQ(reached, want->size()) << graph << ": source " << s;
       max_reached = std::max(max_reached, reached);
       for (size_t parallelism : {size_t{2}, size_t{8}}) {
-        auto got = ViewStarSssp(*f.rg.adj, **lookup, NodeId(s), parallelism);
+        auto got = ViewStarSssp(adj, **lookup, NodeId(s), parallelism);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         const std::string label = graph + ": source " + std::to_string(s) +
                                   " @ parallelism " +
@@ -291,7 +298,7 @@ TEST(BatchedKShortest, MatchesPerSource) {
   RandomGraph rg(60, 200);
   Nfa nfa = CompileRegex(":a*");
   PathSearchContext ctx;
-  ctx.adj = rg.adj.get();
+  ctx.snap = rg.snap.get();
   ctx.nfa = &nfa;
   std::vector<NodeId> sources;
   for (uint64_t i = 1; i <= rg.num_nodes; i += 3) sources.push_back(NodeId(i));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/all_paths.h"
 #include "paths/dijkstra.h"
@@ -19,7 +20,7 @@ namespace {
 //   4 -a-> 5,   3 -c-> 5
 struct TestGraph {
   PathPropertyGraph g;
-  std::unique_ptr<AdjacencyIndex> adj;
+  std::unique_ptr<GraphSnapshot> snap;
 
   TestGraph() {
     for (uint64_t i = 1; i <= 5; ++i) g.AddNode(NodeId(i));
@@ -30,7 +31,7 @@ struct TestGraph {
     add_edge(14, 4, 5, "a");
     add_edge(15, 3, 5, "c");
     g.AddLabel(NodeId(3), "Hub");
-    adj = std::make_unique<AdjacencyIndex>(g);
+    snap = std::make_unique<GraphSnapshot>(g);
   }
 
   void add_edge(uint64_t id, uint64_t s, uint64_t d, const char* label) {
@@ -41,7 +42,7 @@ struct TestGraph {
   PathSearchContext Ctx(const Nfa* nfa,
                         const PathViewRegistry* views = nullptr) const {
     PathSearchContext ctx;
-    ctx.adj = adj.get();
+    ctx.snap = snap.get();
     ctx.nfa = nfa;
     ctx.views = views;
     return ctx;
@@ -320,10 +321,11 @@ TEST(AllPaths, EmptyWhenUnreachable) {
 
 TEST(Sssp, BfsHopCounts) {
   TestGraph t;
-  SsspResult r = BfsFrom(*t.adj, NodeId(1));
-  EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(1))], 0.0);
-  EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(4))], 1.0);
-  EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(5))], 2.0);
+  const AdjacencyIndex& adj = t.snap->adjacency();
+  SsspResult r = BfsFrom(adj, NodeId(1));
+  EXPECT_EQ(r.distance[adj.IndexOf(NodeId(1))], 0.0);
+  EXPECT_EQ(r.distance[adj.IndexOf(NodeId(4))], 1.0);
+  EXPECT_EQ(r.distance[adj.IndexOf(NodeId(5))], 2.0);
 }
 
 // Parameterized consistency: for unit costs, the product search over `_*`
@@ -348,10 +350,11 @@ TEST_P(ProductVsBfs, WildcardStarMatchesBfsHops) {
     Status st = g.AddEdge(EdgeId(1000 + i), a, b);
     (void)st;
   }
-  AdjacencyIndex adj(g);
+  const GraphSnapshot snap(g);
+  const AdjacencyIndex& adj = snap.adjacency();
   Nfa nfa = CompileRegex("_*");
   PathSearchContext ctx;
-  ctx.adj = &adj;
+  ctx.snap = &snap;
   ctx.nfa = &nfa;
 
   // `_*` crosses edges in both directions; mirror that in the BFS.

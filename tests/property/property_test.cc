@@ -4,6 +4,7 @@
 
 #include "engine/engine.h"
 #include "graph/graph_ops.h"
+#include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
@@ -130,12 +131,12 @@ class PathInvariants : public ::testing::TestWithParam<uint64_t> {
     options.seed = GetParam();
     options.num_persons = 150;
     graph_ = snb::Generate(options, &ids_);
-    adj_ = std::make_unique<AdjacencyIndex>(graph_);
+    snap_ = std::make_unique<GraphSnapshot>(graph_);
   }
 
   PathSearchContext Ctx(const Nfa* nfa) const {
     PathSearchContext ctx;
-    ctx.adj = adj_.get();
+    ctx.snap = snap_.get();
     ctx.nfa = nfa;
     return ctx;
   }
@@ -152,7 +153,7 @@ class PathInvariants : public ::testing::TestWithParam<uint64_t> {
 
   IdAllocator ids_;
   PathPropertyGraph graph_;
-  std::unique_ptr<AdjacencyIndex> adj_;
+  std::unique_ptr<GraphSnapshot> snap_;
 };
 
 TEST_P(PathInvariants, ShortestPathExistsIffReachable) {
