@@ -176,6 +176,16 @@ bool Expr::ContainsAggregate() const {
   return false;
 }
 
+void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
+  if (expr.kind == Expr::Kind::kBinary &&
+      expr.binary_op == BinaryOp::kAnd) {
+    SplitConjuncts(*expr.args[0], out);
+    SplitConjuncts(*expr.args[1], out);
+    return;
+  }
+  out->push_back(&expr);
+}
+
 void Expr::CollectVariables(std::vector<std::string>* out) const {
   auto add = [out](const std::string& v) {
     if (v.empty()) return;

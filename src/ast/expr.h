@@ -135,6 +135,12 @@ struct CaseArm {
   std::unique_ptr<Expr> result;
 };
 
+/// Appends the conjuncts of an AND tree to `out` in query-text order (a
+/// non-AND expression is its own single conjunct). The one AND-splitter:
+/// the pushdown rule and the estimator's residual-WHERE rule both use it,
+/// so a pushed list runs and renders in the order the query writes it.
+void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out);
+
 }  // namespace gcore
 
 #endif  // GCORE_AST_EXPR_H_

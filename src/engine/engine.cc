@@ -489,19 +489,12 @@ Result<PathViewRelation> QueryEngine::MaterializePathView(
 
   GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* view_graph,
                          matcher.ResolveGraph(""));
-  ExprEvaluator eval(view_graph, catalog_);
+  ExprEvaluator eval = matcher.MakeEvaluator(view_graph);
 
   if (clause.where != nullptr) {
-    BindingTable filtered(table.columns());
-    for (const auto& [v, g] : table.column_graphs()) {
-      filtered.SetColumnGraph(v, g);
-    }
-    for (size_t r = 0; r < table.NumRows(); ++r) {
-      GCORE_ASSIGN_OR_RETURN(bool keep,
-                             eval.EvalPredicate(*clause.where, table, r));
-      if (keep) filtered.AppendRowFrom(table, r);
-    }
-    table = std::move(filtered);
+    GCORE_ASSIGN_OR_RETURN(
+        table, matcher.FilterByConjuncts(std::move(table),
+                                         {clause.where.get()}, view_graph));
   }
 
   PathViewRelation relation(clause.name);

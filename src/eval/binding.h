@@ -21,8 +21,8 @@
 //     bit-for-bit (the dedup sinks depend on that equivalence);
 //   * TableJoin / TableJoinParallel build, probe and merge on typed key
 //     columns (eval/binding_ops.cc) without materializing BindingRows;
-//   * Matcher::FilterByConjuncts / FilterTable gather surviving row
-//     indices column-at-a-time (`AppendRowsFrom`);
+//   * Matcher::FilterByConjuncts gathers surviving row indices
+//     column-at-a-time (`AppendRowsFrom`);
 //   * Matcher::ExpandEdgeHop / ExpandPathHop read the source node column
 //     through `Column::NodeAt` and emit rows with `AppendRowFrom`;
 //   * ProjectChunk adopts whole columns (`AdoptProjectedColumns`) — the

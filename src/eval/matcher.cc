@@ -7,7 +7,6 @@
 
 #include "engine/tabular.h"
 #include "eval/binding_ops.h"
-#include "graph/stats.h"
 #include "paths/all_paths.h"
 #include "paths/batched_bfs.h"
 #include "paths/delta_stepping.h"
@@ -31,17 +30,7 @@ void CollectSingleVarConjuncts(
     const Expr& where,
     std::map<std::string, std::vector<const Expr*>>* out) {
   std::vector<const Expr*> conjuncts;
-  std::vector<const Expr*> stack{&where};
-  while (!stack.empty()) {
-    const Expr* e = stack.back();
-    stack.pop_back();
-    if (e->kind == Expr::Kind::kBinary && e->binary_op == BinaryOp::kAnd) {
-      stack.push_back(e->args[0].get());
-      stack.push_back(e->args[1].get());
-    } else {
-      conjuncts.push_back(e);
-    }
-  }
+  SplitConjuncts(where, &conjuncts);
   for (const Expr* conjunct : conjuncts) {
     if (conjunct->ContainsAggregate()) continue;
     if (conjunct->kind == Expr::Kind::kExists) continue;
@@ -852,134 +841,25 @@ Result<BindingTable> Matcher::ApplyPushdownFilters(
   return FilterByConjuncts(std::move(table), it->second, graph);
 }
 
-namespace {
-
-bool IsComparisonOp(BinaryOp op) {
-  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
-         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
-}
-
-BinaryOp FlipComparison(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kLt:
-      return BinaryOp::kGt;
-    case BinaryOp::kGt:
-      return BinaryOp::kLt;
-    case BinaryOp::kLe:
-      return BinaryOp::kGe;
-    case BinaryOp::kGe:
-      return BinaryOp::kLe;
-    default:
-      return op;  // eq/ne are symmetric
-  }
-}
-
-/// Estimated fraction of rows a conjunct keeps, from the graph's column
-/// statistics (graph/stats.h). Only `x.key CMP literal` shapes get a real
-/// estimate — the carrier fraction scaled by 1/distinct for equality and
-/// by the literal's position in the [min, max] range for order
-/// comparisons. Everything else answers the textbook 0.5, so an unknown
-/// conjunct is never hoisted ahead of a demonstrably selective one.
-double EstimateConjunctSelectivity(const Expr& c, const GraphStats& stats) {
-  if (c.kind != Expr::Kind::kBinary || !IsComparisonOp(c.binary_op)) {
-    return 0.5;
-  }
-  const Expr* a = c.args[0].get();
-  const Expr* b = c.args[1].get();
-  const Expr* prop = nullptr;
-  const Expr* lit = nullptr;
-  BinaryOp op = c.binary_op;
-  if (a->kind == Expr::Kind::kProperty && b->kind == Expr::Kind::kLiteral) {
-    prop = a;
-    lit = b;
-  } else if (a->kind == Expr::Kind::kLiteral &&
-             b->kind == Expr::Kind::kProperty) {
-    prop = b;
-    lit = a;
-    op = FlipComparison(op);
-  } else {
-    return 0.5;
-  }
-  // The binding's object class is unknown here; take the key's stats from
-  // whichever side carries it (keys rarely straddle both classes).
-  const PropertyStats* ps = nullptr;
-  double total = 0.0;
-  auto node_it = stats.node_props.find(prop->key);
-  if (node_it != stats.node_props.end()) {
-    ps = &node_it->second;
-    total = static_cast<double>(stats.num_nodes);
-  } else {
-    auto edge_it = stats.edge_props.find(prop->key);
-    if (edge_it != stats.edge_props.end()) {
-      ps = &edge_it->second;
-      total = static_cast<double>(stats.num_edges);
-    }
-  }
-  const double carrier_frac =
-      (ps == nullptr || total <= 0.0)
-          ? 0.0
-          : std::min(1.0, static_cast<double>(ps->count) / total);
-  if (lit->value.is_null()) {
-    // ⟦null⟧ = ∅: equality is the absence test, inequality its complement,
-    // order comparisons against ∅ never hold.
-    switch (op) {
-      case BinaryOp::kEq:
-        return 1.0 - carrier_frac;
-      case BinaryOp::kNe:
-        return carrier_frac;
-      default:
-        return 0.0;
-    }
-  }
-  if (ps == nullptr) {
-    // Key carried by nothing: σ is ∅ on every member row.
-    return op == BinaryOp::kNe ? 1.0 : 0.0;
-  }
-  switch (op) {
-    case BinaryOp::kEq:
-      return carrier_frac / static_cast<double>(std::max<size_t>(1u, ps->distinct));
-    case BinaryOp::kNe:
-      return 1.0 -
-             carrier_frac / static_cast<double>(std::max<size_t>(1u, ps->distinct));
-    default: {
-      if (ps->has_range && lit->value.is_numeric() && ps->max > ps->min) {
-        const double frac = std::min(
-            1.0, std::max(0.0, (lit->value.NumericAsDouble() - ps->min) /
-                                   (ps->max - ps->min)));
-        const bool below = op == BinaryOp::kLt || op == BinaryOp::kLe;
-        return carrier_frac * (below ? frac : 1.0 - frac);
-      }
-      return carrier_frac / 3.0;
-    }
-  }
-}
-
-}  // namespace
-
 Result<BindingTable> Matcher::FilterByConjuncts(
     BindingTable table, const std::vector<const Expr*>& conjuncts,
     const PathPropertyGraph* graph) {
   if (conjuncts.empty()) return table;
   ExprEvaluator eval = MakeEvaluator(graph);
-  // Conjunct-at-a-time over the surviving row set, only on rows still
-  // alive (short-circuit). Each conjunct runs its vectorized program when
-  // it compiles (eval/expr_vec.h) and the row evaluator otherwise — the
-  // only path under use_planner = false. Either way the result is
-  // row-for-row identical, including which row's error surfaces first
-  // (kernel-undecidable rows replay through the same EvalPredicate in the
-  // same order). Programs are looked up once per call: compaction below
-  // keeps the schema, so they stay valid for the whole loop.
-  struct Step {
-    const Expr* conjunct;
-    std::shared_ptr<const VecProgram> prog;  // null = row evaluator
-    double rank = 0.0;
-  };
-  std::vector<Step> steps;
-  steps.reserve(conjuncts.size());
-  for (const Expr* c : conjuncts) {
-    Step step{c, nullptr};
-    if (ctx_.use_planner) step.prog = VecProgramFor(*c, table, eval, graph);
-    steps.push_back(std::move(step));
+  // Conjunct-at-a-time in list order (the query's own order), only on
+  // rows still alive (short-circuit). Each conjunct runs its vectorized
+  // program when it compiles (eval/expr_vec.h) and the row evaluator
+  // otherwise — the only path under use_planner = false. Either way the
+  // result is row-for-row identical, including which row's error surfaces
+  // first (kernel-undecidable rows replay through the same EvalPredicate
+  // in the same order). Programs are looked up once per call: compaction
+  // below keeps the schema, so they stay valid for the whole loop.
+  // One program per conjunct; null = row evaluator.
+  std::vector<std::shared_ptr<const VecProgram>> progs(conjuncts.size());
+  if (ctx_.use_planner) {
+    for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+      progs[ci] = VecProgramFor(*conjuncts[ci], table, eval, graph);
+    }
   }
   auto gather = [](const BindingTable& t, const std::vector<size_t>& rows) {
     BindingTable g(t.columns());
@@ -987,45 +867,19 @@ Result<BindingTable> Matcher::FilterByConjuncts(
     g.AppendRowsFrom(t, rows);
     return g;
   };
-  // Evaluation-order pre-pass (only with column statistics on — the seed
-  // order is the ablation baseline): rank conjuncts by estimated
-  // selectivity gain per unit cost, (sel − 1) / cost, so a cheap compiled
-  // filter that drops most rows runs before an expensive row-evaluated
-  // predicate that keeps most of them. The sort is stable: conjuncts the
-  // statistics cannot tell apart stay in source order. Reordering is
-  // semantics-preserving for the *result* (AND is commutative over these
-  // error-free rows) but can change which erroring row is reached first —
-  // the documented trade of this knob.
-  if (ctx_.use_column_stats && graph != nullptr && ctx_.catalog != nullptr &&
-      steps.size() > 1) {
-    auto stats = ctx_.catalog->Stats(graph->name());
-    if (stats.ok()) {
-      for (Step& step : steps) {
-        const double sel =
-            EstimateConjunctSelectivity(*step.conjunct, **stats);
-        // Vectorized kernels vs generic row-at-a-time evaluation.
-        const double cost = step.prog != nullptr ? 4.0 : 25.0;
-        step.rank = (sel - 1.0) / cost;
-      }
-      std::stable_sort(
-          steps.begin(), steps.end(),
-          [](const Step& a, const Step& b) { return a.rank < b.rank; });
-    }
-  }
   // Surviving rows of `table`, ascending.
   std::vector<size_t> kept(table.NumRows());
   std::iota(kept.begin(), kept.end(), size_t{0});
-  for (size_t ci = 0; ci < steps.size() && !kept.empty(); ++ci) {
-    const Step& step = steps[ci];
+  for (size_t ci = 0; ci < conjuncts.size() && !kept.empty(); ++ci) {
     std::vector<size_t> next;
     next.reserve(kept.size());
-    if (step.prog != nullptr) {
-      GCORE_RETURN_NOT_OK(step.prog->FilterRows(table, kept.data(),
+    if (progs[ci] != nullptr) {
+      GCORE_RETURN_NOT_OK(progs[ci]->FilterRows(table, kept.data(),
                                                 kept.size(), eval, &next));
     } else {
       for (const size_t r : kept) {
         GCORE_ASSIGN_OR_RETURN(bool keep,
-                               eval.EvalPredicate(*step.conjunct, table, r));
+                               eval.EvalPredicate(*conjuncts[ci], table, r));
         if (keep) next.push_back(r);
       }
     }
@@ -1035,7 +889,7 @@ Result<BindingTable> Matcher::FilterByConjuncts(
     // the survivors column-at-a-time into a dense table so the remaining
     // conjuncts scan contiguously. The gather keeps row order, so the
     // final output is unchanged.
-    if (ci + 1 < steps.size() && kept.size() * 2 < table.NumRows()) {
+    if (ci + 1 < conjuncts.size() && kept.size() * 2 < table.NumRows()) {
       table = gather(table, kept);
       kept.resize(table.NumRows());
       std::iota(kept.begin(), kept.end(), size_t{0});
@@ -1125,38 +979,6 @@ Result<BindingTable> Matcher::EvalPatterns(
   return result;
 }
 
-Result<BindingTable> Matcher::FilterTable(BindingTable table,
-                                          const Expr& where,
-                                          const PathPropertyGraph* graph) {
-  ExprEvaluator eval = MakeEvaluator(graph);
-  std::vector<size_t> kept;
-  kept.reserve(table.NumRows());
-  // Residual WHERE: one vectorized pass over the whole table when the
-  // predicate compiles; kernel-undecidable rows replay through the same
-  // EvalPredicate in ascending row order, so results and error order
-  // match the serial loop below exactly.
-  std::shared_ptr<const VecProgram> prog =
-      ctx_.use_planner ? VecProgramFor(where, table, eval, graph) : nullptr;
-  if (prog != nullptr) {
-    std::vector<size_t> rows(table.NumRows());
-    std::iota(rows.begin(), rows.end(), size_t{0});
-    GCORE_RETURN_NOT_OK(
-        prog->FilterRows(table, rows.data(), rows.size(), eval, &kept));
-  } else {
-    for (size_t r = 0; r < table.NumRows(); ++r) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, eval.EvalPredicate(where, table, r));
-      if (keep) kept.push_back(r);
-    }
-  }
-  if (kept.size() == table.NumRows()) return table;
-  BindingTable filtered(table.columns());
-  for (const auto& [v, g] : table.column_graphs()) {
-    filtered.SetColumnGraph(v, g);
-  }
-  filtered.AppendRowsFrom(table, kept);
-  return filtered;
-}
-
 Result<BindingTable> Matcher::EvalMatchClause(const MatchClause& match) {
   // Clause-level ON: when the patterns name exactly one distinct graph,
   // patterns without their own ON run on it too.
@@ -1233,9 +1055,9 @@ Result<BindingTable> Matcher::LegacyEvalMatchClause(const MatchClause& match) {
   GCORE_ASSIGN_OR_RETURN(BindingTable table, EvalPatterns(match.patterns));
   pushdown_filters_.clear();
   if (match.where != nullptr) {
-    GCORE_ASSIGN_OR_RETURN(table,
-                           FilterTable(std::move(table), *match.where,
-                                       default_graph));
+    GCORE_ASSIGN_OR_RETURN(
+        table,
+        FilterByConjuncts(std::move(table), {match.where.get()}, default_graph));
   }
 
   GCORE_RETURN_NOT_OK(CheckOptionalVariableSharing(match));
@@ -1246,7 +1068,8 @@ Result<BindingTable> Matcher::LegacyEvalMatchClause(const MatchClause& match) {
     if (block.where != nullptr) {
       GCORE_ASSIGN_OR_RETURN(
           block_table,
-          FilterTable(std::move(block_table), *block.where, default_graph));
+          FilterByConjuncts(std::move(block_table), {block.where.get()},
+                            default_graph));
     }
     table = TableLeftOuterJoin(table, block_table);
   }

@@ -222,14 +222,12 @@ class Matcher {
   bool EdgeAdmits(const EdgePattern& edge, EdgeId id,
                   const PathPropertyGraph& graph) const;
 
-  /// Keeps the rows of `table` on which `predicate` holds. Runs the
-  /// predicate's VecProgram when it compiles, the row evaluator otherwise
-  /// and always under `ctx.use_planner = false` (the spec mode).
-  Result<BindingTable> FilterTable(BindingTable table, const Expr& predicate,
-                                   const PathPropertyGraph* graph);
-
-  /// Applies each conjunct in turn (pushdown filters of one operator),
-  /// each through the same two tiers as FilterTable.
+  /// Keeps the rows of `table` on which every conjunct holds: a pushed
+  /// list, or a whole WHERE passed as a one-element list. Conjuncts run
+  /// left to right in list order — the query's own order — each on the
+  /// rows the earlier ones kept. A conjunct runs its VecProgram when it
+  /// compiles, the row evaluator otherwise and always under
+  /// `ctx.use_planner = false` (the spec mode).
   Result<BindingTable> FilterByConjuncts(
       BindingTable table, const std::vector<const Expr*>& conjuncts,
       const PathPropertyGraph* graph);
@@ -340,9 +338,10 @@ class Matcher {
 /// True for matcher-internal generated column names.
 bool IsInternalColumn(const std::string& name);
 
-/// Splits `where` into AND-conjuncts and registers every pushdown-safe
-/// single-variable conjunct under its variable (the pushdown rewrite rule;
-/// shared by the legacy walk and the planner).
+/// Splits `where` into AND-conjuncts (SplitConjuncts, query-text order)
+/// and registers every pushdown-safe single-variable conjunct under its
+/// variable, keeping that order within each list (the pushdown rewrite
+/// rule; shared by the legacy walk and the planner).
 void CollectSingleVarConjuncts(
     const Expr& where,
     std::map<std::string, std::vector<const Expr*>>* out);

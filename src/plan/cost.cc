@@ -138,17 +138,6 @@ double ConstantPushedSelectivity(const PlanNode& node) {
   return s;
 }
 
-/// Splits an AND tree into its conjuncts.
-void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
-  if (expr.kind == Expr::Kind::kBinary &&
-      expr.binary_op == BinaryOp::kAnd) {
-    SplitConjuncts(*expr.args[0], out);
-    SplitConjuncts(*expr.args[1], out);
-    return;
-  }
-  out->push_back(&expr);
-}
-
 /// True when `expr` (a conjunct of a residual WHERE) also appears in a
 /// pushed list below `node` — the pushdown rule shares the Expr nodes, so
 /// pointer identity suffices.

@@ -458,7 +458,7 @@ class DrainingFilterOp : public PhysicalOp {
     if (resolved.ok()) graph = *resolved;
     GCORE_ASSIGN_OR_RETURN(
         BindingTable filtered,
-        rt_->FilterTable(std::move(table), *plan_->predicate, graph));
+        rt_->FilterByConjuncts(std::move(table), {plan_->predicate}, graph));
     if (stats_ != nullptr) {
       stats_->Record(plan_, filtered.NumRows());
       stats_->RecordTime(plan_, MsSince(t0));
@@ -754,8 +754,8 @@ Stage MakeResidualFilterStage(Matcher* rt, const PlanNode* plan,
   stage.thread_safe = ExprParallelSafe(*plan->predicate);
   stage.fn = Recorded(
       [rt, plan, resolved](BindingTable morsel) {
-        return rt->FilterTable(std::move(morsel), *plan->predicate,
-                               resolved->graph);
+        return rt->FilterByConjuncts(std::move(morsel), {plan->predicate},
+                                     resolved->graph);
       },
       rt, plan, stats, stage.thread_safe);
   return stage;

@@ -454,9 +454,13 @@ TEST(CorrelatedPredicate, PlanCacheHitAgreesWithFirstRun) {
 // surfaces; once a row reaches it, the query fails with the error's code.
 TEST(CorrelatedPredicate, LazinessAndErrorContract) {
   // Pattern predicates carry no ON of their own: the unresolvable
-  // reference is an undefined PATH view.
+  // reference is an undefined PATH view. The two-variable form stays in
+  // the residual WHERE; the single-variable form is pushed into the scan
+  // beside `n.firstName = 'Nobody'`.
+  const std::string pushed = "(n)-/<~undefinedView*>/->()";
   const std::string predicates[] = {
       "(n)-/<~undefinedView*>/->(m)",
+      pushed,
       "EXISTS (CONSTRUCT () MATCH (x) ON unregistered_graph)",
       "EXISTS (unregistered_graph)",
   };
@@ -482,6 +486,16 @@ TEST(CorrelatedPredicate, LazinessAndErrorContract) {
       EXPECT_EQ(result.status().code(), StatusCode::kNotFound)
           << mode.ToString() << ": " << result.status().ToString();
     }
+  }
+  // A pushed list runs in the query's order: written first, the predicate
+  // is reached by every scanned row, whatever the statistics say about the
+  // selective conjunct after it.
+  for (const Mode& mode : AllModes()) {
+    auto result = RunIn(mode, "SELECT n AS n MATCH (n:Person) WHERE " +
+                                  pushed + " AND n.firstName = 'Nobody'");
+    ASSERT_FALSE(result.ok()) << mode.ToString();
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound)
+        << mode.ToString() << ": " << result.status().ToString();
   }
   // EXISTS in a SELECT projection and in CONSTRUCT ... WHEN over an empty
   // binding table.

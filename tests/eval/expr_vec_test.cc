@@ -368,15 +368,14 @@ TEST_F(ExprVecTest, RefusesExpressionsNeedingTheFullEvaluator) {
 TEST_F(ExprVecTest, EngineResultsIdenticalAcrossKnobMorselsParallelism) {
   const char* queries[] = {
       // Residual WHERE with a non-specializable conjunct + computed
-      // projection + ORDER BY keys (FilterTable, FilterByConjuncts and
-      // FinishBasic vectorized sites all fire). Arithmetic over the
-      // partially-absent age column hides behind a CASE guard so the
-      // query is error-free under ANY conjunct evaluation order — the
-      // reordering satellite may legally move conjuncts around.
+      // projection + ORDER BY keys (the FilterByConjuncts and FinishBasic
+      // vectorized sites all fire). Arithmetic over the partially-absent
+      // age column hides behind a CASE guard so the query is error-free
+      // under ANY conjunct evaluation order.
       "SELECT n.firstName AS name, n.age + 1 AS a MATCH (n:Person) "
       "WHERE CASE WHEN n.age >= 17 THEN n.age + 0 >= 17 ELSE FALSE END "
       "ORDER BY n.firstName",
-      // Conjunct reordering candidates: property-vs-literal + arithmetic.
+      // A pushed list: property-vs-literal + arithmetic.
       "SELECT n.firstName AS name MATCH (n:Person) "
       "WHERE n.age >= 17 AND "
       "(CASE WHEN n.age >= 17 THEN n.age * 2 < 100 ELSE FALSE END) AND "

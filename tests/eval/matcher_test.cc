@@ -188,7 +188,8 @@ TEST(MatcherPins, FilterReadsPinnedProvenanceGraph) {
       table.SetColumnGraph("n", "g");
       table.MutableColumn(0).Append(Datum::OfNode(n));
       table.CommitRow();
-      auto kept = matcher.FilterTable(std::move(table), **where, *pinned);
+      auto kept = matcher.FilterByConjuncts(std::move(table),
+                                            {where->get()}, *pinned);
       ASSERT_TRUE(kept.ok()) << kept.status().ToString();
       EXPECT_EQ(kept->NumRows(), 1u) << "use_planner=" << use_planner
                                      << " re_register=" << re_register;

@@ -5,6 +5,10 @@
 // Q1..Q12.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "engine/engine.h"
 #include "graph/graph_ops.h"
 #include "snb/toy_graphs.h"
@@ -342,6 +346,43 @@ TEST_F(GuidedTour, Q11_View2_ToWagnerPaths) {
   });
   EXPECT_EQ(destinations,
             (std::set<uint64_t>{snb::kCelineId, snb::kFrankId}));
+}
+
+// A PATH view's WHERE is a full G-CORE predicate: here a pattern
+// predicate on the segment's target. Every person has an isLocatedIn
+// edge, so all 8 knows edges become lk segments and John reaches all
+// five persons (himself by the empty walk, Peter and Alice directly,
+// Celine and Frank through Peter). Only Celine and Frank have an
+// interest, so with hasInterest the segments are Peter->Celine and
+// Peter->Frank, none of which leaves John: only the empty walk remains.
+TEST_F(GuidedTour, PathViewWherePatternPredicate) {
+  const std::string match =
+      "SELECT m.firstName AS f "
+      "MATCH (n:Person)-/p<~lk*>/->(m:Person) WHERE n.firstName = 'John'";
+  const std::pair<std::string, std::vector<std::string>> cases[] = {
+      {"PATH lk = (x)-[e:knows]->(y) WHERE (y)-[:isLocatedIn]->() ",
+       {"Alice", "Celine", "Frank", "John", "Peter"}},
+      {"PATH lk = (x)-[e:knows]->(y) WHERE (y)-[:hasInterest]->() ",
+       {"John"}},
+  };
+  for (const bool use_planner : {true, false}) {
+    for (const auto& [path, expected] : cases) {
+      QueryEngine engine(&catalog);
+      engine.set_use_planner(use_planner);
+      auto r = engine.Execute(path + match);
+      ASSERT_TRUE(r.ok()) << "use_planner=" << use_planner << ": "
+                          << r.status().ToString();
+      ASSERT_TRUE(r->IsTable());
+      Table t = std::move(*r->table);
+      t.SortRows();
+      std::vector<std::string> names;
+      for (size_t i = 0; i < t.NumRows(); ++i) {
+        names.push_back(t.At(i, 0).AsString());
+      }
+      EXPECT_EQ(names, expected) << "use_planner=" << use_planner << ": "
+                                 << path;
+    }
+  }
 }
 
 // Q12 (lines 67-71): scoring John's friends — a single wagnerFriend edge

@@ -160,6 +160,17 @@ TEST_F(PlannerTest, PushdownFlagControlsRule) {
       << without;
 }
 
+// A pushed list keeps the query's conjunct order, which is also the
+// order it runs in: EXPLAIN shows what evaluates first.
+TEST_F(PlannerTest, PushedConjunctsKeepQueryOrder) {
+  const std::string plan = Explain(
+      "CONSTRUCT (n) MATCH (n:Person) "
+      "WHERE n.firstName = 'John' AND n.lastName = 'Doe'");
+  EXPECT_NE(plan.find("push={(n.firstName = 'John'), (n.lastName = 'Doe')}"),
+            std::string::npos)
+      << plan;
+}
+
 // Chain-ordering rule: independent chains join smallest-first (4
 // companies before 5 persons), regardless of source order.
 TEST_F(PlannerTest, ChainsOrderedByEstimatedCardinality) {
