@@ -9,7 +9,6 @@
 #include "eval/binding_ops.h"
 #include "paths/all_paths.h"
 #include "paths/batched_bfs.h"
-#include "paths/delta_stepping.h"
 #include "paths/frontier.h"
 #include "paths/product_bfs.h"
 #include "paths/rpq.h"
@@ -687,46 +686,7 @@ Result<BindingTable> Matcher::ExpandPathHop(
       }
       const size_t k = static_cast<size_t>(path.k);
       std::vector<std::map<NodeId, std::vector<FoundPath>>> per_src;
-      std::string view_name;
-      if (!sources.empty() && k == 1 && ctx.max_hops == 0 &&
-          IsViewStar(*path.rpq, &view_name)) {
-        // `<~view*>` degenerates the product search to plain SSSP over
-        // the view's segment graph — run the delta-stepping kernel per
-        // source instead of the product Dijkstra.
-        if (ctx_.views == nullptr) {
-          return Status::EvaluationError("regex references PATH view '~" +
-                                         view_name +
-                                         "' but no views are in scope");
-        }
-        GCORE_ASSIGN_OR_RETURN(const PathViewRelation* view,
-                               ctx_.views->Lookup(view_name));
-        per_src.resize(sources.size());
-        std::vector<Status> status(sources.size(), Status::OK());
-        // Sources fan across threads already; nest workers only when a
-        // lone source would leave the pool idle.
-        const size_t inner = sources.size() > 1 ? 1 : ctx.parallelism;
-        ParallelFor(ctx.parallelism, sources.size(), [&](size_t i) {
-          auto sssp = ViewStarSssp(adj, *view, sources[i], inner);
-          if (!sssp.ok()) {
-            status[i] = sssp.status();
-            return;
-          }
-          for (size_t n = 0; n < adj.num_nodes(); ++n) {
-            const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
-            if (!sssp->Reached(dn)) continue;
-            const NodeId dst = adj.IdOf(dn);
-            auto body = ReconstructViewWalk(adj, *sssp, sources[i], dst);
-            FoundPath found;
-            found.cost = sssp->distance[dn];
-            found.body = std::move(*body);
-            found.hops = found.body.edges.size();
-            per_src[i][dst].push_back(std::move(found));
-          }
-        });
-        for (const Status& st : status) {
-          if (!st.ok()) return st;
-        }
-      } else if (!sources.empty()) {
+      if (!sources.empty()) {
         GCORE_ASSIGN_OR_RETURN(per_src, BatchedKShortestFrom(ctx, sources, k));
       }
 

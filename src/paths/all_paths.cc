@@ -14,7 +14,7 @@ namespace {
 /// (dst, accept) is reachable. Implemented as forward reachability over
 /// the reversed NFA with flipped edge-direction semantics; view segments
 /// are consumed dst-to-src through a ViewBackIndex instead of rescanning
-/// AllSegments per visited node.
+/// every segment per visited node.
 Status BackwardProductReachability(const PathSearchContext& ctx, NodeId dst,
                                    std::vector<bool>* marks) {
   const AdjacencyIndex& adj = ctx.snap->adjacency();

@@ -58,8 +58,10 @@ const std::vector<const PathViewSegment*>& ViewBackIndex::SegmentsInto(
     const PathViewRelation& rel, NodeId dst) {
   auto [it, inserted] = by_rel_.try_emplace(&rel);
   if (inserted) {
-    for (const PathViewSegment& seg : rel.AllSegments()) {
-      it->second[seg.dst].push_back(&seg);
+    for (const auto& [src, segs] : rel.BySource()) {
+      for (const PathViewSegment& seg : segs) {
+        it->second[seg.dst].push_back(&seg);
+      }
     }
   }
   static const std::vector<const PathViewSegment*> kEmpty;

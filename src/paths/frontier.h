@@ -1,9 +1,7 @@
 // Shared infrastructure of the parallel path kernels.
 //
-// The batch-oriented kernels (batched_bfs.h, the bidirectional
-// product-BFS in product_bfs.h, and the `<~view*>` SSSP in
-// delta_stepping.h, which uses only the fan-out helpers) share three
-// ingredients:
+// The batch-oriented kernels (batched_bfs.h and the bidirectional
+// product-BFS in product_bfs.h) share three ingredients:
 //
 //   * CompiledNfa — the regex automaton with every transition label
 //     pre-resolved against a GraphSnapshot's interned label ids, so the
@@ -18,7 +16,7 @@
 //
 //   * ViewBackIndex — a lazily built dst-keyed index over PATH-view
 //     segments, the backward analogue of PathViewRelation::SegmentsFrom
-//     (backward product sweeps would otherwise rescan AllSegments per
+//     (backward product sweeps would otherwise rescan every segment per
 //     visited node).
 //
 // Determinism contract (see ROADMAP "Parallel path engine"): every kernel
@@ -99,8 +97,9 @@ class CompiledNfa {
 };
 
 /// Lazily built dst-keyed segment index over PATH-view relations: the
-/// backward analogue of PathViewRelation::SegmentsFrom. Not thread-safe;
-/// one instance per (serial) sweep.
+/// backward analogue of PathViewRelation::SegmentsFrom. Each list is in
+/// (source id, insertion) order. Not thread-safe; one instance per
+/// (serial) sweep.
 class ViewBackIndex {
  public:
   /// Segments of `rel` ending at `dst` (possibly empty). Pointers borrow

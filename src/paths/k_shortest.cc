@@ -21,7 +21,6 @@ struct TraversalStep {
 /// One Dijkstra label in the product space.
 struct Label {
   double cost = 0.0;
-  uint32_t hops = 0;
   DenseNodeIndex node = 0;
   NfaStateId state = 0;
   int32_t parent = -1;  // index into the label arena
@@ -55,7 +54,7 @@ class ProductDijkstra {
     const size_t product_size = adj_.num_nodes() * num_states_;
     pops_.assign(product_size, 0);
 
-    PushLabel(Label{0.0, 0, src_idx_, ctx_.nfa->start(), -1, {}});
+    PushLabel(Label{0.0, src_idx_, ctx_.nfa->start(), -1, {}});
 
     std::map<NodeId, std::vector<FoundPath>> results;
     size_t single_dst_found = 0;
@@ -125,24 +124,21 @@ class ProductDijkstra {
   Status Expand(uint32_t label_idx) {
     // Copy: pushing labels may reallocate the arena.
     const Label lab = labels_[label_idx];
-    if (ctx_.max_hops != 0 && lab.hops >= ctx_.max_hops) return Status::OK();
     const NodeId here = adj_.IdOf(lab.node);
 
     for (const CompiledTransition& t : nfa_.TransitionsFrom(lab.state)) {
       switch (t.type) {
         case NfaTransition::Type::kEpsilon: {
           if (ZeroWidthCycle(label_idx, lab.node, t.target)) break;
-          PushLabel(Label{lab.cost, lab.hops, lab.node, t.target,
-                          static_cast<int32_t>(label_idx),
-                          {}});
+          PushLabel(Label{lab.cost, lab.node, t.target,
+                          static_cast<int32_t>(label_idx), {}});
           break;
         }
         case NfaTransition::Type::kNodeTest: {
           if (!nfa_.NodeAdmitted(t, lab.node)) break;
           if (ZeroWidthCycle(label_idx, lab.node, t.target)) break;
-          PushLabel(Label{lab.cost, lab.hops, lab.node, t.target,
-                          static_cast<int32_t>(label_idx),
-                          {}});
+          PushLabel(Label{lab.cost, lab.node, t.target,
+                          static_cast<int32_t>(label_idx), {}});
           break;
         }
         case NfaTransition::Type::kAnyEdge:
@@ -165,10 +161,8 @@ class ProductDijkstra {
             TraversalStep step;
             step.kind = TraversalStep::Kind::kViewSegment;
             step.segment = &seg;
-            PushLabel(Label{
-                lab.cost + seg.cost,
-                lab.hops + static_cast<uint32_t>(seg.body.edges.size()), dst,
-                t.target, static_cast<int32_t>(label_idx), step});
+            PushLabel(Label{lab.cost + seg.cost, dst, t.target,
+                            static_cast<int32_t>(label_idx), step});
           }
           break;
         }
@@ -186,7 +180,7 @@ class ProductDijkstra {
         TraversalStep step;
         step.kind = TraversalStep::Kind::kEdge;
         step.edge = e->edge;
-        PushLabel(Label{lab.cost + 1.0, lab.hops + 1, e->neighbor, t.target,
+        PushLabel(Label{lab.cost + 1.0, e->neighbor, t.target,
                         static_cast<int32_t>(label_idx), step});
       }
     };
@@ -232,7 +226,6 @@ class ProductDijkstra {
         }
       }
     }
-    out.hops = out.body.edges.size();
     return out;
   }
 

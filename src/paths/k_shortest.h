@@ -5,7 +5,10 @@
 //   - `-/3 SHORTEST p <...> COST c/->` k cheapest walks per (src, dst),
 //   - `-/p <~wKnows*>/->`           weighted shortest over PATH views,
 // all in polynomial time in data size (Section 4): labels settle at most k
-// times per (node, NFA-state) product state.
+// times per (node, NFA-state) product state. The matcher runs every
+// SHORTEST hop, `<~view*>` walks included, through this search
+// (BatchedKShortestFrom fans it over the distinct sources), so `SHORTEST`
+// is always the first answer of `k SHORTEST`.
 //
 // Determinism: ties are broken by label insertion order on top of the
 // deterministic neighbor order of the snapshot's CSR, realizing the paper's
@@ -32,8 +35,6 @@ struct FoundPath {
   /// Sum of traversal costs: 1 per plain edge, the clause cost per PATH
   /// view segment. Equals hop count for view-free regexes.
   double cost = 0.0;
-  /// Number of graph edges in `body`.
-  size_t hops = 0;
 };
 
 /// Inputs shared by all path searches.
@@ -44,8 +45,6 @@ struct PathSearchContext {
   const Nfa* nfa = nullptr;
   /// Required iff the regex references `~view` atoms.
   const PathViewRegistry* views = nullptr;
-  /// Safety bound on walk length in edges (0 = unlimited).
-  size_t max_hops = 0;
   /// Worker threads for the batched kernels (1 = serial, 0 = one per
   /// hardware thread). Kernel results are identical at every degree.
   size_t parallelism = 1;

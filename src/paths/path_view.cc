@@ -17,8 +17,7 @@ Status PathViewRelation::AddSegment(PathViewSegment segment) {
     return Status::InvalidArgument("PATH view '" + name_ +
                                    "': segment body endpoints mismatch");
   }
-  by_src_[segment.src].push_back(segment);
-  segments_.push_back(std::move(segment));
+  by_src_[segment.src].push_back(std::move(segment));
   return Status::OK();
 }
 

@@ -36,7 +36,6 @@ class PathViewRelation {
   explicit PathViewRelation(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  size_t NumSegments() const { return segments_.size(); }
 
   /// Adds a segment; rejects non-positive cost.
   Status AddSegment(PathViewSegment segment);
@@ -44,13 +43,13 @@ class PathViewRelation {
   /// Segments starting at `src` (possibly none).
   const std::vector<PathViewSegment>& SegmentsFrom(NodeId src) const;
 
-  const std::vector<PathViewSegment>& AllSegments() const {
-    return segments_;
+  /// Every segment, keyed by source node; each list in insertion order.
+  const std::map<NodeId, std::vector<PathViewSegment>>& BySource() const {
+    return by_src_;
   }
 
  private:
   std::string name_;
-  std::vector<PathViewSegment> segments_;
   std::map<NodeId, std::vector<PathViewSegment>> by_src_;
 };
 

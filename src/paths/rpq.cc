@@ -118,21 +118,4 @@ std::string RpqExpr::ToString() const {
   return "?";
 }
 
-
-bool IsViewStar(const RpqExpr& expr, std::string* view_name) {
-  const RpqExpr* e = &expr;
-  auto unwrap = [](const RpqExpr* x) {
-    while (x->kind() == RpqExpr::Kind::kConcat && x->children().size() == 1) {
-      x = x->children()[0].get();
-    }
-    return x;
-  };
-  e = unwrap(e);
-  if (e->kind() != RpqExpr::Kind::kStar) return false;
-  e = unwrap(e->children()[0].get());
-  if (e->kind() != RpqExpr::Kind::kViewRef) return false;
-  if (view_name != nullptr) *view_name = e->label();
-  return true;
-}
-
 }  // namespace gcore

@@ -76,14 +76,6 @@ class RpqExpr {
   std::vector<std::unique_ptr<RpqExpr>> children_;
 };
 
-/// True when the expression is the weighted-view closure shape `~view*`
-/// (Star over a single ViewRef, looking through single-child Concat
-/// wrappers). That shape degenerates the graph × NFA product to plain
-/// SSSP over the view's segment graph — the matcher routes it to
-/// ViewStarSssp (delta_stepping.h) instead of the product Dijkstra. Sets
-/// *view_name to the referenced view on success.
-bool IsViewStar(const RpqExpr& expr, std::string* view_name);
-
 }  // namespace gcore
 
 #endif  // GCORE_PATHS_RPQ_H_

@@ -1,10 +1,11 @@
 // Engine-level integration tests: errors surface as proper Status codes,
 // views persist and compose, ON (subquery) locations, set operations
-// through the engine, and catalog sharing.
+// through the engine, catalog sharing, and the SHORTEST tie order.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include "graph/graph_builder.h"
 #include "graph/graph_ops.h"
 #include "snb/toy_graphs.h"
 
@@ -161,6 +162,47 @@ TEST_F(EngineTest, RuntimeErrorsCarryEvaluationCode) {
       "CONSTRUCT (m) MATCH (n)-/p<~w*>/->(m)");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsEvaluationError());
+}
+
+TEST_F(EngineTest, ViewWalkShortestIsFirstOfKShortest) {
+  // Two equal-cost view walks s→q→t and s→p→t (2.0 each). SHORTEST must
+  // return the walk that `2 SHORTEST` lists first, in every mode.
+  GraphBuilder b("ties", catalog.ids());
+  const NodeId s = b.AddNode({}, {{"name", "s"}});
+  const NodeId p = b.AddNode({}, {{"name", "p"}});
+  const NodeId q = b.AddNode({}, {{"name", "q"}});
+  const NodeId t = b.AddNode({}, {{"name", "t"}});
+  b.AddEdge(s, q, "r", {{"w", 0.5}});
+  b.AddEdge(s, p, "r", {{"w", 1.0}});
+  b.AddEdge(q, t, "r", {{"w", 1.5}});
+  b.AddEdge(p, t, "r", {{"w", 1.0}});
+  catalog.RegisterGraph("ties", b.Build());
+  catalog.SetDefaultGraph("ties");
+  auto query = [](const char* mode) {
+    return std::string("PATH v = (x)-[e:r]->(y) COST e.w "
+                       "SELECT nodes(p)[1].name AS via, c AS cost "
+                       "MATCH (a)-/") +
+           mode +
+           "p<~v*> COST c/->(z) WHERE a.name = 's' AND z.name = 't'";
+  };
+  for (bool use_planner : {true, false}) {
+    for (size_t parallelism : {size_t{1}, size_t{3}}) {
+      QueryEngine engine(&catalog);
+      engine.set_use_planner(use_planner);
+      engine.set_parallelism(parallelism);
+      const std::string label = "use_planner=" + std::to_string(use_planner) +
+                                " parallelism=" + std::to_string(parallelism);
+      auto one = engine.Execute(query(""));
+      ASSERT_TRUE(one.ok()) << label << ": " << one.status().ToString();
+      ASSERT_EQ(one->table->NumRows(), 1u) << label;
+      EXPECT_EQ(one->table->At(0, 0), Value::String("q")) << label;
+      EXPECT_EQ(one->table->At(0, 1), Value::Int(2)) << label;
+      auto two = engine.Execute(query("2 SHORTEST "));
+      ASSERT_TRUE(two.ok()) << label << ": " << two.status().ToString();
+      ASSERT_EQ(two->table->NumRows(), 2u) << label;
+      EXPECT_EQ(two->table->Row(0), one->table->Row(0)) << label;
+    }
+  }
 }
 
 TEST_F(EngineTest, DivisionByZeroSurfaces) {

@@ -3,21 +3,18 @@
 // 1 / 2 / 8 —
 //   BatchedReachableFrom ≡ ReachableFrom per source (incl. >64 sources,
 //                          so the 64-lane wave split is exercised),
-//   IsReachable (bidirectional) ≡ membership in the full fixpoint,
-//   ViewStarSssp         ≡ the product Dijkstra on `~view*` (costs), and
-//                          identical distances and parents at every degree.
+//   IsReachable (bidirectional) ≡ membership in the full fixpoint, and
+//   BatchedKShortestFrom ≡ KShortestPathsFrom per source.
 // The engine-level suite (tests/plan/parallel_test.cc) pins tables and
 // path ids on top, and this file adds the 1-row-morsel degree sweep.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
 #include "eval/matcher.h"
 #include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/batched_bfs.h"
-#include "paths/delta_stepping.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
 #include "snb/toy_graphs.h"
@@ -93,14 +90,12 @@ TEST(BatchedReachability, MatchesPerSourceAcrossWaveSplit) {
 
 /// Shared fixture with a PATH view and a node label, so view-ref and
 /// node-test transitions are covered too. The view covers every other
-/// edge with cost 1 + (edge id mod `cost_range`).
+/// edge with cost 1 + (edge id mod 3).
 struct ViewFixture {
   RandomGraph rg;
   PathViewRegistry views;
 
-  explicit ViewFixture(size_t nodes = 40, size_t edges = 120,
-                       uint64_t cost_range = 3)
-      : rg(nodes, edges) {
+  ViewFixture() : rg(40, 120) {
     PathViewRelation rel("w");
     size_t i = 0;
     rg.g.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
@@ -108,7 +103,7 @@ struct ViewFixture {
       PathViewSegment seg;
       seg.src = src;
       seg.dst = dst;
-      seg.cost = 1.0 + static_cast<double>(e.value() % cost_range);
+      seg.cost = 1.0 + static_cast<double>(e.value() % 3);
       seg.body.nodes = {src, dst};
       seg.body.edges = {e};
       ASSERT_TRUE(rel.AddSegment(std::move(seg)).ok());
@@ -162,134 +157,6 @@ TEST(BidirectionalReachability, MatchesFullFixpointAllPairs) {
         EXPECT_EQ(*got, full->count(NodeId(d)) > 0)
             << regex << ": " << s << " -> " << d;
       }
-    }
-  }
-}
-
-TEST(ViewStarSssp, MatchesProductDijkstraOnTree) {
-  // Segment costs over a tree: conforming walks are unique, so costs
-  // *and* bodies must match the product search exactly.
-  PathPropertyGraph g;
-  for (uint64_t i = 1; i <= 10; ++i) g.AddNode(NodeId(i));
-  PathViewRelation rel("w");
-  uint64_t edge_id = 100;
-  auto add_seg = [&](uint64_t s, uint64_t d, double cost) {
-    const EdgeId e(edge_id++);
-    ASSERT_TRUE(g.AddEdge(e, NodeId(s), NodeId(d)).ok());
-    PathViewSegment seg;
-    seg.src = NodeId(s);
-    seg.dst = NodeId(d);
-    seg.cost = cost;
-    seg.body.nodes = {NodeId(s), NodeId(d)};
-    seg.body.edges = {e};
-    ASSERT_TRUE(rel.AddSegment(std::move(seg)).ok());
-  };
-  add_seg(1, 2, 1.0);
-  add_seg(1, 3, 2.5);
-  add_seg(2, 4, 0.5);
-  add_seg(2, 5, 1.25);
-  add_seg(3, 6, 4.0);
-  add_seg(4, 7, 2.0);
-  add_seg(5, 8, 0.75);
-  const GraphSnapshot snap(g);
-  const AdjacencyIndex& adj = snap.adjacency();
-  PathViewRegistry views;
-  views.Register(std::move(rel));
-
-  Nfa nfa = CompileRegex("~w*");
-  PathSearchContext ctx;
-  ctx.snap = &snap;
-  ctx.nfa = &nfa;
-  ctx.views = &views;
-  auto want = KShortestPathsFrom(ctx, NodeId(1), 1);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-  auto lookup = views.Lookup("w");
-  ASSERT_TRUE(lookup.ok());
-  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-    auto sssp = ViewStarSssp(adj, **lookup, NodeId(1), parallelism);
-    ASSERT_TRUE(sssp.ok()) << sssp.status().ToString();
-    size_t reached = 0;
-    for (size_t n = 0; n < adj.num_nodes(); ++n) {
-      const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
-      if (!sssp->Reached(dn)) continue;
-      ++reached;
-      const NodeId dst = adj.IdOf(dn);
-      auto it = want->find(dst);
-      ASSERT_NE(it, want->end()) << "extra destination " << ToString(dst);
-      EXPECT_EQ(sssp->distance[dn], it->second.front().cost)
-          << ToString(dst) << " @ parallelism " << parallelism;
-      auto body = ReconstructViewWalk(adj, *sssp, NodeId(1), dst);
-      ASSERT_TRUE(body.has_value());
-      EXPECT_EQ(body->nodes, it->second.front().body.nodes)
-          << ToString(dst) << " @ parallelism " << parallelism;
-      EXPECT_EQ(body->edges, it->second.front().body.edges)
-          << ToString(dst) << " @ parallelism " << parallelism;
-    }
-    EXPECT_EQ(reached, want->size());
-  }
-}
-
-TEST(ViewStarSssp, MatchesProductDijkstraCostsWithTies) {
-  // Equal-cost alternatives: distances must still agree with the product
-  // search (bodies may legitimately differ between the two tiebreak
-  // families), and the whole result must be identical at every degree.
-  // The small graph keeps each bucket's frontier within one worker slice;
-  // the 600-node ones run many buckets whose frontiers span several
-  // slices, so the parallel merge decides distances and parents.
-  struct Input {
-    size_t nodes;
-    size_t edges;
-    uint64_t cost_range;
-  };
-  for (const Input& in : {Input{40, 120, 3}, Input{600, 3600, 3},
-                          Input{600, 3600, 2}}) {
-    ViewFixture f(in.nodes, in.edges, in.cost_range);
-    Nfa nfa = CompileRegex("~w*");
-    PathSearchContext ctx = f.Ctx(&nfa);
-    auto lookup = f.views.Lookup("w");
-    ASSERT_TRUE(lookup.ok());
-    const std::string graph = std::to_string(in.nodes) + " nodes, costs 1.." +
-                              std::to_string(in.cost_range);
-    size_t max_reached = 0;
-    double max_dist = 0.0;
-    for (uint64_t s = 1; s <= f.rg.num_nodes; s += 7) {
-      auto want = KShortestPathsFrom(ctx, NodeId(s), 1);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      const AdjacencyIndex& adj = f.rg.snap->adjacency();
-      auto serial = ViewStarSssp(adj, **lookup, NodeId(s), 1);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      size_t reached = 0;
-      for (size_t n = 0; n < adj.num_nodes(); ++n) {
-        const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
-        if (!serial->Reached(dn)) continue;
-        ++reached;
-        max_dist = std::max(max_dist, serial->distance[dn]);
-        const NodeId dst = adj.IdOf(dn);
-        auto it = want->find(dst);
-        ASSERT_NE(it, want->end());
-        EXPECT_EQ(serial->distance[dn], it->second.front().cost)
-            << graph << ": source " << s << " dst " << ToString(dst);
-      }
-      EXPECT_EQ(reached, want->size()) << graph << ": source " << s;
-      max_reached = std::max(max_reached, reached);
-      for (size_t parallelism : {size_t{2}, size_t{8}}) {
-        auto got = ViewStarSssp(adj, **lookup, NodeId(s), parallelism);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const std::string label = graph + ": source " + std::to_string(s) +
-                                  " @ parallelism " +
-                                  std::to_string(parallelism);
-        EXPECT_EQ(got->distance, serial->distance) << label;
-        EXPECT_EQ(got->parent, serial->parent) << label;
-        EXPECT_EQ(got->parent_seg, serial->parent_seg) << label;
-      }
-    }
-    if (in.nodes > 100) {
-      // Δ is the mean segment cost, at most cost_range: distances beyond
-      // 4 × cost_range span at least five buckets, and hundreds of
-      // reached nodes give frontiers wider than one 16-node slice.
-      EXPECT_GT(max_dist, 4.0 * static_cast<double>(in.cost_range)) << graph;
-      EXPECT_GE(max_reached, 200u) << graph;
     }
   }
 }

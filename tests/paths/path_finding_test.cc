@@ -3,11 +3,13 @@
 // and the plain BFS oracle of the product search.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
+
 #include "graph/graph_builder.h"
 #include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/all_paths.h"
-#include "paths/dijkstra.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
 
@@ -123,7 +125,7 @@ TEST(ShortestPath, FindsMinimalHopWalk) {
   ASSERT_TRUE(sp.ok());
   ASSERT_TRUE(sp->has_value());
   // 1-b->4-a->5 is 2 hops, beating 1-a->2-a->3 routes.
-  EXPECT_EQ((*sp)->hops, 2u);
+  EXPECT_EQ((*sp)->body.edges.size(), 2u);
   EXPECT_EQ((*sp)->body.nodes.front(), NodeId(1));
   EXPECT_EQ((*sp)->body.nodes.back(), NodeId(5));
 }
@@ -134,7 +136,7 @@ TEST(ShortestPath, RespectsRegexEvenIfLonger) {
   auto sp = ShortestPath(t.Ctx(&nfa), NodeId(1), NodeId(5));
   ASSERT_TRUE(sp.ok());
   ASSERT_TRUE(sp->has_value());
-  EXPECT_EQ((*sp)->hops, 4u);  // must avoid the b shortcut
+  EXPECT_EQ((*sp)->body.edges.size(), 4u);  // must avoid the b shortcut
   for (EdgeId e : (*sp)->body.edges) {
     EXPECT_TRUE(t.g.Labels(e).Contains("a"));
   }
@@ -154,7 +156,7 @@ TEST(ShortestPath, EmptyWalkWhenSourceEqualsTargetAndNullableRegex) {
   auto sp = ShortestPath(t.Ctx(&nfa), NodeId(3), NodeId(3));
   ASSERT_TRUE(sp.ok());
   ASSERT_TRUE(sp->has_value());
-  EXPECT_EQ((*sp)->hops, 0u);
+  EXPECT_EQ((*sp)->body.edges.size(), 0u);
   EXPECT_EQ((*sp)->body.nodes, std::vector<NodeId>{NodeId(3)});
 }
 
@@ -182,7 +184,7 @@ TEST(KShortest, ReturnsAtMostKInCostOrder) {
   ASSERT_EQ(paths->size(), 3u);
   EXPECT_LE((*paths)[0].cost, (*paths)[1].cost);
   EXPECT_LE((*paths)[1].cost, (*paths)[2].cost);
-  EXPECT_EQ((*paths)[0].hops, 1u);  // the b shortcut
+  EXPECT_EQ((*paths)[0].body.edges.size(), 1u);  // the b shortcut
 }
 
 TEST(KShortest, DistinctBodies) {
@@ -263,7 +265,7 @@ TEST(WeightedViews, DijkstraOverSegments) {
   ASSERT_TRUE(sp->has_value());
   // 1→2→3→4 costs 1.25, cheaper than the direct 5.0 segment.
   EXPECT_DOUBLE_EQ((*sp)->cost, 1.25);
-  EXPECT_EQ((*sp)->hops, 3u);
+  EXPECT_EQ((*sp)->body.edges.size(), 3u);
   EXPECT_EQ((*sp)->body.nodes,
             (std::vector<NodeId>{NodeId(1), NodeId(2), NodeId(3), NodeId(4)}));
 }
@@ -318,6 +320,44 @@ TEST(AllPaths, EmptyWhenUnreachable) {
 }
 
 // --- plain BFS oracle --------------------------------------------------------
+
+/// Result of a single-source run; indexed by dense node index.
+struct SsspResult {
+  static constexpr double kUnreachable =
+      std::numeric_limits<double>::infinity();
+  std::vector<double> distance;  // kUnreachable when not reached
+};
+
+/// Unit-weight BFS over all edges (both directions optional): the oracle
+/// the product search is checked against.
+SsspResult BfsFrom(const AdjacencyIndex& adj, NodeId src,
+                   bool follow_forward = true, bool follow_backward = false) {
+  SsspResult r;
+  r.distance.assign(adj.num_nodes(), SsspResult::kUnreachable);
+  const DenseNodeIndex s = adj.IndexOf(src);
+  r.distance[s] = 0.0;
+  std::deque<DenseNodeIndex> queue{s};
+  while (!queue.empty()) {
+    const DenseNodeIndex n = queue.front();
+    queue.pop_front();
+    auto visit = [&](const AdjacencyEntry* begin, const AdjacencyEntry* end) {
+      for (const AdjacencyEntry* e = begin; e != end; ++e) {
+        if (r.distance[e->neighbor] != SsspResult::kUnreachable) continue;
+        r.distance[e->neighbor] = r.distance[n] + 1.0;
+        queue.push_back(e->neighbor);
+      }
+    };
+    if (follow_forward) {
+      auto [b, e] = adj.Out(n);
+      visit(b, e);
+    }
+    if (follow_backward) {
+      auto [b, e] = adj.In(n);
+      visit(b, e);
+    }
+  }
+  return r;
+}
 
 TEST(Sssp, BfsHopCounts) {
   TestGraph t;

@@ -198,7 +198,6 @@ TEST_P(PathInvariants, KShortestCostsNondecreasing) {
       EXPECT_LE(paths[i - 1].cost, paths[i].cost);
     }
     for (const auto& p : paths) {
-      EXPECT_EQ(p.hops, p.body.edges.size());
       EXPECT_EQ(p.body.nodes.size(), p.body.edges.size() + 1);
     }
   }
