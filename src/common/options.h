@@ -28,7 +28,7 @@ struct EngineOptions {
   /// trees). Off keeps the seed's source-order left-deep chain.
   bool reorder_joins = true;
   /// Optimizer rule: cyclic patterns → MultiwayExpand worst-case-optimal
-  /// intersection when the AGM/max-degree bound wins. Requires
+  /// intersection when its estimated C_out beats the binary plan's. Requires
   /// reorder_joins and usable statistics.
   bool enable_multiway = true;
   /// Per-column statistics in the cardinality estimator; off falls back

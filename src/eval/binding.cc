@@ -439,27 +439,6 @@ size_t HashRow(const BindingRow& row) {
   return h;
 }
 
-void BindingTable::Deduplicate() {
-  RowIndexSet seen;
-  seen.Reserve(num_rows_);
-  std::vector<size_t> kept;
-  kept.reserve(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) {
-    const bool fresh =
-        seen.InsertIfNew(RowHash(i), kept.size(), [&](size_t j) {
-          return RowsEqual(*this, i, *this, kept[j]);
-        });
-    if (fresh) kept.push_back(i);
-  }
-  if (kept.size() == num_rows_) return;
-  for (Column& col : cols_) {
-    Column compact;
-    compact.AppendIndexed(col, kept);
-    col = std::move(compact);
-  }
-  num_rows_ = kept.size();
-}
-
 RowIndexSet::RowIndexSet() : slots_(64, {0, 0}) {}
 
 void RowIndexSet::Reserve(size_t entries) {

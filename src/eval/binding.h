@@ -292,11 +292,6 @@ class BindingTable {
   Column& MutableColumn(size_t c) { return cols_[c]; }
   void CommitRow() { ++num_rows_; }
 
-  /// Removes duplicate rows (bindings form a *set*), keeping the first
-  /// occurrence of each binding in place. Fallback for tables built
-  /// without a RowDedupSink; fused construction paths never need it.
-  void Deduplicate();
-
   /// Which graph each object column was matched on; used by CONSTRUCT to
   /// copy λ/σ of bound objects (Section 3, "labels and properties ... are
   /// preserved in the returned result graph").
@@ -389,7 +384,7 @@ class RowIndexSet {
 
 /// Fused duplicate elimination: rows are tested against the sink's seen
 /// set *as they are constructed*, so the target table is duplicate-free
-/// by construction — no trailing Deduplicate() pass and no re-hash of
+/// by construction — no trailing dedup pass and no re-hash of
 /// already-stored rows. The seen set holds row *indices* into the target
 /// table; stored rows are compared column-wise, never materialized.
 ///

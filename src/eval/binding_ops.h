@@ -24,8 +24,8 @@ BindingTable TableUnion(const BindingTable& a, const BindingTable& b);
 
 /// Ω1 ⋈ Ω2: one output row µ1 ∪ µ2 per compatible pair. Dedup is fused
 /// into output construction: each merged row is hashed once, while hot,
-/// and appended only if new — duplicates are never materialized and the
-/// whole-table rehash of the old trailing Deduplicate() is gone.
+/// and appended only if new — duplicates are never materialized and no
+/// trailing whole-table rehash is needed.
 BindingTable TableJoin(const BindingTable& a, const BindingTable& b);
 
 /// Ω1 ⋈ Ω2 with a hash-partitioned build and a morsel-parallel probe:

@@ -1079,7 +1079,7 @@ BindingTable Matcher::ProjectResult(
     const BindingTable& table, const std::vector<std::string>* output) const {
   std::vector<size_t> kept;
   BindingTable result = ProjectionSchema(table, output, &kept);
-  // Set semantics restored as rows are selected (no trailing Deduplicate
+  // Set semantics restored as rows are selected (no trailing dedup
   // pass); first occurrences survive, as before. Hash and equality walk
   // the kept columns only — nothing row-shaped is built until the final
   // column-wise gather of the surviving row indices.

@@ -1,7 +1,6 @@
 #include "graph/stats.h"
 
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/snapshot.h"
@@ -24,18 +23,6 @@ void CountEdgeBuckets(const LabelSet& endpoint_labels,
   };
   count_edge_labels("");
   for (const auto& label : endpoint_labels) count_edge_labels(label);
-}
-
-/// Raises every bucket of `maxima` to one node's count in it; the ""
-/// keys make maxima[""][""] the global maximum degree.
-void FoldMaxima(const Buckets& node, Buckets* maxima) {
-  for (const auto& [endpoint_label, by_edge] : node) {
-    auto& out = (*maxima)[endpoint_label];
-    for (const auto& [edge_label, count] : by_edge) {
-      size_t& slot = out[edge_label];
-      if (count > slot) slot = count;
-    }
-  }
 }
 
 /// Folds one property value into `stats` (count/distinct handled by the
@@ -101,15 +88,6 @@ double AvgDegree(
          static_cast<double>(endpoint_count);
 }
 
-size_t MaxDegree(
-    const std::map<std::string, std::map<std::string, size_t>>& maxima,
-    const std::string& endpoint_label, const std::string& edge_label) {
-  auto by_endpoint = maxima.find(endpoint_label);
-  if (by_endpoint == maxima.end()) return 0;
-  auto by_edge = by_endpoint->second.find(edge_label);
-  return by_edge == by_endpoint->second.end() ? 0 : by_edge->second;
-}
-
 const PropertyStats* PropStatsFor(
     const std::map<std::string, std::map<std::string, PropertyStats>>&
         by_label,
@@ -165,9 +143,8 @@ void SweepColumn(const GraphSnapshot& snap, const std::string& key,
 
 /// Accumulates the statistics of a PPG one object at a time; Collect
 /// feeds it every node, edge and path, and Finish() resolves the distinct
-/// counts and degree maxima. Distinct-value tracking keeps one value set
-/// per property key until Finish, so it costs what the graph's property
-/// data costs.
+/// counts. Distinct-value tracking keeps one value set per property key
+/// until Finish, so it costs what the graph's property data costs.
 class StatsCollector {
  public:
   void AddNode(const LabelSet& labels, const PropertyMap& props) {
@@ -182,11 +159,8 @@ class StatsCollector {
     }
   }
 
-  /// `src`/`dst` identify the endpoints so per-node degree counters (the
-  /// max-degree histograms) can accumulate.
   void AddEdge(const LabelSet& edge_labels, const PropertyMap& props,
-               const LabelSet& src_labels, const LabelSet& dst_labels,
-               NodeId src, NodeId dst) {
+               const LabelSet& src_labels, const LabelSet& dst_labels) {
     ++stats_.num_edges;
     for (const auto& label : edge_labels) ++stats_.edge_label_counts[label];
     FoldPropertyMap(props, &stats_.edge_props, &edge_values_.global);
@@ -198,8 +172,6 @@ class StatsCollector {
     }
     CountEdgeBuckets(src_labels, edge_labels, &stats_.out_edge_counts);
     CountEdgeBuckets(dst_labels, edge_labels, &stats_.in_edge_counts);
-    CountEdgeBuckets(src_labels, edge_labels, &out_degrees_[src.value()]);
-    CountEdgeBuckets(dst_labels, edge_labels, &in_degrees_[dst.value()]);
   }
 
   void AddPath() { ++stats_.num_paths; }
@@ -214,12 +186,6 @@ class StatsCollector {
     for (const auto& [label, values] : edge_values_.by_label) {
       ResolveDistinct(values, &stats.edge_props_by_label[label]);
     }
-    for (const auto& [node, buckets] : out_degrees_) {
-      FoldMaxima(buckets, &stats.out_degree_max);
-    }
-    for (const auto& [node, buckets] : in_degrees_) {
-      FoldMaxima(buckets, &stats.in_degree_max);
-    }
     return stats;
   }
 
@@ -230,16 +196,9 @@ class StatsCollector {
     std::map<std::string, std::set<Value>> global;
     std::map<std::string, std::map<std::string, std::set<Value>>> by_label;
   };
-  /// Per-node edge counters of one direction, keyed
-  /// [node][endpoint label][edge label]; Finish() folds them into maxima
-  /// (order-independent, so the node key hashes).
-  using DegreeCounts = std::unordered_map<uint64_t, Buckets>;
-
   GraphStats stats_;
   ValueSets node_values_;
   ValueSets edge_values_;
-  DegreeCounts out_degrees_;
-  DegreeCounts in_degrees_;
 };
 
 }  // namespace
@@ -268,16 +227,6 @@ double GraphStats::AvgInDegree(const std::string& dst_label,
   return AvgDegree(in_edge_counts, dst_label, edge_label, targets);
 }
 
-size_t GraphStats::MaxOutDegree(const std::string& src_label,
-                                const std::string& edge_label) const {
-  return MaxDegree(out_degree_max, src_label, edge_label);
-}
-
-size_t GraphStats::MaxInDegree(const std::string& dst_label,
-                               const std::string& edge_label) const {
-  return MaxDegree(in_degree_max, dst_label, edge_label);
-}
-
 const PropertyStats* GraphStats::NodePropStatsFor(
     const std::string& label, const std::string& key) const {
   return PropStatsFor(node_props_by_label, node_props, label, key);
@@ -295,7 +244,7 @@ GraphStats GraphStats::Collect(const PathPropertyGraph& graph) {
   });
   graph.ForEachEdge([&](EdgeId id, NodeId src, NodeId dst) {
     collector.AddEdge(graph.Labels(id), graph.Properties(id),
-                      graph.Labels(src), graph.Labels(dst), src, dst);
+                      graph.Labels(src), graph.Labels(dst));
   });
   graph.ForEachPath([&](PathId, const PathBody&) { collector.AddPath(); });
   return collector.Finish();
@@ -335,9 +284,8 @@ GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
         &stats.edge_props, &stats.edge_props_by_label);
   }
 
-  // Edge buckets and per-node degree counters. Label ids are assigned in
-  // sorted-name order, so translating a sorted id span gives the LabelSet
-  // the collector saw.
+  // Edge buckets. Label ids are assigned in sorted-name order, so
+  // translating a sorted id span gives the LabelSet the collector saw.
   auto names_of = [&](GraphSnapshot::Span<uint32_t> ids) {
     std::vector<std::string> names;
     names.reserve(ids.size());
@@ -348,8 +296,6 @@ GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
   for (size_t n = 0; n < snap.num_nodes(); ++n) {
     node_labels[n] = names_of(snap.NodeLabelIds(static_cast<DenseNodeIndex>(n)));
   }
-  std::vector<Buckets> out_deg(snap.num_nodes());
-  std::vector<Buckets> in_deg(snap.num_nodes());
   for (size_t e = 0; e < snap.num_edges(); ++e) {
     const LabelSet edge_labels =
         names_of(snap.EdgeLabelIds(static_cast<DenseEdgeIndex>(e)));
@@ -357,14 +303,6 @@ GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
     const DenseNodeIndex dst = snap.EdgeDst(static_cast<DenseEdgeIndex>(e));
     CountEdgeBuckets(node_labels[src], edge_labels, &stats.out_edge_counts);
     CountEdgeBuckets(node_labels[dst], edge_labels, &stats.in_edge_counts);
-    CountEdgeBuckets(node_labels[src], edge_labels, &out_deg[src]);
-    CountEdgeBuckets(node_labels[dst], edge_labels, &in_deg[dst]);
-  }
-  for (const Buckets& buckets : out_deg) {
-    FoldMaxima(buckets, &stats.out_degree_max);
-  }
-  for (const Buckets& buckets : in_deg) {
-    FoldMaxima(buckets, &stats.in_degree_max);
   }
   return stats;
 }

@@ -4,20 +4,16 @@
 // Beyond the object/label counts of the original seed, a GraphStats
 // carries per-property-key distributions (how many objects hold the key,
 // how many distinct values it takes, the numeric min/max) and measured
-// edge-degree histograms keyed by (endpoint label, edge label) — the
-// ingredients for the estimator's 1/distinct equality rule, min/max range
-// interpolation and degree-based expansion fanout. The columnar layout of
+// edge counts keyed by (endpoint label, edge label) — the ingredients for
+// the estimator's 1/distinct equality rule, min/max range interpolation
+// and average-degree expansion fanout. The columnar layout of
 // the Ω layer makes all of these one linear scan to collect.
 //
-// Two refinements feed the join subsystem (plan/cost.h):
-//   * per-bucket *maximum* degree next to every (endpoint label, edge
-//     label) average — the ingredient of the degree-aware AGM/FD upper
-//     bound that prices MultiwayExpand against binary join trees
-//     (Abo Khamis, Ngo & Suciu);
-//   * per-(label, key) property distributions, so a label-restricted
-//     scan with a property filter stops paying the carrying-fraction ×
-//     label-fraction independence double-charge (the global per-key
-//     distribution remains the fallback when a bucket is missing).
+// Property distributions are also kept per (label, key), so a
+// label-restricted scan with a property filter stops paying the
+// carrying-fraction × label-fraction independence double-charge (the
+// global per-key distribution remains the fallback when a bucket is
+// missing).
 //
 // Two collection paths produce identical statistics:
 //   * GraphStats::CollectFromSnapshot(snapshot) — a column sweep over the
@@ -87,12 +83,6 @@ struct GraphStats {
   /// num_edges.
   std::map<std::string, std::map<std::string, size_t>> out_edge_counts;
   std::map<std::string, std::map<std::string, size_t>> in_edge_counts;
-  /// Maximum per-node degree of each bucket above: out_degree_max[ℓ][e]
-  /// is the largest number of e-labeled edges leaving any single ℓ-labeled
-  /// node (the worst-case fanout the AGM/FD join bound multiplies by).
-  /// A bucket missing from the map means no such edge was measured.
-  std::map<std::string, std::map<std::string, size_t>> out_degree_max;
-  std::map<std::string, std::map<std::string, size_t>> in_degree_max;
 
   /// Nodes carrying `label`; 0 when the label never occurs.
   size_t NodesWithLabel(const std::string& label) const;
@@ -106,13 +96,6 @@ struct GraphStats {
                       const std::string& edge_label) const;
   /// Average in-degree, keyed by the *target* node's label.
   double AvgInDegree(const std::string& dst_label,
-                     const std::string& edge_label) const;
-
-  /// Maximum out-degree of the (src_label, edge_label) bucket; 0 when the
-  /// combination was never measured (callers fall back to the average).
-  size_t MaxOutDegree(const std::string& src_label,
-                      const std::string& edge_label) const;
-  size_t MaxInDegree(const std::string& dst_label,
                      const std::string& edge_label) const;
 
   /// Distribution of `key` over nodes carrying `label`; null when the
@@ -142,9 +125,7 @@ struct GraphStats {
            a.node_props_by_label == b.node_props_by_label &&
            a.edge_props_by_label == b.edge_props_by_label &&
            a.out_edge_counts == b.out_edge_counts &&
-           a.in_edge_counts == b.in_edge_counts &&
-           a.out_degree_max == b.out_degree_max &&
-           a.in_degree_max == b.in_degree_max;
+           a.in_edge_counts == b.in_edge_counts;
   }
 };
 

@@ -224,6 +224,63 @@ std::string AnchorEdgeLabel(
   return anchor;
 }
 
+/// Measured average number of `edge`-matching edges at one node anchored
+/// at `label`, walking the pattern from its from-side (`forward`) or from
+/// its to-side: out-degree along `-[]->` walked forward, in-degree along
+/// it walked backward, their sum undirected. A disjunctive label group's
+/// degree is the sum of its labels' degrees (an upper bound); a
+/// conjunction of groups takes the most selective group.
+double AvgFanout(const GraphStats& stats, const std::string& label,
+                 const EdgePattern& edge, bool forward) {
+  auto degree_of = [&](const std::string& edge_label) {
+    switch (edge.direction) {
+      case EdgePattern::Direction::kRight:
+        return forward ? stats.AvgOutDegree(label, edge_label)
+                       : stats.AvgInDegree(label, edge_label);
+      case EdgePattern::Direction::kLeft:
+        return forward ? stats.AvgInDegree(label, edge_label)
+                       : stats.AvgOutDegree(label, edge_label);
+      case EdgePattern::Direction::kUndirected:
+        return stats.AvgOutDegree(label, edge_label) +
+               stats.AvgInDegree(label, edge_label);
+    }
+    return 0.0;
+  };
+  if (edge.label_groups.empty()) return degree_of("");
+  double fanout = std::numeric_limits<double>::infinity();
+  for (const auto& group : edge.label_groups) {
+    double group_degree = 0.0;
+    for (const auto& label_of_edge : group) {
+      group_degree += degree_of(label_of_edge);
+    }
+    fanout = std::min(fanout, group_degree);
+  }
+  return fanout;
+}
+
+/// Appends the label groups of `pattern` that `groups` does not hold yet
+/// (re-stating a label on a second occurrence of a variable does not
+/// select again).
+void AppendDistinctGroups(const NodePattern& pattern,
+                          std::vector<std::vector<std::string>>* groups) {
+  for (const auto& group : pattern.label_groups) {
+    if (std::find(groups->begin(), groups->end(), group) == groups->end()) {
+      groups->push_back(group);
+    }
+  }
+}
+
+/// Label groups of every pattern occurrence a MultiwayExpand absorbed for
+/// cycle variable `var`, each distinct group once.
+std::vector<std::vector<std::string>> AbsorbedLabelGroups(
+    const PlanNode& node, const std::string& var) {
+  std::vector<std::vector<std::string>> groups;
+  for (const auto& [v, pattern] : node.multi_nodes) {
+    if (v == var && pattern != nullptr) AppendDistinctGroups(*pattern, &groups);
+  }
+  return groups;
+}
+
 /// The node pattern a binder operator admits `var` with, or null.
 const NodePattern* BinderNodePattern(const PlanNode& binder,
                                      const std::string& var) {
@@ -394,45 +451,21 @@ double CardinalityEstimator::EstimateExpand(const PlanNode& node,
     // The source anchor is the most selective single-label group of the
     // pattern element binding from_var (a disjunctive group does not pin
     // one label); "" anchors on all nodes.
+    const PlanNode& child = *node.children[0];
     std::string src_label;
-    {
-      const PlanNode* binder = FindBinder(*node.children[0], node.from_var);
-      const NodePattern* from_pattern =
-          binder == nullptr ? nullptr
-          : binder->op == PlanOp::kNodeScan ? binder->node
-          : binder->op == PlanOp::kExpandEdge ||
-                  binder->op == PlanOp::kPathSearch
-              ? binder->to
-              : nullptr;
-      if (from_pattern != nullptr) {
-        src_label = AnchorNodeLabel(from_pattern->label_groups, *stats);
-      }
+    const PlanNode* binder = FindBinder(child, node.from_var);
+    const NodePattern* from_pattern =
+        binder == nullptr ? nullptr : BinderNodePattern(*binder, node.from_var);
+    if (from_pattern != nullptr) {
+      src_label = AnchorNodeLabel(from_pattern->label_groups, *stats);
     }
-    const EdgePattern::Direction direction = node.edge->direction;
-    auto degree_of = [&](const std::string& edge_label) {
-      switch (direction) {
-        case EdgePattern::Direction::kRight:
-          return stats->AvgOutDegree(src_label, edge_label);
-        case EdgePattern::Direction::kLeft:
-          return stats->AvgInDegree(src_label, edge_label);
-        case EdgePattern::Direction::kUndirected:
-          return stats->AvgOutDegree(src_label, edge_label) +
-                 stats->AvgInDegree(src_label, edge_label);
-      }
-      return 0.0;
-    };
-    if (node.edge->label_groups.empty()) {
-      fanout = degree_of("");
-    } else {
-      // Conjunction of disjunctions: a disjunctive group's degree is the
-      // sum of its labels' degrees (an upper bound); the conjunction
-      // takes the most selective group.
-      fanout = std::numeric_limits<double>::infinity();
-      for (const auto& group : node.edge->label_groups) {
-        double group_degree = 0.0;
-        for (const auto& label : group) group_degree += degree_of(label);
-        fanout = std::min(fanout, group_degree);
-      }
+    fanout = AvgFanout(*stats, src_label, *node.edge, /*forward=*/true);
+    // A closing edge (to_var already bound below) intersects instead of
+    // expanding: each of the fanout edges lands on the bound node with
+    // probability 1 / its domain.
+    if (FindBinder(child, node.to_var) != nullptr) {
+      const double domain = VarDomain(child, node.to_var);
+      if (domain > 0.0) fanout /= std::max(1.0, domain);
     }
     to_anchor = AnchorNodeLabel(node.to->label_groups, *stats);
     edge_anchor = AnchorEdgeLabel(node.edge->label_groups, *stats);
@@ -523,15 +556,9 @@ double CardinalityEstimator::VarDomain(const PlanNode& tree,
       }
       // A cycle node variable: conjoin the label groups of every pattern
       // occurrence the rewrite absorbed.
-      std::vector<std::vector<std::string>> groups;
-      for (const auto& [v, pattern] : binder->multi_nodes) {
-        if (v != var || pattern == nullptr) continue;
-        groups.insert(groups.end(), pattern->label_groups.begin(),
-                      pattern->label_groups.end());
-      }
       return static_cast<double>(stats->num_nodes) *
-             LabelSelectivity(groups, stats->node_label_counts,
-                              stats->num_nodes);
+             LabelSelectivity(AbsorbedLabelGroups(*binder, var),
+                              stats->node_label_counts, stats->num_nodes);
     }
     default:
       return -1.0;
@@ -581,149 +608,94 @@ double CardinalityEstimator::EstimateJoin(const PlanNode& node) {
                       key_domains, use_column_stats_);
 }
 
-double CardinalityEstimator::EstimateMultiway(const PlanNode& node,
-                                              double child_est) {
+CardinalityEstimator::MultiwayEstimate
+CardinalityEstimator::EstimateMultiway(const PlanNode& node,
+                                       double child_est) {
+  MultiwayEstimate est;
   const GraphStats* stats = StatsFor(node.graph);
   if (stats == nullptr || child_est < 0.0 || node.children.empty() ||
       node.multi_edges.empty()) {
-    return -1.0;
+    return est;
   }
-
-  // Matching-edge count of one pattern edge (labels + literal props; an
-  // undirected pattern can cross each edge both ways).
-  auto edge_count = [&](const MultiwayEdge& me) {
-    const std::string anchor =
-        use_column_stats_ ? AnchorEdgeLabel(me.edge->label_groups, *stats)
-                          : std::string();
-    double c = static_cast<double>(stats->num_edges) *
-               LabelSelectivity(me.edge->label_groups,
-                                stats->edge_label_counts,
-                                stats->num_edges) *
-               PropSelectivity(me.edge->props, stats, /*edge_props=*/true,
-                               anchor);
-    if (me.edge->direction == EdgePattern::Direction::kUndirected) {
-      c *= 2.0;
-    }
-    return std::max(0.0, c);
-  };
+  const PlanNode& child = *node.children[0];
 
   // AGM bound with the cycle's optimal fractional edge cover (1/2 per
-  // edge): Π √|E_i|.
+  // edge), Π √|E_i| over each pattern edge's matching-edge count (labels
+  // + literal props; an undirected pattern can cross each edge both
+  // ways). It caps the estimate below.
   double agm = 1.0;
   for (const MultiwayEdge& me : node.multi_edges) {
-    agm *= std::sqrt(edge_count(me));
+    double edges = static_cast<double>(stats->num_edges) *
+                   LabelSelectivity(me.edge->label_groups,
+                                    stats->edge_label_counts,
+                                    stats->num_edges) *
+                   PropSelectivity(me.edge->props, stats, /*edge_props=*/true,
+                                   AnchorEdgeLabel(me.edge->label_groups,
+                                                   *stats));
+    if (me.edge->direction == EdgePattern::Direction::kUndirected) {
+      edges *= 2.0;
+    }
+    agm *= std::sqrt(std::max(0.0, edges));
   }
 
-  // Degree-sequence bound (Abo Khamis et al., specialized to cycles over
-  // binary edge relations): walk the elimination order; each new
-  // variable multiplies by the smallest worst-case fanout over its
-  // already-bound neighbors — the per-bucket *maximum* degree, falling
-  // back to the average when the maximum was never measured.
-  //
-  // Both bounds assume at most one admitted edge per (endpoint pair,
-  // pattern edge) — exact on simple graphs. Parallel edges multiply the
-  // operator's edge-variable bindings past them (the statistics do not
-  // yet track per-pair multiplicities; see the ROADMAP follow-up), so on
-  // multigraphs this is an estimate, not a certified ceiling.
   std::set<std::string> bound;
   for (const std::string& v : MultiwayNodeVars(node)) {
-    if (FindBinder(*node.children[0], v) != nullptr) bound.insert(v);
+    if (FindBinder(child, v) != nullptr) bound.insert(v);
   }
-  if (bound.empty()) return -1.0;
+  if (bound.empty()) return est;
 
-  // Label anchor of a cycle variable: the most selective single-label
-  // group over every absorbed pattern occurrence (and the child binder's
-  // pattern for pre-bound variables).
-  auto anchor_of = [&](const std::string& var) {
-    std::vector<std::vector<std::string>> groups;
-    for (const auto& [v, pattern] : node.multi_nodes) {
-      if (v != var || pattern == nullptr) continue;
-      groups.insert(groups.end(), pattern->label_groups.begin(),
-                    pattern->label_groups.end());
-    }
-    const PlanNode* binder = FindBinder(*node.children[0], var);
+  // Label groups of a cycle variable: every absorbed pattern occurrence,
+  // plus the child binder's pattern for pre-bound variables.
+  auto groups_of = [&](const std::string& var) {
+    std::vector<std::vector<std::string>> groups =
+        AbsorbedLabelGroups(node, var);
+    const PlanNode* binder = FindBinder(child, var);
     const NodePattern* bound_pattern =
         binder == nullptr ? nullptr : BinderNodePattern(*binder, var);
-    if (bound_pattern != nullptr) {
-      groups.insert(groups.end(), bound_pattern->label_groups.begin(),
-                    bound_pattern->label_groups.end());
-    }
-    return AnchorNodeLabel(groups, *stats);
+    if (bound_pattern != nullptr) AppendDistinctGroups(*bound_pattern, &groups);
+    return groups;
+  };
+  auto anchor_of = [&](const std::string& var) {
+    return AnchorNodeLabel(groups_of(var), *stats);
   };
 
-  auto worst_fanout = [&](const std::string& bound_var,
-                          const MultiwayEdge& me) {
-    const std::string anchor = anchor_of(bound_var);
-    // Candidates leave the bound endpoint along the edge's direction:
-    // out-neighbors when the pattern points away from it, in-neighbors
-    // when it points at it, both when undirected.
-    const bool away = me.from_var == bound_var;
-    auto degree_of = [&](const std::string& edge_label) {
-      double max_deg = 0.0;
-      double avg_deg = 0.0;
-      switch (me.edge->direction) {
-        case EdgePattern::Direction::kRight:
-          max_deg = away ? stats->MaxOutDegree(anchor, edge_label)
-                         : stats->MaxInDegree(anchor, edge_label);
-          avg_deg = away ? stats->AvgOutDegree(anchor, edge_label)
-                         : stats->AvgInDegree(anchor, edge_label);
-          break;
-        case EdgePattern::Direction::kLeft:
-          max_deg = away ? stats->MaxInDegree(anchor, edge_label)
-                         : stats->MaxOutDegree(anchor, edge_label);
-          avg_deg = away ? stats->AvgInDegree(anchor, edge_label)
-                         : stats->AvgOutDegree(anchor, edge_label);
-          break;
-        case EdgePattern::Direction::kUndirected:
-          max_deg = stats->MaxOutDegree(anchor, edge_label) +
-                    stats->MaxInDegree(anchor, edge_label);
-          avg_deg = stats->AvgOutDegree(anchor, edge_label) +
-                    stats->AvgInDegree(anchor, edge_label);
-          break;
-      }
-      // A measured average with no measured maximum (e.g. statistics from
-      // an older collector) falls back to the average — still a usable
-      // estimate, no longer a hard bound.
-      return max_deg > 0.0 ? max_deg : avg_deg;
-    };
-    if (!use_column_stats_) {
-      // Seed model: global fanout, direction-blind.
-      double edges = static_cast<double>(stats->num_edges) *
-                     LabelSelectivity(me.edge->label_groups,
-                                      stats->edge_label_counts,
-                                      stats->num_edges);
-      if (me.edge->direction == EdgePattern::Direction::kUndirected) {
-        edges *= 2.0;
-      }
-      return edges /
-             std::max<double>(1.0, static_cast<double>(stats->num_nodes));
-    }
-    if (me.edge->label_groups.empty()) return degree_of("");
-    double fanout = std::numeric_limits<double>::infinity();
-    for (const auto& group : me.edge->label_groups) {
-      double group_degree = 0.0;
-      for (const auto& label : group) group_degree += degree_of(label);
-      fanout = std::min(fanout, group_degree);
-    }
-    return fanout;
-  };
-
-  double degree_bound = child_est;
-  for (const std::string& v : MultiwayEliminationOrder(node, bound)) {
-    double fanout = std::numeric_limits<double>::infinity();
+  // Walk the executor's elimination order with the binary plan's rules:
+  // a variable's first edge to a bound variable expands (average fanout
+  // × the new variable's label selectivity), every further edge to a
+  // bound variable w closes (average fanout from the new variable /
+  // VarDomain(w)), exactly as EstimateExpand prices a closing edge.
+  const std::vector<std::string> order =
+      MultiwayEliminationOrder(node, bound);
+  double rows = child_est;
+  double partials = 0.0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const std::string& v = order[i];
+    bool expanded = false;
     for (const MultiwayEdge& me : node.multi_edges) {
       const std::string& other = me.from_var == v ? me.to_var
                                  : me.to_var == v ? me.from_var
                                                   : std::string();
       if (other.empty() || other == v || bound.count(other) == 0) continue;
-      fanout = std::min(fanout, worst_fanout(other, me));
+      if (!expanded) {
+        rows *= AvgFanout(*stats, anchor_of(other), *me.edge,
+                          /*forward=*/me.from_var == other) *
+                LabelSelectivity(groups_of(v), stats->node_label_counts,
+                                 stats->num_nodes);
+        expanded = true;
+      } else {
+        rows *= AvgFanout(*stats, anchor_of(v), *me.edge,
+                          /*forward=*/me.from_var == v) /
+                std::max(1.0, VarDomain(node, other));
+      }
     }
-    if (!std::isfinite(fanout)) return -1.0;  // disconnected cycle edge
-    degree_bound *= fanout;
+    if (!expanded) return est;  // disconnected cycle edge
     bound.insert(v);
+    if (i + 1 < order.size()) partials += rows;
   }
 
-  return std::max(0.0, std::min(agm, degree_bound));
+  est.rows = std::max(0.0, std::min(agm, rows));
+  est.enumerated = partials + est.rows;
+  return est;
 }
 
 double CardinalityEstimator::Annotate(PlanNode* node) {
@@ -741,7 +713,7 @@ double CardinalityEstimator::Annotate(PlanNode* node) {
       est = EstimateExpand(*node, child_est);
       break;
     case PlanOp::kMultiwayExpand:
-      est = EstimateMultiway(*node, child_est);
+      est = EstimateMultiway(*node, child_est).rows;
       break;
     case PlanOp::kPathSearch:
       est = EstimatePathSearch(*node, child_est);

@@ -22,13 +22,14 @@
 //     V_R(v)) over the shared variables (PlanNode::join_vars), where
 //     V(v) is the side's distinct-key estimate. The same formula is
 //     exposed as JoinEstimate for the planner's DP enumeration.
-//   * Multiway — a MultiwayExpand cycle is priced by the smaller of the
-//     AGM bound (Π √|E_i| with the fractional edge cover of a cycle)
-//     and the degree-sequence bound of Abo Khamis, Ngo & Suciu seeded by
-//     the child estimate: each eliminated variable multiplies by the
-//     minimum per-bucket *maximum* degree over its already-bound
-//     neighbors (falling back to the average degree when a max bucket is
-//     missing).
+//   * Closing edge — an expansion whose target variable is already bound
+//     below intersects instead: its fanout divides by the bound
+//     variable's domain (VarDomain).
+//   * Multiway — a MultiwayExpand cycle walks the executor's elimination
+//     order from the child estimate with the expansion and closing-edge
+//     rules above, so the rewrite and the binary plan it replaces are
+//     priced by one estimator; the AGM bound Π √|E_i| (the fractional
+//     edge cover of a cycle) caps the result.
 // Each rule falls back to the seed's constant selectivities when the
 // statistic it needs is absent, and the whole subsystem degrades to the
 // label-count-only model when `use_column_stats` is off (the bench
@@ -91,12 +92,17 @@ class CardinalityEstimator {
       const std::vector<std::pair<double, double>>& key_domains,
       bool use_column_stats);
 
-  /// AGM / max-degree upper bound on the output of a MultiwayExpand node
-  /// given its child estimate (a certified ceiling on simple graphs;
-  /// parallel edges can exceed it — per-pair multiplicities are not
-  /// tracked yet); negative when unknown. Public so the planner can
-  /// price a candidate rewrite before committing to it.
-  double EstimateMultiway(const PlanNode& node, double child_est);
+  /// Estimate of a MultiwayExpand node given its child estimate: `rows`
+  /// is its output, `enumerated` the rows the operator produces on the
+  /// way — the partial bindings after every elimination step before the
+  /// last, plus the output. Both negative when unknown.
+  struct MultiwayEstimate {
+    double rows = -1.0;
+    double enumerated = -1.0;
+  };
+  /// Public so the planner can price a candidate rewrite before
+  /// committing to it.
+  MultiwayEstimate EstimateMultiway(const PlanNode& node, double child_est);
 
  private:
   const GraphStats* StatsFor(const std::string& location);

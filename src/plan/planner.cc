@@ -201,6 +201,13 @@ PlanPtr CopyScanLeaf(const PlanNode& scan) {
   return copy;
 }
 
+/// Sum of est_rows over every operator of an annotated plan (C_out).
+double SumEstimates(const PlanNode& node) {
+  double sum = node.est_rows;
+  for (const auto& child : node.children) sum += SumEstimates(*child);
+  return sum;
+}
+
 /// One candidate cycle: edges are (unit index, expand index) pairs.
 struct CycleCandidate {
   std::vector<std::pair<size_t, size_t>> edges;
@@ -388,20 +395,25 @@ void Planner::TryMultiwayRewrite(std::vector<JoinUnit>* units) {
       }
     }
 
-    // Price the rewrite: seed scan + AGM/max-degree output bound against
-    // the binary alternative's materialized volume (each consumed chain
-    // plus its greedy smallest-first join intermediates).
+    // Price the rewrite by C_out on both sides, with one estimator: the
+    // seed scan plus every row the operator enumerates, against every
+    // operator of the consumed chains plus their greedy smallest-first
+    // join intermediates.
     node->children.push_back(CopyScanLeaf(*shapes[seed_unit].scan));
-    const double multiway_est = estimator.Annotate(node.get());
-    const double seed_est = node->children[0]->est_rows;
-    if (multiway_est < 0.0 || seed_est < 0.0) continue;
-    const double multiway_cost = seed_est + multiway_est;
+    const double seed_est = estimator.Annotate(node->children[0].get());
+    const CardinalityEstimator::MultiwayEstimate multiway =
+        estimator.EstimateMultiway(*node, seed_est);
+    if (multiway.rows < 0.0) continue;  // also an unknown seed estimate
+    node->est_rows = multiway.rows;
+    const double multiway_cost = seed_est + multiway.enumerated;
 
     const GreedyFold fold = GreedyJoinFold(
         *units, std::vector<size_t>(consumed.begin(), consumed.end()),
         &estimator);
     double binary_cost = 0.0;
-    for (size_t u : fold.order) binary_cost += (*units)[u].est;
+    for (size_t u : fold.order) {
+      binary_cost += SumEstimates(*(*units)[u].plan);
+    }
     for (double join_est : fold.join_ests) binary_cost += join_est;
     if (!(multiway_cost < binary_cost)) continue;
 
@@ -411,7 +423,7 @@ void Planner::TryMultiwayRewrite(std::vector<JoinUnit>* units) {
     node->children.push_back(
         TakeScan(std::move((*units)[seed_unit].plan)));
     JoinUnit merged;
-    merged.est = multiway_est;
+    merged.est = multiway.rows;
     merged.min_source = *consumed.begin();
     for (size_t u : consumed) {
       merged.vars.insert((*units)[u].vars.begin(), (*units)[u].vars.end());

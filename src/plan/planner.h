@@ -13,9 +13,10 @@
 //     emit *bushy* HashJoin trees; with unknown estimates the plan stays
 //     the seed's source-order left-deep chain.
 //   * Cycle rewrite — when the chains close a cycle (triangle, diamond)
-//     whose AGM/max-degree bound undercuts the binary alternative, the
-//     cycle collapses into one MultiwayExpand node evaluated by
-//     worst-case-optimal multiway intersection (plan/wcoj.h).
+//     whose estimated enumeration undercuts the binary alternative's
+//     C_out (one estimator prices both), the cycle collapses into one
+//     MultiwayExpand node evaluated by worst-case-optimal multiway
+//     intersection (plan/wcoj.h).
 //   * Build-side choice — a HashJoin whose right side is predicted much
 //     larger than the accumulated left gets swap_build: the executor
 //     builds over the left and re-merges in canonical column order.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/binding_ops.h"
+#include "tests/eval/dedup.h"
 
 namespace gcore {
 namespace {
@@ -71,14 +72,13 @@ TEST(BindingTable, RowArityChecked) {
 }
 
 TEST(BindingTable, DeduplicateSetSemantics) {
-  BindingTable t = Make({"x"}, {{N(1)}, {N(1)}, {N(2)}});
-  t.Deduplicate();
+  const BindingTable t = Deduplicated(Make({"x"}, {{N(1)}, {N(1)}, {N(2)}}));
   EXPECT_EQ(t.NumRows(), 2u);
 }
 
 TEST(BindingTable, DeduplicateKeepsFirstOccurrenceOrder) {
-  BindingTable t = Make({"x"}, {{N(3)}, {N(1)}, {N(3)}, {N(2)}, {N(1)}});
-  t.Deduplicate();
+  const BindingTable t =
+      Deduplicated(Make({"x"}, {{N(3)}, {N(1)}, {N(3)}, {N(2)}, {N(1)}}));
   ASSERT_EQ(t.NumRows(), 3u);
   EXPECT_EQ(t.Get(0, "x"), N(3));
   EXPECT_EQ(t.Get(1, "x"), N(1));
@@ -375,15 +375,13 @@ TEST_P(OuterJoinLaw, DefinitionHolds) {
       const uint64_t vy = static_cast<uint64_t>((seed * 5 + salt + i * 2) % 4);
       EXPECT_TRUE(t.AddRow({N(vx + 1), N(vy + 1)}).ok());
     }
-    t.Deduplicate();
-    return t;
+    return Deduplicated(t);
   };
   BindingTable a = rnd_table(1);
   BindingTable b = rnd_table(2);
-  BindingTable lhs = TableLeftOuterJoin(a, b);
-  BindingTable rhs = TableUnion(TableJoin(a, b), TableAntijoin(a, b));
-  lhs.Deduplicate();
-  rhs.Deduplicate();
+  const BindingTable lhs = Deduplicated(TableLeftOuterJoin(a, b));
+  const BindingTable rhs =
+      Deduplicated(TableUnion(TableJoin(a, b), TableAntijoin(a, b)));
   EXPECT_EQ(lhs.NumRows(), rhs.NumRows());
 }
 

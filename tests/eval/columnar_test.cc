@@ -10,6 +10,7 @@
 
 #include "eval/binding.h"
 #include "eval/binding_ops.h"
+#include "tests/eval/dedup.h"
 
 namespace gcore {
 namespace {
@@ -192,7 +193,7 @@ TEST(ColumnarDedup, SinkInsertFromMatchesRowInsert) {
   EXPECT_FALSE(row_sink.Insert(src.Row(0)));
 }
 
-/// Pseudo-random property check: Deduplicate() and TableJoin over
+/// Pseudo-random property check: RowDedupSink dedup and TableJoin over
 /// columnar storage agree with a row-materialized reference model.
 TEST(ColumnarDedup, DeduplicateMatchesRowModel) {
   for (int seed = 0; seed < 8; ++seed) {
@@ -218,7 +219,7 @@ TEST(ColumnarDedup, DeduplicateMatchesRowModel) {
       }
       if (!dup) reference.push_back(row);
     }
-    t.Deduplicate();
+    t = Deduplicated(t);
     ASSERT_EQ(t.NumRows(), reference.size()) << "seed " << seed;
     for (size_t r = 0; r < reference.size(); ++r) {
       EXPECT_EQ(t.Row(r), reference[r]) << "seed " << seed << " row " << r;

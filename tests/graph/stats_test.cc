@@ -125,25 +125,6 @@ TEST(GraphStatsTest, AverageDegrees) {
   EXPECT_DOUBLE_EQ(stats.AvgOutDegree("A", "zzz"), 0.0);
 }
 
-TEST(GraphStatsTest, MaxDegrees) {
-  IdAllocator ids;
-  GraphBuilder builder = MakeKnownGraph(&ids);
-  const GraphStats stats = StatsOf(builder);
-  // Each A has exactly one :link out-edge; B0 alone holds all four :hop
-  // out-edges (the bucket's maximum, vs the 2.0 average over both Bs).
-  EXPECT_EQ(stats.MaxOutDegree("A", "link"), 1u);
-  EXPECT_EQ(stats.MaxOutDegree("B", "hop"), 4u);
-  EXPECT_EQ(stats.MaxInDegree("B", "link"), 4u);  // all 4 land on B0
-  EXPECT_EQ(stats.MaxInDegree("A", "hop"), 1u);
-  // "" buckets (any endpoint / any edge label): B0 sends the 4 hops and
-  // receives the 4 links plus B1's unlabeled edge.
-  EXPECT_EQ(stats.MaxOutDegree("", ""), 4u);
-  EXPECT_EQ(stats.MaxInDegree("", ""), 5u);
-  // Unmeasured combinations answer 0 (callers fall back to averages).
-  EXPECT_EQ(stats.MaxOutDegree("A", "hop"), 0u);
-  EXPECT_EQ(stats.MaxOutDegree("Z", "link"), 0u);
-}
-
 TEST(GraphStatsTest, PerLabelPropertyDistributions) {
   IdAllocator ids;
   GraphBuilder b("pl", &ids);

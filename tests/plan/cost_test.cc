@@ -216,6 +216,23 @@ TEST_F(CostTest, ReverseExpansionUsesMeasuredInDegree) {
   EXPECT_NEAR(expand->est_rows, 20.0 * 1.5 * kBSel, 1e-9);
 }
 
+// A closing edge — its target already bound below — intersects instead
+// of expanding: each fanout edge lands on the bound node with probability
+// 1 / that variable's domain.
+TEST_F(CostTest, ClosingEdgeDividesFanoutByBoundDomain) {
+  PlanPtr plan =
+      Plan("CONSTRUCT (a) MATCH (a:A)-[:link]->(b:B)-[:hop]->(a)");
+  ASSERT_NE(plan, nullptr);
+  const PlanNode* closing = FindOp(plan.get(), PlanOp::kExpandEdge);
+  ASSERT_NE(closing, nullptr);
+  ASSERT_EQ(closing->to_var, "a");
+  // 20 A sources × out-degree 1 on :link × P(:B).
+  const double paths = 20.0 * 1.0 * kBSel;
+  EXPECT_NEAR(closing->children[0]->est_rows, paths, 1e-9);
+  // 3 :hop edges per B, each hitting the bound a with probability 1/20.
+  EXPECT_NEAR(closing->est_rows, paths * 3.0 / 20.0, 1e-9);
+}
+
 TEST_F(CostTest, SeedModelExpansionWhenColumnStatsOff) {
   PlanPtr plan = Plan("CONSTRUCT (b) MATCH (b:B)-[:hop]->(a:A)",
                       /*use_column_stats=*/false);

@@ -1,16 +1,18 @@
 // Estimator-accuracy tests: EXPLAIN ANALYZE runs chain/star/filter
 // queries on a graph with known distributions and every operator's
 // estimate must stay within a fixed q-error bound of its actual row
-// count — the ground truth the stats subsystem exists to predict. Also
-// pins the join-order flip: when per-column statistics say the smaller
-// side should build first, the plan changes shape vs the constants-only
-// model.
+// count — the ground truth the stats subsystem exists to predict. The
+// triangle's closing edge and its MultiwayExpand rewrite are pinned the
+// same way, and against each other. Also pins the join-order flip: when
+// per-column statistics say the smaller side should build first, the
+// plan changes shape vs the constants-only model.
 #include <gtest/gtest.h>
 
 #include <regex>
 
 #include "engine/engine.h"
 #include "graph/graph_builder.h"
+#include "tests/plan/cycle_graph.h"
 
 namespace gcore {
 namespace {
@@ -61,22 +63,30 @@ double QError(double est, double actual) {
   return std::max(e / a, a / e);
 }
 
+/// The rendered plan of `EXPLAIN [ANALYZE] query`, one operator a line.
+std::string ExplainOver(GraphCatalog* catalog, const std::string& query,
+                        bool analyze = true, bool multiway = true) {
+  QueryEngine engine(catalog);
+  engine.set_enable_multiway(multiway);
+  auto r = engine.Execute((analyze ? "EXPLAIN ANALYZE " : "EXPLAIN ") +
+                          query);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return "";
+  EXPECT_TRUE(r->IsTable());
+  std::string out;
+  for (size_t i = 0; i < r->table->NumRows(); ++i) {
+    if (i > 0) out += "\n";
+    out += r->table->At(i, 0).AsString();
+  }
+  return out;
+}
+
 class EstimatorAccuracyTest : public ::testing::Test {
  protected:
   EstimatorAccuracyTest() { RegisterAccuracyGraph(&catalog); }
 
   std::string ExplainAnalyze(const std::string& query) {
-    QueryEngine engine(&catalog);
-    auto r = engine.Execute("EXPLAIN ANALYZE " + query);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    if (!r.ok()) return "";
-    EXPECT_TRUE(r->IsTable());
-    std::string out;
-    for (size_t i = 0; i < r->table->NumRows(); ++i) {
-      if (i > 0) out += "\n";
-      out += r->table->At(i, 0).AsString();
-    }
-    return out;
+    return ExplainOver(&catalog, query);
   }
 
   /// Every operator annotated with est and actual passes the q-error
@@ -144,6 +154,78 @@ TEST_F(EstimatorAccuracyTest, AnalyzeMatchesPlainExecutionResult) {
   // Project dedups (a, b) pairs: 400 of them.
   EXPECT_NE(plan.find("Project [a, b] dedup"), std::string::npos) << plan;
   EXPECT_NE(plan.find("actual_rows=400"), std::string::npos) << plan;
+}
+
+// --- cycles ------------------------------------------------------------------
+
+/// The first plan line containing `needle`; empty when absent.
+std::string LineOf(const std::string& plan, const std::string& needle) {
+  const size_t at = plan.find(needle);
+  if (at == std::string::npos) return "";
+  const size_t begin = plan.rfind('\n', at);
+  const size_t from = begin == std::string::npos ? 0 : begin + 1;
+  return plan.substr(from, plan.find('\n', at) - from);
+}
+
+/// est_rows of one plan line; -1 when it carries none.
+double EstRows(const std::string& line) {
+  static const std::regex kEst(R"(est_rows=([0-9.eE+\-]+))");
+  std::smatch m;
+  return std::regex_search(line, m, kEst) ? std::stod(m[1]) : -1.0;
+}
+
+/// The triangle on the "cyc" graph: 55 :P nodes, 95 :e edges (average
+/// out-degree 95/55), 15 triangle bindings.
+class CycleEstimateTest : public ::testing::Test {
+ protected:
+  CycleEstimateTest() {
+    RegisterCycleGraph(&catalog);
+    catalog.SetDefaultGraph("cyc");
+  }
+
+  GraphCatalog catalog;
+};
+
+TEST_F(CycleEstimateTest, ClosingEdgeWithinQErrorBound) {
+  // The closing edge lands on the bound a with probability 1/|P|: 164
+  // wedges × 95/55 / 55 ≈ 5.15 predicted for 15 actual.
+  const std::string plan = ExplainOver(&catalog, kSingleChainTriangle,
+                                       /*analyze=*/true, /*multiway=*/false);
+  const auto pairs =
+      ParseEstimates(LineOf(plan, "ExpandEdge (c)-[z:e]->(a)"));
+  ASSERT_EQ(pairs.size(), 1u) << plan;
+  EXPECT_DOUBLE_EQ(pairs[0].second, 15.0) << plan;
+  EXPECT_LE(QError(pairs[0].first, pairs[0].second), 4.0) << plan;
+}
+
+TEST_F(CycleEstimateTest, MultiwayEstimateWithinQErrorBound) {
+  for (const char* query : {kTriangleQuery, kSingleChainTriangle}) {
+    const std::string plan = ExplainOver(&catalog, query);
+    const auto pairs = ParseEstimates(LineOf(plan, "MultiwayExpand"));
+    ASSERT_EQ(pairs.size(), 1u) << plan;
+    EXPECT_DOUBLE_EQ(pairs[0].second, 15.0) << plan;
+    EXPECT_LE(QError(pairs[0].first, pairs[0].second), 4.0)
+        << query << "\n" << plan;
+  }
+}
+
+// The rewrite and the binary plan it replaces are priced by one
+// estimator, so they predict the same output.
+TEST_F(CycleEstimateTest, MultiwayEstimateAgreesWithBinaryRoot) {
+  for (const char* query : {kTriangleQuery, kSingleChainTriangle}) {
+    const std::string multiway =
+        ExplainOver(&catalog, query, /*analyze=*/false);
+    const std::string binary = ExplainOver(&catalog, query,
+                                           /*analyze=*/false,
+                                           /*multiway=*/false);
+    const double multiway_est = EstRows(LineOf(multiway, "MultiwayExpand"));
+    // The first annotated line is the binary plan's root.
+    const double binary_root = EstRows(LineOf(binary, "est_rows="));
+    ASSERT_GT(multiway_est, 0.0) << multiway;
+    ASSERT_GT(binary_root, 0.0) << binary;
+    EXPECT_LE(QError(multiway_est, binary_root), 1.5)
+        << query << "\n" << multiway << "\n" << binary;
+  }
 }
 
 // --- join-order flip ---------------------------------------------------------

@@ -3,8 +3,8 @@
 // differential pins of MultiwayExpand output against the legacy walk and
 // the binary-join plan at parallelism 1/2/8, determinism of the multiway
 // operator under the morsel protocol, the EXPLAIN ANALYZE intermediate
-// comparison of the acceptance criteria, max-degree bound fallbacks, and
-// the parallel LeftOuterJoin composition.
+// comparison of the acceptance criteria, the rewrite on skewed SNB
+// graphs, and the parallel LeftOuterJoin composition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,44 +17,12 @@
 #include "parser/parser.h"
 #include "plan/cost.h"
 #include "plan/planner.h"
+#include "snb/generator.h"
 #include "snb/toy_graphs.h"
+#include "tests/plan/cycle_graph.h"
 
 namespace gcore {
 namespace {
-
-/// "cyc": a 40-node directed ring where node i points at i+1 and i+2
-/// (labels :P, edges :e — 80 edges, zero ring triangles because three
-/// hops of +1/+2 never wrap), plus five disjoint directed triangles of
-/// fresh :P nodes. Max out/in degree 2, so the multiway degree bound
-/// (N·2·2 for a triangle) undercuts the binary plan's wedge intermediate
-/// (~|E|²/N), which is what makes the rewrite fire.
-void RegisterCycleGraph(GraphCatalog* catalog) {
-  GraphBuilder b("cyc", catalog->ids());
-  std::vector<NodeId> ring;
-  for (int i = 0; i < 40; ++i) ring.push_back(b.AddNode({"P"}));
-  for (int i = 0; i < 40; ++i) {
-    b.AddEdge(ring[i], ring[(i + 1) % 40], "e");
-    b.AddEdge(ring[i], ring[(i + 2) % 40], "e");
-  }
-  for (int t = 0; t < 5; ++t) {
-    const NodeId t1 = b.AddNode({"P"});
-    const NodeId t2 = b.AddNode({"P"});
-    const NodeId t3 = b.AddNode({"P"});
-    b.AddEdge(t1, t2, "e");
-    b.AddEdge(t2, t3, "e");
-    b.AddEdge(t3, t1, "e");
-  }
-  catalog->RegisterGraph("cyc", b.Build());
-}
-
-constexpr const char* kTriangleQuery =
-    "CONSTRUCT (a) MATCH (a:P)-[x:e]->(b:P), (b)-[y:e]->(c:P), "
-    "(c)-[z:e]->(a)";
-constexpr const char* kSingleChainTriangle =
-    "CONSTRUCT (a) MATCH (a:P)-[x:e]->(b:P)-[y:e]->(c:P)-[z:e]->(a)";
-constexpr const char* kDiamondQuery =
-    "CONSTRUCT (a) MATCH (a:P)-[w:e]->(b:P), (b)-[x:e]->(c:P), "
-    "(a)-[y:e]->(d:P), (d)-[z:e]->(c)";
 
 /// Order-insensitive canonical form (differential comparisons).
 std::vector<std::string> Canonical(const BindingTable& table) {
@@ -105,7 +73,7 @@ class WcojTest : public ::testing::Test {
     parsed_.push_back(std::move(*parsed));
     MatcherContext ctx;
     ctx.catalog = &catalog;
-    ctx.default_graph = "cyc";
+    ctx.default_graph = default_graph;
     ctx.use_planner = use_planner;
     ctx.enable_multiway = multiway;
     ctx.parallelism = parallelism;
@@ -115,6 +83,7 @@ class WcojTest : public ::testing::Test {
   }
 
   GraphCatalog catalog;
+  std::string default_graph = "cyc";
   std::vector<std::unique_ptr<Query>> parsed_;
 };
 
@@ -272,33 +241,44 @@ TEST_F(WcojTest, AnalyzeShowsMultiwayBeatsBinaryIntermediates) {
   EXPECT_EQ(multi_final[0], binary_final[0]);
 }
 
-// --- max-degree bound fallbacks ----------------------------------------------
+// --- skewed SNB --------------------------------------------------------------
 
-// Statistics without measured maxima (e.g. seeded from an older
-// collector) degrade the degree bound to averages: the rewrite still
-// prices and fires, just less tightly.
-TEST_F(WcojTest, RewriteSurvivesMissingMaxDegreeBuckets) {
-  GraphCatalog doctored;
-  GraphBuilder b("cyc", doctored.ids());
-  std::vector<NodeId> ring;
-  for (int i = 0; i < 40; ++i) ring.push_back(b.AddNode({"P"}));
-  for (int i = 0; i < 40; ++i) {
-    b.AddEdge(ring[i], ring[(i + 1) % 40], "e");
-    b.AddEdge(ring[i], ring[(i + 2) % 40], "e");
+// SNB's `knows` degrees are skewed, so a worst-case (max-degree) bound on
+// the cycle's output loses to the binary plan's average-degree estimate
+// and the construct workload's triangle would never rewrite. Priced by
+// the binary plan's own estimator, it rewrites on every seed, and its
+// bindings stay the legacy walk's.
+TEST_F(WcojTest, SkewedSnbTriangleRewritesAndMatchesLegacy) {
+  const std::string triangle =
+      "CONSTRUCT (a)-[:triangle]->(b) "
+      "MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person)"
+      "-[:knows]->(a)";
+  default_graph = "snb";
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
+    snb::GeneratorOptions options;
+    options.num_persons = 300;
+    options.seed = seed;
+    catalog.RegisterGraph("snb", snb::Generate(options, catalog.ids()));
+    catalog.SetDefaultGraph("snb");
+
+    const std::string plan = Explain(triangle);
+    EXPECT_NE(plan.find("MultiwayExpand"), std::string::npos)
+        << "seed " << seed << "\n" << plan;
+    EXPECT_EQ(plan.find("ExpandEdge"), std::string::npos)
+        << "seed " << seed << "\n" << plan;
+
+    auto legacy = Bindings(triangle, /*use_planner=*/false, false, 1);
+    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+    EXPECT_FALSE(legacy->Empty()) << "seed " << seed;
+    for (const size_t parallelism : {size_t{1}, size_t{3}}) {
+      auto multiway =
+          Bindings(triangle, /*use_planner=*/true, true, parallelism);
+      ASSERT_TRUE(multiway.ok()) << multiway.status().ToString();
+      EXPECT_EQ(multiway->columns(), legacy->columns()) << "seed " << seed;
+      EXPECT_EQ(Canonical(*multiway), Canonical(*legacy))
+          << "seed " << seed << " p=" << parallelism;
+    }
   }
-  GraphStats stats = GraphStats::Collect(b.graph());
-  stats.out_degree_max.clear();
-  stats.in_degree_max.clear();
-  doctored.RegisterGraph("cyc", b.Build(), std::move(stats));
-  doctored.SetDefaultGraph("cyc");
-  QueryEngine engine(&doctored);
-  auto r = engine.Execute(std::string("EXPLAIN ") + kTriangleQuery);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  std::string plan;
-  for (size_t i = 0; i < r->table->NumRows(); ++i) {
-    plan += r->table->At(i, 0).AsString() + "\n";
-  }
-  EXPECT_NE(plan.find("MultiwayExpand"), std::string::npos) << plan;
 }
 
 // --- bushy enumeration -------------------------------------------------------
