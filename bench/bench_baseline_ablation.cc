@@ -11,9 +11,7 @@
 
 #include "baselines.h"
 
-#include "engine/engine.h"
 #include "graph/catalog.h"
-#include "graph/graph_builder.h"
 #include "graph/snapshot.h"
 #include "graph/stats.h"
 #include "eval/matcher.h"
@@ -171,83 +169,7 @@ BENCHMARK(BM_PushdownOff)
     ->Range(50, 400)
     ->Unit(benchmark::kMillisecond);
 
-// --- statistics ablation (BENCH_stats_ablation.json) -----------------------
-//
-// Stats-driven cardinality estimation vs the seed's constant
-// selectivities. The skewed fixture makes the two models rank the
-// query's chains differently: the per-column model knows the 2-valued
-// flag keeps *half* the :A scan (≈0.39n; constants guess 0.1n) and that
-// only ≈0.23n expansions reach a :B target, so it probes with the
-// expansion chain — which really is the smaller side (0.25n rows vs
-// 0.5n). The constants rank the filtered scan first and probe with
-// twice the rows. The estimator-accuracy tests pin which model is
-// right; this records what the mistake costs end-to-end.
-
-/// |A| = n flag-carrying nodes, |B| = 0.3n targets; one :e edge per A,
-/// every fourth landing on a :B node (the rest stay inside the A pool).
-struct StatsFixture {
-  GraphCatalog catalog;
-
-  explicit StatsFixture(size_t n) {
-    GraphBuilder b("skew", catalog.ids());
-    std::vector<NodeId> as;
-    std::vector<NodeId> bs;
-    for (size_t i = 0; i < n; ++i) {
-      as.push_back(
-          b.AddNode({"A"}, {{"flag", static_cast<int64_t>(i % 2)}}));
-    }
-    for (size_t i = 0; i < 3 * n / 10; ++i) bs.push_back(b.AddNode({"B"}));
-    for (size_t i = 0; i < n; ++i) {
-      if (i % 4 == 0 && !bs.empty()) {
-        b.AddEdge(as[i], bs[i % bs.size()], "e");
-      } else {
-        b.AddEdge(as[i], as[(i + 7) % n], "e");
-      }
-    }
-    catalog.RegisterGraph("skew", b.Build());
-    catalog.SetDefaultGraph("skew");
-  }
-};
-
-void BM_StatsAblationQuery(benchmark::State& state, bool use_column_stats) {
-  StatsFixture f(static_cast<size_t>(state.range(0)));
-  QueryEngine engine(&f.catalog);
-  engine.set_use_column_stats(use_column_stats);
-  auto parsed = ParseQuery(
-      "CONSTRUCT (a) MATCH (a:A {flag=1}), (a:A)-[:e]->(y:B)");
-  if (!parsed.ok()) {
-    state.SkipWithError("parse failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto result = engine.Execute(**parsed);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetLabel(use_column_stats
-                     ? "per-column stats: the truly smaller expansion "
-                       "chain (0.25n rows) probes"
-                     : "seed constants: the misranked filtered scan "
-                       "(0.5n rows) probes");
-}
-
-void BM_StatsOrderingOn(benchmark::State& state) {
-  BM_StatsAblationQuery(state, true);
-}
-void BM_StatsOrderingOff(benchmark::State& state) {
-  BM_StatsAblationQuery(state, false);
-}
-BENCHMARK(BM_StatsOrderingOn)
-    ->RangeMultiplier(2)
-    ->Range(2000, 16000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StatsOrderingOff)
-    ->RangeMultiplier(2)
-    ->Range(2000, 16000)
-    ->Unit(benchmark::kMillisecond);
+// --- statistics cost (BENCH_stats_ablation.json) --------------------------
 
 /// Cost of the statistics themselves on generated SNB data — the price
 /// of having real selectivities at all. BM_StatsCollect times the

@@ -3,7 +3,10 @@
 # acceptance criteria track (google-benchmark JSON format):
 #   BENCH_join_dedup.json      — fused join dedup vs the seed path
 #   BENCH_columnar_scan.json   — columnar Ω vs row-major storage
-#   BENCH_stats_ablation.json  — stats-driven cardinality vs seed constants
+#   BENCH_stats_ablation.json  — what the statistics cost: the PPG
+#                                reference scan (BM_StatsCollect) vs the
+#                                snapshot column sweep GraphCatalog::Stats
+#                                runs (BM_StatsCollectFromSnapshot)
 #   BENCH_wcoj.json            — triangle/diamond motifs, binary joins vs
 #                                MultiwayExpand (worst-case-optimal)
 #   BENCH_storage.json         — GraphSnapshot label spans / typed columns
@@ -31,6 +34,10 @@
 #                                on the toy graphs, plus SNB 800 workloads
 #                                including the Q7 pattern predicate and the
 #                                Q9 correlated EXISTS
+#   BENCH_data_complexity.json — Section 4's data-complexity claim: fixed
+#                                queries (filter, two-hop, aggregation,
+#                                reachability, shortest path, UNION) over
+#                                SNB 100 → 6400 persons, 4× steps
 # A leading bench_<name> argument restricts the run to that binary; the
 # remaining arguments pass through to every binary that runs, e.g.
 #   scripts/run_bench.sh bench_path_finding
@@ -52,6 +59,7 @@ benches=(
   bench_construct:BENCH_construct.json
   bench_guided_tour:BENCH_guided_tour.json
   bench_baseline_ablation:BENCH_stats_ablation.json
+  bench_data_complexity:BENCH_data_complexity.json
 )
 
 only=""

@@ -6,6 +6,10 @@
 // and PlannerOptions inherit the struct (the fields below *are* their
 // fields — no copy-by-hand forwarding), and Fingerprint() keys the plan
 // cache so sessions with different knobs never share a cached plan.
+//
+// Three booleans (use_planner and the two optimizer rules) span an
+// 8-point configuration lattice; join enumeration and the statistics-
+// backed cost model are not knobs — every plan uses them.
 #ifndef GCORE_COMMON_OPTIONS_H_
 #define GCORE_COMMON_OPTIONS_H_
 
@@ -24,16 +28,10 @@ struct EngineOptions {
   /// Optimizer rule: selection pushdown of single-variable WHERE
   /// conjuncts into chain evaluation.
   bool enable_pushdown = true;
-  /// Optimizer rule: join enumeration (DP over connected subsets, bushy
-  /// trees). Off keeps the seed's source-order left-deep chain.
-  bool reorder_joins = true;
   /// Optimizer rule: cyclic patterns → MultiwayExpand worst-case-optimal
-  /// intersection when its estimated C_out beats the binary plan's. Requires
-  /// reorder_joins and usable statistics.
+  /// intersection when its estimated C_out beats the binary plan's.
+  /// Requires usable statistics.
   bool enable_multiway = true;
-  /// Per-column statistics in the cardinality estimator; off falls back
-  /// to the seed's constant selectivities (the ablation mode).
-  bool use_column_stats = true;
   /// Morsel-parallel execution degree: 0 = one worker per hardware
   /// thread, 1 = serial (the differential-test mode).
   size_t parallelism = 0;
@@ -47,9 +45,7 @@ struct EngineOptions {
     uint64_t f = 0;
     f |= static_cast<uint64_t>(use_planner) << 0;
     f |= static_cast<uint64_t>(enable_pushdown) << 1;
-    f |= static_cast<uint64_t>(reorder_joins) << 2;
-    f |= static_cast<uint64_t>(enable_multiway) << 3;
-    f |= static_cast<uint64_t>(use_column_stats) << 4;
+    f |= static_cast<uint64_t>(enable_multiway) << 2;
     // Mix the two size knobs in with distinct odd multipliers (the knob
     // space is tiny; this only has to separate, not avalanche).
     f ^= static_cast<uint64_t>(parallelism) * 0x9e3779b97f4a7c15ull;
@@ -60,9 +56,7 @@ struct EngineOptions {
   friend bool operator==(const EngineOptions& a, const EngineOptions& b) {
     return a.use_planner == b.use_planner &&
            a.enable_pushdown == b.enable_pushdown &&
-           a.reorder_joins == b.reorder_joins &&
            a.enable_multiway == b.enable_multiway &&
-           a.use_column_stats == b.use_column_stats &&
            a.parallelism == b.parallelism && a.morsel_size == b.morsel_size;
   }
   friend bool operator!=(const EngineOptions& a, const EngineOptions& b) {

@@ -104,14 +104,9 @@ class QueryEngine {
   /// Off = the spec mode of every layer (common/options.h).
   void set_use_planner(bool on) { options_.use_planner = on; }
   void set_enable_pushdown(bool on) { options_.enable_pushdown = on; }
-  void set_reorder_joins(bool on) { options_.reorder_joins = on; }
   /// Cycle → MultiwayExpand rewrite (worst-case-optimal multiway joins);
   /// off keeps binary join trees — the bench_wcoj ablation mode.
   void set_enable_multiway(bool on) { options_.enable_multiway = on; }
-  /// Per-column statistics in the cardinality estimator (graph/stats.h);
-  /// off falls back to the seed's constant selectivities (the
-  /// stats-ablation bench mode).
-  void set_use_column_stats(bool on) { options_.use_column_stats = on; }
   /// Morsel-parallel execution degree (0 = one worker per hardware
   /// thread, 1 = serial) and morsel granularity (0 = default; tests use
   /// tiny morsels to exercise multi-chunk execution on toy data).

@@ -295,28 +295,6 @@ bool Matcher::LabelsMatch(
   return true;
 }
 
-bool Matcher::EdgeAdmits(const EdgePattern& edge, EdgeId id,
-                         const PathPropertyGraph& graph) const {
-  const GraphSnapshot& snap = Snapshot(graph);
-  const SnapshotPred pred = SnapshotPred::ForEdge(snap, edge);
-  const DenseEdgeIndex e = snap.FindEdge(id);
-  // A non-member has empty λ/σ: it admits exactly when the pattern
-  // imposes nothing (the PPG accessors' missing-id semantics).
-  if (e == GraphSnapshot::kNoEdge) return pred.unconstrained();
-  return pred.Admits(e);
-}
-
-Result<bool> Matcher::NodeAdmits(const NodePattern& node, NodeId id,
-                                 const PathPropertyGraph& graph) {
-  // Filter-mode props are checked here; bind-mode props are applied by
-  // ApplyPropPatterns after the column exists.
-  const GraphSnapshot& snap = Snapshot(graph);
-  const SnapshotPred pred = SnapshotPred::ForNode(snap, node);
-  const DenseNodeIndex n = snap.adjacency().Find(id);
-  if (n == snap.num_nodes()) return pred.unconstrained();
-  return pred.Admits(n);
-}
-
 Result<BindingTable> Matcher::MatchStartNode(const NodePattern& node,
                                              const PathPropertyGraph& graph,
                                              const std::string& graph_name,

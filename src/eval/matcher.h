@@ -73,8 +73,10 @@ struct ChainResult {
 /// are resolved to interned ids and literal kFilter props to (typed
 /// column, literal) pairs, so the per-candidate test touches only dense
 /// arrays — no string lookup, no std::map walk, no ValueSet
-/// materialization. Semantics are exactly NodeAdmits/EdgeAdmits
-/// (non-literal and bind-mode props stay the caller's business).
+/// materialization. An object admits when every label group has a member
+/// among its labels and every literal filter's value is among its values
+/// for the key (non-literal and bind-mode props stay the caller's
+/// business).
 class SnapshotPred {
  public:
   static SnapshotPred ForNode(const GraphSnapshot& snap,
@@ -200,10 +202,9 @@ class Matcher {
                                      const std::string& graph_name);
   /// Batch-oriented: the source column is deduplicated and each distinct
   /// source answered by one batched kernel launch — multi-source product
-  /// BFS for reachable sets, batched k-shortest, bidirectional pair
-  /// probes for prebound targets, the `<~view*>` SSSP fast path — then a
-  /// serial emission loop replays the rows in input order against the
-  /// caches. Output rows, row order and fresh path ids are exactly those
+  /// BFS waves for reachable sets, batched k-shortest, bidirectional pair
+  /// probes for prebound targets — then a serial emission loop replays
+  /// the rows in input order against the caches. Output rows, row order and fresh path ids are exactly those
   /// of per-row serial evaluation at every MatcherContext::parallelism
   /// degree (the kernels are degree-invariant and ids are drawn in
   /// row-emission order).
@@ -212,15 +213,6 @@ class Matcher {
       const PathPattern& path, const std::string& path_var,
       const NodePattern& to, const std::string& to_var,
       const PathPropertyGraph& graph, const std::string& graph_name);
-
-  /// Node-pattern admission (labels plus literal filter props; non-literal
-  /// and bind-mode props are the caller's business). Shared by hop
-  /// expansion and the multiway intersection operator (plan/wcoj.h).
-  Result<bool> NodeAdmits(const NodePattern& node, NodeId id,
-                          const PathPropertyGraph& graph);
-  /// Edge-pattern admission: label groups plus literal filter props.
-  bool EdgeAdmits(const EdgePattern& edge, EdgeId id,
-                  const PathPropertyGraph& graph) const;
 
   /// Keeps the rows of `table` on which every conjunct holds: a pushed
   /// list, or a whole WHERE passed as a one-element list. Conjuncts run

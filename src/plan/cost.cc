@@ -11,9 +11,8 @@ namespace gcore {
 
 namespace {
 
-/// Seed-model constant selectivities: the fallbacks whenever the
-/// statistic a rule needs is missing (unknown property key, no numeric
-/// range) and the whole model when `use_column_stats` is off.
+/// Constant selectivities: the fallbacks whenever the statistic a rule
+/// needs is missing (unknown property key, no numeric range).
 constexpr double kPropFilterSelectivity = 0.1;
 constexpr double kPushedPredicateSelectivity = 0.25;
 constexpr double kResidualFilterSelectivity = 0.25;
@@ -118,24 +117,6 @@ double RangeSelectivity(const PropertyStats& stats, size_t total,
   const double carrying =
       static_cast<double>(stats.count) / static_cast<double>(total);
   return fraction * carrying;
-}
-
-/// Seed-model property-filter selectivity (constants only).
-double ConstantPropSelectivity(const std::vector<PropPattern>& props) {
-  double s = 1.0;
-  for (const auto& p : props) {
-    if (p.mode == PropPattern::Mode::kFilter) s *= kPropFilterSelectivity;
-  }
-  return s;
-}
-
-/// Seed-model pushed-predicate selectivity (constants only).
-double ConstantPushedSelectivity(const PlanNode& node) {
-  double s = 1.0;
-  for (size_t i = 0; i < node.pushed.size(); ++i) {
-    s *= kPushedPredicateSelectivity;
-  }
-  return s;
 }
 
 /// True when `expr` (a conjunct of a residual WHERE) also appears in a
@@ -298,11 +279,8 @@ const NodePattern* BinderNodePattern(const PlanNode& binder,
 }  // namespace
 
 CardinalityEstimator::CardinalityEstimator(GraphCatalog* catalog,
-                                           std::string default_graph,
-                                           bool use_column_stats)
-    : catalog_(catalog),
-      default_graph_(std::move(default_graph)),
-      use_column_stats_(use_column_stats) {}
+                                           std::string default_graph)
+    : catalog_(catalog), default_graph_(std::move(default_graph)) {}
 
 const GraphStats* CardinalityEstimator::StatsFor(
     const std::string& location) {
@@ -340,19 +318,15 @@ double CardinalityEstimator::LabelSelectivity(
 }
 
 double CardinalityEstimator::PropSelectivity(
-    const std::vector<PropPattern>& props, const GraphStats* stats,
+    const std::vector<PropPattern>& props, const GraphStats& stats,
     bool edge_props, const std::string& anchor_label) const {
-  if (!use_column_stats_ || stats == nullptr) {
-    return ConstantPropSelectivity(props);
-  }
-  const auto& global = edge_props ? stats->edge_props : stats->node_props;
-  const size_t global_total =
-      edge_props ? stats->num_edges : stats->num_nodes;
+  const auto& global = edge_props ? stats.edge_props : stats.node_props;
+  const size_t global_total = edge_props ? stats.num_edges : stats.num_nodes;
   const size_t anchor_total =
       anchor_label.empty()
           ? global_total
-          : (edge_props ? stats->EdgesWithLabel(anchor_label)
-                        : stats->NodesWithLabel(anchor_label));
+          : (edge_props ? stats.EdgesWithLabel(anchor_label)
+                        : stats.NodesWithLabel(anchor_label));
   double s = 1.0;
   for (const auto& p : props) {
     if (p.mode != PropPattern::Mode::kFilter) continue;
@@ -360,8 +334,8 @@ double CardinalityEstimator::PropSelectivity(
     // to the label's objects, so the label fraction already charged by
     // LabelSelectivity is not re-paid.
     const PropertyStats* bucket =
-        edge_props ? stats->EdgePropStatsFor(anchor_label, p.key)
-                   : stats->NodePropStatsFor(anchor_label, p.key);
+        edge_props ? stats.EdgePropStatsFor(anchor_label, p.key)
+                   : stats.NodePropStatsFor(anchor_label, p.key);
     if (bucket != nullptr && bucket->distinct > 0) {
       s *= EqualitySelectivity(*bucket, anchor_total);
       continue;
@@ -377,12 +351,9 @@ double CardinalityEstimator::PropSelectivity(
 }
 
 double CardinalityEstimator::PushedSelectivity(
-    const PlanNode& node, const GraphStats* stats,
+    const PlanNode& node, const GraphStats& stats,
     const std::string& node_var, const std::string& edge_var,
     const std::string& node_anchor, const std::string& edge_anchor) const {
-  if (!use_column_stats_ || stats == nullptr) {
-    return ConstantPushedSelectivity(node);
-  }
   double s = 1.0;
   for (const Expr* expr : node.pushed) {
     double conjunct = -1.0;
@@ -391,13 +362,12 @@ double CardinalityEstimator::PushedSelectivity(
         (shape.var == node_var || shape.var == edge_var)) {
       const bool on_edge = !edge_var.empty() && shape.var == edge_var;
       const std::string& anchor = on_edge ? edge_anchor : node_anchor;
-      const auto& global = on_edge ? stats->edge_props : stats->node_props;
-      const size_t global_total =
-          on_edge ? stats->num_edges : stats->num_nodes;
+      const auto& global = on_edge ? stats.edge_props : stats.node_props;
+      const size_t global_total = on_edge ? stats.num_edges : stats.num_nodes;
       const size_t anchor_total =
           anchor.empty() ? global_total
-                         : (on_edge ? stats->EdgesWithLabel(anchor)
-                                    : stats->NodesWithLabel(anchor));
+                         : (on_edge ? stats.EdgesWithLabel(anchor)
+                                    : stats.NodesWithLabel(anchor));
       auto selectivity_from = [&](const PropertyStats& dist, size_t total) {
         return shape.kind == PredicateShape::Kind::kEquality
                    ? EqualitySelectivity(dist, total)
@@ -407,8 +377,8 @@ double CardinalityEstimator::PushedSelectivity(
       // range, no distinct values) — bucket falls through to the global
       // distribution, exactly like PropSelectivity.
       const PropertyStats* bucket =
-          on_edge ? stats->EdgePropStatsFor(anchor, shape.key)
-                  : stats->NodePropStatsFor(anchor, shape.key);
+          on_edge ? stats.EdgePropStatsFor(anchor, shape.key)
+                  : stats.NodePropStatsFor(anchor, shape.key);
       if (bucket != nullptr) {
         conjunct = selectivity_from(*bucket, anchor_total);
       }
@@ -427,15 +397,13 @@ double CardinalityEstimator::PushedSelectivity(
 double CardinalityEstimator::EstimateScan(const PlanNode& node) {
   const GraphStats* stats = StatsFor(node.graph);
   if (stats == nullptr) return -1.0;
-  const std::string anchor =
-      use_column_stats_ ? AnchorNodeLabel(node.node->label_groups, *stats)
-                        : std::string();
+  const std::string anchor = AnchorNodeLabel(node.node->label_groups, *stats);
   return static_cast<double>(stats->num_nodes) *
          LabelSelectivity(node.node->label_groups, stats->node_label_counts,
                           stats->num_nodes) *
-         PropSelectivity(node.node->props, stats, /*edge_props=*/false,
+         PropSelectivity(node.node->props, *stats, /*edge_props=*/false,
                          anchor) *
-         PushedSelectivity(node, stats, node.var, "", anchor, "");
+         PushedSelectivity(node, *stats, node.var, "", anchor, "");
 }
 
 double CardinalityEstimator::EstimateExpand(const PlanNode& node,
@@ -443,54 +411,39 @@ double CardinalityEstimator::EstimateExpand(const PlanNode& node,
   const GraphStats* stats = StatsFor(node.graph);
   if (stats == nullptr || child_est < 0.0) return -1.0;
 
-  std::string to_anchor;
-  std::string edge_anchor;
-  double fanout;
-  if (use_column_stats_) {
-    // Measured average degree of the (source label, edge label) pair.
-    // The source anchor is the most selective single-label group of the
-    // pattern element binding from_var (a disjunctive group does not pin
-    // one label); "" anchors on all nodes.
-    const PlanNode& child = *node.children[0];
-    std::string src_label;
-    const PlanNode* binder = FindBinder(child, node.from_var);
-    const NodePattern* from_pattern =
-        binder == nullptr ? nullptr : BinderNodePattern(*binder, node.from_var);
-    if (from_pattern != nullptr) {
-      src_label = AnchorNodeLabel(from_pattern->label_groups, *stats);
-    }
-    fanout = AvgFanout(*stats, src_label, *node.edge, /*forward=*/true);
-    // A closing edge (to_var already bound below) intersects instead of
-    // expanding: each of the fanout edges lands on the bound node with
-    // probability 1 / its domain.
-    if (FindBinder(child, node.to_var) != nullptr) {
-      const double domain = VarDomain(child, node.to_var);
-      if (domain > 0.0) fanout /= std::max(1.0, domain);
-    }
-    to_anchor = AnchorNodeLabel(node.to->label_groups, *stats);
-    edge_anchor = AnchorEdgeLabel(node.edge->label_groups, *stats);
-  } else {
-    // Seed model: global edge count scaled by label frequency over the
-    // global node count.
-    double edges = static_cast<double>(stats->num_edges) *
-                   LabelSelectivity(node.edge->label_groups,
-                                    stats->edge_label_counts,
-                                    stats->num_edges);
-    if (node.edge->direction == EdgePattern::Direction::kUndirected) {
-      edges *= 2.0;
-    }
-    fanout = edges /
-             std::max<double>(1.0, static_cast<double>(stats->num_nodes));
+  // Measured average degree of the (source label, edge label) pair. The
+  // source anchor is the most selective single-label group of the pattern
+  // element binding from_var (a disjunctive group does not pin one
+  // label); "" anchors on all nodes.
+  const PlanNode& child = *node.children[0];
+  std::string src_label;
+  const PlanNode* binder = FindBinder(child, node.from_var);
+  const NodePattern* from_pattern =
+      binder == nullptr ? nullptr : BinderNodePattern(*binder, node.from_var);
+  if (from_pattern != nullptr) {
+    src_label = AnchorNodeLabel(from_pattern->label_groups, *stats);
   }
+  double fanout = AvgFanout(*stats, src_label, *node.edge, /*forward=*/true);
+  // A closing edge (to_var already bound below) intersects instead of
+  // expanding: each of the fanout edges lands on the bound node with
+  // probability 1 / its domain.
+  if (FindBinder(child, node.to_var) != nullptr) {
+    const double domain = VarDomain(child, node.to_var);
+    if (domain > 0.0) fanout /= std::max(1.0, domain);
+  }
+  const std::string to_anchor =
+      AnchorNodeLabel(node.to->label_groups, *stats);
+  const std::string edge_anchor =
+      AnchorEdgeLabel(node.edge->label_groups, *stats);
 
   return child_est * fanout *
          LabelSelectivity(node.to->label_groups, stats->node_label_counts,
                           stats->num_nodes) *
-         PropSelectivity(node.to->props, stats, /*edge_props=*/false,
+         PropSelectivity(node.to->props, *stats, /*edge_props=*/false,
                          to_anchor) *
-         PropSelectivity(node.edge->props, stats, /*edge_props=*/true,
+         PropSelectivity(node.edge->props, *stats, /*edge_props=*/true,
                          edge_anchor) *
-         PushedSelectivity(node, stats, node.to_var, node.edge_var,
+         PushedSelectivity(node, *stats, node.to_var, node.edge_var,
                            to_anchor, edge_anchor);
 }
 
@@ -512,12 +465,11 @@ double CardinalityEstimator::EstimatePathSearch(const PlanNode& node,
     }
   }
   const std::string to_anchor =
-      use_column_stats_ ? AnchorNodeLabel(node.to->label_groups, *stats)
-                        : std::string();
+      AnchorNodeLabel(node.to->label_groups, *stats);
   return child_est * std::max(1.0, per_source) *
-         PropSelectivity(node.to->props, stats, /*edge_props=*/false,
+         PropSelectivity(node.to->props, *stats, /*edge_props=*/false,
                          to_anchor) *
-         PushedSelectivity(node, stats, node.to_var, "", to_anchor, "");
+         PushedSelectivity(node, *stats, node.to_var, "", to_anchor, "");
 }
 
 double CardinalityEstimator::VarDomain(const PlanNode& tree,
@@ -567,29 +519,26 @@ double CardinalityEstimator::VarDomain(const PlanNode& tree,
 
 double CardinalityEstimator::JoinEstimate(
     double left, double right, bool correlated,
-    const std::vector<std::pair<double, double>>& key_domains,
-    bool use_column_stats) {
+    const std::vector<std::pair<double, double>>& key_domains) {
   if (left < 0.0 || right < 0.0) return -1.0;
   if (!correlated) return left * right;
   const double cross = left * right;
 
-  if (use_column_stats) {
-    // Degree-aware bound: per shared key v, each side holds at most
-    // V(v) = min(side rows, domain(v)) distinct keys, so matches per key
-    // on the denser side average side/V — the join is bounded by
-    // |L|·|R| / Π max(V_L, V_R). Falls back to the seed's max-of-inputs
-    // guess when no shared key has a measurable domain.
-    double est = cross;
-    bool any_domain = false;
-    for (const auto& [dl, dr] : key_domains) {
-      if (dl < 0.0 && dr < 0.0) continue;
-      any_domain = true;
-      const double vl = dl < 0.0 ? left : std::min(left, dl);
-      const double vr = dr < 0.0 ? right : std::min(right, dr);
-      est /= std::max(1.0, std::max(vl, vr));
-    }
-    if (any_domain) return std::min(est, cross);
+  // Degree-aware bound: per shared key v, each side holds at most
+  // V(v) = min(side rows, domain(v)) distinct keys, so matches per key on
+  // the denser side average side/V — the join is bounded by
+  // |L|·|R| / Π max(V_L, V_R). Falls back to the max-of-inputs guess
+  // below when no shared key has a measurable domain.
+  double est = cross;
+  bool any_domain = false;
+  for (const auto& [dl, dr] : key_domains) {
+    if (dl < 0.0 && dr < 0.0) continue;
+    any_domain = true;
+    const double vl = dl < 0.0 ? left : std::min(left, dl);
+    const double vr = dr < 0.0 ? right : std::min(right, dr);
+    est /= std::max(1.0, std::max(vl, vr));
   }
+  if (any_domain) return std::min(est, cross);
 
   // Correlated chains, no usable key domain: assume the join keys are
   // close to keys of the larger side.
@@ -605,7 +554,7 @@ double CardinalityEstimator::EstimateJoin(const PlanNode& node) {
   }
   return JoinEstimate(node.children[0]->est_rows,
                       node.children[1]->est_rows, node.join_correlated,
-                      key_domains, use_column_stats_);
+                      key_domains);
 }
 
 CardinalityEstimator::MultiwayEstimate
@@ -629,7 +578,7 @@ CardinalityEstimator::EstimateMultiway(const PlanNode& node,
                    LabelSelectivity(me.edge->label_groups,
                                     stats->edge_label_counts,
                                     stats->num_edges) *
-                   PropSelectivity(me.edge->props, stats, /*edge_props=*/true,
+                   PropSelectivity(me.edge->props, *stats, /*edge_props=*/true,
                                    AnchorEdgeLabel(me.edge->label_groups,
                                                    *stats));
     if (me.edge->direction == EdgePattern::Direction::kUndirected) {
@@ -720,21 +669,16 @@ double CardinalityEstimator::Annotate(PlanNode* node) {
       break;
     case PlanOp::kFilter:
       if (child_est >= 0.0) {
-        if (use_column_stats_) {
-          // The residual WHERE re-checks conjuncts the pushdown rule
-          // already applied inside the subtree; those filter nothing
-          // further. Only genuinely residual conjuncts charge the
-          // constant.
-          std::vector<const Expr*> conjuncts;
-          SplitConjuncts(*node->predicate, &conjuncts);
-          est = child_est;
-          for (const Expr* conjunct : conjuncts) {
-            if (!IsPushedBelow(*node->children[0], conjunct)) {
-              est *= kResidualFilterSelectivity;
-            }
+        // The residual WHERE re-checks conjuncts the pushdown rule
+        // already applied inside the subtree; those filter nothing
+        // further. Only genuinely residual conjuncts charge the constant.
+        std::vector<const Expr*> conjuncts;
+        SplitConjuncts(*node->predicate, &conjuncts);
+        est = child_est;
+        for (const Expr* conjunct : conjuncts) {
+          if (!IsPushedBelow(*node->children[0], conjunct)) {
+            est *= kResidualFilterSelectivity;
           }
-        } else {
-          est = child_est * kResidualFilterSelectivity;
         }
       }
       break;

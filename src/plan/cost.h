@@ -30,12 +30,11 @@
 //     rules above, so the rewrite and the binary plan it replaces are
 //     priced by one estimator; the AGM bound Π √|E_i| (the fractional
 //     edge cover of a cycle) caps the result.
-// Each rule falls back to the seed's constant selectivities when the
-// statistic it needs is absent, and the whole subsystem degrades to the
-// label-count-only model when `use_column_stats` is off (the bench
-// ablation and the stats-absent plan-shape goldens) — except
-// LabelSelectivity's multi-label double-count fix, which is
-// unconditional.
+// This is the one cost model: every production plan, the DP join
+// enumeration and the cycle rewrite's pricing read these rules. Each rule
+// falls back to a constant selectivity when the statistic it needs is
+// absent (unknown property key, degenerate range, no measurable join
+// domain).
 //
 // EXPLAIN renders est_rows per operator; EXPLAIN ANALYZE additionally
 // runs the query and prints actual_rows next to every estimate
@@ -59,10 +58,7 @@ class CardinalityEstimator {
  public:
   /// `default_graph` names the graph used by operators whose location is
   /// empty (the clause-level/default ON resolution result).
-  /// `use_column_stats` gates the per-column rules above; off reproduces
-  /// the seed's constant-selectivity model over label counts alone.
-  CardinalityEstimator(GraphCatalog* catalog, std::string default_graph,
-                       bool use_column_stats = true);
+  CardinalityEstimator(GraphCatalog* catalog, std::string default_graph);
 
   /// Annotates `node` and its subtree with estimated output rows
   /// (PlanNode::est_rows); returns the root estimate, negative when
@@ -86,11 +82,11 @@ class CardinalityEstimator {
   /// The degree-aware correlated-join bound over precomputed inputs:
   /// `key_domains` holds one (left domain, right domain) pair per shared
   /// variable (negative = unknown). Mirrors the kHashJoin rule so the DP
-  /// enumeration prices candidate joins without materializing trees.
+  /// enumeration prices candidate joins without materializing trees. A
+  /// correlated join with no measurable domain estimates max(left, right).
   static double JoinEstimate(
       double left, double right, bool correlated,
-      const std::vector<std::pair<double, double>>& key_domains,
-      bool use_column_stats);
+      const std::vector<std::pair<double, double>>& key_domains);
 
   /// Estimate of a MultiwayExpand node given its child estimate: `rows`
   /// is its output, `enumerated` the rows the operator produces on the
@@ -114,16 +110,16 @@ class CardinalityEstimator {
 
   /// Selectivity of the literal `{k = v}` filters of a pattern element:
   /// 1/distinct per key when measured — against the (anchor_label, key)
-  /// bucket when present, the global distribution otherwise — and the
-  /// seed constant when neither exists.
+  /// bucket when present, the global distribution otherwise — and a
+  /// constant when neither exists.
   double PropSelectivity(const std::vector<PropPattern>& props,
-                         const GraphStats* stats, bool edge_props,
+                         const GraphStats& stats, bool edge_props,
                          const std::string& anchor_label) const;
   /// Combined selectivity of an operator's pushed-down WHERE conjuncts;
   /// equality and range conjuncts on `var`'s properties use the measured
   /// distributions (label-restricted via the anchors), everything else
-  /// the seed constant.
-  double PushedSelectivity(const PlanNode& node, const GraphStats* stats,
+  /// a constant.
+  double PushedSelectivity(const PlanNode& node, const GraphStats& stats,
                            const std::string& node_var,
                            const std::string& edge_var,
                            const std::string& node_anchor,
@@ -131,7 +127,6 @@ class CardinalityEstimator {
 
   GraphCatalog* catalog_;
   std::string default_graph_;
-  bool use_column_stats_;
   /// Pinned statistics per location: StatsFor hands out raw pointers into
   /// these shared images, so a concurrent catalog re-registration cannot
   /// invalidate them mid-estimation (and one estimation run prices every

@@ -113,8 +113,8 @@ void CollectChainVars(const GraphPattern& pattern,
 }
 
 /// True when a pattern element's props are all literal filters — the
-/// shapes NodeAdmits/EdgeAdmits check without a row context, which is
-/// what the multiway operator's admission can evaluate.
+/// shapes a SnapshotPred checks without a row context, which is what the
+/// multiway operator's admission can evaluate.
 bool LiteralFilterPropsOnly(const std::vector<PropPattern>& props) {
   for (const auto& p : props) {
     if (p.mode != PropPattern::Mode::kFilter) return false;
@@ -248,9 +248,8 @@ Planner::GreedyFold Planner::GreedyJoinFold(
         key_domains.emplace_back(dl,
                                  estimator->VarDomain(*unit.plan, v));
       }
-      acc_est = CardinalityEstimator::JoinEstimate(
-          acc_est, unit.est, correlated, key_domains,
-          options_.use_column_stats);
+      acc_est = CardinalityEstimator::JoinEstimate(acc_est, unit.est,
+                                                   correlated, key_domains);
       fold.join_ests.push_back(acc_est);
     }
     acc_members.push_back(u);
@@ -335,8 +334,7 @@ void Planner::TryMultiwayRewrite(std::vector<JoinUnit>* units) {
                    });
 
   CardinalityEstimator estimator(runtime_->context().catalog,
-                                 default_location_,
-                                 options_.use_column_stats);
+                                 default_location_);
 
   for (const CycleCandidate& cand : candidates) {
     // Consumed units: every expansion of a touched chain must be a cycle
@@ -450,8 +448,7 @@ void Planner::TryMultiwayRewrite(std::vector<JoinUnit>* units) {
 PlanPtr Planner::EnumerateJoins(std::vector<JoinUnit> units) {
   const size_t n = units.size();
   CardinalityEstimator estimator(runtime_->context().catalog,
-                                 default_location_,
-                                 options_.use_column_stats);
+                                 default_location_);
 
   // Per-unit key domains (shared by DP pricing and swap marking).
   std::vector<std::map<std::string, double>> domains(n);
@@ -560,8 +557,7 @@ PlanPtr Planner::EnumerateJoins(std::vector<JoinUnit> units) {
                                  side_domain(members[t], v));
       }
       const double join_est = CardinalityEstimator::JoinEstimate(
-          est[s], est[t], !shared.empty(), key_domains,
-          options_.use_column_stats);
+          est[s], est[t], !shared.empty(), key_domains);
       const double c = cost[s] + cost[t] + join_est;
       // Always record the first split: with astronomically large
       // estimates every candidate cost can overflow to +inf, and a
@@ -640,19 +636,14 @@ Result<PlanPtr> Planner::PlanPatternsJoined(
 
   // Estimation rule: estimate when the join enumeration needs to compare
   // alternatives (several chains) or when a single chain might close a
-  // rewritable cycle. Stays in source order when disabled or when any
-  // estimate is unknown (keeping the plan deterministic under missing
-  // statistics).
+  // rewritable cycle. Stays in source order when any estimate is unknown
+  // (keeping the plan deterministic under missing statistics).
   bool all_known = false;
   const bool want_estimates =
-      options_.reorder_joins &&
-      (units.size() > 1 ||
-       (options_.enable_multiway && options_.use_column_stats &&
-        single_chain_cycle()));
+      units.size() > 1 || (options_.enable_multiway && single_chain_cycle());
   if (want_estimates) {
     CardinalityEstimator estimator(runtime_->context().catalog,
-                                   default_location_,
-                                   options_.use_column_stats);
+                                   default_location_);
     all_known = true;
     for (auto& unit : units) {
       unit.est = estimator.Annotate(unit.plan.get());
@@ -660,15 +651,14 @@ Result<PlanPtr> Planner::PlanPatternsJoined(
     }
   }
 
-  if (all_known && options_.enable_multiway && options_.use_column_stats) {
+  if (all_known && options_.enable_multiway) {
     TryMultiwayRewrite(&units);
   }
 
   if (units.size() == 1) return std::move(units[0].plan);
 
   if (!all_known) {
-    // Source-order left-deep fold — the seed behavior under missing
-    // statistics or reorder_joins = false.
+    // Source-order left-deep fold — the plan under missing statistics.
     PlanPtr plan = std::move(units[0].plan);
     std::set<std::string> bound = units[0].vars;
     for (size_t i = 1; i < units.size(); ++i) {
@@ -798,8 +788,7 @@ Result<PlanPtr> Planner::PlanMatch(const MatchClause& match) {
 
 void Planner::AnnotateEstimates(PlanNode* plan) const {
   CardinalityEstimator estimator(runtime_->context().catalog,
-                                 default_location_,
-                                 options_.use_column_stats);
+                                 default_location_);
   estimator.Annotate(plan);
 }
 

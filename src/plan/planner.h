@@ -1,7 +1,9 @@
 // The logical planner: lowers a MatchClause AST into the plan IR of
 // plan/plan.h and applies the rule-based optimizer.
 //
-// Rules (each gated by a PlannerOptions flag):
+// Rules (pushdown and the cycle rewrite are gated by PlannerOptions
+// flags; join enumeration always runs, over the one cost model of
+// plan/cost.h):
 //   * Predicate pushdown — single-variable WHERE conjuncts are attached
 //     to the scan/expand operator that binds their variable, so they run
 //     as soon as the variable exists (generalizes the matcher's old
@@ -11,7 +13,7 @@
 //     DP over subsets (plan/cost.h estimates over GraphCatalog::Stats)
 //     that minimizes the summed intermediate cardinality (C_out) and may
 //     emit *bushy* HashJoin trees; with unknown estimates the plan stays
-//     the seed's source-order left-deep chain.
+//     the source-order left-deep chain.
 //   * Cycle rewrite — when the chains close a cycle (triangle, diamond)
 //     whose estimated enumeration undercuts the binary alternative's
 //     C_out (one estimator prices both), the cycle collapses into one
@@ -47,10 +49,8 @@ struct MatcherContext;
 
 /// The planner's knobs are the shared EngineOptions fields
 /// (common/options.h): enable_pushdown gates the pushdown rewrite (main
-/// WHERE and per OPTIONAL block), reorder_joins the subset-DP join
-/// enumeration, enable_multiway the cycle → MultiwayExpand rewrite
-/// (priced, never unconditional), use_column_stats the statistics-backed
-/// estimator (off = seed constants, the ablation mode), and parallelism
+/// WHERE and per OPTIONAL block), enable_multiway the cycle →
+/// MultiwayExpand rewrite (priced, never unconditional), and parallelism
 /// is annotated on the plan root for EXPLAIN. use_planner/morsel_size ride
 /// along unused — the struct exists so MatcherContext → PlannerOptions
 /// is one slice assignment.

@@ -4,8 +4,11 @@
 // hits/misses/invalidates as specified. The whole file doubles as the
 // ThreadSanitizer workload of the CI tsan job.
 #include <atomic>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,6 +100,35 @@ TEST_F(ServingTest, SessionsFreezeKnobsIndependently) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->ToString(), b->ToString());
+}
+
+// The plan-cache key separates every EngineOptions field: flipping any
+// one of them alone changes Fingerprint() and breaks ==, and no two
+// single-field flips collide.
+TEST(EngineOptionsTest, EveryFieldSeparatesFingerprintAndEquality) {
+  const EngineOptions defaults;
+  EXPECT_EQ(defaults, EngineOptions());
+  EXPECT_EQ(defaults.Fingerprint(), EngineOptions().Fingerprint());
+
+  std::vector<std::pair<std::string, EngineOptions>> flips(5, {"", defaults});
+  flips[0].first = "use_planner";
+  flips[0].second.use_planner = !defaults.use_planner;
+  flips[1].first = "enable_pushdown";
+  flips[1].second.enable_pushdown = !defaults.enable_pushdown;
+  flips[2].first = "enable_multiway";
+  flips[2].second.enable_multiway = !defaults.enable_multiway;
+  flips[3].first = "parallelism";
+  flips[3].second.parallelism = defaults.parallelism + 1;
+  flips[4].first = "morsel_size";
+  flips[4].second.morsel_size = defaults.morsel_size + 1;
+
+  std::set<uint64_t> fingerprints = {defaults.Fingerprint()};
+  for (const auto& [field, flipped] : flips) {
+    EXPECT_NE(flipped.Fingerprint(), defaults.Fingerprint()) << field;
+    EXPECT_TRUE(flipped != defaults) << field;
+    EXPECT_FALSE(flipped == defaults) << field;
+    EXPECT_TRUE(fingerprints.insert(flipped.Fingerprint()).second) << field;
+  }
 }
 
 TEST_F(ServingTest, WarmSecondExecutionIsOneHitZeroPlans) {

@@ -55,7 +55,7 @@ class CostTest : public ::testing::Test {
   }
 
   /// Plans the MATCH clause of `query` and annotates estimates.
-  PlanPtr Plan(const std::string& query, bool use_column_stats = true) {
+  PlanPtr Plan(const std::string& query) {
     auto parsed = ParseQuery(query);
     EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
     if (!parsed.ok()) return nullptr;
@@ -63,7 +63,6 @@ class CostTest : public ::testing::Test {
     MatcherContext ctx;
     ctx.catalog = &catalog;
     ctx.default_graph = "g";
-    ctx.use_column_stats = use_column_stats;
     Matcher matcher(ctx);
     Planner planner(&matcher, PlannerOptions::FromContext(ctx));
     auto plan =
@@ -233,16 +232,6 @@ TEST_F(CostTest, ClosingEdgeDividesFanoutByBoundDomain) {
   EXPECT_NEAR(closing->est_rows, paths * 3.0 / 20.0, 1e-9);
 }
 
-TEST_F(CostTest, SeedModelExpansionWhenColumnStatsOff) {
-  PlanPtr plan = Plan("CONSTRUCT (b) MATCH (b:B)-[:hop]->(a:A)",
-                      /*use_column_stats=*/false);
-  ASSERT_NE(plan, nullptr);
-  const PlanNode* expand = FindOp(plan.get(), PlanOp::kExpandEdge);
-  // Seed formula: global fanout 30 hop-edges / 30 nodes, blind to the
-  // B-anchored concentration.
-  EXPECT_NEAR(expand->est_rows, 10.0 * (30.0 / 30.0) * kASel, 1e-9);
-}
-
 // --- join bound --------------------------------------------------------------
 
 TEST_F(CostTest, CorrelatedJoinUsesDegreeAwareBound) {
@@ -271,17 +260,21 @@ TEST_F(CostTest, IndependentJoinIsCrossProduct) {
   EXPECT_NEAR(join->est_rows, 20.0 * 10.0, 1e-9);
 }
 
+// A correlated join whose shared keys have no measurable domain keeps the
+// max-of-inputs guess.
 TEST_F(CostTest, SeedModelJoinFallsBackToMaxOfInputs) {
-  PlanPtr plan = Plan(
-      "CONSTRUCT (y) MATCH (x:A)-[:link2]->(y:B), (z:A)-[:link2]->(y:B)",
-      /*use_column_stats=*/false);
-  ASSERT_NE(plan, nullptr);
-  const PlanNode* join = FindOp(plan.get(), PlanOp::kHashJoin);
-  ASSERT_NE(join, nullptr);
-  const double left = join->children[0]->est_rows;
-  const double right = join->children[1]->est_rows;
-  ASSERT_GE(left, 0.0);
-  EXPECT_NEAR(join->est_rows, std::max(left, right), 1e-9);
+  const std::vector<std::pair<double, double>> unknown_domains = {
+      {-1.0, -1.0}};
+  EXPECT_DOUBLE_EQ(CardinalityEstimator::JoinEstimate(
+                       80.0, 30.0, /*correlated=*/true, unknown_domains),
+                   80.0);
+  EXPECT_DOUBLE_EQ(CardinalityEstimator::JoinEstimate(
+                       12.0, 45.0, /*correlated=*/true, unknown_domains),
+                   45.0);
+  // No shared key at all prices the same way.
+  EXPECT_DOUBLE_EQ(
+      CardinalityEstimator::JoinEstimate(12.0, 45.0, /*correlated=*/true, {}),
+      45.0);
 }
 
 // --- no-stats fallbacks ------------------------------------------------------
@@ -308,14 +301,6 @@ TEST_F(CostTest, OpaquePushedPredicateFallsBackToConstant) {
   ASSERT_FALSE(scan->pushed.empty());
   // kPushedPredicateSelectivity = 0.25 — the seed constant.
   EXPECT_NEAR(scan->est_rows, kNodes * kASel * 0.25, 1e-9);
-}
-
-TEST_F(CostTest, ColumnStatsOffReproducesSeedConstants) {
-  PlanPtr plan = Plan("CONSTRUCT (a) MATCH (a:A {k=2})",
-                      /*use_column_stats=*/false);
-  ASSERT_NE(plan, nullptr);
-  EXPECT_NEAR(FindOp(plan.get(), PlanOp::kNodeScan)->est_rows,
-              kNodes * kASel * 0.1, 1e-9);
 }
 
 }  // namespace

@@ -49,10 +49,9 @@ class WcojTest : public ::testing::Test {
   }
 
   std::string Explain(const std::string& query, bool multiway = true,
-                      bool reorder = true, bool analyze = false) {
+                      bool analyze = false) {
     QueryEngine engine(&catalog);
     engine.set_enable_multiway(multiway);
-    engine.set_reorder_joins(reorder);
     auto r = engine.Execute(
         std::string(analyze ? "EXPLAIN ANALYZE " : "EXPLAIN ") + query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -114,18 +113,12 @@ TEST_F(WcojTest, DiamondPlanUsesMultiwayExpand) {
   EXPECT_EQ(plan.find("HashJoin"), std::string::npos) << plan;
 }
 
-// The flags reproduce the binary planner: enable_multiway=false ablates
-// only the rewrite; reorder_joins=false reproduces the seed's
-// source-order left-deep chain.
+// enable_multiway=false reproduces the binary planner: it ablates only
+// the rewrite.
 TEST_F(WcojTest, FlagsDisableTheRewrite) {
   const std::string binary = Explain(kTriangleQuery, /*multiway=*/false);
   EXPECT_EQ(binary.find("MultiwayExpand"), std::string::npos) << binary;
   EXPECT_NE(binary.find("HashJoin"), std::string::npos) << binary;
-
-  const std::string seed =
-      Explain(kTriangleQuery, /*multiway=*/true, /*reorder=*/false);
-  EXPECT_EQ(seed.find("MultiwayExpand"), std::string::npos) << seed;
-  EXPECT_NE(seed.find("HashJoin"), std::string::npos) << seed;
 }
 
 // Stats-absent locations keep the seed plan shape: no estimates, no
@@ -212,9 +205,9 @@ TEST_F(WcojTest, MultiwayOutputDeterministicAcrossParallelism) {
 // intermediate (the wedge join), and both agree on the final count.
 TEST_F(WcojTest, AnalyzeShowsMultiwayBeatsBinaryIntermediates) {
   const std::string multiway =
-      Explain(kTriangleQuery, true, true, /*analyze=*/true);
+      Explain(kTriangleQuery, true, /*analyze=*/true);
   const std::string binary =
-      Explain(kTriangleQuery, false, true, /*analyze=*/true);
+      Explain(kTriangleQuery, false, /*analyze=*/true);
 
   auto actuals = [](const std::string& plan, const char* op) {
     std::vector<int64_t> out;
