@@ -116,6 +116,44 @@ void BM_SnbWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_SnbWorkload)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 
+/// Anchored pair reachability at SNB 20k, parallelism 1: both endpoints
+/// of a `<:knows*>` hop pinned by name (persons 0 and 19,999 of the
+/// generator). The shape a bidirectional pair probe answers without
+/// either full fixpoint; `out_nodes` is 1 when b is reachable.
+void BM_AnchoredPairReachability(benchmark::State& state) {
+  static const char* kQuery =
+      "CONSTRUCT (b) MATCH (a:Person)-/<:knows*>/->(b:Person) "
+      "WHERE a.firstName = 'John' AND a.lastName = 'Doe' "
+      "AND b.firstName = 'Nina' AND b.lastName = 'Novak_49'";
+  GraphCatalog catalog;
+  snb::GeneratorOptions options;
+  options.num_persons = 20000;
+  catalog.RegisterGraph("snb", snb::Generate(options, catalog.ids()));
+  catalog.SetDefaultGraph("snb");
+  QueryEngine engine(&catalog);
+  engine.set_parallelism(1);
+  // The first query freezes the snapshot and collects statistics (about
+  // 1 s at this size); time the query, not that set-up.
+  if (!engine.Execute(kQuery).ok()) {
+    state.SkipWithError("warm-up query failed");
+    return;
+  }
+
+  size_t nodes = 0;
+  for (auto _ : state) {
+    auto r = engine.Execute(kQuery);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    nodes = r->IsGraph() ? r->graph->NumNodes() : 0;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["out_nodes"] = static_cast<double>(nodes);
+  state.SetLabel("snb20k/anchored_pair");
+}
+BENCHMARK(BM_AnchoredPairReachability)->Unit(benchmark::kMillisecond);
+
 /// Parse-only throughput over the full query corpus (the "parsing tooling
 /// heavier" axis of the reproduction).
 void BM_ParseCorpus(benchmark::State& state) {

@@ -4,17 +4,20 @@
 // grow (the "most powerful path query functionality ... while carefully
 // avoiding intractable complexity" claim).
 //
-// The *_PerSource / *_Batched and *_Forward / *_Bidirectional families
-// are the parallel-path-engine ablation (scripts/run_bench.sh →
-// BENCH_paths.json): the serial executable spec vs the 64-lane-wave and
-// meet-in-the-middle kernels, at parallelism 1 and at
+// The *_PerSource / *_Batched, *_PerPair / *_Batched and *_Forward /
+// *_Bidirectional families are the parallel-path-engine ablation
+// (scripts/run_bench.sh → BENCH_paths.json): the executable spec vs the
+// 64-lane-wave and meet-in-the-middle kernels, at parallelism 1 and at
 // one-thread-per-core (0).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/all_paths.h"
 #include "paths/batched_bfs.h"
+#include "paths/frontier.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
 #include "snb/generator.h"
@@ -139,6 +142,84 @@ void BM_AllPathsProjection(benchmark::State& state) {
 BENCHMARK(BM_AllPathsProjection)
     ->RangeMultiplier(4)
     ->Range(200, 3200)
+    ->Unit(benchmark::kMillisecond);
+
+// ALL-paths projections from one source onto every Person it reaches
+// (the shape of guided-tour Q8): the per-pair spec fanned over pairs, as
+// the matcher ran it before the batched kernel, vs one forward sweep plus
+// 64-target backward mask waves.
+void BM_AllPathsProjection_PerPair(benchmark::State& state) {
+  PathFixture f(static_cast<size_t>(state.range(0)));
+  Nfa nfa = CompileOrDie(":knows*");
+  PathSearchContext ctx = f.Ctx(&nfa);
+  ctx.parallelism = static_cast<size_t>(state.range(1));
+  size_t pairs = 0, ids = 0;
+  for (auto _ : state) {
+    auto reached = ReachableFrom(ctx, f.src);
+    if (!reached.ok()) {
+      state.SkipWithError("reachability failed");
+      break;
+    }
+    std::vector<NodeId> targets;
+    for (NodeId t : *reached) {
+      if (f.graph.Labels(t).Contains(snb::kPerson)) targets.push_back(t);
+    }
+    // Each projection is counted and dropped: kept, the sets would take
+    // gigabytes at SNB 3200.
+    std::vector<size_t> sizes(targets.size(), 0);
+    std::vector<char> failed(targets.size(), 0);
+    ParallelFor(ctx.parallelism, targets.size(), [&](size_t i) {
+      auto r = AllPathsProjection(ctx, f.src, targets[i]);
+      if (r.ok()) {
+        sizes[i] = r->nodes.size() + r->edges.size();
+      } else {
+        failed[i] = 1;
+      }
+    });
+    if (std::find(failed.begin(), failed.end(), 1) != failed.end()) {
+      state.SkipWithError("projection failed");
+      break;
+    }
+    pairs = targets.size();
+    ids = 0;
+    for (size_t n : sizes) ids += n;
+    benchmark::DoNotOptimize(ids);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["ids"] = static_cast<double>(ids);
+  state.SetLabel("parallelism=" + std::to_string(ctx.parallelism));
+}
+BENCHMARK(BM_AllPathsProjection_PerPair)
+    ->ArgsProduct({{200, 800, 3200}, {1, 0}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AllPathsProjection_Batched(benchmark::State& state) {
+  PathFixture f(static_cast<size_t>(state.range(0)));
+  Nfa nfa = CompileOrDie(":knows*");
+  PathSearchContext ctx = f.Ctx(&nfa);
+  ctx.parallelism = static_cast<size_t>(state.range(1));
+  size_t pairs = 0, ids = 0;
+  for (auto _ : state) {
+    auto r = BatchedAllPathsProjection(ctx, {f.src}, [&](size_t, NodeId t) {
+      return f.graph.Labels(t).Contains(snb::kPerson);
+    });
+    if (!r.ok()) {
+      state.SkipWithError("projection failed");
+      break;
+    }
+    pairs = r->front().targets.size();
+    ids = 0;
+    for (const SortedProjection& p : r->front().projections) {
+      ids += p.nodes.size() + p.edges.size();
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["ids"] = static_cast<double>(ids);
+  state.SetLabel("parallelism=" + std::to_string(ctx.parallelism));
+}
+BENCHMARK(BM_AllPathsProjection_Batched)
+    ->ArgsProduct({{200, 800, 3200}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_WeightedViewTraversal(benchmark::State& state) {

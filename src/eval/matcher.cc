@@ -704,59 +704,56 @@ Result<BindingTable> Matcher::ExpandPathHop(
     case PathPattern::Mode::kAll: {
       // ALL with a bound path variable is only legal when the variable
       // is used for graph projection (Section 3); the binding carries
-      // the projection sets, not materialized walks.
-      for (size_t r = 0; r < table.NumRows(); ++r) {
-        NodeId src;
-        if (valid_src(r, &src)) slot_of(src);
-      }
-      GCORE_ASSIGN_OR_RETURN(const std::vector<std::set<NodeId>> full_sets,
-                             BatchedReachableFrom(ctx, sources));
-      // Distinct admitted (source, target) pairs, projected in parallel
-      // before the serial emission loop.
-      std::map<std::pair<NodeId, NodeId>, size_t> pair_idx;
-      std::vector<std::pair<NodeId, NodeId>> pairs;
+      // the projection sets, not materialized walks. A source projects
+      // onto every admitted target it reaches unless all its rows
+      // prebind the target, in which case only those targets.
+      std::vector<char> any_free;
+      std::vector<std::set<NodeId>> bound_targets;
+      std::vector<size_t> rows_left;
       for (size_t r = 0; r < table.NumRows(); ++r) {
         NodeId src;
         if (!valid_src(r, &src)) continue;
-        for (NodeId target : full_sets[src_slot.at(src)]) {
-          if (target_prebound_elsewhere(r, target)) continue;
-          if (!to_admits(target)) continue;
-          if (pair_idx.try_emplace({src, target}, pairs.size()).second) {
-            pairs.emplace_back(src, target);
-          }
+        const size_t slot = slot_of(src);
+        any_free.resize(sources.size(), 0);
+        bound_targets.resize(sources.size());
+        rows_left.resize(sources.size(), 0);
+        ++rows_left[slot];
+        if (target_bound_to_node(r)) {
+          bound_targets[slot].insert(to_cells->NodeAt(r));
+        } else if (!target_bound_to_other(r)) {
+          any_free[slot] = 1;
         }
       }
-      std::vector<PathProjection> projections(pairs.size());
-      std::vector<Status> proj_status(pairs.size(), Status::OK());
-      ParallelFor(ctx.parallelism, pairs.size(), [&](size_t i) {
-        auto proj = AllPathsProjection(ctx, pairs[i].first, pairs[i].second);
-        if (proj.ok()) {
-          projections[i] = std::move(*proj);
-        } else {
-          proj_status[i] = proj.status();
-        }
-      });
-      for (const Status& st : proj_status) {
-        if (!st.ok()) return st;
-      }
+      GCORE_ASSIGN_OR_RETURN(
+          std::vector<AllPathsFrom> per_src,
+          BatchedAllPathsProjection(
+              ctx, sources, [&](size_t slot, NodeId target) {
+                return (any_free[slot] ||
+                        bound_targets[slot].count(target) > 0) &&
+                       to_admits(target);
+              }));
 
       for (size_t r = 0; r < table.NumRows(); ++r) {
         NodeId src;
         if (!valid_src(r, &src)) continue;
-        for (NodeId target : full_sets[src_slot.at(src)]) {
+        const size_t slot = src_slot.at(src);
+        // The source's last row takes the vectors; earlier rows copy.
+        const bool last_use = --rows_left[slot] == 0;
+        AllPathsFrom& from = per_src[slot];
+        for (size_t i = 0; i < from.targets.size(); ++i) {
+          const NodeId target = from.targets[i];
           if (target_prebound_elsewhere(r, target)) continue;
-          if (!to_admits(target)) continue;
-          const PathProjection& proj =
-              projections[pair_idx.at({src, target})];
           next.AppendRowFrom(table, r);
           const size_t out_row = next.NumRows() - 1;
           if (has_var) {
+            SortedProjection& proj = from.projections[i];
             auto pv = std::make_shared<PathValue>();
             pv->id = ctx_.catalog->ids()->NextPath();
             pv->from_graph = false;
-            pv->projection = std::make_pair(
-                std::vector<NodeId>(proj.nodes.begin(), proj.nodes.end()),
-                std::vector<EdgeId>(proj.edges.begin(), proj.edges.end()));
+            pv->projection =
+                last_use ? std::make_pair(std::move(proj.nodes),
+                                          std::move(proj.edges))
+                         : std::make_pair(proj.nodes, proj.edges);
             next.SetCell(out_row, path_col, Datum::OfPath(std::move(pv)));
           }
           next.SetCell(out_row, to_col, Datum::OfNode(target));

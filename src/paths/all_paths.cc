@@ -1,8 +1,10 @@
 #include "paths/all_paths.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "graph/snapshot.h"
+#include "paths/batched_bfs.h"
 #include "paths/frontier.h"
 #include "paths/product_bfs.h"
 
@@ -191,6 +193,189 @@ Result<PathProjection> AllPathsProjection(const PathSearchContext& ctx,
   } else {
     out.nodes.clear();
     out.edges.clear();
+  }
+  return out;
+}
+
+namespace {
+
+/// One wave of the batched kernel: the projections from the source whose
+/// forward marks are `fwd` onto `count` <= 64 targets it reaches. Applies
+/// AllPathsProjection's rules, with bit i of every word standing for
+/// targets[i].
+Status ProjectWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
+                   const CompiledNfa& rev, NodeId src,
+                   const std::vector<bool>& fwd, const NodeId* targets,
+                   size_t count, SortedProjection* out) {
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
+  const size_t num_states = nfa.num_states();
+  std::vector<uint64_t> bwd;
+  GCORE_RETURN_NOT_OK(
+      MaskWave(ctx, rev, /*backward=*/true, targets, count, &bwd));
+
+  std::vector<uint64_t> node_bits(adj.num_nodes(), 0);
+  std::vector<uint64_t> edge_bits(ctx.snap->num_edges(), 0);
+  std::vector<std::pair<const PathViewSegment*, uint64_t>> view_hits;
+  ViewResolver resolver(ctx.views);
+  for (size_t ni = 0; ni < adj.num_nodes(); ++ni) {
+    const DenseNodeIndex n = static_cast<DenseNodeIndex>(ni);
+    const uint64_t* here_bwd = &bwd[ni * num_states];
+    for (NfaStateId q = 0; q < num_states; ++q) {
+      if (!fwd[ni * num_states + q]) continue;
+      for (const CompiledTransition& t : nfa.TransitionsFrom(q)) {
+        switch (t.type) {
+          case NfaTransition::Type::kEpsilon:
+            node_bits[ni] |= here_bwd[t.target] & here_bwd[q];
+            break;
+          case NfaTransition::Type::kNodeTest:
+            if (nfa.NodeAdmitted(t, n)) node_bits[ni] |= here_bwd[t.target];
+            break;
+          case NfaTransition::Type::kAnyEdge:
+          case NfaTransition::Type::kEdgeForward:
+          case NfaTransition::Type::kEdgeBackward: {
+            auto try_entries = [&](const AdjacencyEntry* begin,
+                                   const AdjacencyEntry* end) {
+              for (const AdjacencyEntry* e = begin; e != end; ++e) {
+                if (!nfa.EdgeAdmitted(t, *e)) continue;
+                const uint64_t m =
+                    bwd[static_cast<size_t>(e->neighbor) * num_states +
+                        t.target];
+                if (m == 0) continue;
+                edge_bits[e->edge_dense] |= m;
+                node_bits[ni] |= m;
+                node_bits[e->neighbor] |= m;
+              }
+            };
+            if (t.type != NfaTransition::Type::kEdgeBackward) {
+              auto [b, e] = adj.Out(n);
+              try_entries(b, e);
+            }
+            if (t.type != NfaTransition::Type::kEdgeForward) {
+              auto [b, e] = adj.In(n);
+              try_entries(b, e);
+            }
+            break;
+          }
+          case NfaTransition::Type::kViewRef: {
+            GCORE_ASSIGN_OR_RETURN(const PathViewRelation* rel,
+                                   resolver.Resolve(*t.label));
+            for (const PathViewSegment& seg : rel->SegmentsFrom(adj.IdOf(n))) {
+              const DenseNodeIndex d = adj.Find(seg.dst);
+              if (d == adj.num_nodes()) continue;
+              const uint64_t m =
+                  bwd[static_cast<size_t>(d) * num_states + t.target];
+              if (m != 0) view_hits.emplace_back(&seg, m);
+            }
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  // Every target was reached, so the endpoints participate.
+  const uint64_t all = count == 64 ? ~uint64_t{0} : (uint64_t{1} << count) - 1;
+  node_bits[adj.IndexOf(src)] |= all;
+  for (size_t i = 0; i < count; ++i) {
+    node_bits[adj.IndexOf(targets[i])] |= uint64_t{1} << i;
+  }
+
+  auto for_each_bit = [](uint64_t m, auto&& fn) {
+    while (m != 0) {
+      fn(static_cast<size_t>(__builtin_ctzll(m)));
+      m &= m - 1;
+    }
+  };
+  for (size_t ni = 0; ni < node_bits.size(); ++ni) {
+    const NodeId id = adj.IdOf(static_cast<DenseNodeIndex>(ni));
+    for_each_bit(node_bits[ni],
+                 [&](size_t i) { out[i].nodes.push_back(id); });
+  }
+  for (size_t ei = 0; ei < edge_bits.size(); ++ei) {
+    const EdgeId id = ctx.snap->EdgeIdOf(static_cast<DenseEdgeIndex>(ei));
+    for_each_bit(edge_bits[ei],
+                 [&](size_t i) { out[i].edges.push_back(id); });
+  }
+  // View-segment bodies are the only ids that arrive out of order.
+  uint64_t unsorted = 0;
+  for (const auto& [seg, m] : view_hits) {
+    unsorted |= m;
+    for_each_bit(m, [&](size_t i) {
+      out[i].nodes.insert(out[i].nodes.end(), seg->body.nodes.begin(),
+                          seg->body.nodes.end());
+      out[i].edges.insert(out[i].edges.end(), seg->body.edges.begin(),
+                          seg->body.edges.end());
+    });
+  }
+  auto sort_unique = [](auto& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
+  for_each_bit(unsorted, [&](size_t i) {
+    sort_unique(out[i].nodes);
+    sort_unique(out[i].edges);
+  });
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<AllPathsFrom>> BatchedAllPathsProjection(
+    const PathSearchContext& ctx, const std::vector<NodeId>& sources,
+    const std::function<bool(size_t, NodeId)>& admit) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
+    return Status::InvalidArgument("path search context is incomplete");
+  }
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
+  const size_t num_states = ctx.nfa->num_states();
+  const NfaStateId accept = ctx.nfa->accept();
+
+  // One forward sweep per source.
+  std::vector<std::vector<bool>> fwd(sources.size());
+  std::vector<Status> status(sources.size(), Status::OK());
+  ParallelFor(ctx.parallelism, sources.size(), [&](size_t s) {
+    status[s] = ProductReachability(ctx, sources[s], &fwd[s]);
+  });
+  for (const Status& st : status) {
+    if (!st.ok()) return st;
+  }
+
+  // The accepted forward marks list each source's targets; pre-assign one
+  // slot per (source, wave of <= 64 targets).
+  std::vector<AllPathsFrom> out(sources.size());
+  struct Wave {
+    size_t source;
+    size_t lo;
+    size_t count;
+  };
+  std::vector<Wave> waves;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    for (size_t n = 0; n < adj.num_nodes(); ++n) {
+      if (!fwd[s][n * num_states + accept]) continue;
+      const NodeId target = adj.IdOf(static_cast<DenseNodeIndex>(n));
+      if (admit(s, target)) out[s].targets.push_back(target);
+    }
+    out[s].projections.resize(out[s].targets.size());
+    for (size_t lo = 0; lo < out[s].targets.size(); lo += 64) {
+      waves.push_back(
+          {s, lo, std::min<size_t>(64, out[s].targets.size() - lo)});
+    }
+  }
+
+  const Nfa reversed = ctx.nfa->Reversed();
+  const CompiledNfa nfa(*ctx.nfa, *ctx.snap);
+  const CompiledNfa rev(reversed, *ctx.snap);
+  std::vector<Status> wave_status(waves.size(), Status::OK());
+  ParallelFor(ctx.parallelism, waves.size(), [&](size_t w) {
+    const Wave& wave = waves[w];
+    AllPathsFrom& from = out[wave.source];
+    wave_status[w] = ProjectWave(ctx, nfa, rev, sources[wave.source],
+                                 fwd[wave.source],
+                                 from.targets.data() + wave.lo, wave.count,
+                                 from.projections.data() + wave.lo);
+  });
+  for (const Status& st : wave_status) {
+    if (!st.ok()) return st;
   }
   return out;
 }

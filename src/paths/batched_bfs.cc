@@ -8,25 +8,19 @@
 
 namespace gcore {
 
-namespace {
-
-/// One wave: product reachability for up to 64 sources at once. Each
-/// product state (node, nfa-state) carries the mask of wave sources that
-/// reach it; propagation is a monotone bitwise-OR fixpoint, so the result
-/// is order-independent and one traversal serves the whole wave.
-Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
-               const NodeId* sources, size_t count,
-               std::set<NodeId>* out_sets) {
+Status MaskWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
+                bool backward, const NodeId* seeds, size_t count,
+                std::vector<uint64_t>* masks) {
   const AdjacencyIndex& adj = ctx.snap->adjacency();
   const size_t num_states = nfa.num_states();
-  std::vector<uint64_t> masks(adj.num_nodes() * num_states, 0);
+  masks->assign(adj.num_nodes() * num_states, 0);
   std::deque<size_t> worklist;
-  std::vector<bool> queued(masks.size(), false);
+  std::vector<bool> queued(masks->size(), false);
 
   auto merge = [&](size_t idx, uint64_t add) {
-    add &= ~masks[idx];
+    add &= ~(*masks)[idx];
     if (add == 0) return;
-    masks[idx] |= add;
+    (*masks)[idx] |= add;
     if (!queued[idx]) {
       queued[idx] = true;
       worklist.push_back(idx);
@@ -34,19 +28,18 @@ Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
   };
 
   for (size_t i = 0; i < count; ++i) {
-    merge(static_cast<size_t>(adj.IndexOf(sources[i])) * num_states +
+    merge(static_cast<size_t>(adj.IndexOf(seeds[i])) * num_states +
               nfa.start(),
           uint64_t{1} << i);
   }
 
-  // Per-wave view cache: resolved once per distinct view name.
-  std::map<std::string, const PathViewRelation*> view_cache;
-
+  ViewResolver resolver(ctx.views);
+  ViewBackIndex back_index;
   while (!worklist.empty()) {
     const size_t p = worklist.front();
     worklist.pop_front();
     queued[p] = false;
-    const uint64_t m = masks[p];  // current mask, not the enqueue-time one
+    const uint64_t m = (*masks)[p];  // current mask, not the enqueue-time one
     const DenseNodeIndex n = static_cast<DenseNodeIndex>(p / num_states);
     const NfaStateId q = static_cast<NfaStateId>(p % num_states);
 
@@ -63,6 +56,16 @@ Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
         case NfaTransition::Type::kAnyEdge:
         case NfaTransition::Type::kEdgeForward:
         case NfaTransition::Type::kEdgeBackward: {
+          // Forward: kEdgeForward scans Out, kEdgeBackward scans In,
+          // kAnyEdge both. A reversed automaton's transition means "this
+          // edge was crossed towards me", so the backward sweep swaps the
+          // spans.
+          const bool scan_out =
+              t.type != (backward ? NfaTransition::Type::kEdgeForward
+                                  : NfaTransition::Type::kEdgeBackward);
+          const bool scan_in =
+              t.type != (backward ? NfaTransition::Type::kEdgeBackward
+                                  : NfaTransition::Type::kEdgeForward);
           auto try_entries = [&](const AdjacencyEntry* begin,
                                  const AdjacencyEntry* end) {
             for (const AdjacencyEntry* e = begin; e != end; ++e) {
@@ -71,42 +74,55 @@ Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
                     m);
             }
           };
-          if (t.type != NfaTransition::Type::kEdgeBackward) {
+          if (scan_out) {
             auto [b, e] = adj.Out(n);
             try_entries(b, e);
           }
-          if (t.type != NfaTransition::Type::kEdgeForward) {
+          if (scan_in) {
             auto [b, e] = adj.In(n);
             try_entries(b, e);
           }
           break;
         }
         case NfaTransition::Type::kViewRef: {
-          auto [it, inserted] = view_cache.try_emplace(*t.label, nullptr);
-          if (inserted) {
-            if (ctx.views == nullptr) {
-              return Status::EvaluationError(
-                  "regex references PATH view '~" + *t.label +
-                  "' but no views are in scope");
+          GCORE_ASSIGN_OR_RETURN(const PathViewRelation* rel,
+                                 resolver.Resolve(*t.label));
+          if (backward) {
+            for (const PathViewSegment* seg :
+                 back_index.SegmentsInto(*rel, adj.IdOf(n))) {
+              const DenseNodeIndex src = adj.Find(seg->src);
+              if (src == adj.num_nodes()) continue;
+              merge(static_cast<size_t>(src) * num_states + t.target, m);
             }
-            auto rel = ctx.views->Lookup(*t.label);
-            if (!rel.ok()) return rel.status();
-            it->second = *rel;
-          }
-          for (const PathViewSegment& seg :
-               it->second->SegmentsFrom(adj.IdOf(n))) {
-            const DenseNodeIndex dst = adj.Find(seg.dst);
-            if (dst == adj.num_nodes()) continue;
-            merge(static_cast<size_t>(dst) * num_states + t.target, m);
+          } else {
+            for (const PathViewSegment& seg : rel->SegmentsFrom(adj.IdOf(n))) {
+              const DenseNodeIndex dst = adj.Find(seg.dst);
+              if (dst == adj.num_nodes()) continue;
+              merge(static_cast<size_t>(dst) * num_states + t.target, m);
+            }
           }
           break;
         }
       }
     }
   }
+  return Status::OK();
+}
 
+namespace {
+
+/// One reachability wave: the forward mask fixpoint, read off at the
+/// accept state into each source's set.
+Status RunWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
+               const NodeId* sources, size_t count,
+               std::set<NodeId>* out_sets) {
+  std::vector<uint64_t> masks;
+  GCORE_RETURN_NOT_OK(
+      MaskWave(ctx, nfa, /*backward=*/false, sources, count, &masks));
   // Dense indices ascend with node id, so end-hinted insertion keeps the
   // materialization linear in the output size.
+  const AdjacencyIndex& adj = ctx.snap->adjacency();
+  const size_t num_states = nfa.num_states();
   const NfaStateId accept = nfa.accept();
   for (size_t n = 0; n < adj.num_nodes(); ++n) {
     uint64_t m = masks[n * num_states + accept];

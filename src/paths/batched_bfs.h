@@ -10,6 +10,8 @@
 //     monotone mask-propagation fixpoint replaces 64 BFS sweeps (the
 //     classic MS-BFS idea of Then et al., specialized to the product
 //     graph). Larger batches run as waves of 64, fanned across workers.
+//     The fixpoint itself (MaskWave) also runs backward over a reversed
+//     automaton: BatchedAllPathsProjection's 64-target waves.
 //
 //   * BatchedKShortestFrom — weighted/k-shortest searches keep their
 //     per-source product-Dijkstra (costs don't compose across sources),
@@ -27,9 +29,22 @@
 #include <vector>
 
 #include "common/result.h"
+#include "paths/frontier.h"
 #include "paths/k_shortest.h"
 
 namespace gcore {
+
+/// The 64-lane mask fixpoint behind every wave: seed i sets bit i at
+/// (seeds[i], nfa.start()), and masks propagate along the product moves
+/// until nothing changes. `masks` ends with num_nodes * num_states words,
+/// indexed node * num_states + state. With `backward`, `nfa` is a
+/// reversed automaton (Nfa::Reversed) and every move runs against the
+/// graph: forward-label transitions scan In(), backward-label transitions
+/// scan Out(), and view segments are consumed dst to src. `count` <= 64;
+/// every seed must be in the graph.
+Status MaskWave(const PathSearchContext& ctx, const CompiledNfa& nfa,
+                bool backward, const NodeId* seeds, size_t count,
+                std::vector<uint64_t>* masks);
 
 /// Reachable-node set per source (same order as `sources`): the batched
 /// equivalent of calling ReachableFrom once per source. Sources may

@@ -54,6 +54,19 @@ CompiledNfa::CompiledNfa(const Nfa& nfa, const GraphSnapshot& snap)
   }
 }
 
+Result<const PathViewRelation*> ViewResolver::Resolve(const std::string& name) {
+  auto it = cache_.find(name);
+  if (it != cache_.end()) return it->second;
+  if (views_ == nullptr) {
+    return Status::EvaluationError("regex references PATH view '~" + name +
+                                   "' but no views are in scope");
+  }
+  auto rel = views_->Lookup(name);
+  if (!rel.ok()) return rel.status();
+  cache_.emplace(name, *rel);
+  return *rel;
+}
+
 const std::vector<const PathViewSegment*>& ViewBackIndex::SegmentsInto(
     const PathViewRelation& rel, NodeId dst) {
   auto [it, inserted] = by_rel_.try_emplace(&rel);

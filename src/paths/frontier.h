@@ -1,7 +1,8 @@
 // Shared infrastructure of the parallel path kernels.
 //
-// The batch-oriented kernels (batched_bfs.h and the bidirectional
-// product-BFS in product_bfs.h) share three ingredients:
+// The batch-oriented kernels (batched_bfs.h, the batched ALL projection in
+// all_paths.h and the bidirectional product-BFS in product_bfs.h) share
+// three ingredients:
 //
 //   * CompiledNfa — the regex automaton with every transition label
 //     pre-resolved against a GraphSnapshot's interned label ids, so the
@@ -14,10 +15,11 @@
 //     threads. Callers keep per-index output slots, so results are a
 //     pure function of the input regardless of thread schedule.
 //
-//   * ViewBackIndex — a lazily built dst-keyed index over PATH-view
-//     segments, the backward analogue of PathViewRelation::SegmentsFrom
-//     (backward product sweeps would otherwise rescan every segment per
-//     visited node).
+//   * ViewResolver / ViewBackIndex — a per-sweep name cache for the
+//     views that kViewRef transitions traverse, and a lazily built
+//     dst-keyed index over PATH-view segments, the backward analogue of
+//     PathViewRelation::SegmentsFrom (backward product sweeps would
+//     otherwise rescan every segment per visited node).
 //
 // Determinism contract (see ROADMAP "Parallel path engine"): every kernel
 // built on these helpers returns bit-identical results at every
@@ -94,6 +96,21 @@ class CompiledNfa {
   NfaStateId start_;
   NfaStateId accept_;
   std::vector<std::vector<CompiledTransition>> states_;
+};
+
+/// Resolves the view of a kViewRef transition, caching by name. Not
+/// thread-safe; one instance per (serial) sweep.
+class ViewResolver {
+ public:
+  explicit ViewResolver(const PathViewRegistry* views) : views_(views) {}
+
+  /// The relation named `name`; an error when no views are in scope or
+  /// none has that name.
+  Result<const PathViewRelation*> Resolve(const std::string& name);
+
+ private:
+  const PathViewRegistry* views_;
+  std::map<std::string, const PathViewRelation*> cache_;
 };
 
 /// Lazily built dst-keyed segment index over PATH-view relations: the

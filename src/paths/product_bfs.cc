@@ -7,34 +7,6 @@
 
 namespace gcore {
 
-namespace {
-
-/// Resolves the view of a kViewRef transition, caching by name.
-class ViewResolver {
- public:
-  explicit ViewResolver(const PathViewRegistry* views) : views_(views) {}
-
-  Result<const PathViewRelation*> Resolve(const std::string& name) {
-    auto [it, inserted] = cache_.try_emplace(name, nullptr);
-    if (inserted) {
-      if (views_ == nullptr) {
-        return Status::EvaluationError("regex references PATH view '~" + name +
-                                       "' but no views are in scope");
-      }
-      auto rel = views_->Lookup(name);
-      if (!rel.ok()) return rel.status();
-      it->second = *rel;
-    }
-    return it->second;
-  }
-
- private:
-  const PathViewRegistry* views_;
-  std::map<std::string, const PathViewRelation*> cache_;
-};
-
-}  // namespace
-
 Status ProductReachability(const PathSearchContext& ctx, NodeId src,
                            std::vector<bool>* marks) {
   if (ctx.snap == nullptr || ctx.nfa == nullptr) {

@@ -3,10 +3,14 @@
 // 1 / 2 / 8 —
 //   BatchedReachableFrom ≡ ReachableFrom per source (incl. >64 sources,
 //                          so the 64-lane wave split is exercised),
-//   IsReachable (bidirectional) ≡ membership in the full fixpoint, and
-//   BatchedKShortestFrom ≡ KShortestPathsFrom per source.
+//   IsReachable (bidirectional) ≡ membership in the full fixpoint,
+//   BatchedKShortestFrom ≡ KShortestPathsFrom per source, and
+//   BatchedAllPathsProjection ≡ AllPathsProjection per (source, target)
+//                          pair (incl. >64 targets and PATH views).
 // The engine-level suite (tests/plan/parallel_test.cc) pins tables and
 // path ids on top, and this file adds the 1-row-morsel degree sweep.
+// Both pipelines share ExpandPathHop, so differential_test cannot see a
+// kernel bug: this file is where each fast path meets its spec.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,6 +18,7 @@
 #include "eval/matcher.h"
 #include "graph/snapshot.h"
 #include "parser/parser.h"
+#include "paths/all_paths.h"
 #include "paths/batched_bfs.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
@@ -191,6 +196,67 @@ TEST(BatchedKShortest, MatchesPerSource) {
   }
 }
 
+/// Checks the batched ALL kernel against the per-pair spec from each of
+/// nodes 1..num_nodes onto each of them, at parallelism 1, 2 and 8. Pairs
+/// without a conforming walk (empty spec projection) must be absent.
+void ExpectAllPathsMatchSpec(PathSearchContext ctx, size_t num_nodes,
+                             const std::string& regex) {
+  std::vector<NodeId> sources;
+  for (uint64_t i = 1; i <= num_nodes; ++i) sources.push_back(NodeId(i));
+  std::vector<std::vector<std::pair<NodeId, PathProjection>>> want(
+      sources.size());
+  for (size_t s = 0; s < sources.size(); ++s) {
+    for (NodeId dst : sources) {  // src == dst included
+      auto r = AllPathsProjection(ctx, sources[s], dst);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      if (!r->Empty()) want[s].emplace_back(dst, std::move(*r));
+    }
+  }
+  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
+    ctx.parallelism = parallelism;
+    auto got = BatchedAllPathsProjection(
+        ctx, sources, [](size_t, NodeId) { return true; });
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), sources.size());
+    for (size_t s = 0; s < sources.size(); ++s) {
+      const AllPathsFrom& from = (*got)[s];
+      ASSERT_EQ(from.targets.size(), want[s].size())
+          << regex << " from " << ToString(sources[s]) << " @ parallelism "
+          << parallelism;
+      for (size_t i = 0; i < want[s].size(); ++i) {
+        const auto& [dst, spec] = want[s][i];
+        ASSERT_EQ(from.targets[i], dst);
+        EXPECT_EQ(from.projections[i].nodes,
+                  std::vector<NodeId>(spec.nodes.begin(), spec.nodes.end()))
+            << regex << ": " << ToString(sources[s]) << " -> "
+            << ToString(dst) << " @ parallelism " << parallelism;
+        EXPECT_EQ(from.projections[i].edges,
+                  std::vector<EdgeId>(spec.edges.begin(), spec.edges.end()))
+            << regex << ": " << ToString(sources[s]) << " -> "
+            << ToString(dst) << " @ parallelism " << parallelism;
+      }
+    }
+  }
+}
+
+TEST(BatchedAllPaths, MatchesPerPairSpec) {
+  {
+    // 100 targets per source > 64: two backward waves per source.
+    RandomGraph rg(100, 300);
+    Nfa nfa = CompileRegex(":a*");
+    PathSearchContext ctx;
+    ctx.snap = rg.snap.get();
+    ctx.nfa = &nfa;
+    ExpectAllPathsMatchSpec(ctx, rg.num_nodes, ":a*");
+  }
+  ViewFixture f;
+  for (const char* regex :
+       {":a*", ":a :a", "(:a-)*", "(~w | :a)*", "(:a !Hub :a)?"}) {
+    Nfa nfa = CompileRegex(regex);
+    ExpectAllPathsMatchSpec(f.Ctx(&nfa), f.rg.num_nodes, regex);
+  }
+}
+
 // Engine-level: the path stages on 1-row morsels at every degree — the
 // batched ExpandPathHop sees the whole drained input either way, and the
 // result tables (including fresh path ids) must be byte-identical to the
@@ -219,6 +285,14 @@ TEST(EngineDegreeSweep, PathModesOnOneRowMorsels) {
         if (d.kind() == Datum::Kind::kPath) {
           rendered += "#" + std::to_string(d.path().id.value());
           for (NodeId n : d.path().body.nodes) rendered += ToString(n) + ",";
+          if (d.path().projection.has_value()) {
+            for (NodeId n : d.path().projection->first) {
+              rendered += ToString(n) + ",";
+            }
+            for (EdgeId e : d.path().projection->second) {
+              rendered += ToString(e) + ",";
+            }
+          }
         }
         rendered += ";";
       }
@@ -230,7 +304,8 @@ TEST(EngineDegreeSweep, PathModesOnOneRowMorsels) {
        {"CONSTRUCT (z) MATCH (n:Person)-/<:knows*>/->(m:Person)",
         "CONSTRUCT (z) MATCH (n:Person)-/2 SHORTEST p<:knows*> COST c/->(m)",
         "CONSTRUCT (z) MATCH (n:Person)-/p<:knows*>/->(m) "
-        "WHERE n.firstName = 'John'"}) {
+        "WHERE n.firstName = 'John'",
+        "CONSTRUCT (z) MATCH (n:Person)-/ALL p<:knows*>/->(m:Person)"}) {
     const std::string serial = run(query, 1);
     EXPECT_FALSE(serial.empty()) << query;
     for (size_t parallelism : {size_t{2}, size_t{8}}) {
