@@ -39,8 +39,9 @@ void BM_IdentityConstruct(benchmark::State& state) {
   state.SetLabel("bound identities: copy the whole graph through a query");
 }
 BENCHMARK(BM_IdentityConstruct)
-    ->RangeMultiplier(4)
-    ->Range(100, 1600)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GroupingSkolem(benchmark::State& state) {
@@ -55,8 +56,10 @@ void BM_GroupingSkolem(benchmark::State& state) {
   state.SetLabel("GROUP aggregation: company nodes via skolems (Q5 shape)");
 }
 BENCHMARK(BM_GroupingSkolem)
-    ->RangeMultiplier(4)
-    ->Range(100, 6400)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CountAggregatePerEdge(benchmark::State& state) {
@@ -71,8 +74,9 @@ void BM_CountAggregatePerEdge(benchmark::State& state) {
   state.SetLabel("per-node COUNT(*) aggregation (Q10 shape)");
 }
 BENCHMARK(BM_CountAggregatePerEdge)
-    ->RangeMultiplier(4)
-    ->Range(100, 1600)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
 void BM_StoredPathsConstruct(benchmark::State& state) {
@@ -88,8 +92,9 @@ void BM_StoredPathsConstruct(benchmark::State& state) {
   state.SetLabel("stored shortest paths: bodies share prefixes (@p)");
 }
 BENCHMARK(BM_StoredPathsConstruct)
-    ->RangeMultiplier(4)
-    ->Range(100, 1600)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GraphUnionConstruct(benchmark::State& state) {
@@ -104,8 +109,9 @@ void BM_GraphUnionConstruct(benchmark::State& state) {
   state.SetLabel("CONSTRUCT g, ...: the input graph unioned with new objects");
 }
 BENCHMARK(BM_GraphUnionConstruct)
-    ->RangeMultiplier(4)
-    ->Range(100, 1600)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GraphSetOps(benchmark::State& state) {
@@ -126,8 +132,9 @@ void BM_GraphSetOps(benchmark::State& state) {
   state.SetLabel("UNION + INTERSECT + MINUS on fully-overlapping graphs");
 }
 BENCHMARK(BM_GraphSetOps)
-    ->RangeMultiplier(4)
-    ->Range(100, 1600)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BindingJoin(benchmark::State& state) {
@@ -147,8 +154,9 @@ void BM_BindingJoin(benchmark::State& state) {
   state.SetLabel("hash natural join, 64-way skewed key");
 }
 BENCHMARK(BM_BindingJoin)
-    ->RangeMultiplier(4)
-    ->Range(256, 4096)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 void BM_OptionalLeftJoin(benchmark::State& state) {
@@ -163,8 +171,9 @@ void BM_OptionalLeftJoin(benchmark::State& state) {
   state.SetLabel("OPTIONAL left outer join + aggregation");
 }
 BENCHMARK(BM_OptionalLeftJoin)
-    ->RangeMultiplier(4)
-    ->Range(100, 1600)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -75,8 +75,10 @@ void BM_Reachability(benchmark::State& state) {
   state.counters["reached"] = static_cast<double>(reached);
 }
 BENCHMARK(BM_Reachability)
-    ->RangeMultiplier(4)
-    ->Range(200, 12800)
+    ->Arg(200)
+    ->Arg(800)
+    ->Arg(3200)
+    ->Arg(12800)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SingleSourceShortest(benchmark::State& state) {
@@ -89,8 +91,10 @@ void BM_SingleSourceShortest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SingleSourceShortest)
-    ->RangeMultiplier(4)
-    ->Range(200, 12800)
+    ->Arg(200)
+    ->Arg(800)
+    ->Arg(3200)
+    ->Arg(12800)
     ->Unit(benchmark::kMillisecond);
 
 void BM_KShortest(benchmark::State& state) {
@@ -140,8 +144,9 @@ void BM_AllPathsProjection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllPathsProjection)
-    ->RangeMultiplier(4)
-    ->Range(200, 3200)
+    ->Arg(200)
+    ->Arg(800)
+    ->Arg(3200)
     ->Unit(benchmark::kMillisecond);
 
 // ALL-paths projections from one source onto every Person it reaches
@@ -251,8 +256,9 @@ void BM_WeightedViewTraversal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeightedViewTraversal)
-    ->RangeMultiplier(4)
-    ->Range(200, 3200)
+    ->Arg(200)
+    ->Arg(800)
+    ->Arg(3200)
     ->Unit(benchmark::kMillisecond);
 
 // RPQ pair query: full forward fixpoint vs the bidirectional
@@ -352,8 +358,10 @@ void BM_AdjacencyBuild(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(graph.NumEdges());
 }
 BENCHMARK(BM_AdjacencyBuild)
-    ->RangeMultiplier(4)
-    ->Range(200, 12800)
+    ->Arg(200)
+    ->Arg(800)
+    ->Arg(3200)
+    ->Arg(12800)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

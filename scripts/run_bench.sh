@@ -39,11 +39,21 @@
 #                                reachability, shortest path, UNION) over
 #                                SNB 100 → 6400 persons, 4× steps
 # A leading bench_<name> argument restricts the run to that binary; the
-# remaining arguments pass through to every binary that runs, e.g.
+# remaining arguments pass through to every binary that runs (the last
+# occurrence of a google-benchmark flag wins), e.g.
 #   scripts/run_bench.sh bench_path_finding
 #   scripts/run_bench.sh bench_columnar_scan --benchmark_filter='BM_ColumnarScan.*'
-# A run that records no benchmark (say, a filter matching nothing) leaves
-# its committed BENCH_*.json untouched.
+#   scripts/run_bench.sh --benchmark_repetitions=1 --benchmark_min_time=0.01
+# Each run merges into its BENCH_*.json: a row the run measured replaces
+# the row of the same name, every other row stays (so a filtered run
+# keeps the rest of the file) and the committed `baseline` block stays.
+# When the run re-measured every row of the file, `context` and the row
+# order come from the run; otherwise the file keeps its `context` and
+# each row the run wrote carries the run's date, host, commit, build type
+# and core count under `run_context`. Rows of benchmarks that no longer
+# exist stay until removed by hand. A binary that records no benchmark
+# leaves its file untouched and, unless a --benchmark_filter was given,
+# fails the run. GCORE_BENCH_TIMEOUT (seconds, default none) limits each binary.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,7 +101,46 @@ build_type="${build_type:-RelWithDebInfo}"  # CMakeLists.txt's default
 context="git_sha=${sha},build_type=${build_type},nproc=$(nproc)"
 trap 'rm -f BENCH_*.json.tmp' EXIT
 
-# Runs one binary into `out`.tmp and moves that over `out` only when it
+filtered=0
+for arg in "$@"; do
+  if [[ "${arg}" == --benchmark_filter* ]]; then filtered=1; fi
+done
+missing=0
+
+# Merges the google-benchmark JSON `run` into `out` (see the header).
+merge_json() {
+  python3 - "$1" "$2" <<'EOF'
+import json, os, sys
+
+run_path, out_path = sys.argv[1], sys.argv[2]
+with open(run_path) as f:
+    run = json.load(f)
+merged = {}
+if os.path.exists(out_path):
+    with open(out_path) as f:
+        merged = json.load(f)
+fresh = {b["name"]: b for b in run["benchmarks"]}
+old_rows = merged.get("benchmarks", [])
+if all(b["name"] in fresh for b in old_rows):
+    merged["context"] = run["context"]
+    merged["benchmarks"] = run["benchmarks"]
+else:
+    stamp = {k: run["context"][k]
+             for k in ("date", "host_name", "git_sha", "build_type", "nproc")
+             if k in run["context"]}
+    for b in fresh.values():
+        b["run_context"] = stamp
+    rows = [fresh.pop(b["name"], b) for b in old_rows]
+    rows.extend(fresh.values())
+    merged["benchmarks"] = rows
+with open(run_path, "w") as f:
+    json.dump(merged, f, indent=2, ensure_ascii=False)
+    f.write("\n")
+os.replace(run_path, out_path)
+EOF
+}
+
+# Runs one binary into `out`.tmp and merges that into `out` only when it
 # recorded at least one benchmark: google-benchmark truncates its
 # --benchmark_out file to 0 bytes and exits 0 when a filter matches
 # nothing.
@@ -99,7 +148,7 @@ run_bench() {
   local binary="$1" out="$2"
   shift 2
   local tmp="${out}.tmp"
-  "./build/${binary}" \
+  timeout "${GCORE_BENCH_TIMEOUT:-0}" "./build/${binary}" \
     --benchmark_format=json \
     --benchmark_out="${tmp}" \
     --benchmark_out_format=json \
@@ -108,10 +157,11 @@ run_bench() {
     --benchmark_context="${context}" \
     "$@"
   if [ -s "${tmp}" ] && grep -q '"name":' "${tmp}"; then
-    mv "${tmp}" "${out}"
+    merge_json "${tmp}" "${out}"
   else
     rm -f "${tmp}"
     echo "run_bench.sh: ${binary} recorded no benchmarks; ${out} left as is" >&2
+    if [ "${filtered}" -eq 0 ]; then missing=1; fi
   fi
 }
 
@@ -127,3 +177,7 @@ for entry in "${selected[@]}"; do
     run_bench "${binary}" "${out}" "$@"
   fi
 done
+if [ "${missing}" -ne 0 ]; then
+  echo "run_bench.sh: a binary recorded no benchmarks without a filter" >&2
+  exit 1
+fi

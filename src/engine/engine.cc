@@ -334,8 +334,9 @@ Result<QueryResult> QueryEngine::AnalyzeBasic(const BasicQuery& basic,
   // runs the MATCH through the ExecStats-recording executor.
   ExecStats stats;
   PlanPtr plan;
+  MatchRun run;
   GCORE_ASSIGN_OR_RETURN(BindingTable bindings,
-                         EvalBindings(basic, scope, &stats, &plan));
+                         EvalBindings(basic, scope, &run, &stats, &plan));
   std::vector<std::string> sub;
   if (plan != nullptr) {
     stats.AnnotateActuals(plan.get());
@@ -349,7 +350,8 @@ Result<QueryResult> QueryEngine::AnalyzeBasic(const BasicQuery& basic,
   // The consuming tail runs too (EXPLAIN ANALYZE executes the whole
   // query); only the binding pipeline is rendered.
   GCORE_ASSIGN_OR_RETURN(QueryResult finished,
-                         FinishBasic(basic, std::move(bindings), scope));
+                         FinishBasic(basic, std::move(bindings), scope,
+                                     &run));
   AppendChildLines(sub, /*last=*/true, lines);
   return finished;
 }
@@ -589,16 +591,17 @@ Status QueryEngine::MaterializeOnLocations(
 }
 
 Result<BindingTable> QueryEngine::EvalBindings(
-    const BasicQuery& basic, Scope* scope, ExecStats* stats,
+    const BasicQuery& basic, Scope* scope, MatchRun* run, ExecStats* stats,
     std::unique_ptr<PlanNode>* plan_out) {
   if (basic.match.has_value()) {
     GCORE_RETURN_NOT_OK(MaterializePathViewsFor(*basic.match, scope));
 
     // ON (subquery) locations: evaluate each to a temporary catalog graph
     // (Appendix A.2: ⟦α ON Q⟧_G = ⟦α⟧_{⟦Q⟧_G}).
-    std::map<const GraphPattern*, std::string> overrides;
+    MatchRun local;
+    if (run == nullptr) run = &local;
     GCORE_RETURN_NOT_OK(
-        MaterializeOnLocations(*basic.match, scope, &overrides));
+        MaterializeOnLocations(*basic.match, scope, &run->overrides));
 
     auto eval = [&](Matcher* matcher) -> Result<BindingTable> {
       if (stats != nullptr) {
@@ -617,14 +620,10 @@ Result<BindingTable> QueryEngine::EvalBindings(
       }
       return matcher->EvalMatchClause(*basic.match);
     };
-    Matcher matcher = MakeMatcher(scope);
-    if (!overrides.empty()) {
-      MatcherContext ctx = matcher.context();
-      ctx.location_overrides = &overrides;
-      Matcher located(std::move(ctx));
-      return eval(&located);
-    }
-    return eval(&matcher);
+    MatcherContext ctx = MakeMatcher(scope).context();
+    if (!run->overrides.empty()) ctx.location_overrides = &run->overrides;
+    run->matcher = std::make_unique<Matcher>(std::move(ctx));
+    return eval(run->matcher.get());
   }
   if (!basic.from_table.empty()) {
     GCORE_ASSIGN_OR_RETURN(const Table* table,
@@ -636,13 +635,25 @@ Result<BindingTable> QueryEngine::EvalBindings(
 
 Result<QueryResult> QueryEngine::EvalBasic(const BasicQuery& basic,
                                            Scope* scope) {
-  GCORE_ASSIGN_OR_RETURN(BindingTable bindings, EvalBindings(basic, scope));
-  return FinishBasic(basic, std::move(bindings), scope);
+  MatchRun run;
+  GCORE_ASSIGN_OR_RETURN(BindingTable bindings,
+                         EvalBindings(basic, scope, &run));
+  return FinishBasic(basic, std::move(bindings), scope, &run);
 }
 
 Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
                                              BindingTable bindings,
-                                             Scope* scope) {
+                                             Scope* scope, MatchRun* run) {
+  // The tail reads λ/σ from the graph versions the MATCH pinned; a body
+  // without MATCH pins on first use here.
+  if (run->matcher == nullptr) {
+    run->matcher = std::make_unique<Matcher>(MakeMatcher(scope).context());
+  }
+  Matcher& matcher = *run->matcher;
+  auto resolve_graph = [&matcher](const std::string& name) {
+    auto g = matcher.ResolveGraph(name);
+    return g.ok() ? *g : nullptr;
+  };
   QueryResult result;
   if (basic.select.has_value()) {
     const SelectClause& select = *basic.select;
@@ -658,17 +669,15 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
     // λ/σ lookups resolve through per-column provenance; the default
     // graph is only a fallback and may legitimately be absent (e.g. all
     // patterns carry ON).
-    const PathPropertyGraph* default_graph = nullptr;
     // The matcher lives through the whole projection: its snapshot cache
     // pins every snapshot the compiled programs below gather from.
-    Matcher matcher = MakeMatcher(scope);
-    {
-      auto resolved = matcher.ResolveGraph("");
-      if (resolved.ok()) default_graph = *resolved;
-    }
+    const std::string& default_name = catalog_->default_graph();
+    const PathPropertyGraph* default_graph =
+        default_name.empty() ? nullptr : resolve_graph(default_name);
     // EXISTS inner relations are kept for the whole projection.
     CorrelatedMemo correlated;
     ExprEvaluator eval(default_graph, catalog_);
+    eval.set_provenance_resolver(resolve_graph);
     eval.set_exists_callback(
         [this, scope](const Query& subquery) {
           return ExistsRelation(subquery, scope);
@@ -787,6 +796,7 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
   ctx.default_graph = catalog_->default_graph();
   // The spec mode of every layer: the row-at-a-time constructor.
   ctx.use_spec = !scope->options.use_planner;
+  ctx.resolve_graph = resolve_graph;
   ctx.exists_cb = [this, scope](const Query& subquery) {
     return ExistsRelation(subquery, scope);
   };

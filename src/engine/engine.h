@@ -154,18 +154,31 @@ class QueryEngine {
   Result<QueryResult> EvalBasic(const BasicQuery& basic, Scope* scope);
   Status EvalGraphClause(const GraphClause& clause, Scope* scope);
 
-  /// Binding-producing part of a basic query (MATCH / FROM / unit).
-  /// A non-null `stats` instruments the MATCH pipeline (EXPLAIN
-  /// ANALYZE): actual rows record per operator and the executed plan is
-  /// handed out through `plan_out` (null for FROM/unit bodies).
+  /// The matcher that ran a basic query's MATCH, kept alive through the
+  /// consuming tail: its per-query graph pins are the versions SELECT and
+  /// CONSTRUCT read λ/σ from. `overrides` are the ON (subquery) locations
+  /// the matcher's context points to.
+  struct MatchRun {
+    std::map<const GraphPattern*, std::string> overrides;
+    std::unique_ptr<Matcher> matcher;
+  };
+
+  /// Binding-producing part of a basic query (MATCH / FROM / unit). A
+  /// non-null `run` receives the matcher that ran the MATCH. A non-null
+  /// `stats` instruments the MATCH pipeline (EXPLAIN ANALYZE): actual
+  /// rows record per operator and the executed plan is handed out
+  /// through `plan_out` (null for FROM/unit bodies).
   Result<BindingTable> EvalBindings(const BasicQuery& basic, Scope* scope,
+                                    MatchRun* run = nullptr,
                                     ExecStats* stats = nullptr,
                                     std::unique_ptr<PlanNode>* plan_out =
                                         nullptr);
   /// Consuming tail of a basic query: SELECT projection or CONSTRUCT
-  /// over already-computed bindings.
+  /// over already-computed bindings, resolving graphs through `run`'s
+  /// matcher (made here when the body has no MATCH).
   Result<QueryResult> FinishBasic(const BasicQuery& basic,
-                                  BindingTable bindings, Scope* scope);
+                                  BindingTable bindings, Scope* scope,
+                                  MatchRun* run);
   /// Evaluates every ON (subquery) location of `match` to a temporary
   /// catalog graph and records pattern → name in `overrides`
   /// (Appendix A.2: ⟦α ON Q⟧_G = ⟦α⟧_{⟦Q⟧_G}). Temporary names draw from

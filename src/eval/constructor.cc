@@ -25,27 +25,7 @@ std::vector<std::string> FlattenLabels(
   return out;
 }
 
-/// Set-union merge into `dst`; an empty target adopts the source whole
-/// (moved from when it is an rvalue).
-template <typename L>
-void MergeLabels(LabelSet* dst, L&& src) {
-  if (dst->empty()) {
-    *dst = std::forward<L>(src);
-  } else {
-    dst->UnionWith(src);
-  }
-}
-template <typename P>
-void MergeProps(PropertyMap* dst, P&& src) {
-  if (dst->empty()) {
-    *dst = std::forward<P>(src);
-  } else {
-    dst->UnionWith(src);
-  }
-}
-
 constexpr uint32_t kNoGroup = ~uint32_t{0};
-constexpr size_t kNoBuild = ~size_t{0};
 
 /// Open-addressed raw id → group number, numbering ids by first
 /// appearance; sized up front for `capacity` distinct ids.
@@ -79,22 +59,6 @@ class IdGroups {
   std::vector<std::pair<uint64_t, uint32_t>> slots_;
   uint32_t size_ = 0;
 };
-
-/// Source objects of per-group ids through one sorted batch lookup
-/// (`find` is FindNodes or FindEdges of the source graph).
-template <typename Id, typename FindFn>
-auto LookupByGroup(const std::vector<Id>& ids, FindFn find) {
-  std::vector<uint32_t> order(ids.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](uint32_t x, uint32_t y) { return ids[x] < ids[y]; });
-  std::vector<Id> sorted(ids.size());
-  for (size_t i = 0; i < order.size(); ++i) sorted[i] = ids[order[i]];
-  auto found = find(sorted);
-  decltype(found) out(ids.size());
-  for (size_t i = 0; i < order.size(); ++i) out[order[i]] = found[i];
-  return out;
-}
 
 struct SourceObjectHash {
   size_t operator()(const std::pair<const void*, uint64_t>& p) const {
@@ -144,41 +108,33 @@ struct Constructor::ItemState {
   std::vector<EdgeCtor> edge_ctors;
   std::vector<PathCtor> path_ctors;
 
-  // Build products: one per (constructor, group). `rows` holds the group's
+  // Build products: one per (constructor, group), each carrying its λ/σ
+  // (ObjectData: copy-on-write handles, so a bound object's λ/σ share the
+  // source graph's payloads until an edit). `rows` holds the group's
   // binding rows whenever assignments, SET statements or a post-WHEN read
-  // them (always, in the spec); `rep` is the first. The columnar path may
-  // leave a bound object's λ/σ in its source graph (`lazy`) when nothing
-  // edits them: `labels` then holds only the pattern's labels.
-  struct NodeBuild {
+  // them (always, in the spec); `rep` is the first.
+  struct NodeBuild : ObjectData {
     NodeId id;
-    LabelSet labels;
-    PropertyMap props;
-    const ObjectData* lazy = nullptr;
     size_t rep = 0;
     std::vector<size_t> rows;
     std::string var;
     bool dropped = false;
   };
-  struct EdgeBuild {
+  struct EdgeBuild : ObjectData {
     EdgeId id;
     NodeId src;
     NodeId dst;
-    LabelSet labels;
-    PropertyMap props;
-    const ObjectData* lazy = nullptr;
     size_t rep = 0;
     std::vector<size_t> rows;
     std::string var;
     bool dropped = false;
   };
-  struct PathBuild {
+  struct PathBuild : ObjectData {
     PathId id;
     bool make_object = false;  // @p vs plain projection
     PathBody body;
     std::vector<NodeId> extra_nodes;  // projection mode (ALL)
     std::vector<EdgeId> extra_edges;
-    LabelSet labels;
-    PropertyMap props;
     size_t rep = 0;
     std::vector<size_t> rows;
     std::string var;
@@ -205,15 +161,17 @@ struct Constructor::ItemState {
     const std::string& name = bindings.ColumnGraph(var);
     const std::string& resolved =
         name.empty() ? owner->ctx_.default_graph : name;
-    if (!resolved.empty()) {
-      auto g = owner->ctx_.catalog->Lookup(resolved);
-      if (g.ok()) return *g;
-    }
-    return nullptr;
+    if (resolved.empty()) return nullptr;
+    if (owner->ctx_.resolve_graph) return owner->ctx_.resolve_graph(resolved);
+    auto g = owner->ctx_.catalog->Lookup(resolved);
+    return g.ok() ? *g : nullptr;
   }
 
   ExprEvaluator MakeEvaluator(const PathPropertyGraph* graph) const {
     ExprEvaluator eval(graph, owner->ctx_.catalog);
+    if (owner->ctx_.resolve_graph) {
+      eval.set_provenance_resolver(owner->ctx_.resolve_graph);
+    }
     if (owner->ctx_.exists_cb) {
       eval.set_exists_callback(owner->ctx_.exists_cb, &owner->correlated_);
     }
@@ -303,8 +261,8 @@ struct Constructor::ItemState {
     return defined;
   }
 
-  /// True when a build of `var` must carry its group rows and its full,
-  /// editable λ/σ: assignments, SET statements or a post-WHEN read them.
+  /// True when a build of `var` must carry its group rows: assignments,
+  /// SET statements or a post-WHEN read them.
   bool NeedsRows(const std::string& var, bool has_props) const {
     return has_props || post_when || set_vars.count(var) > 0;
   }
@@ -613,72 +571,88 @@ struct Constructor::ItemState {
     return Status::OK();
   }
 
-  /// Copies a node's λ/σ from `source` into `graph` if not already richer.
-  static void ImportNode(const PathPropertyGraph& source, NodeId id,
-                         PathPropertyGraph* graph) {
-    graph->AddNode(id);
-    if (source.HasNode(id)) {
-      LabelSet labels = graph->Labels(id);
-      labels.UnionWith(source.Labels(id));
-      graph->SetLabels(id, std::move(labels));
-      PropertyMap props = graph->Properties(id);
-      props.UnionWith(source.Properties(id));
-      graph->SetProperties(id, std::move(props));
-    }
-  }
+  /// One contribution to a result member: a build, or a path-body element
+  /// imported from its source graph (`data` null when the source lacks
+  /// the node).
+  struct Piece {
+    uint64_t id;
+    const ObjectData* data;
+    NodeId src;  // edges only
+    NodeId dst;
+    bool build;
+  };
 
-  static void ImportEdge(const PathPropertyGraph& source, EdgeId id,
-                         PathPropertyGraph* graph) {
-    if (!source.HasEdge(id)) return;
-    const auto [s, d] = source.EdgeEndpoints(id);
-    ImportNode(source, s, graph);
-    ImportNode(source, d, graph);
-    Status st = graph->AddEdge(id, s, d);
-    (void)st;
-    LabelSet labels = graph->Labels(id);
-    labels.UnionWith(source.Labels(id));
-    graph->SetLabels(id, std::move(labels));
-    PropertyMap props = graph->Properties(id);
-    props.UnionWith(source.Properties(id));
-    graph->SetProperties(id, std::move(props));
-  }
-
+  /// Adds every surviving build and path-body element to a fresh graph in
+  /// ascending id order: a union does not depend on order, and the stable
+  /// sort keeps each id's contributions in build order (node and edge
+  /// builds, then path bodies).
   Result<PathPropertyGraph> AssembleSpec() {
-    PathPropertyGraph graph;
+    std::vector<Piece> nodes;
+    std::vector<Piece> edges;
     for (const auto& b : node_builds) {
-      if (b.dropped) continue;
-      graph.AddNode(b.id);
-      LabelSet labels = graph.Labels(b.id);
-      labels.UnionWith(b.labels);
-      graph.SetLabels(b.id, std::move(labels));
-      PropertyMap props = graph.Properties(b.id);
-      props.UnionWith(b.props);
-      graph.SetProperties(b.id, std::move(props));
+      if (!b.dropped) nodes.push_back({b.id.value(), &b, {}, {}, true});
     }
     for (const auto& b : edge_builds) {
-      if (b.dropped) continue;
-      if (!graph.HasNode(b.src) || !graph.HasNode(b.dst)) continue;
-      GCORE_RETURN_NOT_OK(graph.AddEdge(b.id, b.src, b.dst));
-      LabelSet labels = graph.Labels(b.id);
-      labels.UnionWith(b.labels);
-      graph.SetLabels(b.id, std::move(labels));
-      PropertyMap props = graph.Properties(b.id);
-      props.UnionWith(b.props);
-      graph.SetProperties(b.id, std::move(props));
+      if (!b.dropped) edges.push_back({b.id.value(), &b, b.src, b.dst, true});
     }
+    std::vector<const PathBuild*> stored;
     for (const auto& b : path_builds) {
       if (b.dropped) continue;
-      // Materialize the walk's nodes and edges with λ/σ from the source
-      // graph.
-      for (NodeId n : b.body.nodes) ImportNode(*b.source, n, &graph);
-      for (EdgeId e : b.body.edges) ImportEdge(*b.source, e, &graph);
-      for (NodeId n : b.extra_nodes) ImportNode(*b.source, n, &graph);
-      for (EdgeId e : b.extra_edges) ImportEdge(*b.source, e, &graph);
-      if (b.make_object) {
-        GCORE_RETURN_NOT_OK(graph.AddPath(b.id, b.body));
-        graph.SetLabels(b.id, b.labels);
-        graph.SetProperties(b.id, b.props);
+      // The walk's nodes and edges carry their λ/σ from the source graph.
+      auto import_node = [&](NodeId n) {
+        nodes.push_back({n.value(), b.source->FindNode(n), {}, {}, false});
+      };
+      auto import_edge = [&](EdgeId e) {
+        const PathPropertyGraph::EdgeData* data = b.source->FindEdge(e);
+        if (data == nullptr) return;
+        import_node(data->src);
+        import_node(data->dst);
+        edges.push_back({e.value(), data, data->src, data->dst, false});
+      };
+      for (NodeId n : b.body.nodes) import_node(n);
+      for (EdgeId e : b.body.edges) import_edge(e);
+      for (NodeId n : b.extra_nodes) import_node(n);
+      for (EdgeId e : b.extra_edges) import_edge(e);
+      if (b.make_object) stored.push_back(&b);
+    }
+    auto by_id = [](const Piece& x, const Piece& y) { return x.id < y.id; };
+    std::stable_sort(nodes.begin(), nodes.end(), by_id);
+    std::stable_sort(edges.begin(), edges.end(), by_id);
+    std::stable_sort(stored.begin(), stored.end(),
+                     [](const PathBuild* x, const PathBuild* y) {
+                       return x->id < y->id;
+                     });
+
+    PathPropertyGraph graph;
+    auto merge = [](const Piece& p, ObjectData* into) {
+      if (p.data == nullptr) return;
+      into->labels.UnionWith(p.data->labels);
+      into->props.UnionWith(p.data->props);
+    };
+    for (const Piece& p : nodes) merge(p, &graph.UpsertNode(NodeId(p.id)));
+    for (const Piece& p : edges) {
+      const EdgeId id(p.id);
+      if (p.build && (!graph.HasNode(p.src) || !graph.HasNode(p.dst))) {
+        continue;
       }
+      auto into = graph.UpsertEdge(id, p.src, p.dst);
+      if (into.ok()) {
+        merge(p, *into);
+        continue;
+      }
+      if (p.build) return into.status();
+      // An import whose ρ differs from the edge's keeps the edge's ρ and
+      // contributes its λ/σ.
+      ObjectData merged{graph.Labels(id), graph.Properties(id)};
+      merge(p, &merged);
+      graph.SetLabels(id, std::move(merged.labels));
+      graph.SetProperties(id, std::move(merged.props));
+    }
+    // Stored paths replace λ/σ: the last build of an id wins.
+    for (const PathBuild* b : stored) {
+      GCORE_RETURN_NOT_OK(graph.AddPath(b->id, b->body));
+      graph.SetLabels(b->id, b->labels);
+      graph.SetProperties(b->id, b->props);
     }
     return graph;
   }
@@ -795,11 +769,6 @@ struct Constructor::ItemState {
       // Group pass: identity, one source lookup, λ/σ, assignments.
       const PathPropertyGraph* source =
           by_id ? ProvenanceGraph(nc.name) : nullptr;
-      std::vector<const ObjectData*> objects(reps.size(), nullptr);
-      if (source != nullptr) {
-        objects = LookupByGroup(
-            bound, [&](const auto& ids) { return source->FindNodes(ids); });
-      }
       const LabelSet pattern_labels(FlattenLabels(pat.label_groups));
       const bool needs_rows = NeedsRows(nc.name, !pat.props.empty());
       std::vector<std::vector<size_t>> group_rows;
@@ -812,6 +781,7 @@ struct Constructor::ItemState {
                                                      : nc.name];
       auto next = [&] { return ids()->NextNode(); };
       std::vector<NodeId> group_ids(reps.size());
+      node_builds.reserve(node_builds.size() + reps.size());
       for (size_t g = 0; g < reps.size(); ++g) {
         NodeBuild build;
         build.var = nc.name;
@@ -825,18 +795,14 @@ struct Constructor::ItemState {
         } else {
           build.id = NodeId(Skolem(skolems, *keys[g], next));
         }
+        const ObjectData* object =
+            source != nullptr ? source->FindNode(bound[g]) : nullptr;
+        if (object != nullptr) static_cast<ObjectData&>(build) = *object;
+        build.labels.UnionWith(pattern_labels);
         if (needs_rows) {
-          if (objects[g] != nullptr) {
-            build.labels = objects[g]->labels;
-            build.props = objects[g]->props;
-          }
-          build.labels.UnionWith(pattern_labels);
           build.rows = std::move(group_rows[g]);
           GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows, source,
                                                &build.props));
-        } else {
-          build.lazy = objects[g];
-          build.labels = pattern_labels;
         }
         group_ids[g] = build.id;
         node_builds.push_back(std::move(build));
@@ -931,13 +897,14 @@ struct Constructor::ItemState {
       }
 
       // A bound edge must keep its source endpoints (Section 3: changing
-      // them violates identity). Checked per distinct edge after one batch
-      // lookup; the earliest violating row decides, as row by row.
+      // them violates identity). Checked per distinct edge; the earliest
+      // violating row decides, as row by row.
       std::vector<const PathPropertyGraph::EdgeData*> objects(groups.size(),
                                                               nullptr);
       if (identity_bound && source != nullptr) {
-        objects = LookupByGroup(
-            bound, [&](const auto& ids) { return source->FindEdges(ids); });
+        for (size_t g = 0; g < groups.size(); ++g) {
+          objects[g] = source->FindEdge(bound[g]);
+        }
         size_t violation = kNoRow;
         for (size_t g = 0; g < groups.size(); ++g) {
           if (objects[g] == nullptr) continue;
@@ -962,6 +929,7 @@ struct Constructor::ItemState {
                          : &owner->edge_skolems_[pat.is_copy
                                                      ? ec.name + "(copy)"
                                                      : ec.name];
+      edge_builds.reserve(edge_builds.size() + groups.size());
       for (size_t g = 0; g < groups.size(); ++g) {
         const Group& group = groups[g];
         EdgeBuild build;
@@ -980,18 +948,12 @@ struct Constructor::ItemState {
             object = source->FindEdge(column->EdgeAt(group.rep));
           }
         }
+        if (object != nullptr) static_cast<ObjectData&>(build) = *object;
+        build.labels.UnionWith(pattern_labels);
         if (needs_rows) {
-          if (object != nullptr) {
-            build.labels = object->labels;
-            build.props = object->props;
-          }
-          build.labels.UnionWith(pattern_labels);
           build.rows = std::move(group_rows[g]);
           GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows, source,
                                                &build.props));
-        } else {
-          build.lazy = object;
-          build.labels = pattern_labels;
         }
         edge_builds.push_back(std::move(build));
       }
@@ -1037,38 +999,30 @@ struct Constructor::ItemState {
     return Status::OK();
   }
 
-  /// Moves every surviving build into a fresh graph in ascending id order.
+  /// Adds every surviving build into a fresh graph in ascending id order.
   /// Members built more than once (a variable at two chain positions, a
-  /// node on many path bodies) merge by set union, so each distinct
-  /// source object is copied once whatever its number of contributions.
+  /// node on many path bodies) merge by set union; contributions that
+  /// share a payload (the same source object) are skipped, so each
+  /// distinct source object is merged once whatever its number of
+  /// contributions, and path bodies import each (source, object) once.
   Result<PathPropertyGraph> AssembleColumnar() {
-    struct Piece {
-      uint64_t id;
-      size_t build;  // kNoBuild for a path-body import
-      const ObjectData* object;  // source λ/σ to union in, or null
-      NodeId src;  // edges only
-      NodeId dst;
-    };
     std::vector<Piece> nodes;
     std::vector<Piece> edges;
     nodes.reserve(node_builds.size());
     edges.reserve(edge_builds.size());
-    for (size_t i = 0; i < node_builds.size(); ++i) {
-      const NodeBuild& b = node_builds[i];
-      if (!b.dropped) nodes.push_back({b.id.value(), i, b.lazy, {}, {}});
+    for (const NodeBuild& b : node_builds) {
+      if (!b.dropped) nodes.push_back({b.id.value(), &b, {}, {}, true});
     }
-    for (size_t i = 0; i < edge_builds.size(); ++i) {
-      const EdgeBuild& b = edge_builds[i];
-      if (!b.dropped) edges.push_back({b.id.value(), i, b.lazy, b.src, b.dst});
+    for (const EdgeBuild& b : edge_builds) {
+      if (!b.dropped) edges.push_back({b.id.value(), &b, b.src, b.dst, true});
     }
 
-    // Path bodies import each (source, object) pair once.
     using SourceObject = std::pair<const void*, uint64_t>;
     std::unordered_set<SourceObject, SourceObjectHash> imported_nodes;
     std::unordered_set<SourceObject, SourceObjectHash> imported_edges;
     auto import_node = [&](const PathPropertyGraph& source, NodeId id) {
       if (imported_nodes.insert({&source, id.value()}).second) {
-        nodes.push_back({id.value(), kNoBuild, source.FindNode(id), {}, {}});
+        nodes.push_back({id.value(), source.FindNode(id), {}, {}, false});
       }
     };
     auto import_edge = [&](const PathPropertyGraph& source, EdgeId id) {
@@ -1077,7 +1031,7 @@ struct Constructor::ItemState {
       if (object == nullptr) return;
       import_node(source, object->src);
       import_node(source, object->dst);
-      edges.push_back({id.value(), kNoBuild, object, object->src, object->dst});
+      edges.push_back({id.value(), object, object->src, object->dst, false});
     };
     std::vector<size_t> stored;
     for (size_t i = 0; i < path_builds.size(); ++i) {
@@ -1095,26 +1049,13 @@ struct Constructor::ItemState {
     std::stable_sort(edges.begin(), edges.end(), by_id);
 
     PathPropertyGraph graph;
-    std::vector<const ObjectData*> applied;
-    // Unions one run of equal-id pieces into `out`: each distinct source
-    // object once, then each build's own labels and properties (moved).
-    auto merge_run = [&](const std::vector<Piece>& pieces, size_t begin,
-                         size_t end, ObjectData* out, auto* builds) {
-      applied.clear();
+    // Unions one run of equal-id pieces into `out`.
+    auto merge_run = [](const std::vector<Piece>& pieces, size_t begin,
+                        size_t end, ObjectData* out) {
       for (size_t i = begin; i < end; ++i) {
-        const Piece& p = pieces[i];
-        if (p.object != nullptr &&
-            std::find(applied.begin(), applied.end(), p.object) ==
-                applied.end()) {
-          applied.push_back(p.object);
-          MergeLabels(&out->labels, p.object->labels);
-          MergeProps(&out->props, p.object->props);
-        }
-        if (p.build != kNoBuild) {
-          auto& b = (*builds)[p.build];
-          MergeLabels(&out->labels, std::move(b.labels));
-          MergeProps(&out->props, std::move(b.props));
-        }
+        if (pieces[i].data == nullptr) continue;
+        out->labels.UnionWith(pieces[i].data->labels);
+        out->props.UnionWith(pieces[i].data->props);
       }
     };
     auto run_end = [](const std::vector<Piece>& pieces, size_t begin) {
@@ -1125,8 +1066,7 @@ struct Constructor::ItemState {
 
     for (size_t i = 0; i < nodes.size();) {
       const size_t end = run_end(nodes, i);
-      merge_run(nodes, i, end, &graph.UpsertNode(NodeId(nodes[i].id)),
-                &node_builds);
+      merge_run(nodes, i, end, &graph.UpsertNode(NodeId(nodes[i].id)));
       i = end;
     }
     for (size_t i = 0; i < edges.size();) {
@@ -1135,7 +1075,7 @@ struct Constructor::ItemState {
       // Builds precede imports within a run: a second build with other
       // endpoints is an identity violation, a diverging import is not.
       for (size_t j = i + 1; j < end; ++j) {
-        if (edges[j].build != kNoBuild &&
+        if (edges[j].build &&
             (edges[j].src != first.src || edges[j].dst != first.dst)) {
           return Status::InvalidArgument(
               "edge " + gcore::ToString(EdgeId(first.id)) +
@@ -1145,7 +1085,7 @@ struct Constructor::ItemState {
       GCORE_ASSIGN_OR_RETURN(
           ObjectData * out,
           graph.UpsertEdge(EdgeId(first.id), first.src, first.dst));
-      merge_run(edges, i, end, out, &edge_builds);
+      merge_run(edges, i, end, out);
       i = end;
     }
     // Stored paths replace λ/σ: the last build of an id wins.
@@ -1245,20 +1185,32 @@ struct Constructor::ItemState {
 
   Status ApplyPostWhen() {
     // Scratch graph with the constructed objects so property lookups on
-    // construct variables see the assigned values.
-    PathPropertyGraph scratch;
+    // construct variables see the assigned values: the last build of an
+    // id sets its λ/σ, edge endpoints join as bare nodes. Inserted in
+    // ascending id order (stable, so "last" keeps build order).
+    std::vector<Piece> nodes;
+    std::vector<Piece> edges;
     for (const auto& b : node_builds) {
-      scratch.AddNode(b.id);
-      scratch.SetLabels(b.id, b.labels);
-      scratch.SetProperties(b.id, b.props);
+      nodes.push_back({b.id.value(), &b, {}, {}, true});
     }
     for (const auto& b : edge_builds) {
-      scratch.AddNode(b.src);
-      scratch.AddNode(b.dst);
-      Status st = scratch.AddEdge(b.id, b.src, b.dst);
+      nodes.push_back({b.src.value(), nullptr, {}, {}, false});
+      nodes.push_back({b.dst.value(), nullptr, {}, {}, false});
+      edges.push_back({b.id.value(), &b, b.src, b.dst, true});
+    }
+    auto by_id = [](const Piece& x, const Piece& y) { return x.id < y.id; };
+    std::stable_sort(nodes.begin(), nodes.end(), by_id);
+    std::stable_sort(edges.begin(), edges.end(), by_id);
+    PathPropertyGraph scratch;
+    for (const Piece& p : nodes) {
+      ObjectData& out = scratch.UpsertNode(NodeId(p.id));
+      if (p.data != nullptr) out = *p.data;
+    }
+    for (const Piece& p : edges) {
+      Status st = scratch.AddEdge(EdgeId(p.id), p.src, p.dst);
       (void)st;
-      scratch.SetLabels(b.id, b.labels);
-      scratch.SetProperties(b.id, b.props);
+      scratch.SetLabels(EdgeId(p.id), p.data->labels);
+      scratch.SetProperties(EdgeId(p.id), p.data->props);
     }
 
     // Extended binding table: original columns plus construct variables.
@@ -1298,10 +1250,7 @@ struct Constructor::ItemState {
       }
     }
 
-    ExprEvaluator eval(&scratch, owner->ctx_.catalog);
-    if (owner->ctx_.exists_cb) {
-      eval.set_exists_callback(owner->ctx_.exists_cb, &owner->correlated_);
-    }
+    ExprEvaluator eval = MakeEvaluator(&scratch);
 
     auto group_passes = [&](size_t rep) -> Result<bool> {
       return eval.EvalPredicate(*item.when, extended, row_map[rep]);

@@ -26,14 +26,19 @@
 //     attribute of it, so the id alone is its group key), records each
 //     row's node in dense per-row vectors, looks every distinct object up
 //     in its source graph once (λ/σ and, for a bound edge, ρ for the
-//     identity check), and moves the built objects into the result graph
+//     identity check), and appends the built objects to the result graph
 //     in ascending id order, importing each (source, object) pair of path
 //     bodies once;
 //   * the row-at-a-time executable spec (`ConstructorContext::use_spec`,
 //     which the engine sets under `use_planner = false`) reads bindings by
-//     column name, resolves provenance per row and assembles object by
-//     object. tests/eval/construct_differential_test.cc pins the two to
-//     identical result graphs, ids included, and identical error codes.
+//     column name, resolves provenance per row and inserts every
+//     contribution, stably sorted by id, one at a time.
+//     tests/eval/construct_differential_test.cc pins the two to identical
+//     result graphs, ids included, and identical error codes.
+//
+// Both carry a bound object's λ/σ as copy-on-write handles (ppg.h): the
+// result shares the source graph's payloads, and only an object that a
+// pattern label, an assignment or a SET edits gets its own copy.
 //
 // Group contract (both paths): groups are formed in order of first
 // appearance among the binding rows, and group keys compare with Datum
@@ -60,6 +65,11 @@ namespace gcore {
 struct ConstructorContext {
   GraphCatalog* catalog = nullptr;
   std::string default_graph;
+  /// Resolves the graph a binding column was matched on: the MATCH's own
+  /// per-query pins (Matcher::ResolveGraph), so λ/σ come from the graph
+  /// versions it read even if the catalog re-registered a name since.
+  /// Unset, names resolve through the live catalog.
+  ExprEvaluator::ProvenanceResolver resolve_graph;
   /// EXISTS in WHEN / SET: returns the subquery's uncorrelated bindings;
   /// the constructor keeps them for its lifetime and semijoins each row.
   ExprEvaluator::ExistsCallback exists_cb;

@@ -1,180 +1,169 @@
 #include "graph/graph_ops.h"
 
+#include <algorithm>
+
 namespace gcore {
 
 namespace {
 
-size_t NumMembers(const PathPropertyGraph& g) {
-  return g.NumNodes() + g.NumEdges() + g.NumPaths();
+using ObjectData = PathPropertyGraph::ObjectData;
+using EdgeData = PathPropertyGraph::EdgeData;
+using PathData = PathPropertyGraph::PathData;
+
+/// True when two entries of the same id agree on ρ (edges) or δ (paths).
+bool SameStructure(const ObjectData&, const ObjectData&) { return true; }
+bool SameStructure(const EdgeData& x, const EdgeData& y) {
+  return x.src == y.src && x.dst == y.dst;
+}
+bool SameStructure(const PathData& x, const PathData& y) {
+  return x.body == y.body;
 }
 
-/// True when every edge/path of `small` that `large` also holds has the
-/// same ρ/δ there.
-bool ConsistentInto(const PathPropertyGraph& small,
-                    const PathPropertyGraph& large) {
-  bool ok = true;
-  small.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
-    if (!ok) return;
-    const PathPropertyGraph::EdgeData* other = large.FindEdge(e);
-    if (other != nullptr && (other->src != src || other->dst != dst)) {
-      ok = false;
+/// Calls `fn(entry, other)` for each entry of the id-sorted store `a` in
+/// ascending id order, `other` being the data of the same id in the
+/// id-sorted store `b` or null; one linear pass over both. Stops and
+/// returns false as soon as `fn` does.
+template <typename Store, typename Fn>
+bool Zip(const Store& a, const Store& b, Fn fn) {
+  auto bi = b.begin();
+  for (const auto& entry : a) {
+    while (bi != b.end() && bi->first < entry.first) ++bi;
+    const auto* other =
+        bi != b.end() && bi->first == entry.first ? &bi->second : nullptr;
+    if (!fn(entry, other)) return false;
+  }
+  return true;
+}
+
+/// Merges the id-sorted store `b` into the id-sorted store `a` in one
+/// linear pass, moving entries from both; members of both union their
+/// λ/σ. False when a shared edge or path differs in ρ/δ.
+template <typename Store>
+bool MergeStores(Store* a, Store b) {
+  if (b.empty()) return true;
+  if (a->empty()) {
+    *a = std::move(b);
+    return true;
+  }
+  Store out;
+  out.reserve(a->size() + b.size());
+  auto ai = a->begin();
+  for (auto& entry : b) {
+    while (ai != a->end() && ai->first < entry.first) {
+      out.push_back(std::move(*ai++));
     }
-  });
-  if (!ok) return false;
-  small.ForEachPath([&](PathId p, const PathBody& body) {
-    if (!ok) return;
-    const PathPropertyGraph::PathData* other = large.FindPath(p);
-    if (other != nullptr && !(other->body == body)) ok = false;
-  });
-  return ok;
+    if (ai != a->end() && ai->first == entry.first) {
+      if (!SameStructure(ai->second, entry.second)) return false;
+      ai->second.labels.UnionWith(entry.second.labels);
+      ai->second.props.UnionWith(entry.second.props);
+      out.push_back(std::move(*ai++));
+    } else {
+      out.push_back(std::move(entry));
+    }
+  }
+  for (; ai != a->end(); ++ai) out.push_back(std::move(*ai));
+  *a = std::move(out);
+  return true;
 }
 
-/// Set-union merge of one member's λ/σ into `dst`.
-void MergeObject(const PathPropertyGraph::ObjectData& src,
-                 PathPropertyGraph::ObjectData* dst) {
-  dst->labels.UnionWith(src.labels);
-  dst->props.UnionWith(src.props);
+/// Appends to `out` every member of both id-sorted stores with the
+/// intersection of its λ/σ. False when a shared edge or path differs in
+/// ρ/δ.
+template <typename Store>
+bool IntersectStores(const Store& a, const Store& b, Store* out) {
+  return Zip(a, b, [&](const auto& entry, const auto* other) {
+    if (other == nullptr) return true;
+    if (!SameStructure(entry.second, *other)) return false;
+    auto& kept = out->emplace_back(entry);
+    kept.second.labels.IntersectWith(other->labels);
+    kept.second.props.IntersectWith(other->props);
+    return true;
+  });
+}
+
+/// Same ids, ρ/δ, λ and σ, entry by entry.
+template <typename Store>
+bool EqualStores(const Store& a, const Store& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             SameStructure(x.second, y.second) &&
+                             x.second.labels == y.second.labels &&
+                             x.second.props == y.second.props;
+                    });
 }
 
 }  // namespace
 
 bool Consistent(const PathPropertyGraph& g1, const PathPropertyGraph& g2) {
-  return NumMembers(g1) <= NumMembers(g2) ? ConsistentInto(g1, g2)
-                                          : ConsistentInto(g2, g1);
+  auto agrees = [](const auto& entry, const auto* other) {
+    return other == nullptr || SameStructure(entry.second, *other);
+  };
+  return Zip(g1.edges_, g2.edges_, agrees) && Zip(g1.paths_, g2.paths_, agrees);
 }
 
 PathPropertyGraph GraphUnion(PathPropertyGraph g1,
                              const PathPropertyGraph& g2) {
-  if (!Consistent(g1, g2)) return PathPropertyGraph();
-  g1.set_name(std::string());
-  g2.ForEachNode([&](NodeId n) {
-    MergeObject(*g2.FindNode(n), &g1.UpsertNode(n));
-  });
-  g2.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
-    // Consistency was pre-checked and both endpoints were merged above.
-    auto out = g1.UpsertEdge(e, src, dst);
-    if (out.ok()) MergeObject(*g2.FindEdge(e), *out);
-  });
-  g2.ForEachPath([&](PathId p, const PathBody& body) {
-    auto out = g1.UpsertPath(p, body);
-    if (out.ok()) MergeObject(*g2.FindPath(p), *out);
-  });
-  return g1;
+  return GraphUnion(std::move(g1), PathPropertyGraph(g2));
 }
 
 PathPropertyGraph GraphUnion(PathPropertyGraph g1, PathPropertyGraph&& g2) {
-  if (NumMembers(g2) > NumMembers(g1)) std::swap(g1, g2);
-  return GraphUnion(std::move(g1), static_cast<const PathPropertyGraph&>(g2));
+  // Edges and paths first: an inconsistency stops before the node merge.
+  const bool ok = MergeStores(&g1.edges_, std::move(g2.edges_)) &&
+                  MergeStores(&g1.paths_, std::move(g2.paths_)) &&
+                  MergeStores(&g1.nodes_, std::move(g2.nodes_));
+  if (!ok) return PathPropertyGraph();
+  g1.set_name(std::string());
+  return g1;
 }
 
 PathPropertyGraph GraphIntersect(const PathPropertyGraph& g1,
                                  const PathPropertyGraph& g2) {
-  if (!Consistent(g1, g2)) return PathPropertyGraph();
+  // Edges and paths first: an inconsistency stops before the node walk.
+  // A shared edge's endpoints, and a shared path's nodes and edges, are
+  // members of both graphs, so of the result.
   PathPropertyGraph out;
-
-  g1.ForEachNode([&](NodeId n) {
-    if (!g2.HasNode(n)) return;
-    out.AddNode(n);
-    LabelSet labels = g1.Labels(n);
-    labels.IntersectWith(g2.Labels(n));
-    out.SetLabels(n, std::move(labels));
-    PropertyMap props = g1.Properties(n);
-    props.IntersectWith(g2.Properties(n));
-    out.SetProperties(n, std::move(props));
-  });
-  g1.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
-    if (!g2.HasEdge(e)) return;
-    // ρ agrees by consistency; endpoints are in N1 ∩ N2 because both
-    // graphs contain the edge and are individually well-formed.
-    Status st = out.AddEdge(e, src, dst);
-    (void)st;
-    LabelSet labels = g1.Labels(e);
-    labels.IntersectWith(g2.Labels(e));
-    out.SetLabels(e, std::move(labels));
-    PropertyMap props = g1.Properties(e);
-    props.IntersectWith(g2.Properties(e));
-    out.SetProperties(e, std::move(props));
-  });
-  g1.ForEachPath([&](PathId p, const PathBody& body) {
-    if (!g2.HasPath(p)) return;
-    Status st = out.AddPath(p, body);
-    (void)st;
-    LabelSet labels = g1.Labels(p);
-    labels.IntersectWith(g2.Labels(p));
-    out.SetLabels(p, std::move(labels));
-    PropertyMap props = g1.Properties(p);
-    props.IntersectWith(g2.Properties(p));
-    out.SetProperties(p, std::move(props));
-  });
+  const bool ok = IntersectStores(g1.edges_, g2.edges_, &out.edges_) &&
+                  IntersectStores(g1.paths_, g2.paths_, &out.paths_) &&
+                  IntersectStores(g1.nodes_, g2.nodes_, &out.nodes_);
+  if (!ok) return PathPropertyGraph();
   return out;
 }
 
 PathPropertyGraph GraphMinus(const PathPropertyGraph& g1,
                              const PathPropertyGraph& g2) {
   PathPropertyGraph out;
-  g1.ForEachNode([&](NodeId n) {
-    if (g2.HasNode(n)) return;
-    out.AddNode(n);
-    out.SetLabels(n, g1.Labels(n));
-    out.SetProperties(n, g1.Properties(n));
+  Zip(g1.nodes_, g2.nodes_, [&](const auto& entry, const auto* other) {
+    if (other == nullptr) out.nodes_.push_back(entry);
+    return true;
   });
-  g1.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
-    if (g2.HasEdge(e)) return;
-    if (!out.HasNode(src) || !out.HasNode(dst)) return;  // would dangle
-    Status st = out.AddEdge(e, src, dst);
-    (void)st;
-    out.SetLabels(e, g1.Labels(e));
-    out.SetProperties(e, g1.Properties(e));
+  Zip(g1.edges_, g2.edges_, [&](const auto& entry, const auto* other) {
+    // An edge whose endpoint is removed would dangle.
+    if (other == nullptr && out.HasNode(entry.second.src) &&
+        out.HasNode(entry.second.dst)) {
+      out.edges_.push_back(entry);
+    }
+    return true;
   });
-  g1.ForEachPath([&](PathId p, const PathBody& body) {
-    if (g2.HasPath(p)) return;
+  Zip(g1.paths_, g2.paths_, [&](const auto& entry, const auto* other) {
+    if (other != nullptr) return true;
+    const PathBody& body = entry.second.body;
     for (NodeId n : body.nodes) {
-      if (!out.HasNode(n)) return;
+      if (!out.HasNode(n)) return true;
     }
     for (EdgeId e : body.edges) {
-      if (!out.HasEdge(e)) return;
+      if (!out.HasEdge(e)) return true;
     }
-    Status st = out.AddPath(p, body);
-    (void)st;
-    out.SetLabels(p, g1.Labels(p));
-    out.SetProperties(p, g1.Properties(p));
+    out.paths_.push_back(entry);
+    return true;
   });
   return out;
 }
 
 bool GraphEquals(const PathPropertyGraph& g1, const PathPropertyGraph& g2) {
-  if (g1.NumNodes() != g2.NumNodes() || g1.NumEdges() != g2.NumEdges() ||
-      g1.NumPaths() != g2.NumPaths()) {
-    return false;
-  }
-  bool eq = true;
-  g1.ForEachNode([&](NodeId n) {
-    if (!eq) return;
-    if (!g2.HasNode(n) || !(g1.Labels(n) == g2.Labels(n)) ||
-        !(g1.Properties(n) == g2.Properties(n))) {
-      eq = false;
-    }
-  });
-  if (!eq) return false;
-  g1.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
-    if (!eq) return;
-    if (!g2.HasEdge(e) ||
-        g2.EdgeEndpoints(e) != std::make_pair(src, dst) ||
-        !(g1.Labels(e) == g2.Labels(e)) ||
-        !(g1.Properties(e) == g2.Properties(e))) {
-      eq = false;
-    }
-  });
-  if (!eq) return false;
-  g1.ForEachPath([&](PathId p, const PathBody& body) {
-    if (!eq) return;
-    if (!g2.HasPath(p) || !(g2.Path(p) == body) ||
-        !(g1.Labels(p) == g2.Labels(p)) ||
-        !(g1.Properties(p) == g2.Properties(p))) {
-      eq = false;
-    }
-  });
-  return eq;
+  return EqualStores(g1.nodes_, g2.nodes_) &&
+         EqualStores(g1.edges_, g2.edges_) &&
+         EqualStores(g1.paths_, g2.paths_);
 }
 
 }  // namespace gcore

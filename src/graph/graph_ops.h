@@ -6,6 +6,9 @@
 // inconsistent graphs are defined to be the empty PPG. Difference keeps
 // only edges whose endpoints survive and paths whose full bodies survive
 // (no dangling structure).
+//
+// Each operation walks the operands' id-sorted member stores (ppg.h) side
+// by side in one pass instead of looking members up one at a time.
 #ifndef GCORE_GRAPH_GRAPH_OPS_H_
 #define GCORE_GRAPH_GRAPH_OPS_H_
 
@@ -13,18 +16,17 @@
 
 namespace gcore {
 
-/// True when shared edges/paths agree on ρ/δ (Appendix A.5). Walks the
-/// smaller graph and looks its edges/paths up in the larger one.
+/// True when shared edges/paths agree on ρ/δ (Appendix A.5).
 bool Consistent(const PathPropertyGraph& g1, const PathPropertyGraph& g2);
 
 /// G1 ∪ G2. Labels and property value sets of shared objects are unioned.
 /// Returns the empty PPG if the graphs are inconsistent.
 ///
-/// By-value contract: the left operand is taken by value and G2 is merged
-/// into it in place, so a caller that moves its accumulator in
-/// (`acc = GraphUnion(std::move(acc), piece)`) pays only for G2's members,
-/// never for re-copying G1. When both operands are rvalues the smaller is
-/// merged into the larger. The result is unnamed, like a fresh graph.
+/// Moves entries out of both operands; a shared object's λ/σ adopt or
+/// skip the other side's copy-on-write payload, so an object whose λ/σ
+/// payloads are the same on both sides costs no copy. The const overload
+/// copies G2 first (one handle copy per member). The result is unnamed,
+/// like a fresh graph.
 PathPropertyGraph GraphUnion(PathPropertyGraph g1,
                              const PathPropertyGraph& g2);
 PathPropertyGraph GraphUnion(PathPropertyGraph g1, PathPropertyGraph&& g2);

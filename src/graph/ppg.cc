@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 namespace gcore {
 
@@ -13,41 +14,59 @@ const ValueSet kEmptyValues;
 
 // --- LabelSet ----------------------------------------------------------------
 
-LabelSet::LabelSet(std::vector<std::string> labels)
-    : labels_(std::move(labels)) {
-  std::sort(labels_.begin(), labels_.end());
-  labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
+LabelSet::LabelSet(std::vector<std::string> labels) {
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  if (!labels.empty()) rep_ = CowHandle(std::move(labels));
 }
 
 void LabelSet::Insert(const std::string& label) {
-  auto it = std::lower_bound(labels_.begin(), labels_.end(), label);
-  if (it != labels_.end() && *it == label) return;
-  labels_.insert(it, label);
+  const auto& cur = labels();
+  auto it = std::lower_bound(cur.begin(), cur.end(), label);
+  if (it != cur.end() && *it == label) return;
+  const size_t pos = it - cur.begin();
+  auto& own = rep_.Mutable();
+  own.insert(own.begin() + pos, label);
 }
 
 void LabelSet::Remove(const std::string& label) {
-  auto it = std::lower_bound(labels_.begin(), labels_.end(), label);
-  if (it != labels_.end() && *it == label) labels_.erase(it);
+  const auto& cur = labels();
+  auto it = std::lower_bound(cur.begin(), cur.end(), label);
+  if (it == cur.end() || *it != label) return;
+  const size_t pos = it - cur.begin();
+  auto& own = rep_.Mutable();
+  own.erase(own.begin() + pos);
 }
 
 bool LabelSet::Contains(const std::string& label) const {
-  return std::binary_search(labels_.begin(), labels_.end(), label);
+  return std::binary_search(begin(), end(), label);
 }
 
 void LabelSet::UnionWith(const LabelSet& other) {
-  for (const auto& l : other.labels_) Insert(l);
+  if (other.empty() || rep_.Shares(other.rep_)) return;
+  if (empty()) {
+    rep_ = other.rep_;
+    return;
+  }
+  if (std::includes(begin(), end(), other.begin(), other.end())) return;
+  std::vector<std::string> merged;
+  merged.reserve(size() + other.size());
+  std::set_union(begin(), end(), other.begin(), other.end(),
+                 std::back_inserter(merged));
+  rep_ = CowHandle(std::move(merged));
 }
 
 void LabelSet::IntersectWith(const LabelSet& other) {
+  if (rep_.Shares(other.rep_)) return;
   std::vector<std::string> kept;
-  std::set_intersection(labels_.begin(), labels_.end(), other.labels_.begin(),
-                        other.labels_.end(), std::back_inserter(kept));
-  labels_ = std::move(kept);
+  std::set_intersection(begin(), end(), other.begin(), other.end(),
+                        std::back_inserter(kept));
+  if (kept.size() != size()) *this = LabelSet(std::move(kept));
 }
 
 std::string LabelSet::ToString() const {
   std::string out;
-  for (const auto& l : labels_) {
+  for (const auto& l : labels()) {
     out += ':';
     out += l;
   }
@@ -57,33 +76,41 @@ std::string LabelSet::ToString() const {
 // --- PropertyMap --------------------------------------------------------------
 
 const ValueSet& PropertyMap::Get(const std::string& key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? kEmptyValues : it->second;
+  auto it = entries().find(key);
+  return it == entries().end() ? kEmptyValues : it->second;
 }
 
 void PropertyMap::Set(const std::string& key, ValueSet values) {
   if (values.empty()) {
-    entries_.erase(key);
+    Remove(key);
   } else {
-    entries_[key] = std::move(values);
+    rep_.Mutable()[key] = std::move(values);
   }
 }
 
 void PropertyMap::Add(const std::string& key, Value value) {
-  entries_[key].Insert(std::move(value));
+  rep_.Mutable()[key].Insert(std::move(value));
 }
 
-void PropertyMap::Remove(const std::string& key) { entries_.erase(key); }
+void PropertyMap::Remove(const std::string& key) {
+  if (Has(key)) rep_.Mutable().erase(key);
+}
 
 bool PropertyMap::Has(const std::string& key) const {
-  return entries_.count(key) > 0;
+  return entries().count(key) > 0;
 }
 
 void PropertyMap::UnionWith(const PropertyMap& other) {
-  for (const auto& [key, values] : other.entries_) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      entries_.emplace(key, values);
+  if (other.empty() || rep_.Shares(other.rep_)) return;
+  if (empty()) {
+    rep_ = other.rep_;
+    return;
+  }
+  auto& own = rep_.Mutable();
+  for (const auto& [key, values] : other.entries()) {
+    auto it = own.find(key);
+    if (it == own.end()) {
+      own.emplace(key, values);
     } else {
       it->second = Union(it->second, values);
     }
@@ -91,15 +118,17 @@ void PropertyMap::UnionWith(const PropertyMap& other) {
 }
 
 void PropertyMap::IntersectWith(const PropertyMap& other) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    auto other_it = other.entries_.find(it->first);
-    if (other_it == other.entries_.end()) {
-      it = entries_.erase(it);
+  if (empty() || rep_.Shares(other.rep_)) return;
+  auto& own = rep_.Mutable();
+  for (auto it = own.begin(); it != own.end();) {
+    auto other_it = other.entries().find(it->first);
+    if (other_it == other.entries().end()) {
+      it = own.erase(it);
       continue;
     }
     it->second = Intersect(it->second, other_it->second);
     if (it->second.empty()) {
-      it = entries_.erase(it);
+      it = own.erase(it);
     } else {
       ++it;
     }
@@ -109,7 +138,7 @@ void PropertyMap::IntersectWith(const PropertyMap& other) {
 std::string PropertyMap::ToString() const {
   std::string out = "{";
   bool first = true;
-  for (const auto& [key, values] : entries_) {
+  for (const auto& [key, values] : entries()) {
     if (!first) out += ", ";
     first = false;
     out += key;
@@ -124,35 +153,37 @@ std::string PropertyMap::ToString() const {
 
 namespace {
 
-/// Finds `id` in `store`, default-inserting it when absent. An id above
-/// every stored key is appended at the end without a tree search.
-template <typename Map, typename Id>
-std::pair<typename Map::iterator, bool> FindOrAppend(Map* store, Id id) {
-  if (store->empty() || store->rbegin()->first < id) {
-    return {store->emplace_hint(store->end(), id, typename Map::mapped_type()),
-            true};
-  }
-  return store->try_emplace(id);
+/// First position of the id-sorted `store` whose id is not below `id`.
+template <typename Store, typename Id>
+size_t LowerBound(const Store& store, Id id) {
+  return std::lower_bound(store.begin(), store.end(), id,
+                          [](const auto& entry, Id key) {
+                            return entry.first < key;
+                          }) -
+         store.begin();
 }
 
-/// Looks up ascending `ids` in `store` by walking it in order; a gap of
-/// more than a few members falls back to a tree search.
-template <typename Data, typename Map, typename Id>
-std::vector<const Data*> FindSorted(const Map& store,
-                                    const std::vector<Id>& ids) {
-  constexpr int kMaxSteps = 8;
-  std::vector<const Data*> out(ids.size(), nullptr);
-  auto it = store.begin();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    for (int step = 0; step < kMaxSteps && it != store.end() &&
-                       it->first < ids[i];
-         ++step) {
-      ++it;
-    }
-    if (it != store.end() && it->first < ids[i]) it = store.lower_bound(ids[i]);
-    if (it != store.end() && it->first == ids[i]) out[i] = &it->second;
+/// The entry of `id` in the id-sorted `store`, or null: a binary search.
+template <typename Store, typename Id>
+auto Find(Store& store, Id id) -> decltype(&store.front()) {
+  const size_t at = LowerBound(store, id);
+  return at < store.size() && store[at].first == id ? &store[at] : nullptr;
+}
+
+/// The entry of `id`, default-inserted at its sorted position when absent
+/// (an append when `id` exceeds every present id); `inserted` says which.
+template <typename Store, typename Id>
+typename Store::value_type& FindOrInsert(Store* store, Id id, bool* inserted) {
+  *inserted = true;
+  if (store->empty() || store->back().first < id) {
+    return store->emplace_back(id, typename Store::value_type::second_type());
   }
-  return out;
+  auto it = store->begin() + LowerBound(*store, id);
+  if (it->first == id) {
+    *inserted = false;
+    return *it;
+  }
+  return *store->emplace(it, id, typename Store::value_type::second_type());
 }
 
 }  // namespace
@@ -168,7 +199,8 @@ Status PathPropertyGraph::AddPath(PathId id, PathBody body) {
 }
 
 PathPropertyGraph::ObjectData& PathPropertyGraph::UpsertNode(NodeId id) {
-  return FindOrAppend(&nodes_, id).first->second;
+  bool inserted = false;
+  return FindOrInsert(&nodes_, id, &inserted).second;
 }
 
 Result<PathPropertyGraph::ObjectData*> PathPropertyGraph::UpsertEdge(
@@ -177,16 +209,17 @@ Result<PathPropertyGraph::ObjectData*> PathPropertyGraph::UpsertEdge(
     return Status::InvalidArgument("edge " + gcore::ToString(id) +
                                    " endpoints must be graph members");
   }
-  auto [it, inserted] = FindOrAppend(&edges_, id);
+  bool inserted = false;
+  EdgeData& data = FindOrInsert(&edges_, id, &inserted).second;
   if (inserted) {
-    it->second.src = src;
-    it->second.dst = dst;
-  } else if (it->second.src != src || it->second.dst != dst) {
+    data.src = src;
+    data.dst = dst;
+  } else if (data.src != src || data.dst != dst) {
     return Status::InvalidArgument(
         "edge " + gcore::ToString(id) +
         " re-added with different endpoints (identity violation)");
   }
-  return static_cast<ObjectData*>(&it->second);
+  return static_cast<ObjectData*>(&data);
 }
 
 Result<PathPropertyGraph::ObjectData*> PathPropertyGraph::UpsertPath(
@@ -201,110 +234,104 @@ Result<PathPropertyGraph::ObjectData*> PathPropertyGraph::UpsertPath(
     }
   }
   for (size_t i = 0; i < body.edges.size(); ++i) {
-    auto it = edges_.find(body.edges[i]);
-    if (it == edges_.end()) {
+    const EdgeData* edge = FindEdge(body.edges[i]);
+    if (edge == nullptr) {
       return Status::InvalidArgument("path edge " +
                                      gcore::ToString(body.edges[i]) +
                                      " is not a graph member");
     }
     const NodeId a = body.nodes[i];
     const NodeId b = body.nodes[i + 1];
-    const bool forward = it->second.src == a && it->second.dst == b;
-    const bool backward = it->second.src == b && it->second.dst == a;
+    const bool forward = edge->src == a && edge->dst == b;
+    const bool backward = edge->src == b && edge->dst == a;
     if (!forward && !backward) {
       return Status::InvalidArgument(
           "path edge " + gcore::ToString(body.edges[i]) +
           " does not connect consecutive path nodes (Definition 2.1 (3))");
     }
   }
-  auto [it, inserted] = FindOrAppend(&paths_, id);
+  bool inserted = false;
+  PathData& data = FindOrInsert(&paths_, id, &inserted).second;
   if (inserted) {
-    it->second.body = std::move(body);
-  } else if (!(it->second.body == body)) {
+    data.body = std::move(body);
+  } else if (!(data.body == body)) {
     return Status::InvalidArgument(
         "path " + gcore::ToString(id) +
         " re-added with different body (identity violation)");
   }
-  return static_cast<ObjectData*>(&it->second);
+  return static_cast<ObjectData*>(&data);
 }
 
 const PathPropertyGraph::ObjectData* PathPropertyGraph::FindNode(
     NodeId id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : &it->second;
+  const auto* entry = Find(nodes_, id);
+  return entry == nullptr ? nullptr : &entry->second;
 }
 
 const PathPropertyGraph::EdgeData* PathPropertyGraph::FindEdge(
     EdgeId id) const {
-  auto it = edges_.find(id);
-  return it == edges_.end() ? nullptr : &it->second;
+  const auto* entry = Find(edges_, id);
+  return entry == nullptr ? nullptr : &entry->second;
 }
 
 const PathPropertyGraph::PathData* PathPropertyGraph::FindPath(
     PathId id) const {
-  auto it = paths_.find(id);
-  return it == paths_.end() ? nullptr : &it->second;
-}
-
-std::vector<const PathPropertyGraph::ObjectData*> PathPropertyGraph::FindNodes(
-    const std::vector<NodeId>& sorted_ids) const {
-  return FindSorted<ObjectData>(nodes_, sorted_ids);
-}
-
-std::vector<const PathPropertyGraph::EdgeData*> PathPropertyGraph::FindEdges(
-    const std::vector<EdgeId>& sorted_ids) const {
-  return FindSorted<EdgeData>(edges_, sorted_ids);
+  const auto* entry = Find(paths_, id);
+  return entry == nullptr ? nullptr : &entry->second;
 }
 
 std::pair<NodeId, NodeId> PathPropertyGraph::EdgeEndpoints(EdgeId id) const {
-  const auto& data = edges_.at(id);
-  return {data.src, data.dst};
+  const EdgeData* data = FindEdge(id);
+  if (data == nullptr) throw std::out_of_range("EdgeEndpoints: no such edge");
+  return {data->src, data->dst};
 }
 
 const PathBody& PathPropertyGraph::Path(PathId id) const {
-  return paths_.at(id).body;
+  const PathData* data = FindPath(id);
+  if (data == nullptr) throw std::out_of_range("Path: no such path");
+  return data->body;
 }
 
 // Label/property accessors are triplicated over the three stores; a small
 // macro keeps the definitions in sync.
 #define GCORE_PPG_OBJECT_ACCESSORS(IdType, store)                             \
   const LabelSet& PathPropertyGraph::Labels(IdType id) const {                \
-    auto it = store.find(id);                                                 \
-    return it == store.end() ? kEmptyLabels : it->second.labels;              \
+    auto* entry = Find(store, id);                                            \
+    return entry == nullptr ? kEmptyLabels : entry->second.labels;            \
   }                                                                           \
   void PathPropertyGraph::AddLabel(IdType id, const std::string& label) {     \
-    auto it = store.find(id);                                                 \
-    if (it != store.end()) it->second.labels.Insert(label);                   \
+    auto* entry = Find(store, id);                                            \
+    if (entry != nullptr) entry->second.labels.Insert(label);                 \
   }                                                                           \
   void PathPropertyGraph::RemoveLabel(IdType id, const std::string& label) {  \
-    auto it = store.find(id);                                                 \
-    if (it != store.end()) it->second.labels.Remove(label);                   \
+    auto* entry = Find(store, id);                                            \
+    if (entry != nullptr) entry->second.labels.Remove(label);                 \
   }                                                                           \
   void PathPropertyGraph::SetLabels(IdType id, LabelSet labels) {             \
-    auto it = store.find(id);                                                 \
-    if (it != store.end()) it->second.labels = std::move(labels);             \
+    auto* entry = Find(store, id);                                            \
+    if (entry != nullptr) entry->second.labels = std::move(labels);           \
   }                                                                           \
   const PropertyMap& PathPropertyGraph::Properties(IdType id) const {         \
-    auto it = store.find(id);                                                 \
-    return it == store.end() ? kEmptyProps : it->second.props;                \
+    auto* entry = Find(store, id);                                            \
+    return entry == nullptr ? kEmptyProps : entry->second.props;              \
   }                                                                           \
   const ValueSet& PathPropertyGraph::Property(IdType id,                      \
                                               const std::string& key) const { \
-    auto it = store.find(id);                                                 \
-    return it == store.end() ? kEmptyValues : it->second.props.Get(key);      \
+    auto* entry = Find(store, id);                                            \
+    return entry == nullptr ? kEmptyValues : entry->second.props.Get(key);    \
   }                                                                           \
   void PathPropertyGraph::SetProperty(IdType id, const std::string& key,      \
                                       ValueSet values) {                      \
-    auto it = store.find(id);                                                 \
-    if (it != store.end()) it->second.props.Set(key, std::move(values));      \
+    auto* entry = Find(store, id);                                            \
+    if (entry != nullptr) entry->second.props.Set(key, std::move(values));    \
   }                                                                           \
   void PathPropertyGraph::RemoveProperty(IdType id, const std::string& key) { \
-    auto it = store.find(id);                                                 \
-    if (it != store.end()) it->second.props.Remove(key);                      \
+    auto* entry = Find(store, id);                                            \
+    if (entry != nullptr) entry->second.props.Remove(key);                    \
   }                                                                           \
   void PathPropertyGraph::SetProperties(IdType id, PropertyMap props) {       \
-    auto it = store.find(id);                                                 \
-    if (it != store.end()) it->second.props = std::move(props);               \
+    auto* entry = Find(store, id);                                            \
+    if (entry != nullptr) entry->second.props = std::move(props);             \
   }
 
 GCORE_PPG_OBJECT_ACCESSORS(NodeId, nodes_)
@@ -353,15 +380,15 @@ Status PathPropertyGraph::Validate() const {
       }
     }
     for (size_t i = 0; i < body.edges.size(); ++i) {
-      auto it = edges_.find(body.edges[i]);
-      if (it == edges_.end()) {
+      const EdgeData* edge = FindEdge(body.edges[i]);
+      if (edge == nullptr) {
         return Status::InvalidArgument("path " + gcore::ToString(id) +
                                        " references non-member edge");
       }
       const NodeId a = body.nodes[i];
       const NodeId b = body.nodes[i + 1];
-      const bool ok = (it->second.src == a && it->second.dst == b) ||
-                      (it->second.src == b && it->second.dst == a);
+      const bool ok = (edge->src == a && edge->dst == b) ||
+                      (edge->src == b && edge->dst == a);
       if (!ok) {
         return Status::InvalidArgument("path " + gcore::ToString(id) +
                                        " is not a valid edge concatenation");

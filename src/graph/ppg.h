@@ -8,9 +8,10 @@
 //
 // Identity is global: the same NodeId may be a member of several PPGs
 // (query outputs share identities with their inputs — Section 3,
-// "Construction that respects identities"). Each PPG stores its own λ and
-// σ for its members; the graph-level set operations (graph_ops.h) merge
-// them per Appendix A.5.
+// "Construction that respects identities"). Each PPG holds its own λ and
+// σ for its members — handles that may share one payload with the same
+// object in another graph — and the graph-level set operations
+// (graph_ops.h) merge them per Appendix A.5.
 //
 // Role in the engine: the PPG is the *mutable build representation* —
 // GraphBuilder fills it, CONSTRUCT emits it, graph_ops combine it. The
@@ -18,12 +19,36 @@
 // frozen columnar image derived from it, GraphSnapshot (snapshot.h);
 // GraphCatalog caches one snapshot per registered graph and invalidates
 // it together with the statistics on re-registration.
+//
+// Storage. Each member kind (nodes, edges, paths) is one vector of
+// (id, data) entries sorted by id. Appending an id above every present
+// one costs amortized O(1); a lookup is a binary search, O(log n);
+// inserting an id below the largest present one shifts the entries
+// after it, O(members) per insert, so producers emit members in
+// ascending id order (the id allocator, the snapshot thaw, CONSTRUCT's
+// assembly and the set operations all do). A reference or pointer into a
+// member's data, from UpsertNode/UpsertEdge/UpsertPath or
+// FindNode/FindEdge/FindPath, stays valid only until the next insertion
+// into the same graph.
+//
+// Copy-on-write λ/σ. LabelSet and PropertyMap are handles on one shared,
+// immutable payload: copying one (and so copying a graph, or carrying a
+// bound object's λ/σ into a CONSTRUCT result) bumps a reference count.
+// The first mutation through a handle whose payload is shared detaches
+// it into a private copy; a handle that holds the only reference edits
+// its payload in place. Copies therefore never observe each other's
+// edits. Counts are atomic, so graphs that share payloads may be copied,
+// read and destroyed on different threads; a catalog graph is never
+// mutated after registration, so concurrent sessions reading it only
+// bump counts.
 #ifndef GCORE_GRAPH_PPG_H_
 #define GCORE_GRAPH_PPG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/id.h"
@@ -32,40 +57,97 @@
 
 namespace gcore {
 
+/// A copy-on-write handle on a payload of type T; null stands for the
+/// default-constructed T. The payload is allocated non-const, so Mutable
+/// may edit an unshared payload in place.
+template <typename T>
+class CowHandle {
+ public:
+  CowHandle() = default;
+  explicit CowHandle(T value) : rep_(new Rep(std::move(value))) {}
+  CowHandle(const CowHandle& other) noexcept : rep_(other.rep_) {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1);
+  }
+  CowHandle(CowHandle&& other) noexcept
+      : rep_(std::exchange(other.rep_, nullptr)) {}
+  CowHandle& operator=(CowHandle other) noexcept {
+    std::swap(rep_, other.rep_);
+    return *this;
+  }
+  ~CowHandle() { Release(); }
+
+  const T& get() const { return rep_ != nullptr ? rep_->value : Empty(); }
+  /// True when both handles hold the same payload (or are both null).
+  bool Shares(const CowHandle& other) const { return rep_ == other.rep_; }
+
+  /// The payload for editing: allocated on first use, detached into a
+  /// private copy while another handle shares it.
+  T& Mutable() {
+    if (rep_ == nullptr) {
+      rep_ = new Rep(T());
+    } else if (rep_->refs.load() != 1) {
+      Rep* own = new Rep(rep_->value);
+      Release();
+      rep_ = own;
+    }
+    return rep_->value;
+  }
+
+ private:
+  struct Rep {
+    explicit Rep(T v) : value(std::move(v)) {}
+    std::atomic<uint32_t> refs{1};
+    T value;
+  };
+
+  static const T& Empty() {
+    static const T empty;
+    return empty;
+  }
+  void Release() {
+    if (rep_ != nullptr && rep_->refs.fetch_sub(1) == 1) delete rep_;
+    rep_ = nullptr;
+  }
+
+  Rep* rep_ = nullptr;
+};
+
 /// Sorted, deduplicated set of label names: an element of FSET(L).
+/// Copy-on-write (see the file comment).
 class LabelSet {
  public:
   LabelSet() = default;
   explicit LabelSet(std::vector<std::string> labels);
 
-  bool empty() const { return labels_.empty(); }
-  size_t size() const { return labels_.size(); }
-  const std::vector<std::string>& labels() const { return labels_; }
-  auto begin() const { return labels_.begin(); }
-  auto end() const { return labels_.end(); }
+  bool empty() const { return labels().empty(); }
+  size_t size() const { return labels().size(); }
+  const std::vector<std::string>& labels() const { return rep_.get(); }
+  auto begin() const { return labels().begin(); }
+  auto end() const { return labels().end(); }
 
   void Insert(const std::string& label);
   void Remove(const std::string& label);
   bool Contains(const std::string& label) const;
 
-  /// Merges `other` into this set.
+  /// Merges `other` into this set: an empty set adopts `other`'s payload
+  /// and a superset (the same payload included) keeps its own.
   void UnionWith(const LabelSet& other);
   /// Keeps only labels present in both.
   void IntersectWith(const LabelSet& other);
 
   friend bool operator==(const LabelSet& a, const LabelSet& b) {
-    return a.labels_ == b.labels_;
+    return a.rep_.Shares(b.rep_) || a.labels() == b.labels();
   }
 
   /// ":A:B" rendering; empty string when no labels.
   std::string ToString() const;
 
  private:
-  std::vector<std::string> labels_;  // sorted unique
+  CowHandle<std::vector<std::string>> rep_;  // sorted unique
 };
 
 /// Property assignment for one object: key -> FSET(V). Absent key == empty
-/// set.
+/// set. Copy-on-write (see the file comment).
 class PropertyMap {
  public:
   /// The set of values for `key`; empty set when undefined.
@@ -77,23 +159,24 @@ class PropertyMap {
   void Remove(const std::string& key);
   bool Has(const std::string& key) const;
 
-  const std::map<std::string, ValueSet>& entries() const { return entries_; }
-  bool empty() const { return entries_.empty(); }
+  const std::map<std::string, ValueSet>& entries() const { return rep_.get(); }
+  bool empty() const { return entries().empty(); }
 
-  /// Per-key set union with `other`.
+  /// Per-key set union with `other`: an empty map adopts `other`'s
+  /// payload and one holding the same payload keeps it.
   void UnionWith(const PropertyMap& other);
   /// Per-key set intersection with `other` (drops keys that become empty).
   void IntersectWith(const PropertyMap& other);
 
   friend bool operator==(const PropertyMap& a, const PropertyMap& b) {
-    return a.entries_ == b.entries_;
+    return a.rep_.Shares(b.rep_) || a.entries() == b.entries();
   }
 
   /// "{k1: v1, k2: v2}" rendering.
   std::string ToString() const;
 
  private:
-  std::map<std::string, ValueSet> entries_;
+  CowHandle<std::map<std::string, ValueSet>> rep_;
 };
 
 /// δ(p): the body of a stored path — the list [a1, e1, a2, ..., en, an+1].
@@ -138,9 +221,9 @@ class PathPropertyGraph {
 
   // --- membership ----------------------------------------------------------
 
-  bool HasNode(NodeId id) const { return nodes_.count(id) > 0; }
-  bool HasEdge(EdgeId id) const { return edges_.count(id) > 0; }
-  bool HasPath(PathId id) const { return paths_.count(id) > 0; }
+  bool HasNode(NodeId id) const { return FindNode(id) != nullptr; }
+  bool HasEdge(EdgeId id) const { return FindEdge(id) != nullptr; }
+  bool HasPath(PathId id) const { return FindPath(id) != nullptr; }
 
   size_t NumNodes() const { return nodes_.size(); }
   size_t NumEdges() const { return edges_.size(); }
@@ -165,25 +248,18 @@ class PathPropertyGraph {
   // --- bulk assembly (CONSTRUCT, graph union) -------------------------------
   //
   // Add the member when absent (same checks as AddEdge/AddPath) and return
-  // its λ/σ for in-place editing. A member whose id exceeds every present
-  // id is appended in amortized O(1), so producers that emit members in
-  // ascending id order build a graph without per-member tree searches.
+  // its λ/σ for in-place editing; the reference is valid until the next
+  // insertion into this graph. Ascending ids append in amortized O(1).
 
   ObjectData& UpsertNode(NodeId id);
   Result<ObjectData*> UpsertEdge(EdgeId id, NodeId src, NodeId dst);
   Result<ObjectData*> UpsertPath(PathId id, PathBody body);
 
-  /// One lookup for ρ/δ, λ and σ of a member; null when absent.
+  /// One lookup for ρ/δ, λ and σ of a member; null when absent. Valid
+  /// until the next insertion into this graph.
   const ObjectData* FindNode(NodeId id) const;
   const EdgeData* FindEdge(EdgeId id) const;
   const PathData* FindPath(PathId id) const;
-  /// FindNode/FindEdge over ids sorted ascending: out[i] is the member of
-  /// ids[i] or null. One in-order walk of the store replaces a tree search
-  /// per id while the ids are dense among the members.
-  std::vector<const ObjectData*> FindNodes(
-      const std::vector<NodeId>& sorted_ids) const;
-  std::vector<const EdgeData*> FindEdges(
-      const std::vector<EdgeId>& sorted_ids) const;
 
   // --- structure access ----------------------------------------------------
 
@@ -257,10 +333,26 @@ class PathPropertyGraph {
   std::string ToString() const;
 
  private:
+  // The set operations walk the sorted stores linearly (graph_ops.cc).
+  friend bool Consistent(const PathPropertyGraph& g1,
+                         const PathPropertyGraph& g2);
+  friend PathPropertyGraph GraphUnion(PathPropertyGraph g1,
+                                      PathPropertyGraph&& g2);
+  friend PathPropertyGraph GraphIntersect(const PathPropertyGraph& g1,
+                                          const PathPropertyGraph& g2);
+  friend PathPropertyGraph GraphMinus(const PathPropertyGraph& g1,
+                                      const PathPropertyGraph& g2);
+  friend bool GraphEquals(const PathPropertyGraph& g1,
+                          const PathPropertyGraph& g2);
+
+  using NodeStore = std::vector<std::pair<NodeId, ObjectData>>;
+  using EdgeStore = std::vector<std::pair<EdgeId, EdgeData>>;
+  using PathStore = std::vector<std::pair<PathId, PathData>>;
+
   std::string name_;
-  std::map<NodeId, ObjectData> nodes_;
-  std::map<EdgeId, EdgeData> edges_;
-  std::map<PathId, PathData> paths_;
+  NodeStore nodes_;  // each sorted by id
+  EdgeStore edges_;
+  PathStore paths_;
 };
 
 }  // namespace gcore

@@ -83,6 +83,47 @@ TEST_F(ServingTest, ConcurrentSessionsMatchSerialResults) {
             3u * (num_threads * kItersPerThread + 1) - counters.misses);
 }
 
+TEST_F(ServingTest, ConcurrentConstructSetSharesCatalogPayloads) {
+  // Every result shares the catalog persons' λ/σ payloads until its SET
+  // detaches them: sessions on several threads copy, edit and free those
+  // handles at once, and the catalog graph must read as before.
+  const char* const kEdits[] = {
+      "CONSTRUCT (n) SET n.x := 1 MATCH (n:Person)",
+      "CONSTRUCT (n)-[e]->(m) SET e.w := COUNT(*) SET n:Seen "
+      "MATCH (n:Person)-[e:knows]->(m:Person)",
+      "CONSTRUCT (n) REMOVE n.employer REMOVE n:Person MATCH (n:Person)",
+  };
+  QueryEngine engine(&catalog);
+  auto social = catalog.Lookup("social_graph");
+  ASSERT_TRUE(social.ok());
+  const std::string before = (*social)->ToString();
+  std::vector<std::string> expected;
+  for (const char* q : kEdits) {
+    auto r = engine.Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected.push_back(r->ToString());
+  }
+
+  constexpr size_t kThreads = 4;
+  constexpr int kIters = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    QuerySession session = engine.CreateSession();
+    threads.emplace_back([session, t, &kEdits, &expected,
+                          &mismatches]() mutable {
+      for (int i = 0; i < kIters; ++i) {
+        const size_t q = (t + i) % expected.size();
+        auto r = session.Execute(kEdits[q]);
+        if (!r.ok() || r->ToString() != expected[q]) ++mismatches;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ((*social)->ToString(), before);
+}
+
 TEST_F(ServingTest, SessionsFreezeKnobsIndependently) {
   QueryEngine engine(&catalog);
   EngineOptions legacy;

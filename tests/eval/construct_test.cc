@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "eval/constructor.h"
 #include "graph/graph_ops.h"
+#include "parser/parser.h"
 #include "snb/toy_graphs.h"
 
 namespace gcore {
@@ -310,6 +312,63 @@ TEST_F(ConstructTest, ConstructWithoutMatchUsesUnitBinding) {
   auto g = Run("CONSTRUCT (x :Marker {v:=1})");
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_EQ(g->NumNodes(), 1u);
+}
+
+TEST(ConstructProvenance, ReadsThePinnedGraphNotTheCatalogs) {
+  // The bindings were matched on `pinned`; the catalog has since
+  // re-registered "g" with other λ/σ. Bound objects, copies and
+  // assignments must all read the pinned version.
+  GraphCatalog catalog;
+  // Ids from the catalog's allocator, so the copy's fresh id is new.
+  const NodeId n = catalog.ids()->NextNode();
+  const NodeId m = catalog.ids()->NextNode();
+  const EdgeId e = catalog.ids()->NextEdge();
+  auto version = [&](const std::string& label, int64_t v) {
+    PathPropertyGraph g;
+    g.AddNode(n);
+    g.AddNode(m);
+    EXPECT_TRUE(g.AddEdge(e, n, m).ok());
+    g.AddLabel(n, label);
+    g.SetProperty(n, "v", ValueSet(Value::Int(v)));
+    g.AddLabel(e, label);
+    g.SetProperty(e, "w", ValueSet(Value::Int(v)));
+    return g;
+  };
+  const PathPropertyGraph pinned = version("Old", 1);
+  catalog.RegisterGraph("g", version("New", 2));
+  catalog.SetDefaultGraph("g");
+
+  BindingTable bindings({"n", "e", "m"});
+  for (const char* var : {"n", "e", "m"}) bindings.SetColumnGraph(var, "g");
+  ASSERT_TRUE(bindings
+                  .AddRow({Datum::OfNode(n), Datum::OfEdge(e),
+                           Datum::OfNode(m)})
+                  .ok());
+  auto query = ParseQuery(
+      "CONSTRUCT (n {u:=n.v})-[e]->(m), (=n) MATCH (n)-[e]->(m)");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const ConstructClause& construct = *(*query)->body->basic->construct;
+
+  for (bool spec : {false, true}) {
+    ConstructorContext ctx;
+    ctx.catalog = &catalog;
+    ctx.default_graph = "g";
+    ctx.use_spec = spec;
+    ctx.resolve_graph = [&](const std::string& name) {
+      return name == "g" ? &pinned : nullptr;
+    };
+    auto g = Constructor(ctx).EvalConstruct(construct, bindings);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    ASSERT_EQ(g->NumNodes(), 3u) << spec;  // n, m and the copy of n
+    g->ForEachNode([&](NodeId id) {
+      if (id == m) return;
+      EXPECT_EQ(g->Labels(id), LabelSet({"Old"})) << spec;
+      EXPECT_EQ(g->Property(id, "v"), ValueSet(Value::Int(1))) << spec;
+    });
+    EXPECT_EQ(g->Property(n, "u"), ValueSet(Value::Int(1))) << spec;
+    EXPECT_EQ(g->Labels(e), LabelSet({"Old"})) << spec;
+    EXPECT_EQ(g->Property(e, "w"), ValueSet(Value::Int(1))) << spec;
+  }
 }
 
 }  // namespace

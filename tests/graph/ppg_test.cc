@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <random>
+#include <set>
+
 #include "graph/graph_builder.h"
+#include "graph/graph_ops.h"
 #include "snb/toy_graphs.h"
 
 namespace gcore {
@@ -178,6 +185,212 @@ TEST(PathPropertyGraph, ValidateDetectsWellFormedness) {
   g.AddNode(NodeId(2));
   ASSERT_TRUE(g.AddEdge(EdgeId(10), NodeId(1), NodeId(2)).ok());
   EXPECT_TRUE(g.Validate().ok());
+}
+
+TEST(PathPropertyGraph, DescendingInsertionEqualsAscending) {
+  // Members inserted below the largest present id land at their sorted
+  // position: the same members in either order make the same graph.
+  auto build = [](bool descending) {
+    PathPropertyGraph g;
+    std::vector<uint64_t> order;
+    for (uint64_t i = 1; i <= 40; ++i) order.push_back(i);
+    if (descending) std::reverse(order.begin(), order.end());
+    for (uint64_t i : order) {
+      g.AddNode(NodeId(i * 7));
+      g.AddLabel(NodeId(i * 7), "N" + std::to_string(i % 3));
+      g.SetProperty(NodeId(i * 7), "v", ValueSet(Value::Int(i)));
+    }
+    for (uint64_t i : order) {
+      if (i == 40) continue;
+      EXPECT_TRUE(g.AddEdge(EdgeId(i * 5), NodeId(i * 7), NodeId(i * 7 + 7))
+                      .ok());
+      g.AddLabel(EdgeId(i * 5), "next");
+    }
+    for (uint64_t i : order) {
+      if (i > 10) continue;
+      PathBody body;
+      body.nodes = {NodeId(i * 7), NodeId(i * 7 + 7)};
+      body.edges = {EdgeId(i * 5)};
+      EXPECT_TRUE(g.AddPath(PathId(100 - i), body).ok());
+      g.SetProperty(PathId(100 - i), "len", ValueSet(Value::Int(1)));
+    }
+    return g;
+  };
+  const PathPropertyGraph up = build(false);
+  const PathPropertyGraph down = build(true);
+  EXPECT_TRUE(GraphEquals(up, down));
+  EXPECT_EQ(up.NodeIds(), down.NodeIds());
+  EXPECT_EQ(up.EdgeIds(), down.EdgeIds());
+  EXPECT_EQ(up.PathIds(), down.PathIds());
+  EXPECT_EQ(up.ToString(), down.ToString());
+  EXPECT_TRUE(down.Validate().ok());
+}
+
+TEST(PathPropertyGraph, LookupOverUnevenIds) {
+  // Dense runs, a far outlier and random ids: every member is found and
+  // every neighbouring non-member is not.
+  std::set<uint64_t> ids;
+  for (uint64_t i = 1; i <= 100; ++i) ids.insert(i);
+  for (uint64_t i = 5000; i <= 5010; ++i) ids.insert(i);
+  ids.insert(uint64_t{1} << 40);
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 300; ++i) ids.insert(rng() % 1000000 + 1);
+  PathPropertyGraph g;
+  for (uint64_t id : ids) {
+    g.AddNode(NodeId(id));
+    g.SetProperty(NodeId(id), "v", ValueSet(Value::Int(id)));
+  }
+  for (uint64_t id : ids) {
+    EXPECT_TRUE(g.HasNode(NodeId(id))) << id;
+    EXPECT_EQ(g.Property(NodeId(id), "v").single(), Value::Int(id)) << id;
+    for (uint64_t probe : {id - 1, id + 1}) {
+      EXPECT_EQ(g.HasNode(NodeId(probe)), ids.count(probe) > 0) << probe;
+    }
+  }
+  EXPECT_FALSE(g.HasNode(NodeId((uint64_t{1} << 40) + 1)));
+  EXPECT_FALSE(PathPropertyGraph().HasNode(NodeId(1)));
+}
+
+// --- copy-on-write λ/σ -----------------------------------------------------------
+
+/// Two nodes, an edge and a stored path, each with two labels and two
+/// properties.
+PathPropertyGraph CowGraph() {
+  PathPropertyGraph g;
+  g.AddNode(NodeId(1));
+  g.AddNode(NodeId(2));
+  EXPECT_TRUE(g.AddEdge(EdgeId(10), NodeId(1), NodeId(2)).ok());
+  PathBody body;
+  body.nodes = {NodeId(1), NodeId(2)};
+  body.edges = {EdgeId(10)};
+  EXPECT_TRUE(g.AddPath(PathId(100), body).ok());
+  auto decorate = [&](auto id) {
+    g.AddLabel(id, "A");
+    g.AddLabel(id, "B");
+    g.SetProperty(id, "k", ValueSet(Value::Int(1)));
+    g.SetProperty(id, "m", ValueSet(Value::String("x")));
+  };
+  decorate(NodeId(1));
+  decorate(NodeId(2));
+  decorate(EdgeId(10));
+  decorate(PathId(100));
+  return g;
+}
+
+/// Every member's λ/σ copied out by value, independent of payload
+/// sharing.
+using Contents = std::vector<
+    std::pair<std::vector<std::string>, std::map<std::string, ValueSet>>>;
+Contents DeepContents(const PathPropertyGraph& g) {
+  Contents out;
+  auto add = [&](auto id) {
+    out.emplace_back(g.Labels(id).labels(), g.Properties(id).entries());
+  };
+  add(NodeId(1));
+  add(NodeId(2));
+  add(EdgeId(10));
+  add(PathId(100));
+  return out;
+}
+
+/// Every λ/σ mutator, applied to node 1, edge 10 or path 100.
+std::vector<std::pair<std::string, std::function<void(PathPropertyGraph*)>>>
+Mutators() {
+  std::vector<std::pair<std::string, std::function<void(PathPropertyGraph*)>>>
+      out;
+  auto add_for = [&](const std::string& kind, auto id) {
+    out.emplace_back(kind + " AddLabel",
+                     [id](PathPropertyGraph* g) { g->AddLabel(id, "C"); });
+    out.emplace_back(kind + " RemoveLabel",
+                     [id](PathPropertyGraph* g) { g->RemoveLabel(id, "A"); });
+    out.emplace_back(kind + " SetLabels", [id](PathPropertyGraph* g) {
+      g->SetLabels(id, LabelSet({"Z"}));
+    });
+    out.emplace_back(kind + " SetProperty", [id](PathPropertyGraph* g) {
+      g->SetProperty(id, "k", ValueSet(Value::Int(9)));
+    });
+    out.emplace_back(kind + " RemoveProperty", [id](PathPropertyGraph* g) {
+      g->RemoveProperty(id, "m");
+    });
+    out.emplace_back(kind + " SetProperties", [id](PathPropertyGraph* g) {
+      PropertyMap props;
+      props.Set("z", ValueSet(Value::Int(0)));
+      g->SetProperties(id, std::move(props));
+    });
+  };
+  add_for("node", NodeId(1));
+  add_for("edge", EdgeId(10));
+  add_for("path", PathId(100));
+  out.emplace_back("UpsertNode edit", [](PathPropertyGraph* g) {
+    PathPropertyGraph::ObjectData& data = g->UpsertNode(NodeId(1));
+    data.labels.Insert("U");
+    data.props.Add("k", Value::Int(5));
+  });
+  out.emplace_back("UpsertEdge edit", [](PathPropertyGraph* g) {
+    auto data = g->UpsertEdge(EdgeId(10), NodeId(1), NodeId(2));
+    ASSERT_TRUE(data.ok());
+    (*data)->labels.Remove("B");
+    (*data)->props.Remove("k");
+  });
+  out.emplace_back("UpsertPath edit", [](PathPropertyGraph* g) {
+    PathBody body;
+    body.nodes = {NodeId(1), NodeId(2)};
+    body.edges = {EdgeId(10)};
+    auto data = g->UpsertPath(PathId(100), body);
+    ASSERT_TRUE(data.ok());
+    (*data)->labels.UnionWith(LabelSet({"V"}));
+    (*data)->props.Set("m", ValueSet(Value::String("y")));
+  });
+  return out;
+}
+
+TEST(CopyOnWrite, EditingACopyLeavesTheOriginal) {
+  for (const auto& [name, mutate] : Mutators()) {
+    const PathPropertyGraph original = CowGraph();
+    const Contents before = DeepContents(original);
+    PathPropertyGraph copy = original;
+    mutate(&copy);
+    EXPECT_EQ(DeepContents(original), before) << name;
+    EXPECT_NE(DeepContents(copy), before) << name << " did not edit";
+  }
+}
+
+TEST(CopyOnWrite, EditingTheOriginalLeavesACopy) {
+  for (const auto& [name, mutate] : Mutators()) {
+    PathPropertyGraph original = CowGraph();
+    const Contents before = DeepContents(original);
+    const PathPropertyGraph copy = original;
+    mutate(&original);
+    EXPECT_EQ(DeepContents(copy), before) << name;
+    EXPECT_NE(DeepContents(original), before) << name << " did not edit";
+  }
+}
+
+TEST(CopyOnWrite, AdoptedPayloadsDetachOnEdit) {
+  // UnionWith into an empty set adopts the other's payload; an edit on
+  // either side must not reach the other.
+  const LabelSet a({"A"});
+  LabelSet b;
+  b.UnionWith(a);
+  b.Insert("B");
+  EXPECT_EQ(a, LabelSet({"A"}));
+  EXPECT_EQ(b, LabelSet({"A", "B"}));
+  LabelSet c = b;
+  c.IntersectWith(a);
+  EXPECT_EQ(b, LabelSet({"A", "B"}));
+  EXPECT_EQ(c, LabelSet({"A"}));
+
+  PropertyMap p;
+  p.Set("k", ValueSet(Value::Int(1)));
+  PropertyMap q;
+  q.UnionWith(p);
+  q.Add("k", Value::Int(2));
+  EXPECT_EQ(p.Get("k"), ValueSet(Value::Int(1)));
+  EXPECT_EQ(q.Get("k").size(), 2u);
+  PropertyMap r = q;
+  r.IntersectWith(p);
+  EXPECT_EQ(q.Get("k").size(), 2u);
+  EXPECT_EQ(r.Get("k"), ValueSet(Value::Int(1)));
 }
 
 // --- Example 2.2 (Figure 2) ----------------------------------------------------

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/graph_builder.h"
 #include "graph/graph_ops.h"
 #include "snb/toy_graphs.h"
@@ -47,6 +52,36 @@ TEST_F(EngineTest, BareGraphNameQueryReturnsThatGraph) {
   auto original = catalog.Lookup("social_graph");
   ASSERT_TRUE(original.ok());
   EXPECT_TRUE(GraphEquals(*r->graph, **original));
+}
+
+TEST_F(EngineTest, ConstructSetLeavesCatalogObjectsUntouched) {
+  // The result shares the bound persons' λ/σ payloads with the catalog
+  // graph until SET edits them; the edit must not reach the catalog.
+  auto social = catalog.Lookup("social_graph");
+  ASSERT_TRUE(social.ok());
+  std::map<NodeId, std::pair<std::vector<std::string>,
+                             std::map<std::string, ValueSet>>>
+      before;
+  (*social)->ForEachNode([&](NodeId n) {
+    before[n] = {(*social)->Labels(n).labels(),
+                 (*social)->Properties(n).entries()};
+  });
+  for (bool planner : {true, false}) {
+    QueryEngine engine(&catalog);
+    engine.set_use_planner(planner);
+    auto r = engine.Execute("CONSTRUCT (n) SET n.x := 1 MATCH (n:Person)");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->graph->NumNodes(), 5u);
+    r->graph->ForEachNode([&](NodeId n) {
+      EXPECT_EQ(r->graph->Property(n, "x"), ValueSet(Value::Int(1)));
+      EXPECT_EQ(r->graph->Labels(n).labels(), before[n].first);
+    });
+  }
+  (*social)->ForEachNode([&](NodeId n) {
+    EXPECT_EQ((*social)->Labels(n).labels(), before[n].first);
+    EXPECT_EQ((*social)->Properties(n).entries(), before[n].second);
+    EXPECT_TRUE((*social)->Property(n, "x").empty());
+  });
 }
 
 TEST_F(EngineTest, IntersectAndMinusThroughEngine) {
