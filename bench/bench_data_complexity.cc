@@ -54,8 +54,10 @@ void BM_FilterMatch(benchmark::State& state) {
            "CONSTRUCT (n) MATCH (n:Person) WHERE n.employer = 'Acme'");
 }
 BENCHMARK(BM_FilterMatch)
-    ->RangeMultiplier(4)
-    ->Range(100, 6400)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TwoHopPattern(benchmark::State& state) {
@@ -65,8 +67,10 @@ void BM_TwoHopPattern(benchmark::State& state) {
            "WHERE n.firstName = 'John' AND n.lastName = 'Doe'");
 }
 BENCHMARK(BM_TwoHopPattern)
-    ->RangeMultiplier(4)
-    ->Range(100, 6400)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GraphAggregation(benchmark::State& state) {
@@ -75,8 +79,10 @@ void BM_GraphAggregation(benchmark::State& state) {
            "MATCH (n:Person {employer=e})");
 }
 BENCHMARK(BM_GraphAggregation)
-    ->RangeMultiplier(4)
-    ->Range(100, 6400)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ReachabilitySingleSource(benchmark::State& state) {
@@ -85,8 +91,10 @@ void BM_ReachabilitySingleSource(benchmark::State& state) {
            "WHERE n.firstName = 'John' AND n.lastName = 'Doe'");
 }
 BENCHMARK(BM_ReachabilitySingleSource)
-    ->RangeMultiplier(4)
-    ->Range(100, 6400)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ShortestPathSingleSource(benchmark::State& state) {
@@ -96,8 +104,10 @@ void BM_ShortestPathSingleSource(benchmark::State& state) {
            "WHERE n.firstName = 'John' AND n.lastName = 'Doe'");
 }
 BENCHMARK(BM_ShortestPathSingleSource)
-    ->RangeMultiplier(4)
-    ->Range(100, 6400)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 void BM_UnionWithInput(benchmark::State& state) {
@@ -108,8 +118,10 @@ void BM_UnionWithInput(benchmark::State& state) {
            "UNION snb");
 }
 BENCHMARK(BM_UnionWithInput)
-    ->RangeMultiplier(4)
-    ->Range(100, 6400)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -5,8 +5,7 @@
 //  * a 20k×20k natural join whose inputs carry duplicate rows (the shape
 //    intermediate tables take after column-dropping), comparing the seed
 //    path (materialize every merged row, then a whole-table
-//    Deduplicate() pass) against the fused construction of TableJoin and
-//    the hash-partitioned morsel-parallel TableJoinParallel;
+//    Deduplicate() pass) against the fused construction of TableJoin;
 //  * a cyclic 3-chain (triangle) MATCH over a generated SNB graph, end
 //    to end through the engine at morsel-parallelism 1 / 2 / 4.
 #include <benchmark/benchmark.h>
@@ -160,28 +159,6 @@ void BM_JoinDedup_Fused(benchmark::State& state) {
   state.counters["out_rows"] = static_cast<double>(out_rows);
 }
 BENCHMARK(BM_JoinDedup_Fused)->Arg(20000)->Unit(benchmark::kMillisecond);
-
-void BM_JoinDedup_FusedParallel(benchmark::State& state) {
-  BindingTable a, b;
-  BuildJoinInputs(20000, &a, &b);
-  const size_t degree = static_cast<size_t>(state.range(0));
-  size_t out_rows = 0;
-  for (auto _ : state) {
-    BindingTable j = TableJoinParallel(a, b, degree);
-    out_rows = j.NumRows();
-    benchmark::DoNotOptimize(j);
-  }
-  state.counters["out_rows"] = static_cast<double>(out_rows);
-}
-// Process CPU time: the work happens on worker threads, and wall-clock
-// speedup needs real cores (this trajectory is recorded on whatever the
-// CI/container offers — see BENCH_join_dedup.json context block).
-BENCHMARK(BM_JoinDedup_FusedParallel)
-    ->Arg(2)
-    ->Arg(4)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // --- cyclic 3-chain through the engine ----------------------------------------
 

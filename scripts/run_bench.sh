@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs the recorded trajectory benches and writes the numbers the
 # acceptance criteria track (google-benchmark JSON format):
-#   BENCH_join_dedup.json      — fused join dedup vs the seed path
+#   BENCH_join_dedup.json      — fused join dedup (serial TableJoin) vs
+#                                the seed path on a 20k×20k join, plus a
+#                                triangle MATCH through the engine at
+#                                parallelism 1, 2 and 4
 #   BENCH_columnar_scan.json   — columnar Ω vs row-major storage
 #   BENCH_stats_ablation.json  — what the statistics cost: the PPG
 #                                reference scan (BM_StatsCollect) vs the
@@ -37,7 +40,7 @@
 #   BENCH_data_complexity.json — Section 4's data-complexity claim: fixed
 #                                queries (filter, two-hop, aggregation,
 #                                reachability, shortest path, UNION) over
-#                                SNB 100 → 6400 persons, 4× steps
+#                                SNB 100, 400, 1600 and 6400 persons
 # A leading bench_<name> argument restricts the run to that binary; the
 # remaining arguments pass through to every binary that runs (the last
 # occurrence of a google-benchmark flag wins), e.g.

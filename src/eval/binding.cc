@@ -465,7 +465,8 @@ RowDedupSink::RowDedupSink(BindingTable* out) : out_(out) {
   }
 }
 
-bool RowDedupSink::Insert(BindingRow row, size_t hash) {
+bool RowDedupSink::Insert(BindingRow row) {
+  const size_t hash = HashRow(row);
   const bool fresh = seen_.InsertIfNew(hash, out_->NumRows(), [&](size_t i) {
     return out_->RowEquals(i, row);
   });
@@ -475,8 +476,8 @@ bool RowDedupSink::Insert(BindingRow row, size_t hash) {
   return true;
 }
 
-bool RowDedupSink::InsertFrom(const BindingTable& src, size_t r,
-                              size_t hash) {
+bool RowDedupSink::InsertFrom(const BindingTable& src, size_t r) {
+  const size_t hash = src.RowHash(r);
   const bool fresh = seen_.InsertIfNew(hash, out_->NumRows(), [&](size_t i) {
     return BindingTable::RowsEqual(*out_, i, src, r);
   });

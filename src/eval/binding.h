@@ -19,8 +19,9 @@
 //   * key hashing / row hashing: `RowHash(r)` and `Column::HashAt` walk
 //     the dense arrays and reproduce `HashRow` over a materialized row
 //     bit-for-bit (the dedup sinks depend on that equivalence);
-//   * TableJoin / TableJoinParallel build, probe and merge on typed key
-//     columns (eval/binding_ops.cc) without materializing BindingRows;
+//   * TableJoin and the streaming hash join (StreamingJoinProbe) build,
+//     probe and merge on typed key columns (eval/binding_ops.cc) without
+//     materializing BindingRows;
 //   * Matcher::FilterByConjuncts gathers surviving row indices
 //     column-at-a-time (`AppendRowsFrom`);
 //   * Matcher::ExpandEdgeHop / ExpandPathHop read the source node column
@@ -395,22 +396,14 @@ class RowDedupSink {
  public:
   explicit RowDedupSink(BindingTable* out);
 
-  /// Appends `row` unless an equal row is already in the table. `hash`
-  /// must equal HashRow(row) — callers that already computed it (e.g.
-  /// parallel join merges) avoid re-hashing. Returns true if appended.
-  bool Insert(BindingRow row, size_t hash);
-  bool Insert(BindingRow row) {
-    const size_t h = HashRow(row);
-    return Insert(std::move(row), h);
-  }
+  /// Appends `row` unless an equal row is already in the table. Returns
+  /// true if appended.
+  bool Insert(BindingRow row);
 
   /// Columnar insert: appends a copy of src's row `r` (same positional
-  /// schema as the target) unless an equal row is present. `hash` must
-  /// equal src.RowHash(r). No BindingRow is materialized either way.
-  bool InsertFrom(const BindingTable& src, size_t r, size_t hash);
-  bool InsertFrom(const BindingTable& src, size_t r) {
-    return InsertFrom(src, r, src.RowHash(r));
-  }
+  /// schema as the target) unless an equal row is present. No BindingRow
+  /// is materialized either way.
+  bool InsertFrom(const BindingTable& src, size_t r);
 
  private:
   BindingTable* out_;

@@ -1,9 +1,7 @@
 #include "eval/binding_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -224,9 +222,8 @@ class JoinDedupSink {
   }
 
   /// Appends µ1 ∪ µ2 unless an equal row is already present; the merged
-  /// row is only constructed on first occurrence. Returns the row hash
-  /// through `hash_out` when appended (parallel merge re-uses it).
-  bool InsertPair(size_t ra, size_t rb, size_t* hash_out = nullptr) {
+  /// row is only constructed on first occurrence.
+  void InsertPair(size_t ra, size_t rb) {
     // Reproduces HashRow over the would-be merged row (a-prefix, then
     // b-extras) without building it.
     size_t h = 0;
@@ -238,7 +235,7 @@ class JoinDedupSink {
     const bool fresh = seen_.InsertIfNew(h, out_->NumRows(), [&](size_t i) {
       return MergedEquals(i, ra, rb);
     });
-    if (!fresh) return false;
+    if (!fresh) return;
     for (size_t i = 0; i < a_->NumColumns(); ++i) {
       const auto [col, row] = MergedSrc(ra, rb, i);
       out_->MutableColumn(i).AppendFrom(*col, row);
@@ -248,8 +245,36 @@ class JoinDedupSink {
           .AppendFrom(b_.ColumnAt(b_extra_[k]), rb);
     }
     out_->CommitRow();
-    if (hash_out != nullptr) *hash_out = h;
-    return true;
+  }
+
+  /// Appends µ1 with every b-extra unbound (a row of the ⟕'s ∖ side)
+  /// unless an equal row is already present — the same dedup TableUnion
+  /// applies to (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2).
+  void InsertUnmatched(size_t ra) {
+    const size_t unbound_hash = Datum().Hash();
+    size_t h = a_->RowHash(ra);
+    for (size_t k = 0; k < b_extra_.size(); ++k) {
+      h = HashCombine(h, unbound_hash);
+    }
+    const bool fresh = seen_.InsertIfNew(h, out_->NumRows(), [&](size_t i) {
+      for (size_t c = 0; c < a_->NumColumns(); ++c) {
+        if (!Column::CellsEqual(out_->ColumnAt(c), i, a_->ColumnAt(c), ra)) {
+          return false;
+        }
+      }
+      for (size_t c = a_->NumColumns(); c < out_->NumColumns(); ++c) {
+        if (out_->ColumnAt(c).BoundAt(i)) return false;
+      }
+      return true;
+    });
+    if (!fresh) return;
+    for (size_t c = 0; c < a_->NumColumns(); ++c) {
+      out_->MutableColumn(c).AppendFrom(a_->ColumnAt(c), ra);
+    }
+    for (size_t c = a_->NumColumns(); c < out_->NumColumns(); ++c) {
+      out_->MutableColumn(c).AppendUnbound();
+    }
+    out_->CommitRow();
   }
 
  private:
@@ -279,12 +304,9 @@ class JoinDedupSink {
   RowIndexSet seen_;
 };
 
-/// TableJoin with optional per-probe-row match tracking: `matched[ra]`
-/// is set whenever row ra of a has at least one compatible b row — the
-/// signal the left outer join's antijoin needs, harvested during the
-/// probe instead of by a second full pass.
-BindingTable JoinTracked(const BindingTable& a, const BindingTable& b,
-                         std::vector<char>* matched) {
+}  // namespace
+
+BindingTable TableJoin(const BindingTable& a, const BindingTable& b) {
   std::vector<size_t> b_extra;
   BindingTable out = JoinSchema(a, b, &b_extra);
   const auto shared = SharedColumns(a, b);
@@ -292,144 +314,10 @@ BindingTable JoinTracked(const BindingTable& a, const BindingTable& b,
   JoinDedupSink sink(&out, a, b, shared, b_extra);
   for (size_t ra = 0; ra < a.NumRows(); ++ra) {
     index.ForEachCandidate(a, ra, shared, [&](size_t rb) {
-      if (!CompatibleAt(a, ra, b, rb, shared)) return;
-      if (matched != nullptr) (*matched)[ra] = 1;
-      sink.InsertPair(ra, rb);
+      if (CompatibleAt(a, ra, b, rb, shared)) sink.InsertPair(ra, rb);
     });
   }
   return out;
-}
-
-}  // namespace
-
-BindingTable TableJoin(const BindingTable& a, const BindingTable& b) {
-  return JoinTracked(a, b, nullptr);
-}
-
-namespace {
-
-/// Build side of the partitioned parallel join: b's keyed rows sharded
-/// by shared-column hash. Bucket vectors keep b-row order, so candidate
-/// enumeration per probe row matches the unpartitioned ProbeIndex.
-constexpr size_t kJoinPartitions = 16;  // power of two
-constexpr size_t kJoinMorselRows = 2048;
-
-struct PartitionedBuild {
-  std::vector<std::unordered_map<size_t, std::vector<size_t>>> keyed;
-  std::vector<size_t> wildcard;
-
-  PartitionedBuild(const BindingTable& b,
-                   const std::vector<std::pair<size_t, size_t>>& shared)
-      : keyed(kJoinPartitions) {
-    for (size_t r = 0; r < b.NumRows(); ++r) {
-      size_t h = 0;
-      if (ProbeIndex::HashSharedAt<1>(b, r, shared, &h)) {
-        keyed[h & (kJoinPartitions - 1)][h].push_back(r);
-      } else {
-        wildcard.push_back(r);
-      }
-    }
-  }
-};
-
-/// One probe morsel's duplicate-free output with the row hashes the
-/// worker already computed (the order-preserving merge re-uses them).
-struct MorselJoinOut {
-  BindingTable rows;
-  std::vector<size_t> hashes;
-};
-
-}  // namespace
-
-namespace {
-
-/// TableJoinParallel with the same optional match tracking as
-/// JoinTracked (workers write disjoint probe-row ranges, so the bitmap
-/// needs no synchronization).
-BindingTable JoinParallelTracked(const BindingTable& a, const BindingTable& b,
-                                 size_t parallelism, size_t morsel_rows,
-                                 std::vector<char>* matched) {
-  const size_t morsel = morsel_rows == 0 ? kJoinMorselRows : morsel_rows;
-  const auto shared = SharedColumns(a, b);
-  if (parallelism <= 1 || a.NumRows() < 2 * morsel) {
-    return JoinTracked(a, b, matched);
-  }
-  // Probe rows with an unbound shared column enumerate candidates in
-  // hash-index iteration order, which a partitioned index cannot
-  // reproduce; keep those joins on the serial path so the parallel join
-  // is a drop-in replacement (identical rows, identical order).
-  for (size_t r = 0; r < a.NumRows(); ++r) {
-    size_t h = 0;
-    if (!ProbeIndex::HashSharedAt<0>(a, r, shared, &h)) {
-      return JoinTracked(a, b, matched);
-    }
-  }
-
-  std::vector<size_t> b_extra;
-  BindingTable out = JoinSchema(a, b, &b_extra);
-  const PartitionedBuild build(b, shared);
-
-  const size_t num_morsels = (a.NumRows() + morsel - 1) / morsel;
-  std::vector<MorselJoinOut> morsels(num_morsels);
-  std::atomic<size_t> next_morsel{0};
-
-  auto probe_morsel = [&](size_t m) {
-    MorselJoinOut& local = morsels[m];
-    local.rows = BindingTable(out.columns());
-    JoinDedupSink sink(&local.rows, a, b, shared, b_extra);
-    const size_t lo = m * morsel;
-    const size_t hi = std::min(a.NumRows(), lo + morsel);
-    for (size_t r = lo; r < hi; ++r) {
-      size_t h = 0;
-      ProbeIndex::HashSharedAt<0>(a, r, shared, &h);  // pre-checked bound
-      auto emit = [&](size_t rb_idx) {
-        if (!CompatibleAt(a, r, b, rb_idx, shared)) return;
-        if (matched != nullptr) (*matched)[r] = 1;
-        size_t row_hash = 0;
-        if (sink.InsertPair(r, rb_idx, &row_hash)) {
-          local.hashes.push_back(row_hash);
-        }
-      };
-      const auto& partition = build.keyed[h & (kJoinPartitions - 1)];
-      auto it = partition.find(h);
-      if (it != partition.end()) {
-        for (size_t rb_idx : it->second) emit(rb_idx);
-      }
-      for (size_t rb_idx : build.wildcard) emit(rb_idx);
-    }
-  };
-
-  auto worker = [&]() {
-    while (true) {
-      const size_t m = next_morsel.fetch_add(1);
-      if (m >= num_morsels) return;
-      probe_morsel(m);
-    }
-  };
-  std::vector<std::thread> pool;
-  const size_t threads = std::min(parallelism, num_morsels);
-  pool.reserve(threads);
-  for (size_t t = 0; t + 1 < threads; ++t) pool.emplace_back(worker);
-  worker();  // the calling thread probes too
-  for (auto& t : pool) t.join();
-
-  // Ordered merge: morsel-local sets concatenate in probe order through
-  // a global seen-set keyed by the worker-computed hashes (cross-morsel
-  // duplicates die here; rows move column-wise, nothing is re-hashed).
-  RowDedupSink sink(&out);
-  for (const auto& morsel_out : morsels) {
-    for (size_t i = 0; i < morsel_out.rows.NumRows(); ++i) {
-      sink.InsertFrom(morsel_out.rows, i, morsel_out.hashes[i]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-BindingTable TableJoinParallel(const BindingTable& a, const BindingTable& b,
-                               size_t parallelism, size_t morsel_rows) {
-  return JoinParallelTracked(a, b, parallelism, morsel_rows, nullptr);
 }
 
 /// Owns the build index and the chunk-spanning dedup state; lazily
@@ -438,35 +326,38 @@ BindingTable TableJoinParallel(const BindingTable& a, const BindingTable& b,
 struct StreamingJoinProbe::Impl {
   BindingTable build;
   bool swap_output;
+  bool left_outer;
   bool started = false;
   std::vector<std::pair<size_t, size_t>> shared;
   std::vector<size_t> b_extra;
   /// Accumulated join output in probe-first column order.
   BindingTable out;
-  /// Empty table carrying the probe side's columns and provenance (the
-  /// swap-output re-merge rebuilds the canonical schema from it).
-  BindingTable probe_schema;
+  /// The probe side's columns and provenance (the swap-output re-merge
+  /// rebuilds the canonical schema from them); in left-outer mode also
+  /// the probe rows that matched no build row, in arrival order.
+  BindingTable unmatched;
   std::optional<ProbeIndex> index;
   std::optional<JoinDedupSink> sink;
 
-  Impl(BindingTable b, bool swap)
-      : build(std::move(b)), swap_output(swap) {}
+  Impl(BindingTable b, bool swap, bool outer)
+      : build(std::move(b)), swap_output(swap), left_outer(outer) {}
 
   void Start(const BindingTable& chunk) {
     started = true;
     shared = SharedColumns(chunk, build);
     out = JoinSchema(chunk, build, &b_extra);
-    probe_schema = BindingTable(chunk.columns());
+    unmatched = BindingTable(chunk.columns());
     for (const auto& [var, graph] : chunk.column_graphs()) {
-      probe_schema.SetColumnGraph(var, graph);
+      unmatched.SetColumnGraph(var, graph);
     }
     index.emplace(build, shared);
     sink.emplace(&out, chunk, build, shared, b_extra);
   }
 };
 
-StreamingJoinProbe::StreamingJoinProbe(BindingTable build, bool swap_output)
-    : impl_(new Impl(std::move(build), swap_output)) {}
+StreamingJoinProbe::StreamingJoinProbe(BindingTable build, bool swap_output,
+                                       bool left_outer)
+    : impl_(new Impl(std::move(build), swap_output, left_outer)) {}
 
 StreamingJoinProbe::~StreamingJoinProbe() = default;
 
@@ -474,12 +365,17 @@ void StreamingJoinProbe::Probe(const BindingTable& chunk) {
   Impl& s = *impl_;
   if (!s.started) s.Start(chunk);
   s.sink->SetProbe(chunk);
+  std::vector<size_t> missed;
   for (size_t ra = 0; ra < chunk.NumRows(); ++ra) {
+    bool matched = false;
     s.index->ForEachCandidate(chunk, ra, s.shared, [&](size_t rb) {
       if (!CompatibleAt(chunk, ra, s.build, rb, s.shared)) return;
+      matched = true;
       s.sink->InsertPair(ra, rb);
     });
+    if (s.left_outer && !matched) missed.push_back(ra);
   }
+  s.unmatched.AppendRowsFrom(chunk, missed);
 }
 
 BindingTable StreamingJoinProbe::Finish() {
@@ -487,6 +383,16 @@ BindingTable StreamingJoinProbe::Finish() {
   // No chunks at all: behave exactly like joining the empty table a
   // drained probe side would have produced.
   if (!s.started) s.Start(BindingTable());
+  if (s.left_outer) {
+    // (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2): the rows that matched nothing follow the
+    // joined rows in probe order, deduplicated through the join's own
+    // seen set, so the joined rows are not hashed a second time as
+    // TableUnion would.
+    s.sink->SetProbe(s.unmatched);
+    for (size_t r = 0; r < s.unmatched.NumRows(); ++r) {
+      s.sink->InsertUnmatched(r);
+    }
+  }
   if (!s.swap_output) return std::move(s.out);
   // Canonical build-first schema, every column moved wholesale from the
   // equally-named probe-first column. Cell values agree pair-by-pair with
@@ -494,7 +400,7 @@ BindingTable StreamingJoinProbe::Finish() {
   // unbound one was filled from the other side either way), so only row
   // order differs.
   std::vector<size_t> extra;
-  BindingTable canonical = JoinSchema(s.build, s.probe_schema, &extra);
+  BindingTable canonical = JoinSchema(s.build, s.unmatched, &extra);
   std::vector<size_t> kept(canonical.NumColumns());
   for (size_t c = 0; c < canonical.NumColumns(); ++c) {
     kept[c] = s.out.ColumnIndex(canonical.columns()[c]);
@@ -609,30 +515,6 @@ BindingTable TableLeftOuterJoin(const BindingTable& a,
                                 const BindingTable& b) {
   BindingTable joined = TableJoin(a, b);
   BindingTable missing = TableAntijoin(a, b);
-  return TableUnion(joined, missing);
-}
-
-BindingTable TableLeftOuterJoinParallel(const BindingTable& a,
-                                        const BindingTable& b,
-                                        size_t parallelism,
-                                        size_t morsel_rows) {
-  // The join probe already visits every candidate of every a-row, so it
-  // harvests the antijoin for free: rows that matched nothing are the
-  // ∖-side, gathered in a-order exactly as TableAntijoin would emit them
-  // — one hash build and one probe pass for the whole ⟕.
-  std::vector<char> matched(a.NumRows(), 0);
-  BindingTable joined =
-      JoinParallelTracked(a, b, parallelism, morsel_rows, &matched);
-  BindingTable missing(a.columns());
-  for (const auto& [var, graph] : a.column_graphs()) {
-    missing.SetColumnGraph(var, graph);
-  }
-  std::vector<size_t> kept;
-  kept.reserve(a.NumRows());
-  for (size_t r = 0; r < a.NumRows(); ++r) {
-    if (matched[r] == 0) kept.push_back(r);
-  }
-  missing.AppendRowsFrom(a, kept);
   return TableUnion(joined, missing);
 }
 

@@ -18,8 +18,8 @@
 namespace gcore {
 
 /// Ω1 ∪ Ω2 over the merged schema. Duplicate elimination is fused into
-/// output construction (RowDedupSink) — the result is a set without a
-/// second pass.
+/// output construction (one seen set over the output rows) — the result
+/// is a set without a second pass.
 BindingTable TableUnion(const BindingTable& a, const BindingTable& b);
 
 /// Ω1 ⋈ Ω2: one output row µ1 ∪ µ2 per compatible pair. Dedup is fused
@@ -28,35 +28,30 @@ BindingTable TableUnion(const BindingTable& a, const BindingTable& b);
 /// trailing whole-table rehash is needed.
 BindingTable TableJoin(const BindingTable& a, const BindingTable& b);
 
-/// Ω1 ⋈ Ω2 with a hash-partitioned build and a morsel-parallel probe:
-/// build rows are partitioned by shared-column hash, probe morsels run
-/// on `parallelism` worker threads each with its own seen-set, and the
-/// per-morsel fragments are merged in probe order re-using the hashes
-/// computed by the workers. Output rows *and their order* are identical
-/// to TableJoin for every parallelism value (falls back to the serial
-/// fused path for small inputs, parallelism <= 1, or probe rows with
-/// unbound shared columns, whose candidate enumeration order is
-/// index-dependent). `morsel_rows` sets the probe-morsel granularity
-/// (0 = default; the executor threads ExecContext::morsel_size through
-/// so tests can force the partitioned path on tiny inputs).
-BindingTable TableJoinParallel(const BindingTable& a, const BindingTable& b,
-                               size_t parallelism, size_t morsel_rows = 0);
-
-/// Streaming probe side of Ω1 ⋈ Ω2: the build table is indexed once up
-/// front, then probe chunks are pushed in arrival order — the hash join
-/// no longer drains its probe input, so probing overlaps the upstream
+/// Streaming probe side of Ω1 ⋈ Ω2 — the one hash-join kernel every
+/// HashJoin and LeftOuterJoin operator runs: the build table is indexed
+/// once up front, then probe chunks are pushed in arrival order, so the
+/// join never drains its probe input and probing overlaps the upstream
 /// pipeline that is still producing it. Dedup state spans chunks, so the
 /// result is pinned byte-identical (rows *and* order) to draining the
-/// probe side and calling TableJoinParallel(probe, build). With
-/// `swap_output`, Finish() re-merges the probe-first columns into the
-/// canonical build-first schema of TableJoin(build, probe): the planner
-/// requests this (PlanNode::swap_build) when statistics predict the
-/// right join input dwarfs the left, so the left is built over and the
-/// right probed, and only row order (probe order) differs from the
+/// probe side and calling TableJoin(probe, build).
+///
+/// With `swap_output`, Finish() re-merges the probe-first columns into
+/// the canonical build-first schema of TableJoin(build, probe): the
+/// planner requests this (PlanNode::swap_build) when statistics predict
+/// the right join input dwarfs the left, so the left is built over and
+/// the right probed, and only row order (probe order) differs from the
 /// unswapped join.
+///
+/// With `left_outer` (exclusive with `swap_output`), the probe side is
+/// Ω1 and the build side Ω2 of Ω1 ⟕ Ω2: every probe row that finds no
+/// compatible build row is kept, and Finish() appends those rows, in
+/// arrival order, after the joined ones with the build side's extra
+/// columns unbound — byte-identical to TableLeftOuterJoin(probe, build).
 class StreamingJoinProbe {
  public:
-  StreamingJoinProbe(BindingTable build, bool swap_output);
+  StreamingJoinProbe(BindingTable build, bool swap_output,
+                     bool left_outer = false);
   ~StreamingJoinProbe();
   StreamingJoinProbe(const StreamingJoinProbe&) = delete;
   StreamingJoinProbe& operator=(const StreamingJoinProbe&) = delete;
@@ -72,16 +67,6 @@ class StreamingJoinProbe {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2) with a morsel-parallel probe that
-/// computes both sides in one pass (rows matching nothing during the
-/// join probe are exactly the ∖ side) — OPTIONAL blocks stop serializing
-/// the pipeline. Byte-identical to TableLeftOuterJoin at every
-/// parallelism.
-BindingTable TableLeftOuterJoinParallel(const BindingTable& a,
-                                        const BindingTable& b,
-                                        size_t parallelism,
-                                        size_t morsel_rows = 0);
 
 /// Reusable probe side of Ω ⋉ Ω2: `inner` (Ω2) is hash-indexed once on
 /// the columns it shares with `outer_schema` (only its column names are
@@ -114,7 +99,8 @@ BindingTable TableSemijoin(const BindingTable& a, const BindingTable& b);
 /// Ω1 ∖ Ω2: rows of Ω1 with no compatible row in Ω2.
 BindingTable TableAntijoin(const BindingTable& a, const BindingTable& b);
 
-/// Ω1 ⟕ Ω2.
+/// Ω1 ⟕ Ω2, composed literally as (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2): the executable
+/// spec the streaming probe's left-outer mode is pinned to.
 BindingTable TableLeftOuterJoin(const BindingTable& a, const BindingTable& b);
 
 }  // namespace gcore

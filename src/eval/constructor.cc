@@ -1329,8 +1329,13 @@ struct Constructor::ItemState {
 Result<PathPropertyGraph> Constructor::EvalItem(const ConstructItem& item,
                                                 const BindingTable& bindings) {
   if (!item.graph_ref.empty()) {
-    GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* g,
-                           ctx_.catalog->Lookup(item.graph_ref));
+    // The version the MATCH pinned, like every other λ/σ read of the
+    // tail; a name the resolver cannot answer reports the catalog's error.
+    const PathPropertyGraph* g =
+        ctx_.resolve_graph ? ctx_.resolve_graph(item.graph_ref) : nullptr;
+    if (g == nullptr) {
+      GCORE_ASSIGN_OR_RETURN(g, ctx_.catalog->Lookup(item.graph_ref));
+    }
     return PathPropertyGraph(*g);
   }
   if (!item.pattern.has_value()) {

@@ -475,17 +475,16 @@ class DrainingFilterOp : public PhysicalOp {
   bool done_ = false;
 };
 
-/// Natural join of two subplans. Only the build side is drained; the
-/// probe side's chunks are joined as they arrive (StreamingJoinProbe),
-/// so probing overlaps whatever pipeline is still producing them.
+/// Natural join (HashJoin) or OPTIONAL's left outer join (LeftOuterJoin)
+/// of two subplans, both run by StreamingJoinProbe. Only the build side
+/// is drained; the probe side's chunks are joined as they arrive, so
+/// probing overlaps whatever pipeline is still producing them.
 class HashJoinOp : public PhysicalOp {
  public:
-  HashJoinOp(const PlanNode* plan, OpPtr left, OpPtr right, ExecContext exec,
-             ExecStats* stats)
+  HashJoinOp(const PlanNode* plan, OpPtr left, OpPtr right, ExecStats* stats)
       : plan_(plan),
         left_(std::move(left)),
         right_(std::move(right)),
-        exec_(exec),
         stats_(stats) {}
 
   Result<std::optional<BindingTable>> Next() override {
@@ -497,8 +496,10 @@ class HashJoinOp : public PhysicalOp {
     // larger — the planner's build-side rule. Never a runtime size check,
     // so execution stays deterministic for a given plan. The streamed
     // result is pinned byte-identical to draining both sides and calling
-    // TableJoinParallel (swapped: TableJoin with the inputs reversed,
-    // columns re-merged into the canonical order).
+    // TableJoin (swapped: with the inputs reversed, columns re-merged into
+    // the canonical order) or, for ⟕, TableLeftOuterJoin: the planner
+    // never swaps a LeftOuterJoin, so the main plan on the left is probed
+    // and the OPTIONAL block built over.
     PhysicalOp* build_op = plan_->swap_build ? left_.get() : right_.get();
     PhysicalOp* probe_op = plan_->swap_build ? right_.get() : left_.get();
     GCORE_ASSIGN_OR_RETURN(BindingTable build, Drain(build_op));
@@ -506,7 +507,8 @@ class HashJoinOp : public PhysicalOp {
     // merge — but not the probe child's Next() calls in between.
     double own_ms = 0.0;
     auto t0 = std::chrono::steady_clock::now();
-    StreamingJoinProbe probe(std::move(build), plan_->swap_build);
+    StreamingJoinProbe probe(std::move(build), plan_->swap_build,
+                             plan_->op == PlanOp::kLeftOuterJoin);
     own_ms += MsSince(t0);
     while (true) {
       GCORE_ASSIGN_OR_RETURN(std::optional<BindingTable> chunk,
@@ -530,44 +532,6 @@ class HashJoinOp : public PhysicalOp {
   const PlanNode* plan_;
   OpPtr left_;
   OpPtr right_;
-  ExecContext exec_;
-  ExecStats* stats_;
-  bool done_ = false;
-};
-
-/// OPTIONAL chaining: ⟕ of the main plan with one block. The composition
-/// (join ∪ antijoin) probes morsel-parallel (eval/binding_ops.h), so
-/// OPTIONAL blocks no longer serialize the pipeline.
-class LeftOuterJoinOp : public PhysicalOp {
- public:
-  LeftOuterJoinOp(const PlanNode* plan, OpPtr left, OpPtr right,
-                  ExecContext exec, ExecStats* stats)
-      : plan_(plan),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        exec_(exec),
-        stats_(stats) {}
-
-  Result<std::optional<BindingTable>> Next() override {
-    if (done_) return Exhausted();
-    done_ = true;
-    GCORE_ASSIGN_OR_RETURN(BindingTable left, Drain(left_.get()));
-    GCORE_ASSIGN_OR_RETURN(BindingTable right, Drain(right_.get()));
-    const auto t0 = std::chrono::steady_clock::now();
-    BindingTable joined = TableLeftOuterJoinParallel(
-        left, right, exec_.Degree(), exec_.MorselRows());
-    if (stats_ != nullptr) {
-      stats_->Record(plan_, joined.NumRows());
-      stats_->RecordTime(plan_, MsSince(t0));
-    }
-    return Chunk(std::move(joined));
-  }
-
- private:
-  const PlanNode* plan_;
-  OpPtr left_;
-  OpPtr right_;
-  ExecContext exec_;
   ExecStats* stats_;
   bool done_ = false;
 };
@@ -808,17 +772,12 @@ Result<std::unique_ptr<PhysicalOp>> Executor::Build(const PlanNode& plan) {
                        MakeResidualFilterStage(runtime_, &plan, stats_),
                        exec_);
     }
-    case PlanOp::kHashJoin: {
-      GCORE_ASSIGN_OR_RETURN(OpPtr left, Build(*plan.children[0]));
-      GCORE_ASSIGN_OR_RETURN(OpPtr right, Build(*plan.children[1]));
-      return OpPtr(new HashJoinOp(&plan, std::move(left), std::move(right),
-                                  exec_, stats_));
-    }
+    case PlanOp::kHashJoin:
     case PlanOp::kLeftOuterJoin: {
       GCORE_ASSIGN_OR_RETURN(OpPtr left, Build(*plan.children[0]));
       GCORE_ASSIGN_OR_RETURN(OpPtr right, Build(*plan.children[1]));
-      return OpPtr(new LeftOuterJoinOp(&plan, std::move(left),
-                                       std::move(right), exec_, stats_));
+      return OpPtr(
+          new HashJoinOp(&plan, std::move(left), std::move(right), stats_));
     }
     case PlanOp::kProject: {
       GCORE_ASSIGN_OR_RETURN(OpPtr child, Build(*plan.children[0]));

@@ -7,10 +7,11 @@
 // between pipeline breakers (pushed filters, edge expansion, residual
 // WHERE, projection) are fused into per-morsel stages that a small
 // worker pool runs concurrently, reassembling results in input order so
-// execution is deterministic at every parallelism degree. Joins and the
-// final Project are pipeline breakers (they drain their inputs), as in
-// any hash-based executor; HashJoin uses the hash-partitioned parallel
-// join with fused duplicate elimination (eval/binding_ops.h).
+// execution is deterministic at every parallelism degree. HashJoin and
+// LeftOuterJoin drain only their build side and stream the probe side's
+// chunks through one hash-join kernel with fused duplicate elimination
+// (StreamingJoinProbe, eval/binding_ops.h); they and the final Project
+// are the pipeline breakers.
 #ifndef GCORE_PLAN_EXECUTOR_H_
 #define GCORE_PLAN_EXECUTOR_H_
 

@@ -144,46 +144,6 @@ TEST(TableJoin, DeduplicatesMergedRows) {
   EXPECT_EQ(TableJoin(a, b).NumRows(), 1u);
 }
 
-TEST(TableJoinParallel, IdenticalRowsAndOrderToSerialJoin) {
-  // Inputs large enough for the partitioned parallel path (> 2 morsels),
-  // with duplicate rows so cross-morsel dedup is exercised.
-  BindingTable a({"x", "y"});
-  for (uint64_t i = 0; i < 6000; ++i) {
-    ASSERT_TRUE(a.AddRow({N(i % 1500), N(10000 + i % 600)}).ok());
-  }
-  BindingTable b({"y", "z"});
-  for (uint64_t j = 0; j < 3000; ++j) {
-    ASSERT_TRUE(b.AddRow({N(10000 + j % 600), N(20000 + j % 900)}).ok());
-  }
-  const BindingTable serial = TableJoin(a, b);
-  for (size_t degree : {2, 4, 8}) {
-    const BindingTable parallel = TableJoinParallel(a, b, degree);
-    ASSERT_EQ(parallel.NumRows(), serial.NumRows()) << degree;
-    EXPECT_EQ(parallel.columns(), serial.columns());
-    for (size_t r = 0; r < serial.NumRows(); ++r) {
-      ASSERT_EQ(parallel.Row(r), serial.Row(r)) << "row " << r;
-    }
-  }
-}
-
-TEST(TableJoinParallel, UnboundSharedColumnsFallBackToSerial) {
-  BindingTable a({"x", "y"});
-  for (uint64_t i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(a.AddRow({N(i), N(10000 + i % 100)}).ok());
-  }
-  ASSERT_TRUE(a.AddRow({N(5000), Datum::Unbound()}).ok());
-  BindingTable b({"y", "z"});
-  for (uint64_t j = 0; j < 100; ++j) {
-    ASSERT_TRUE(b.AddRow({N(10000 + j), N(20000 + j)}).ok());
-  }
-  const BindingTable serial = TableJoin(a, b);
-  const BindingTable parallel = TableJoinParallel(a, b, 4);
-  ASSERT_EQ(parallel.NumRows(), serial.NumRows());
-  for (size_t r = 0; r < serial.NumRows(); ++r) {
-    ASSERT_EQ(parallel.Row(r), serial.Row(r)) << "row " << r;
-  }
-}
-
 TEST(TableJoin, EmptyOperandYieldsEmpty) {
   BindingTable a = Make({"x"}, {});
   BindingTable b = Make({"x"}, {{N(1)}});
@@ -196,8 +156,9 @@ TEST(TableJoin, EmptyOperandYieldsEmpty) {
 /// Pushes `probe` through a StreamingJoinProbe in chunks of `chunk_rows`
 /// (the last one ragged), as the executor would on arriving morsels.
 BindingTable StreamJoin(const BindingTable& probe, const BindingTable& build,
-                        bool swap_output, size_t chunk_rows) {
-  StreamingJoinProbe stream(build, swap_output);
+                        bool swap_output, size_t chunk_rows,
+                        bool left_outer = false) {
+  StreamingJoinProbe stream(build, swap_output, left_outer);
   for (size_t lo = 0; lo < probe.NumRows(); lo += chunk_rows) {
     BindingTable chunk(probe.columns());
     for (const auto& [var, graph] : probe.column_graphs()) {
@@ -223,22 +184,35 @@ void ExpectSameRowsAndOrder(const BindingTable& got,
 
 TEST(StreamingJoinProbe, PinnedToDrainedJoinAtEveryChunking) {
   // Duplicates across chunk boundaries exercise the chunk-spanning dedup
-  // state; unbound shared cells exercise the wildcard paths.
+  // state; unbound shared cells on either side exercise the wildcard
+  // paths; left rows whose x the build side never binds have no partner,
+  // so the left outer join's ∖ side is non-empty (and holds duplicates).
   BindingTable a({"x", "y"});
   for (uint64_t i = 0; i < 500; ++i) {
     ASSERT_TRUE(a.AddRow({N(i % 120), N(10000 + i % 40)}).ok());
   }
   ASSERT_TRUE(a.AddRow({N(7), Datum::Unbound()}).ok());
-  BindingTable b({"y", "z"});
-  for (uint64_t j = 0; j < 200; ++j) {
-    ASSERT_TRUE(b.AddRow({N(10000 + j % 40), N(20000 + j % 60)}).ok());
+  for (uint64_t i = 0; i < 60; ++i) {
+    ASSERT_TRUE(a.AddRow({N(500 + i % 20), N(10000 + i % 20)}).ok());
   }
-  ASSERT_TRUE(b.AddRow({Datum::Unbound(), N(20001)}).ok());
+  ASSERT_TRUE(a.AddRow({N(600), Datum::Unbound()}).ok());
+  BindingTable b({"x", "y", "z"});
+  for (uint64_t j = 0; j < 200; ++j) {
+    ASSERT_TRUE(
+        b.AddRow({N(j % 120), N(10000 + j % 40), N(20000 + j % 60)}).ok());
+  }
+  ASSERT_TRUE(b.AddRow({N(7), Datum::Unbound(), N(20001)}).ok());
+  ASSERT_TRUE(b.AddRow({Datum::Unbound(), N(10003), N(20002)}).ok());
   const BindingTable drained = TableJoin(a, b);
+  const BindingTable outer = TableLeftOuterJoin(a, b);
+  ASSERT_GT(outer.NumRows(), drained.NumRows());
   for (size_t chunk_rows : {1, 7, 64, 100000}) {
     ExpectSameRowsAndOrder(StreamJoin(a, b, /*swap_output=*/false,
                                       chunk_rows),
                            drained);
+    ExpectSameRowsAndOrder(StreamJoin(a, b, /*swap_output=*/false,
+                                      chunk_rows, /*left_outer=*/true),
+                           outer);
   }
 }
 
@@ -292,6 +266,12 @@ TEST(StreamingJoinProbe, NoChunksBehavesAsEmptyDrainedProbe) {
     const BindingTable out = stream.Finish();
     EXPECT_EQ(out.NumRows(), 0u);
     EXPECT_EQ(out.columns(), build.columns());
+  }
+  {
+    StreamingJoinProbe stream(build, /*swap_output=*/false,
+                              /*left_outer=*/true);
+    ExpectSameRowsAndOrder(stream.Finish(),
+                           TableLeftOuterJoin(BindingTable(), build));
   }
 }
 

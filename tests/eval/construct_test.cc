@@ -316,8 +316,8 @@ TEST_F(ConstructTest, ConstructWithoutMatchUsesUnitBinding) {
 
 TEST(ConstructProvenance, ReadsThePinnedGraphNotTheCatalogs) {
   // The bindings were matched on `pinned`; the catalog has since
-  // re-registered "g" with other λ/σ. Bound objects, copies and
-  // assignments must all read the pinned version.
+  // re-registered "g" with other λ/σ. Bound objects, copies, assignments
+  // and the `CONSTRUCT g, …` graph item must all read the pinned version.
   GraphCatalog catalog;
   // Ids from the catalog's allocator, so the copy's fresh id is new.
   const NodeId n = catalog.ids()->NextNode();
@@ -345,7 +345,7 @@ TEST(ConstructProvenance, ReadsThePinnedGraphNotTheCatalogs) {
                            Datum::OfNode(m)})
                   .ok());
   auto query = ParseQuery(
-      "CONSTRUCT (n {u:=n.v})-[e]->(m), (=n) MATCH (n)-[e]->(m)");
+      "CONSTRUCT g, (n {u:=n.v})-[e]->(m), (=n) MATCH (n)-[e]->(m)");
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   const ConstructClause& construct = *(*query)->body->basic->construct;
 

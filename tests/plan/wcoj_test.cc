@@ -388,32 +388,6 @@ TEST_F(BuildSideTest, SkewedJoinMarksSwapBuildAndPreservesResults) {
   EXPECT_EQ(a.ToString(), c.ToString());
 }
 
-// --- parallel left outer join ------------------------------------------------
-
-TEST(ParallelLeftOuterJoinTest, MatchesSerialCompositionExactly) {
-  // Tables with matching and non-matching rows and a heavy shared column.
-  BindingTable a({"x", "y"});
-  BindingTable b({"y", "z"});
-  for (uint64_t i = 0; i < 64; ++i) {
-    Status st = a.AddRow({Datum::OfNode(NodeId(i)),
-                          Datum::OfNode(NodeId(1000 + i % 8))});
-    ASSERT_TRUE(st.ok());
-  }
-  for (uint64_t j = 0; j < 5; ++j) {
-    Status st = b.AddRow({Datum::OfNode(NodeId(1000 + j)),
-                          Datum::OfNode(NodeId(2000 + j))});
-    ASSERT_TRUE(st.ok());
-  }
-  const BindingTable serial = TableLeftOuterJoin(a, b);
-  EXPECT_FALSE(serial.Empty());
-  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-    const BindingTable parallel =
-        TableLeftOuterJoinParallel(a, b, parallelism, /*morsel_rows=*/4);
-    EXPECT_EQ(parallel.ToString(), serial.ToString())
-        << "parallelism=" << parallelism;
-  }
-}
-
 // The swapped streaming join (build over a, probe b) produces the same
 // set as TableJoin with canonical schema and provenance (only row order
 // may differ).
