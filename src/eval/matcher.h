@@ -7,7 +7,7 @@
 //
 // Since the planner refactor, `EvalMatchClause` lowers the clause to a
 // logical plan (plan/planner.h), optimizes it, and runs it through the
-// pull-based executor (plan/executor.h). The pre-planner recursive
+// morsel-pipeline executor (plan/executor.h). The pre-planner recursive
 // tree-walk is kept as a reference implementation (`use_planner = false`)
 // for differential testing; both paths share the pattern-element
 // primitives below, so their semantics cannot drift apart.

@@ -10,10 +10,12 @@
 //     indices instead of a std::map walk plus string compares. The
 //     snapshot is the only graph the path kernels read.
 //
-//   * ParallelFor — a deterministic fan-out helper: fixed contiguous
-//     slicing over an index range onto at most `parallelism` worker
-//     threads. Callers keep per-index output slots, so results are a
-//     pure function of the input regardless of thread schedule.
+//   * ParallelFor — the engine's one fan-out primitive, also serving the
+//     plan executor's morsel pipelines (plan/executor.h): threads claim
+//     indices of a range through an atomic counter, at most
+//     `parallelism` of them, the calling thread included. Callers keep
+//     per-index output slots, so results are a pure function of the
+//     input regardless of thread schedule.
 //
 //   * ViewResolver / ViewBackIndex — a per-sweep name cache for the
 //     views that kViewRef transitions traverse, and a lazily built
@@ -44,10 +46,13 @@ namespace gcore {
 /// result is always >= 1.
 size_t ResolveParallelism(size_t requested);
 
-/// Runs fn(i) for i in [0, n) across at most `parallelism` threads.
-/// Work is claimed via an atomic counter, but each index owns its own
-/// output slot, so results never depend on the schedule. fn must not
-/// throw; report errors through per-index slots.
+/// Runs fn(i) for i in [0, n) across at most min(`parallelism`, n)
+/// threads, the calling thread one of them (resolved by
+/// ResolveParallelism); with one, every index runs in order on the
+/// calling thread and no thread starts. Work is claimed via an atomic
+/// counter, but each index owns its own output slot, so results never
+/// depend on the schedule. fn must not throw; report errors through
+/// per-index slots.
 void ParallelFor(size_t parallelism, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -1,26 +1,19 @@
 #include "plan/executor.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "eval/binding_ops.h"
 #include "eval/matcher.h"
+#include "paths/frontier.h"
 #include "plan/wcoj.h"
 
 namespace gcore {
-
-size_t ExecContext::Degree() const {
-  if (parallelism > 0) return parallelism;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 void ExecStats::Record(const PlanNode* node, size_t rows) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -101,8 +94,21 @@ bool ExprParallelSafe(const Expr& expr) {
 
 namespace {
 
+/// An operator's output: an ordered list of morsel tables sharing one
+/// schema (and column provenance), never empty, so an empty result still
+/// carries the binding schema.
+using Morsels = std::vector<BindingTable>;
+
+/// One operator of the physical pipeline.
+class PhysicalOp {
+ public:
+  virtual ~PhysicalOp() = default;
+  /// Evaluates the children (a join's build side first), then this
+  /// operator's own work.
+  virtual Result<Morsels> Run() = 0;
+};
+
 using OpPtr = std::unique_ptr<PhysicalOp>;
-using Chunk = std::optional<BindingTable>;
 
 bool ExprsParallelSafe(const std::vector<const Expr*>& exprs) {
   for (const Expr* e : exprs) {
@@ -118,30 +124,21 @@ bool PropsParallelSafe(const std::vector<PropPattern>& props) {
   return true;
 }
 
-/// Lifts a table result into the chunk protocol (Result's implicit
-/// conversions do not chain through std::optional).
-Result<Chunk> AsChunk(Result<BindingTable> result) {
-  if (!result.ok()) return result.status();
-  return Chunk(std::move(result).value());
+Morsels OneMorsel(BindingTable table) {
+  Morsels out;
+  out.push_back(std::move(table));
+  return out;
 }
 
-Result<Chunk> Exhausted() { return Chunk(); }
-
-/// Pulls every chunk of `op` into one table. Chunks of one operator share
-/// a schema (and column provenance), so columns concatenate directly
-/// (bulk range appends, no row walks).
+/// Runs `op` into one table. Its morsels share a schema (and column
+/// provenance), so columns concatenate directly (bulk range appends, no
+/// row walks); each morsel is freed once appended.
 Result<BindingTable> Drain(PhysicalOp* op) {
-  BindingTable out;
-  bool first = true;
-  while (true) {
-    GCORE_ASSIGN_OR_RETURN(std::optional<BindingTable> chunk, op->Next());
-    if (!chunk.has_value()) break;
-    if (first) {
-      out = std::move(*chunk);
-      first = false;
-      continue;
-    }
-    out.AppendTable(*chunk);
+  GCORE_ASSIGN_OR_RETURN(Morsels morsels, op->Run());
+  BindingTable out = std::move(morsels.front());
+  for (size_t i = 1; i < morsels.size(); ++i) {
+    out.AppendTable(morsels[i]);
+    morsels[i] = BindingTable();
   }
   return out;
 }
@@ -159,8 +156,7 @@ BindingTable EmptyLike(const BindingTable& like) {
 /// chunks still propagate the schema), appending to `out`. Morsels are
 /// column-range slices — bulk copies of the dense kind/slot arrays, not
 /// row-by-row moves.
-void SplitIntoMorsels(BindingTable chunk, size_t morsel_rows,
-                      std::deque<BindingTable>* out) {
+void SplitIntoMorsels(BindingTable chunk, size_t morsel_rows, Morsels* out) {
   if (chunk.NumRows() <= morsel_rows) {
     out->push_back(std::move(chunk));
     return;
@@ -172,243 +168,125 @@ void SplitIntoMorsels(BindingTable chunk, size_t morsel_rows,
 }
 
 /// One fused per-morsel stage of a pipeline: `prepare` runs once on the
-/// coordinator thread (graph resolution, adjacency warm-up — anything
-/// that mutates shared runtime state); `fn` transforms one morsel and,
-/// when `thread_safe`, may run concurrently on worker threads.
+/// calling thread (graph resolution, adjacency warm-up — anything that
+/// mutates shared runtime state); `fn` transforms one morsel and, when
+/// `thread_safe`, may run concurrently on ParallelFor's threads.
 struct Stage {
   std::function<Status()> prepare;
   std::function<Result<BindingTable>(BindingTable)> fn;
   bool thread_safe = true;
 };
 
-/// Morsel-parallel pipeline segment: pulls chunks from `child`, re-slices
-/// them into morsels, applies the fused stages to each morsel and emits
-/// results in input order (deterministic at every parallelism degree).
-/// With parallelism 1 — or when any stage's expressions could re-enter
-/// the runtime (EXISTS, pattern predicates) — everything runs serially
-/// on the calling thread, which is exactly the pre-morsel behavior.
+/// Morsel-parallel pipeline segment: slices its child's output into
+/// morsels and applies the fused stages to each through ParallelFor, every
+/// result in its morsel's slot, so the output is in input order at every
+/// parallelism degree. With parallelism 1 — or when any stage's
+/// expressions could re-enter the runtime (EXISTS, pattern predicates) —
+/// the morsels run serially, in order, on the calling thread; so does a
+/// one-morsel input. Once a morsel fails, later morsels are skipped and
+/// the lowest failing morsel's status is returned: the error serial
+/// evaluation returns.
 class PipelineOp : public PhysicalOp {
  public:
   PipelineOp(OpPtr child, ExecContext exec)
       : child_(std::move(child)), exec_(exec) {}
 
-  ~PipelineOp() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      abort_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
   void AddStage(Stage stage) { stages_.push_back(std::move(stage)); }
 
-  Result<Chunk> Next() override {
-    if (!started_) {
-      started_ = true;
-      for (auto& stage : stages_) {
-        if (stage.prepare) GCORE_RETURN_NOT_OK(stage.prepare());
-      }
-      bool safe = !stages_.empty();
-      for (const auto& stage : stages_) safe = safe && stage.thread_safe;
-      if (safe && exec_.Degree() > 1) StartWorkers();
+  Result<Morsels> Run() override {
+    bool safe = true;
+    for (const auto& stage : stages_) {
+      if (stage.prepare) GCORE_RETURN_NOT_OK(stage.prepare());
+      safe = safe && stage.thread_safe;
     }
-    return workers_.empty() ? SerialNext() : ParallelNext();
+    Morsels morsels;
+    {
+      GCORE_ASSIGN_OR_RETURN(Morsels input, child_->Run());
+      for (auto& chunk : input) {
+        SplitIntoMorsels(std::move(chunk), exec_.MorselRows(), &morsels);
+      }
+    }
+    const size_t n = morsels.size();
+    Morsels out(n);
+    std::vector<Status> errors(n, Status::OK());
+    std::atomic<size_t> first_failed{n};
+    ParallelFor(safe ? exec_.parallelism : 1, n, [&](size_t i) {
+      if (i > first_failed.load()) return;  // a lower morsel already failed
+      auto result = ApplyStages(std::move(morsels[i]));
+      if (result.ok()) {
+        out[i] = std::move(result).value();
+        return;
+      }
+      errors[i] = result.status();
+      size_t seen = first_failed.load();
+      while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {
+      }
+    });
+    if (first_failed < n) return errors[first_failed];
+    return out;
   }
 
  private:
-  Result<BindingTable> ApplyStages(BindingTable morsel) {
+  Result<BindingTable> ApplyStages(BindingTable morsel) const {
     for (const auto& stage : stages_) {
       GCORE_ASSIGN_OR_RETURN(morsel, stage.fn(std::move(morsel)));
     }
     return morsel;
   }
 
-  Result<Chunk> SerialNext() {
-    while (true) {
-      if (!pending_.empty()) {
-        BindingTable morsel = std::move(pending_.front());
-        pending_.pop_front();
-        return AsChunk(ApplyStages(std::move(morsel)));
-      }
-      GCORE_ASSIGN_OR_RETURN(Chunk chunk, child_->Next());
-      if (!chunk.has_value()) return Exhausted();
-      SplitIntoMorsels(std::move(*chunk), exec_.MorselRows(), &pending_);
-    }
-  }
-
-  void StartWorkers() {
-    // Loop over a local bound: a fast worker may drain the whole source
-    // and decrement active_workers_ before the next thread is spawned.
-    const size_t degree = exec_.Degree();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      active_workers_ = degree;
-    }
-    workers_.reserve(degree);
-    for (size_t t = 0; t < degree; ++t) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  /// Workers pull the (serial) child under the pipeline mutex, transform
-  /// morsels unlocked, and deposit results keyed by sequence number.
-  void WorkerLoop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (true) {
-      if (abort_) break;
-      if (pending_.empty()) {
-        if (source_done_) break;
-        auto chunk = child_->Next();
-        if (!chunk.ok()) {
-          error_ = chunk.status();
-          abort_ = true;
-          break;
-        }
-        if (!chunk->has_value()) {
-          source_done_ = true;
-          break;
-        }
-        SplitIntoMorsels(std::move(**chunk), exec_.MorselRows(), &pending_);
-        continue;
-      }
-      BindingTable morsel = std::move(pending_.front());
-      pending_.pop_front();
-      const size_t seq = next_seq_++;
-      lk.unlock();
-      auto result = ApplyStages(std::move(morsel));
-      lk.lock();
-      if (!result.ok()) {
-        if (error_.ok()) error_ = result.status();
-        abort_ = true;
-      } else {
-        done_.emplace(seq, std::move(*result));
-      }
-      cv_.notify_all();
-    }
-    --active_workers_;
-    cv_.notify_all();
-  }
-
-  Result<Chunk> ParallelNext() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] {
-      return abort_ || done_.count(emit_seq_) > 0 ||
-             (active_workers_ == 0 && emit_seq_ >= next_seq_);
-    });
-    if (abort_) return error_.ok() ? Status::EvaluationError(
-                                         "pipeline aborted")
-                                   : error_;
-    auto it = done_.find(emit_seq_);
-    if (it == done_.end()) return Exhausted();
-    BindingTable chunk = std::move(it->second);
-    done_.erase(it);
-    ++emit_seq_;
-    return Chunk(std::move(chunk));
-  }
-
   OpPtr child_;
   ExecContext exec_;
   std::vector<Stage> stages_;
-  bool started_ = false;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<BindingTable> pending_;
-  std::map<size_t, BindingTable> done_;
-  std::vector<std::thread> workers_;
-  size_t active_workers_ = 0;
-  size_t next_seq_ = 0;
-  size_t emit_seq_ = 0;
-  bool source_done_ = false;
-  bool abort_ = false;
-  Status error_ = Status::OK();
 };
 
-/// NodeScan: all admitted nodes of the operator's graph, emitted as
-/// fixed-size morsels. Pushed predicates run as a pipeline stage above
-/// (which then owns the operator's actual-row recording — est_rows of a
-/// scan includes its pushed conjuncts, so actual_rows must too).
+/// NodeScan: all admitted nodes of the operator's graph as one table (the
+/// pipeline above slices it into morsels). Pushed predicates run as a
+/// pipeline stage above (which then owns the operator's actual-row
+/// recording — est_rows of a scan includes its pushed conjuncts, so
+/// actual_rows must too).
 class NodeScanOp : public PhysicalOp {
  public:
-  NodeScanOp(Matcher* rt, const PlanNode* plan, ExecContext exec,
-             ExecStats* stats)
-      : rt_(rt), plan_(plan), exec_(exec), stats_(stats) {}
+  NodeScanOp(Matcher* rt, const PlanNode* plan, ExecStats* stats)
+      : rt_(rt), plan_(plan), stats_(stats) {}
 
-  Result<std::optional<BindingTable>> Next() override {
+  Result<Morsels> Run() override {
     const auto t0 = std::chrono::steady_clock::now();
-    if (!started_) {
-      started_ = true;
-      GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* graph,
-                             rt_->ResolveGraph(plan_->graph));
-      GCORE_ASSIGN_OR_RETURN(
-          table_,
-          rt_->MatchStartNode(*plan_->node, *graph, graph->name(),
-                              plan_->var));
-      offset_ = 0;
-      if (table_.Empty()) {
-        emitted_empty_ = true;
-        return Emit(std::move(table_), t0);
-      }
+    GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* graph,
+                           rt_->ResolveGraph(plan_->graph));
+    GCORE_ASSIGN_OR_RETURN(
+        BindingTable table,
+        rt_->MatchStartNode(*plan_->node, *graph, graph->name(), plan_->var));
+    if (stats_ != nullptr && plan_->pushed.empty()) {
+      stats_->Record(plan_, table.NumRows());
+      stats_->RecordTime(plan_, MsSince(t0));
     }
-    if (emitted_empty_ || offset_ >= table_.NumRows()) return Exhausted();
-    const size_t morsel = exec_.MorselRows();
-    if (offset_ == 0 && table_.NumRows() <= morsel) {
-      offset_ = table_.NumRows();
-      return Emit(std::move(table_), t0);
-    }
-    const size_t hi = std::min(table_.NumRows(), offset_ + morsel);
-    BindingTable chunk = table_.Slice(offset_, hi);
-    offset_ = hi;
-    return Emit(std::move(chunk), t0);
+    return OneMorsel(std::move(table));
   }
 
  private:
-  Result<Chunk> Emit(BindingTable chunk,
-                     std::chrono::steady_clock::time_point t0) {
-    if (stats_ != nullptr && plan_->pushed.empty()) {
-      stats_->Record(plan_, chunk.NumRows());
-      stats_->RecordTime(plan_, MsSince(t0));
-    }
-    return Chunk(std::move(chunk));
-  }
-
   Matcher* rt_;
   const PlanNode* plan_;
-  ExecContext exec_;
   ExecStats* stats_;
-  BindingTable table_;
-  size_t offset_ = 0;
-  bool started_ = false;
-  bool emitted_empty_ = false;
 };
 
-/// PathSearch: one path hop (stored / SHORTEST / ALL / reachability) per
-/// pulled chunk. A breaker: the child's chunks arrive at morsel
-/// granularity, but the batched path kernels inside ExpandPathHop want
-/// the whole source set at once — one multi-source wave / batched
-/// k-shortest launch instead of N independent traversals — so the op
-/// drains its input (as HashJoin does) and expands it in a single
+/// PathSearch: one path hop (stored / SHORTEST / ALL / reachability). A
+/// breaker: the batched path kernels inside ExpandPathHop want the whole
+/// source set at once — one multi-source wave / batched k-shortest launch
+/// instead of N independent traversals — so the op concatenates its input
+/// (as HashJoin does with its build side) and expands it in a single
 /// internally-parallel call. Rows, row order and fresh path ids match
 /// per-row serial evaluation at every degree: the kernels are
-/// degree-invariant and the matcher draws ids in row-emission order,
-/// which made the old per-morsel temp-id remap machinery obsolete.
+/// degree-invariant and the matcher draws ids in row-emission order.
 class PathSearchOp : public PhysicalOp {
  public:
   PathSearchOp(Matcher* rt, const PlanNode* plan, OpPtr child,
-               ExecContext exec, ExecStats* stats)
-      : rt_(rt),
-        plan_(plan),
-        child_(std::move(child)),
-        exec_(exec),
-        stats_(stats) {}
+               ExecStats* stats)
+      : rt_(rt), plan_(plan), child_(std::move(child)), stats_(stats) {}
 
-  Result<std::optional<BindingTable>> Next() override {
-    if (done_) return Exhausted();
-    done_ = true;
+  Result<Morsels> Run() override {
     GCORE_ASSIGN_OR_RETURN(BindingTable input, Drain(child_.get()));
-    // Own-work timing starts after the child is drained: actual_ms is
-    // this operator's search + filter time, not its input's.
+    // Own-work timing starts after the child ran: actual_ms is this
+    // operator's search + filter time, not its input's.
     const auto t0 = std::chrono::steady_clock::now();
     const uint64_t evals = rt_->inner_evals();
     GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* graph,
@@ -426,16 +304,14 @@ class PathSearchOp : public PhysicalOp {
       stats_->RecordTime(plan_, MsSince(t0));
       stats_->RecordInnerEvals(plan_, rt_->inner_evals() - evals);
     }
-    return Chunk(std::move(filtered));
+    return OneMorsel(std::move(filtered));
   }
 
  private:
   Matcher* rt_;
   const PlanNode* plan_;
   OpPtr child_;
-  ExecContext exec_;
   ExecStats* stats_;
-  bool done_ = false;
 };
 
 /// Residual WHERE filter over aggregate-bearing predicates: a pipeline
@@ -447,9 +323,7 @@ class DrainingFilterOp : public PhysicalOp {
                    ExecStats* stats)
       : rt_(rt), plan_(plan), child_(std::move(child)), stats_(stats) {}
 
-  Result<std::optional<BindingTable>> Next() override {
-    if (done_) return Exhausted();
-    done_ = true;
+  Result<Morsels> Run() override {
     GCORE_ASSIGN_OR_RETURN(BindingTable table, Drain(child_.get()));
     const auto t0 = std::chrono::steady_clock::now();
     const uint64_t evals = rt_->inner_evals();
@@ -464,7 +338,7 @@ class DrainingFilterOp : public PhysicalOp {
       stats_->RecordTime(plan_, MsSince(t0));
       stats_->RecordInnerEvals(plan_, rt_->inner_evals() - evals);
     }
-    return Chunk(std::move(filtered));
+    return OneMorsel(std::move(filtered));
   }
 
  private:
@@ -472,13 +346,12 @@ class DrainingFilterOp : public PhysicalOp {
   const PlanNode* plan_;
   OpPtr child_;
   ExecStats* stats_;
-  bool done_ = false;
 };
 
 /// Natural join (HashJoin) or OPTIONAL's left outer join (LeftOuterJoin)
-/// of two subplans, both run by StreamingJoinProbe. Only the build side
-/// is drained; the probe side's chunks are joined as they arrive, so
-/// probing overlaps whatever pipeline is still producing them.
+/// of two subplans, both run by StreamingJoinProbe. The build side runs
+/// first and is concatenated; the probe side's morsels are then probed
+/// one by one, each freed once probed, so no probe-side copy is made.
 class HashJoinOp : public PhysicalOp {
  public:
   HashJoinOp(const PlanNode* plan, OpPtr left, OpPtr right, ExecStats* stats)
@@ -487,9 +360,7 @@ class HashJoinOp : public PhysicalOp {
         right_(std::move(right)),
         stats_(stats) {}
 
-  Result<std::optional<BindingTable>> Next() override {
-    if (done_) return Exhausted();
-    done_ = true;
+  Result<Morsels> Run() override {
     // Orientation is fixed at *plan* time: provenance and schema always
     // follow the left side (canonical order), and a swap_build plan
     // builds over the left when statistics predicted the right side much
@@ -503,29 +374,22 @@ class HashJoinOp : public PhysicalOp {
     PhysicalOp* build_op = plan_->swap_build ? left_.get() : right_.get();
     PhysicalOp* probe_op = plan_->swap_build ? right_.get() : left_.get();
     GCORE_ASSIGN_OR_RETURN(BindingTable build, Drain(build_op));
+    GCORE_ASSIGN_OR_RETURN(Morsels probe_side, probe_op->Run());
     // Own-work timing covers hash-table build, every probe and the final
-    // merge — but not the probe child's Next() calls in between.
-    double own_ms = 0.0;
-    auto t0 = std::chrono::steady_clock::now();
+    // merge — not the children.
+    const auto t0 = std::chrono::steady_clock::now();
     StreamingJoinProbe probe(std::move(build), plan_->swap_build,
                              plan_->op == PlanOp::kLeftOuterJoin);
-    own_ms += MsSince(t0);
-    while (true) {
-      GCORE_ASSIGN_OR_RETURN(std::optional<BindingTable> chunk,
-                             probe_op->Next());
-      if (!chunk.has_value()) break;
-      t0 = std::chrono::steady_clock::now();
-      probe.Probe(*chunk);
-      own_ms += MsSince(t0);
+    for (auto& morsel : probe_side) {
+      probe.Probe(morsel);
+      morsel = BindingTable();
     }
-    t0 = std::chrono::steady_clock::now();
     BindingTable joined = probe.Finish();
-    own_ms += MsSince(t0);
     if (stats_ != nullptr) {
       stats_->Record(plan_, joined.NumRows());
-      stats_->RecordTime(plan_, own_ms);
+      stats_->RecordTime(plan_, MsSince(t0));
     }
-    return Chunk(std::move(joined));
+    return OneMorsel(std::move(joined));
   }
 
  private:
@@ -533,63 +397,43 @@ class HashJoinOp : public PhysicalOp {
   OpPtr left_;
   OpPtr right_;
   ExecStats* stats_;
-  bool done_ = false;
 };
 
 /// Final projection: the column slicing runs as a per-morsel stage below
-/// (its chunks arrive here already slimmed, in input order); this breaker
-/// merges them through a fused dedup sink, restoring set semantics
-/// without a whole-table second pass.
+/// (its morsels arrive here already slimmed, in input order); this
+/// breaker merges them through a fused dedup sink, restoring set
+/// semantics without a whole-table second pass.
 class ProjectMergeOp : public PhysicalOp {
  public:
   ProjectMergeOp(const PlanNode* plan, OpPtr child, ExecStats* stats)
       : plan_(plan), child_(std::move(child)), stats_(stats) {}
 
-  Result<std::optional<BindingTable>> Next() override {
-    if (done_) return Exhausted();
-    done_ = true;
-    BindingTable out;
-    std::unique_ptr<RowDedupSink> sink;
-    // Own-work timing covers only the dedup-merge inserts, not the
-    // child's chunk production between them.
-    double own_ms = 0.0;
-    while (true) {
-      GCORE_ASSIGN_OR_RETURN(Chunk chunk, child_->Next());
-      if (!chunk.has_value()) break;
-      const auto t0 = std::chrono::steady_clock::now();
-      if (sink == nullptr) {
-        out = EmptyLike(*chunk);
-        sink = std::make_unique<RowDedupSink>(&out);
-      }
-      for (size_t r = 0; r < chunk->NumRows(); ++r) {
-        sink->InsertFrom(*chunk, r);
-      }
-      own_ms += MsSince(t0);
+  Result<Morsels> Run() override {
+    GCORE_ASSIGN_OR_RETURN(Morsels morsels, child_->Run());
+    // Own-work timing covers only the dedup-merge inserts.
+    const auto t0 = std::chrono::steady_clock::now();
+    BindingTable out = EmptyLike(morsels.front());
+    RowDedupSink sink(&out);
+    for (auto& morsel : morsels) {
+      for (size_t r = 0; r < morsel.NumRows(); ++r) sink.InsertFrom(morsel, r);
+      morsel = BindingTable();
     }
     if (stats_ != nullptr) {
       stats_->Record(plan_, out.NumRows());
-      stats_->RecordTime(plan_, own_ms);
+      stats_->RecordTime(plan_, MsSince(t0));
     }
-    return Chunk(std::move(out));
+    return OneMorsel(std::move(out));
   }
 
  private:
   const PlanNode* plan_;
   OpPtr child_;
   ExecStats* stats_;
-  bool done_ = false;
 };
 
-}  // namespace
-
-Executor::Executor(Matcher* runtime, ExecContext exec, ExecStats* stats)
-    : runtime_(runtime), exec_(exec), stats_(stats) {}
-
-namespace {
-
 /// Appends a stage to `child` if it is already a pipeline (stage fusion:
-/// one worker pool runs scan filters, expansions and projections of a
-/// segment back-to-back per morsel); otherwise opens a new pipeline.
+/// one fan-out runs scan filters, expansions and projections of a segment
+/// back-to-back per morsel); otherwise opens a new pipeline.
 OpPtr FuseStage(OpPtr child, Stage stage, ExecContext exec) {
   auto* pipeline = dynamic_cast<PipelineOp*>(child.get());
   if (pipeline == nullptr) {
@@ -601,17 +445,18 @@ OpPtr FuseStage(OpPtr child, Stage stage, ExecContext exec) {
   return child;
 }
 
-/// Shared stage state resolved once by Stage::prepare on the coordinator
-/// (graph resolution may register table-as-graph entries in the catalog;
-/// adjacency warm-up fills the Matcher cache) and read by workers.
+/// Shared stage state resolved once by Stage::prepare on the calling
+/// thread (graph resolution may register table-as-graph entries in the
+/// catalog; adjacency warm-up fills the Matcher cache) and read by every
+/// morsel's stage run.
 struct ResolvedGraph {
   const PathPropertyGraph* graph = nullptr;
 };
 
 /// Wraps a stage transform with actual-row and wall-time recording
 /// against `plan` (per-morsel counts and times accumulate; stages may run
-/// on worker threads, which ExecStats tolerates — worker times sum, so a
-/// parallel stage's actual_ms can exceed the query's wall clock). A stage
+/// on ParallelFor's threads, which ExecStats tolerates — thread times sum,
+/// so a parallel stage's actual_ms can exceed the query's wall clock). A stage
 /// that is not thread-safe may evaluate correlated predicates; it runs
 /// serially, so the growth of the runtime's inner-evaluation count across
 /// the call is its own.
@@ -655,7 +500,7 @@ Stage MakeExpandEdgeStage(Matcher* rt, const PlanNode* plan,
   Stage stage;
   stage.prepare = [rt, plan, resolved]() -> Status {
     GCORE_ASSIGN_OR_RETURN(resolved->graph, rt->ResolveGraph(plan->graph));
-    rt->Snapshot(*resolved->graph);  // warm the snapshot cache off the workers
+    rt->Snapshot(*resolved->graph);  // warm the snapshot cache up front
     return Status::OK();
   };
   stage.thread_safe = ExprsParallelSafe(plan->pushed) &&
@@ -677,15 +522,15 @@ Stage MakeExpandEdgeStage(Matcher* rt, const PlanNode* plan,
 
 /// MultiwayExpand: the worst-case-optimal cycle intersection (wcoj.h)
 /// runs as a fused per-morsel stage exactly like ExpandEdge — every input
-/// row expands independently, so the morsel protocol's ordered
-/// reassembly keeps output deterministic at every degree.
+/// row expands independently, so the pipeline's per-morsel result slots
+/// keep output deterministic at every degree.
 Stage MakeMultiwayExpandStage(Matcher* rt, const PlanNode* plan,
                               ExecStats* stats) {
   auto resolved = std::make_shared<ResolvedGraph>();
   Stage stage;
   stage.prepare = [rt, plan, resolved]() -> Status {
     GCORE_ASSIGN_OR_RETURN(resolved->graph, rt->ResolveGraph(plan->graph));
-    rt->Snapshot(*resolved->graph);  // warm the snapshot cache off the workers
+    rt->Snapshot(*resolved->graph);  // warm the snapshot cache up front
     return Status::OK();
   };
   // The rewrite only absorbs literal-filter props (admission needs no row
@@ -734,56 +579,55 @@ Stage MakeProjectStage(Matcher* rt, const PlanNode* plan) {
   return stage;
 }
 
-}  // namespace
-
-Result<std::unique_ptr<PhysicalOp>> Executor::Build(const PlanNode& plan) {
+/// Builds the operator tree for `plan`, fusing stateless operators into
+/// the pipeline below them.
+Result<OpPtr> Build(const PlanNode& plan, Matcher* rt, ExecContext exec,
+                    ExecStats* stats) {
+  auto build_child = [&](size_t i) {
+    return Build(*plan.children[i], rt, exec, stats);
+  };
   switch (plan.op) {
     case PlanOp::kNodeScan: {
-      OpPtr scan(new NodeScanOp(runtime_, &plan, exec_, stats_));
+      OpPtr scan(new NodeScanOp(rt, &plan, stats));
       if (plan.pushed.empty()) return scan;
-      return FuseStage(std::move(scan),
-                       MakePushedFilterStage(runtime_, &plan, stats_),
-                       exec_);
+      return FuseStage(std::move(scan), MakePushedFilterStage(rt, &plan, stats),
+                       exec);
     }
     case PlanOp::kExpandEdge: {
-      GCORE_ASSIGN_OR_RETURN(OpPtr child, Build(*plan.children[0]));
-      return FuseStage(std::move(child),
-                       MakeExpandEdgeStage(runtime_, &plan, stats_), exec_);
+      GCORE_ASSIGN_OR_RETURN(OpPtr child, build_child(0));
+      return FuseStage(std::move(child), MakeExpandEdgeStage(rt, &plan, stats),
+                       exec);
     }
     case PlanOp::kMultiwayExpand: {
-      GCORE_ASSIGN_OR_RETURN(OpPtr child, Build(*plan.children[0]));
+      GCORE_ASSIGN_OR_RETURN(OpPtr child, build_child(0));
       return FuseStage(std::move(child),
-                       MakeMultiwayExpandStage(runtime_, &plan, stats_),
-                       exec_);
+                       MakeMultiwayExpandStage(rt, &plan, stats), exec);
     }
     case PlanOp::kPathSearch: {
-      GCORE_ASSIGN_OR_RETURN(OpPtr child, Build(*plan.children[0]));
-      return OpPtr(
-          new PathSearchOp(runtime_, &plan, std::move(child), exec_,
-                           stats_));
+      GCORE_ASSIGN_OR_RETURN(OpPtr child, build_child(0));
+      return OpPtr(new PathSearchOp(rt, &plan, std::move(child), stats));
     }
     case PlanOp::kFilter: {
-      GCORE_ASSIGN_OR_RETURN(OpPtr child, Build(*plan.children[0]));
+      GCORE_ASSIGN_OR_RETURN(OpPtr child, build_child(0));
       if (plan.predicate->ContainsAggregate()) {
-        return OpPtr(new DrainingFilterOp(runtime_, &plan, std::move(child),
-                                          stats_));
+        return OpPtr(
+            new DrainingFilterOp(rt, &plan, std::move(child), stats));
       }
       return FuseStage(std::move(child),
-                       MakeResidualFilterStage(runtime_, &plan, stats_),
-                       exec_);
+                       MakeResidualFilterStage(rt, &plan, stats), exec);
     }
     case PlanOp::kHashJoin:
     case PlanOp::kLeftOuterJoin: {
-      GCORE_ASSIGN_OR_RETURN(OpPtr left, Build(*plan.children[0]));
-      GCORE_ASSIGN_OR_RETURN(OpPtr right, Build(*plan.children[1]));
+      GCORE_ASSIGN_OR_RETURN(OpPtr left, build_child(0));
+      GCORE_ASSIGN_OR_RETURN(OpPtr right, build_child(1));
       return OpPtr(
-          new HashJoinOp(&plan, std::move(left), std::move(right), stats_));
+          new HashJoinOp(&plan, std::move(left), std::move(right), stats));
     }
     case PlanOp::kProject: {
-      GCORE_ASSIGN_OR_RETURN(OpPtr child, Build(*plan.children[0]));
-      OpPtr sliced = FuseStage(std::move(child),
-                               MakeProjectStage(runtime_, &plan), exec_);
-      return OpPtr(new ProjectMergeOp(&plan, std::move(sliced), stats_));
+      GCORE_ASSIGN_OR_RETURN(OpPtr child, build_child(0));
+      OpPtr sliced =
+          FuseStage(std::move(child), MakeProjectStage(rt, &plan), exec);
+      return OpPtr(new ProjectMergeOp(&plan, std::move(sliced), stats));
     }
     case PlanOp::kGraphUnion:
     case PlanOp::kGraphIntersect:
@@ -796,8 +640,13 @@ Result<std::unique_ptr<PhysicalOp>> Executor::Build(const PlanNode& plan) {
   return Status::EvaluationError("unhandled plan operator");
 }
 
+}  // namespace
+
+Executor::Executor(Matcher* runtime, ExecContext exec, ExecStats* stats)
+    : runtime_(runtime), exec_(exec), stats_(stats) {}
+
 Result<BindingTable> Executor::Run(const PlanNode& plan) {
-  GCORE_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalOp> root, Build(plan));
+  GCORE_ASSIGN_OR_RETURN(OpPtr root, Build(plan, runtime_, exec_, stats_));
   return Drain(root.get());
 }
 

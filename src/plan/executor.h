@@ -1,25 +1,25 @@
 // The physical operator pipeline: runs an optimized logical plan against
 // the Matcher runtime, producing the existing BindingTable.
 //
-// Volcano-style pull execution at morsel granularity: every operator
-// exposes Next() returning the next chunk of bindings (nullopt when
-// exhausted). Scans emit fixed-size morsels; the stateless operators
-// between pipeline breakers (pushed filters, edge expansion, residual
-// WHERE, projection) are fused into per-morsel stages that a small
-// worker pool runs concurrently, reassembling results in input order so
-// execution is deterministic at every parallelism degree. HashJoin and
-// LeftOuterJoin drain only their build side and stream the probe side's
-// chunks through one hash-join kernel with fused duplicate elimination
-// (StreamingJoinProbe, eval/binding_ops.h); they and the final Project
-// are the pipeline breakers.
+// Operator-at-a-time execution over morsels: every operator evaluates its
+// children, then its own work, into an ordered list of morsel tables.
+// The stateless operators between pipeline breakers (pushed filters,
+// edge expansion, residual WHERE, projection) are fused into per-morsel
+// stages that a pipeline runs over its input's morsels with ParallelFor
+// (paths/frontier.h), each result in its morsel's slot, so execution is
+// deterministic at every parallelism degree, a query never holds more
+// than `degree` threads, and a failing pipeline reports the error serial
+// evaluation reports. HashJoin and LeftOuterJoin concatenate their build
+// side and probe the probe side's morsels one by one through one
+// hash-join kernel with fused duplicate elimination (StreamingJoinProbe,
+// eval/binding_ops.h); they, PathSearch and the final Project are the
+// pipeline breakers.
 #ifndef GCORE_PLAN_EXECUTOR_H_
 #define GCORE_PLAN_EXECUTOR_H_
 
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 
 #include "common/result.h"
 #include "eval/binding.h"
@@ -30,10 +30,10 @@ namespace gcore {
 class Matcher;
 
 /// Per-operator actual row counts, collected while a plan executes
-/// (EXPLAIN ANALYZE). Operators record the rows of every chunk (or fused
-/// per-morsel stage result) they emit against their PlanNode; counts
-/// accumulate, and recording is thread-safe because fused stages run on
-/// worker threads. Attribution matches the estimator's: an operator's
+/// (EXPLAIN ANALYZE). Operators record the rows they output (fused
+/// stages: per morsel) against their PlanNode; counts accumulate, and
+/// recording is thread-safe because fused stages run on ParallelFor's
+/// threads. Attribution matches the estimator's: an operator's
 /// count includes its pushed-down conjuncts, exactly what est_rows
 /// predicts for it.
 class ExecStats {
@@ -73,34 +73,21 @@ class ExecStats {
 
 /// Execution-wide knobs of the physical pipeline.
 struct ExecContext {
-  /// Worker threads for morsel-parallel operators. 0 = one per hardware
-  /// thread; 1 = serial pull execution (the differential-test mode —
-  /// morsel boundaries still exist but everything runs on the calling
-  /// thread in input order).
+  /// Threads a pipeline fans its morsels out to (ResolveParallelism:
+  /// 0 = one per hardware thread); 1 = serial execution (the
+  /// differential-test mode — morsel boundaries still exist but
+  /// everything runs on the calling thread in input order).
   size_t parallelism = 0;
-  /// Rows per morsel: scans slice their output at this granularity and
-  /// pipelines re-slice oversized chunks (e.g. join results). 0 = the
-  /// default.
+  /// Rows per morsel: pipelines slice their input at this granularity.
+  /// 0 = the default.
   size_t morsel_size = 0;
 
   static constexpr size_t kDefaultMorselRows = 1024;
 
-  /// Resolved worker count (>= 1).
-  size_t Degree() const;
   /// Resolved morsel size (>= 1).
   size_t MorselRows() const {
     return morsel_size == 0 ? kDefaultMorselRows : morsel_size;
   }
-};
-
-/// One operator of the physical pipeline.
-class PhysicalOp {
- public:
-  virtual ~PhysicalOp() = default;
-  /// Pulls the next chunk of bindings; nullopt when exhausted. Every
-  /// operator yields at least one (possibly empty) chunk so the binding
-  /// schema always propagates.
-  virtual Result<std::optional<BindingTable>> Next() = 0;
 };
 
 class Executor {
@@ -112,12 +99,8 @@ class Executor {
   explicit Executor(Matcher* runtime, ExecContext exec = ExecContext(),
                     ExecStats* stats = nullptr);
 
-  /// Builds the operator pipeline for `plan` and drains it.
+  /// Builds the operator pipeline for `plan` and runs it.
   Result<BindingTable> Run(const PlanNode& plan);
-
-  /// Builds the pipeline without draining (testing / future streaming
-  /// consumers).
-  Result<std::unique_ptr<PhysicalOp>> Build(const PlanNode& plan);
 
  private:
   Matcher* runtime_;
@@ -128,7 +111,7 @@ class Executor {
 /// True when evaluating `expr` never re-enters the Matcher runtime:
 /// EXISTS subqueries, implicit pattern predicates and aggregates are the
 /// re-entrant (or whole-table) constructs. Stages whose expressions are
-/// all parallel-safe may run on worker threads.
+/// all parallel-safe may run on ParallelFor's threads.
 bool ExprParallelSafe(const Expr& expr);
 
 }  // namespace gcore

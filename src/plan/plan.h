@@ -134,9 +134,9 @@ struct PlanNode {
   int64_t actual_rows = -1;
   /// Measured wall time (milliseconds) the operator spent producing those
   /// rows, filled next to actual_rows by EXPLAIN ANALYZE; negative = not
-  /// run. Pipelined operators report their own work (child Next() time is
+  /// run. Operators report their own work (their children's time is
   /// excluded at the recording sites); parallel stages sum the time their
-  /// workers spent, so actual_ms can exceed the query's wall clock.
+  /// threads spent, so actual_ms can exceed the query's wall clock.
   double actual_ms = -1.0;
   /// Inner relations of correlated predicates (EXISTS, pattern
   /// predicates) the operator evaluated during EXPLAIN ANALYZE; each is

@@ -8,8 +8,8 @@
 #include <set>
 
 #include "eval/matcher.h"
+#include "paths/frontier.h"
 #include "plan/cost.h"
-#include "plan/executor.h"
 
 namespace gcore {
 
@@ -765,11 +765,7 @@ Result<PlanPtr> Planner::PlanMatch(const MatchClause& match) {
   }
 
   auto project = MakePlan(PlanOp::kProject);
-  {
-    ExecContext exec;
-    exec.parallelism = options_.parallelism;
-    project->parallelism = exec.Degree();
-  }
+  project->parallelism = ResolveParallelism(options_.parallelism);
   for (const auto& pattern : match.patterns) {
     CollectOutputColumns(pattern, &project->output);
   }

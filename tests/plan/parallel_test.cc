@@ -1,9 +1,11 @@
 // Threaded-executor determinism: the morsel-parallel pipeline must
 // produce the same binding *sets* as the legacy recursive walk at every
-// parallelism degree (1 = the serial differential mode, then real worker
-// pools). Morsels are shrunk to a few rows so the toy graphs actually
-// exercise multi-morsel execution, and a chain-join stress loop hammers
-// the worker pool + partitioned join (run under TSAN to check the
+// parallelism degree (1 = the serial differential mode, then ParallelFor
+// fan-outs), the same rows in the same order as its own serial run, and
+// the same error as its serial run when a morsel fails. Morsels are
+// shrunk to a few rows so the toy graphs actually exercise multi-morsel
+// execution, and a chain-join stress loop hammers the pipelines' fan-out
+// + the streaming hash join (run under TSAN to check the
 // synchronization).
 #include <gtest/gtest.h>
 
@@ -60,8 +62,15 @@ class ParallelExecution : public ::testing::Test {
 
   Result<BindingTable> RunMatch(const MatchClause& match, bool use_planner,
                                 size_t parallelism, size_t morsel_size) {
+    return RunMatchOn(&catalog, match, use_planner, parallelism, morsel_size);
+  }
+
+  static Result<BindingTable> RunMatchOn(GraphCatalog* on,
+                                         const MatchClause& match,
+                                         bool use_planner, size_t parallelism,
+                                         size_t morsel_size) {
     MatcherContext ctx;
-    ctx.catalog = &catalog;
+    ctx.catalog = on;
     ctx.default_graph = "social_graph";
     ctx.use_planner = use_planner;
     ctx.parallelism = parallelism;
@@ -71,7 +80,10 @@ class ParallelExecution : public ::testing::Test {
   }
 
   /// Legacy walk vs. the pipeline at parallelism 1 / 2 / 8, forced onto
-  /// 2-row morsels: same binding sets everywhere.
+  /// 2-row morsels: same binding sets everywhere, and the pipeline's rows
+  /// at 2 and 8 equal its rows at 1 in order. Each pipeline run gets a
+  /// fresh catalog, because fresh path ids are drawn from the catalog and
+  /// ToString prints them.
   void ExpectSameBindingSets(const std::string& match_query) {
     auto parsed = ParseQuery("CONSTRUCT (z) " + match_query);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -82,9 +94,12 @@ class ParallelExecution : public ::testing::Test {
                              << legacy.status().ToString();
     const std::vector<std::string> want = Canonical(*legacy);
 
+    std::string serial_rows;
     for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-      auto planned =
-          RunMatch(match, /*use_planner=*/true, parallelism, /*morsel=*/2);
+      GraphCatalog fresh;
+      snb::RegisterToyData(&fresh);
+      auto planned = RunMatchOn(&fresh, match, /*use_planner=*/true,
+                                parallelism, /*morsel=*/2);
       ASSERT_TRUE(planned.ok())
           << match_query << " @ parallelism " << parallelism << ": "
           << planned.status().ToString();
@@ -92,6 +107,12 @@ class ParallelExecution : public ::testing::Test {
           << match_query << " @ parallelism " << parallelism;
       EXPECT_EQ(Canonical(*planned), want)
           << match_query << " @ parallelism " << parallelism;
+      if (parallelism == 1) {
+        serial_rows = planned->ToString();
+      } else {
+        EXPECT_EQ(planned->ToString(), serial_rows)
+            << match_query << " @ parallelism " << parallelism;
+      }
     }
   }
 
@@ -127,9 +148,8 @@ TEST_F(ParallelExecution, PathModes) {
   ExpectSameBindingSets(
       "MATCH (n)-/3 SHORTEST p<:knows*> COST c/->(m) "
       "WHERE n.firstName = 'John'");
-  // No pushed source filter: every person seeds a search, so 2-row
-  // morsels put the SHORTEST stage (and its fresh-path-id range
-  // reservation + morsel-order remap) on the worker pool.
+  // No pushed source filter: every person seeds a search, so the batched
+  // SHORTEST kernel gets many sources and runs them through ParallelFor.
   ExpectSameBindingSets("MATCH (n:Person)-/2 SHORTEST p<:knows*>/->(m)");
 }
 
@@ -145,7 +165,8 @@ TEST_F(ParallelExecution, OptionalsWithBlockWhere) {
 
 TEST_F(ParallelExecution, ReentrantPredicatesStaySerialButCorrect) {
   // Pattern predicates re-enter the matcher; the pipeline must detect
-  // that and keep those stages off the worker pool at any degree.
+  // that and run those stages serially on the calling thread at any
+  // degree.
   ExpectSameBindingSets(
       "MATCH (m:Person), (n:Person) "
       "WHERE n.firstName = 'John' "
@@ -191,9 +212,9 @@ TEST_F(ParallelExecution, PathSearchIdsDeterministicUnderFilter) {
   }
 }
 
-// A 4-chain join at degree 8 on 1-row morsels, repeated: the worker
-// pool + ordered reassembly + partitioned join must give a stable
-// result every iteration (TSAN-friendly stress).
+// A 4-chain join at degree 8 on 1-row morsels, repeated: the pipelines'
+// fan-out + per-morsel result slots + streaming hash join must give a
+// stable result every iteration (TSAN-friendly stress).
 TEST_F(ParallelExecution, ChainJoinStress) {
   auto parsed = ParseQuery(
       "CONSTRUCT (z) "
@@ -210,6 +231,31 @@ TEST_F(ParallelExecution, ChainJoinStress) {
     auto got = RunMatch(match, /*use_planner=*/true, 8, /*morsel=*/1);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(Canonical(*got), want) << "iteration " << iter;
+  }
+}
+
+// A filter that fails differently on different rows: the parallel
+// pipeline must report the error the serial run reports (the lowest
+// failing morsel's), not whichever thread failed first, at every degree.
+TEST_F(ParallelExecution, ErrorPrecedenceMatchesSerial) {
+  auto parsed = ParseQuery(
+      "CONSTRUCT (z) MATCH (n:Person) "
+      "WHERE CASE WHEN n.firstName = 'John' THEN 1 / 0 ELSE 1 % 0 END = 1");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const MatchClause& match = *(*parsed)->body->basic->match;
+
+  auto serial = RunMatch(match, /*use_planner=*/true, 1, /*morsel=*/1);
+  ASSERT_FALSE(serial.ok());
+  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (int iter = 0; iter < 20; ++iter) {
+      auto got = RunMatch(match, /*use_planner=*/true, parallelism,
+                          /*morsel=*/1);
+      ASSERT_FALSE(got.ok()) << "parallelism " << parallelism;
+      EXPECT_EQ(got.status().code(), serial.status().code())
+          << "parallelism " << parallelism << ", iteration " << iter;
+      EXPECT_EQ(got.status().message(), serial.status().message())
+          << "parallelism " << parallelism << ", iteration " << iter;
+    }
   }
 }
 
