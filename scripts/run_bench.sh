@@ -97,8 +97,12 @@ cmake --build build --target "${selected[@]%%:*}" -j
 # Stamped into every JSON context: the commit, gcore's own build type
 # (google-benchmark's library_build_type describes the benchmark library)
 # and the core count.
+# `-dirty` marks a tree whose sources differ from the commit; the
+# BENCH_*.json files this script rewrites do not count.
 sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
-if [ -n "$(git status --porcelain 2>/dev/null)" ]; then sha="${sha}-dirty"; fi
+if [ -n "$(git status --porcelain -- . ':(exclude)BENCH_*.json' 2>/dev/null)" ]; then
+  sha="${sha}-dirty"
+fi
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
 build_type="${build_type:-RelWithDebInfo}"  # CMakeLists.txt's default
 context="git_sha=${sha},build_type=${build_type},nproc=$(nproc)"

@@ -117,6 +117,8 @@ std::string PrintQueryBody(const QueryBody& body) {
   return "?";
 }
 
+namespace {
+
 std::string PrintPathClause(const PathClause& path) {
   std::string out = "PATH " + path.name + " = ";
   for (size_t i = 0; i < path.patterns.size(); ++i) {
@@ -134,6 +136,8 @@ std::string PrintGraphClause(const GraphClause& graph) {
   out += graph.name + " AS (" + PrintQuery(*graph.query) + ")";
   return out;
 }
+
+}  // namespace
 
 std::string PrintQuery(const Query& query) {
   std::string out;

@@ -17,8 +17,6 @@ std::string PrintBasicQuery(const BasicQuery& basic);
 std::string PrintConstructClause(const ConstructClause& construct);
 std::string PrintMatchClause(const MatchClause& match);
 std::string PrintSelectClause(const SelectClause& select);
-std::string PrintPathClause(const PathClause& path);
-std::string PrintGraphClause(const GraphClause& graph);
 
 }  // namespace gcore
 

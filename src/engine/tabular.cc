@@ -31,26 +31,4 @@ BindingTable TableAsBindings(const Table& table) {
   return bindings;
 }
 
-Table BindingsAsTable(const BindingTable& bindings) {
-  Table table(bindings.columns());
-  for (size_t r = 0; r < bindings.NumRows(); ++r) {
-    std::vector<Value> cells;
-    cells.reserve(bindings.NumColumns());
-    for (size_t c = 0; c < bindings.NumColumns(); ++c) {
-      const Datum d = bindings.At(r, c);
-      if (d.kind() == Datum::Kind::kValues && d.values().is_singleton()) {
-        cells.push_back(d.values().single());
-      } else if (d.IsUnbound() ||
-                 (d.kind() == Datum::Kind::kValues && d.values().empty())) {
-        cells.push_back(Value::Null());
-      } else {
-        cells.push_back(Value::String(d.ToString()));
-      }
-    }
-    Status st = table.AddRow(std::move(cells));
-    (void)st;
-  }
-  return table;
-}
-
 }  // namespace gcore

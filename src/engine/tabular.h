@@ -16,10 +16,6 @@ PathPropertyGraph TableAsGraph(const Table& table, IdAllocator* ids);
 /// value variables.
 BindingTable TableAsBindings(const Table& table);
 
-/// SELECT output: renders a binding-table projection into a value table.
-/// Object-typed data renders via Datum::ToString.
-Table BindingsAsTable(const BindingTable& bindings);
-
 }  // namespace gcore
 
 #endif  // GCORE_ENGINE_TABULAR_H_

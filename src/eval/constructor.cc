@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -28,44 +29,120 @@ std::vector<std::string> FlattenLabels(
 constexpr uint32_t kNoGroup = ~uint32_t{0};
 
 /// Open-addressed raw id → group number, numbering ids by first
-/// appearance; sized up front for `capacity` distinct ids.
+/// appearance; the table doubles at half load, so it stays as small as
+/// the distinct ids.
 class IdGroups {
  public:
-  explicit IdGroups(size_t capacity) {
-    size_t slots = 16;
-    while (slots < 2 * capacity) slots <<= 1;
-    slots_.assign(slots, {kEmpty, 0});
-  }
-
   /// Group of `id`; a first appearance takes the next number.
   uint32_t Insert(uint64_t id, bool* fresh) {
-    const size_t mask = slots_.size() - 1;
-    const uint64_t h = id * 0x9e3779b97f4a7c15ull;
-    size_t pos = (h ^ (h >> 29)) & mask;
-    while (slots_[pos].first != kEmpty) {
-      if (slots_[pos].first == id) {
-        *fresh = false;
-        return slots_[pos].second;
-      }
-      pos = (pos + 1) & mask;
-    }
-    slots_[pos] = {id, size_};
-    *fresh = true;
-    return size_++;
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    auto& slot = slots_[Probe(id)];
+    *fresh = slot.first == kEmpty;
+    if (*fresh) slot = {id, size_++};
+    return slot.second;
   }
 
  private:
   static constexpr uint64_t kEmpty = ~uint64_t{0};  // never a valid id
+
+  size_t Probe(uint64_t id) const {
+    const size_t mask = slots_.size() - 1;
+    const uint64_t h = id * 0x9e3779b97f4a7c15ull;
+    size_t pos = (h ^ (h >> 29)) & mask;
+    while (slots_[pos].first != kEmpty && slots_[pos].first != id) {
+      pos = (pos + 1) & mask;
+    }
+    return pos;
+  }
+  void Grow() {
+    std::vector<std::pair<uint64_t, uint32_t>> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(64, 2 * old.size()), {kEmpty, 0});
+    for (const auto& slot : old) {
+      if (slot.first != kEmpty) slots_[Probe(slot.first)] = slot;
+    }
+  }
+
   std::vector<std::pair<uint64_t, uint32_t>> slots_;
   uint32_t size_ = 0;
 };
 
-struct SourceObjectHash {
-  size_t operator()(const std::pair<const void*, uint64_t>& p) const {
-    return HashCombine(std::hash<const void*>{}(p.first),
-                       std::hash<uint64_t>{}(p.second));
+uint64_t RawId(uint64_t id) { return id; }
+template <typename Tag>
+uint64_t RawId(internal::ObjectId<Tag> id) {
+  return id.value();
+}
+
+/// Entry i of a permutation (empty: the identity).
+size_t Slot(const std::vector<uint32_t>& permutation, size_t i) {
+  return permutation.empty() ? i : permutation[i];
+}
+
+/// `column` rearranged so entry p is the old entry order[p].
+template <typename T>
+std::vector<T> Permuted(std::vector<T> column,
+                        const std::vector<uint32_t>& order) {
+  if (order.empty()) return column;
+  std::vector<T> out(column.size());
+  for (size_t p = 0; p < out.size(); ++p) out[p] = std::move(column[order[p]]);
+  return out;
+}
+
+/// The inverse permutation (empty stays empty).
+std::vector<uint32_t> Inverse(const std::vector<uint32_t>& order) {
+  std::vector<uint32_t> out(order.size());
+  for (size_t p = 0; p < order.size(); ++p) {
+    out[order[p]] = static_cast<uint32_t>(p);
   }
-};
+  return out;
+}
+
+/// The positions of `ids` by ascending id, ties in position order; empty
+/// when the ids already ascend. A least-significant-digit radix sort over
+/// the id bits in use: a few sequential passes where a comparison sort
+/// would make log n random ones.
+template <typename Id>
+std::vector<uint32_t> AscendingOrder(const std::vector<Id>& ids) {
+  if (std::is_sorted(ids.begin(), ids.end())) return {};
+  std::vector<std::pair<uint64_t, uint32_t>> keyed(ids.size());
+  uint64_t bits = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    keyed[i] = {RawId(ids[i]), static_cast<uint32_t>(i)};
+    bits |= keyed[i].first;
+  }
+  std::vector<std::pair<uint64_t, uint32_t>> out(keyed.size());
+  for (int shift = 0; shift < 64 && (bits >> shift) != 0; shift += 8) {
+    size_t start[257] = {};
+    for (const auto& k : keyed) ++start[((k.first >> shift) & 0xff) + 1];
+    for (int d = 0; d < 256; ++d) start[d + 1] += start[d];
+    for (const auto& k : keyed) out[start[(k.first >> shift) & 0xff]++] = k;
+    keyed.swap(out);
+  }
+  std::vector<uint32_t> order(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) order[i] = keyed[i].second;
+  return order;
+}
+
+/// Looks all `ids` up by one ascending merge over a store: `find` takes
+/// them sorted and answers in that order. Entry i of the result answers
+/// ids[i].
+template <typename Id, typename Find>
+auto FindInOrder(const std::vector<Id>& ids, Find find) {
+  const std::vector<uint32_t> order = AscendingOrder(ids);
+  if (order.empty()) return find(ids);
+  std::vector<Id> sorted(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) sorted[i] = ids[order[i]];
+  const auto found = find(sorted);
+  std::remove_const_t<decltype(found)> out(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) out[order[i]] = found[i];
+  return out;
+}
+
+template <typename Id>
+void SortUnique(std::vector<Id>* ids) {
+  const std::vector<uint32_t> order = AscendingOrder(*ids);
+  *ids = Permuted(std::move(*ids), order);
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
 
 }  // namespace
 
@@ -108,48 +185,75 @@ struct Constructor::ItemState {
   std::vector<EdgeCtor> edge_ctors;
   std::vector<PathCtor> path_ctors;
 
-  // Build products: one per (constructor, group), each carrying its λ/σ
-  // (ObjectData: copy-on-write handles, so a bound object's λ/σ share the
-  // source graph's payloads until an edit). `rows` holds the group's
-  // binding rows whenever assignments, SET statements or a post-WHEN read
-  // them (always, in the spec); `rep` is the first.
-  struct NodeBuild : ObjectData {
-    NodeId id;
-    size_t rep = 0;
+  // Build products: one column set per constructor (node_builds[i] belongs
+  // to node_ctors[i], and so on), one entry per group. The columnar path
+  // stores a node or edge constructor's entries in ascending id order and
+  // `group_pos` maps group g (in order of first appearance) to its entry;
+  // the spec and path constructors store them in group order. An entry's
+  // λ/σ is its source object's, shared with the source graph (`source`,
+  // null when there is none), unless the constructor edits it: a pattern
+  // label, an assignment or a SET statement gives every entry of that
+  // constructor its own copy in `own` (the spec always fills `own`). An
+  // entry's binding rows are one offsets + rows array, filled whenever
+  // assignments, SET statements or a post-WHEN read them (always, in the
+  // spec).
+  struct Builds {
+    std::vector<uint64_t> ids;
+    std::vector<size_t> reps;  // each group's first row
+    std::vector<const ObjectData*> source;
+    std::vector<ObjectData> own;  // empty, or one per entry
+    // Entry p's rows are rows[row_start[p], row_start[p + 1]).
+    std::vector<size_t> row_start;
     std::vector<size_t> rows;
-    std::string var;
-    bool dropped = false;
+    std::vector<uint32_t> group_pos;  // group -> entry; empty = the same
+    std::vector<char> dropped;        // post-WHEN; empty = none dropped
+
+    size_t size() const { return ids.size(); }
+    /// Entry of the g-th group to appear.
+    size_t Pos(size_t g) const { return Slot(group_pos, g); }
+    const ObjectData* Data(size_t p) const {
+      return own.empty() ? source[p] : &own[p];
+    }
+    bool Dropped(size_t p) const { return !dropped.empty() && dropped[p]; }
+    /// Entry p's rows (empty unless collected), copied into `scratch`.
+    const std::vector<size_t>& RowsOf(size_t p,
+                                      std::vector<size_t>* scratch) const {
+      scratch->clear();
+      if (!row_start.empty()) {
+        scratch->assign(rows.begin() + row_start[p],
+                        rows.begin() + row_start[p + 1]);
+      }
+      return *scratch;
+    }
+    /// The spec's append: one group, its rows and its own λ/σ.
+    void AddGroup(uint64_t id, const std::vector<size_t>& group_rows,
+                  ObjectData data) {
+      ids.push_back(id);
+      reps.push_back(group_rows.front());
+      source.push_back(nullptr);
+      own.push_back(std::move(data));
+      if (row_start.empty()) row_start.push_back(0);
+      rows.insert(rows.end(), group_rows.begin(), group_rows.end());
+      row_start.push_back(rows.size());
+    }
   };
-  struct EdgeBuild : ObjectData {
-    EdgeId id;
-    NodeId src;
-    NodeId dst;
-    size_t rep = 0;
-    std::vector<size_t> rows;
-    std::string var;
-    bool dropped = false;
+  struct EdgeBuilds : Builds {
+    std::vector<NodeId> src;  // ρ
+    std::vector<NodeId> dst;
   };
-  struct PathBuild : ObjectData {
-    PathId id;
-    bool make_object = false;  // @p vs plain projection
-    PathBody body;
-    std::vector<NodeId> extra_nodes;  // projection mode (ALL)
-    std::vector<EdgeId> extra_edges;
-    size_t rep = 0;
-    std::vector<size_t> rows;
-    std::string var;
-    const PathPropertyGraph* source;  // λ/σ source for body elements
-    bool dropped = false;
+  struct PathBuilds : Builds {
+    const PathPropertyGraph* graph = nullptr;  // λ/σ source of the bodies
+    std::vector<const PathValue*> values;       // owned by the bindings
   };
-  std::vector<NodeBuild> node_builds;
-  std::vector<EdgeBuild> edge_builds;
-  std::vector<PathBuild> path_builds;
+  std::vector<Builds> node_builds;
+  std::vector<EdgeBuilds> edge_builds;
+  std::vector<PathBuilds> path_builds;
 
   // Spec: per node-constructor, row -> assigned node id.
   std::vector<std::unordered_map<size_t, NodeId>> node_assign;
-  // Columnar: per node-constructor, a dense row-indexed vector (invalid id
-  // = the row built no node there).
-  std::vector<std::vector<NodeId>> node_of_row;
+  // Columnar: per node-constructor, each row's entry (kNoGroup = the row
+  // built no node there).
+  std::vector<std::vector<uint32_t>> node_pos_of_row;
 
   ItemState(Constructor* owner, const ConstructItem& item,
             const BindingTable& bindings)
@@ -227,6 +331,9 @@ struct Constructor::ItemState {
       prev = to_idx;
     }
     for (const auto& s : item.sets) set_vars.insert(s.var);
+    node_builds.resize(node_ctors.size());
+    edge_builds.resize(edge_ctors.size());
+    path_builds.resize(path_ctors.size());
   }
 
   /// Names of variables this item creates or assigns properties to; WHEN
@@ -261,7 +368,7 @@ struct Constructor::ItemState {
     return defined;
   }
 
-  /// True when a build of `var` must carry its group rows: assignments,
+  /// True when the groups of `var` must carry their rows: assignments,
   /// SET statements or a post-WHEN read them.
   bool NeedsRows(const std::string& var, bool has_props) const {
     return has_props || post_when || set_vars.count(var) > 0;
@@ -353,46 +460,44 @@ struct Constructor::ItemState {
       }
 
       for (auto& [key, group_rows] : groups.groups) {
-        NodeBuild build;
-        build.var = nc.name;
-        build.rows = group_rows;
-        build.rep = group_rows.front();
-        const size_t rep = build.rep;
-
+        const size_t rep = group_rows.front();
+        NodeId id;
         const PathPropertyGraph* source = nullptr;
         if (identity_bound) {
-          build.id = bindings.Get(rep, nc.name).node();
+          id = bindings.Get(rep, nc.name).node();
           source = ProvenanceGraph(nc.name);
         } else if (pat.is_copy) {
-          build.id = NodeSkolem(nc.name + "(copy)", key);
+          id = NodeSkolem(nc.name + "(copy)", key);
           source = ProvenanceGraph(nc.name);
         } else {
-          build.id = NodeSkolem(nc.name, key);
+          id = NodeSkolem(nc.name, key);
         }
 
         // λ|v ∪ λS: existing labels/properties of the source object first.
+        ObjectData data;
         if (source != nullptr) {
           const NodeId src_id = bindings.Get(rep, nc.name).node();
           if (source->HasNode(src_id)) {
-            build.labels = source->Labels(src_id);
-            build.props = source->Properties(src_id);
+            data.labels = source->Labels(src_id);
+            data.props = source->Properties(src_id);
           }
         }
         for (const auto& l : FlattenLabels(pat.label_groups)) {
-          build.labels.Insert(l);
+          data.labels.Insert(l);
         }
-        GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows,
-                                             source, &build.props));
+        GCORE_RETURN_NOT_OK(
+            ApplyAssignments(pat.props, group_rows, source, &data.props));
 
-        for (size_t r : build.rows) node_assign[ci][r] = build.id;
-        node_builds.push_back(std::move(build));
+        for (size_t r : group_rows) node_assign[ci][r] = id;
+        node_builds[ci].AddGroup(id.value(), group_rows, std::move(data));
       }
     }
     return Status::OK();
   }
 
   Status BuildEdgesSpec() {
-    for (const EdgeCtor& ec : edge_ctors) {
+    for (size_t ei = 0; ei < edge_ctors.size(); ++ei) {
+      const EdgeCtor& ec = edge_ctors[ei];
       const EdgePattern& pat = *ec.pattern;
       const bool column_bound = bindings.HasColumn(ec.name);
       const bool identity_bound = column_bound && !pat.is_copy;
@@ -439,39 +544,38 @@ struct Constructor::ItemState {
         ends[g] = {src, dst};
       }
 
+      EdgeBuilds& b = edge_builds[ei];
       for (size_t g = 0; g < groups.groups.size(); ++g) {
         const Key& key = groups.groups[g].first;
-        EdgeBuild build;
-        build.var = ec.name;
-        build.rows = groups.groups[g].second;
-        build.rep = build.rows.front();
-        build.src = ends[g].first;
-        build.dst = ends[g].second;
-        const size_t rep = build.rep;
+        const std::vector<size_t>& group_rows = groups.groups[g].second;
+        const size_t rep = group_rows.front();
 
+        EdgeId id;
         const PathPropertyGraph* source = nullptr;
         if (identity_bound) {
-          build.id = bindings.Get(rep, ec.name).edge();
+          id = bindings.Get(rep, ec.name).edge();
           source = ProvenanceGraph(ec.name);
         } else {
-          build.id = EdgeSkolem(pat.is_copy ? ec.name + "(copy)" : ec.name,
-                                key);
+          id = EdgeSkolem(pat.is_copy ? ec.name + "(copy)" : ec.name, key);
           if (pat.is_copy) source = ProvenanceGraph(ec.name);
         }
 
+        ObjectData data;
         if (source != nullptr) {
           const Datum& d = bindings.Get(rep, ec.name);
           if (d.kind() == Datum::Kind::kEdge && source->HasEdge(d.edge())) {
-            build.labels = source->Labels(d.edge());
-            build.props = source->Properties(d.edge());
+            data.labels = source->Labels(d.edge());
+            data.props = source->Properties(d.edge());
           }
         }
         for (const auto& l : FlattenLabels(pat.label_groups)) {
-          build.labels.Insert(l);
+          data.labels.Insert(l);
         }
-        GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows,
-                                             source, &build.props));
-        edge_builds.push_back(std::move(build));
+        GCORE_RETURN_NOT_OK(
+            ApplyAssignments(pat.props, group_rows, source, &data.props));
+        b.AddGroup(id.value(), group_rows, std::move(data));
+        b.src.push_back(ends[g].first);
+        b.dst.push_back(ends[g].second);
       }
     }
     return Status::OK();
@@ -485,8 +589,8 @@ struct Constructor::ItemState {
   }
 
   Status BuildPathsSpec() {
-    for (const PathCtor& pc : path_ctors) {
-      const PathPattern& pat = *pc.pattern;
+    for (size_t pi = 0; pi < path_ctors.size(); ++pi) {
+      const PathCtor& pc = path_ctors[pi];
       if (!bindings.HasColumn(pc.name)) return UnboundPath(pc.name);
 
       KeyedGroups groups;
@@ -499,12 +603,16 @@ struct Constructor::ItemState {
         groups.Add(std::move(key), r);
       }
 
+      PathBuilds& b = path_builds[pi];
+      b.graph = ProvenanceGraph(pc.name);
+      b.row_start.push_back(0);
       for (auto& [key, group_rows] : groups.groups) {
         const size_t rep = group_rows.front();
-        GCORE_RETURN_NOT_OK(AddPathBuild(pat, pc.name,
-                                         bindings.Get(rep, pc.name).path(),
-                                         ProvenanceGraph(pc.name), rep,
-                                         group_rows));
+        b.rows.insert(b.rows.end(), group_rows.begin(), group_rows.end());
+        b.row_start.push_back(b.rows.size());
+        // The table owns the path value; the Datum copy shares it.
+        GCORE_RETURN_NOT_OK(AddPathBuild(
+            pc, &bindings.Get(rep, pc.name).path(), rep, group_rows, &b));
       }
     }
     return Status::OK();
@@ -527,47 +635,39 @@ struct Constructor::ItemState {
                              "' is not a path in CONSTRUCT");
   }
 
-  /// One path group's build (shared by both paths: path groups are few).
-  Status AddPathBuild(const PathPattern& pat, const std::string& var,
-                      const PathValue& pv, const PathPropertyGraph* source,
-                      size_t rep, std::vector<size_t> group_rows) {
-    PathBuild build;
-    build.var = var;
-    build.rep = rep;
-    build.rows = std::move(group_rows);
-    build.make_object = pat.stored;
-    build.source = source;
-    if (build.source == nullptr) {
+  /// One path group's build (shared by both paths: path groups are few);
+  /// the caller has recorded the group's rows. Every path group keeps its
+  /// own λ/σ, which only a stored path (@p) emits.
+  Status AddPathBuild(const PathCtor& pc, const PathValue* pv, size_t rep,
+                      const std::vector<size_t>& group_rows, PathBuilds* b) {
+    const PathPattern& pat = *pc.pattern;
+    if (b->graph == nullptr) {
       return Status::BindError(
-          "cannot resolve source graph for path variable '" + var + "'");
+          "cannot resolve source graph for path variable '" + pc.name + "'");
     }
-
-    if (pv.projection.has_value()) {
-      if (pat.stored) {
-        return Status::Unsupported(
-            "storing ALL-paths bindings (@" + var +
-            ") is intractable; bind the variable without @ to project "
-            "the paths into a graph");
-      }
-      build.extra_nodes = pv.projection->first;
-      build.extra_edges = pv.projection->second;
-    } else {
-      build.body = pv.body;
+    if (pv->projection.has_value() && pat.stored) {
+      return Status::Unsupported(
+          "storing ALL-paths bindings (@" + pc.name +
+          ") is intractable; bind the variable without @ to project "
+          "the paths into a graph");
     }
-
+    ObjectData data;
     if (pat.stored) {
-      build.id = pv.id;
-      if (pv.from_graph && build.source->HasPath(pv.id)) {
-        build.labels = build.source->Labels(pv.id);
-        build.props = build.source->Properties(pv.id);
+      if (pv->from_graph && b->graph->HasPath(pv->id)) {
+        data.labels = b->graph->Labels(pv->id);
+        data.props = b->graph->Properties(pv->id);
       }
       for (const auto& l : FlattenLabels(pat.label_groups)) {
-        build.labels.Insert(l);
+        data.labels.Insert(l);
       }
-      GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows,
-                                           build.source, &build.props));
+      GCORE_RETURN_NOT_OK(
+          ApplyAssignments(pat.props, group_rows, b->graph, &data.props));
     }
-    path_builds.push_back(std::move(build));
+    b->ids.push_back(pv->id.value());
+    b->reps.push_back(rep);
+    b->source.push_back(nullptr);
+    b->own.push_back(std::move(data));
+    b->values.push_back(pv);
     return Status::OK();
   }
 
@@ -582,6 +682,44 @@ struct Constructor::ItemState {
     bool build;
   };
 
+  /// The nodes and edges of a path group's walk: its body, or its ALL
+  /// projection.
+  static std::pair<const std::vector<NodeId>*, const std::vector<EdgeId>*>
+  Walk(const PathValue& pv) {
+    if (pv.projection.has_value()) {
+      return {&pv.projection->first, &pv.projection->second};
+    }
+    return {&pv.body.nodes, &pv.body.edges};
+  }
+
+  /// Adds the surviving stored paths (@p) in ascending id order. A stored
+  /// path replaces λ/σ, so the last build of an id wins.
+  Status AddStoredPaths(PathPropertyGraph* graph) const {
+    struct Stored {
+      uint64_t id;
+      const PathBuilds* builds;
+      size_t group;
+    };
+    std::vector<Stored> stored;
+    for (size_t pi = 0; pi < path_builds.size(); ++pi) {
+      if (!path_ctors[pi].pattern->stored) continue;
+      const PathBuilds& b = path_builds[pi];
+      for (size_t g = 0; g < b.size(); ++g) {
+        if (!b.Dropped(g)) stored.push_back({b.ids[g], &b, g});
+      }
+    }
+    std::stable_sort(
+        stored.begin(), stored.end(),
+        [](const Stored& x, const Stored& y) { return x.id < y.id; });
+    for (const Stored& s : stored) {
+      GCORE_ASSIGN_OR_RETURN(
+          ObjectData * out,
+          graph->UpsertPath(PathId(s.id), s.builds->values[s.group]->body));
+      *out = s.builds->own[s.group];
+    }
+    return Status::OK();
+  }
+
   /// Adds every surviving build and path-body element to a fresh graph in
   /// ascending id order: a union does not depend on order, and the stable
   /// sort keeps each id's contributions in build order (node and edge
@@ -589,39 +727,39 @@ struct Constructor::ItemState {
   Result<PathPropertyGraph> AssembleSpec() {
     std::vector<Piece> nodes;
     std::vector<Piece> edges;
-    for (const auto& b : node_builds) {
-      if (!b.dropped) nodes.push_back({b.id.value(), &b, {}, {}, true});
+    for (const Builds& b : node_builds) {
+      for (size_t g = 0; g < b.size(); ++g) {
+        if (!b.Dropped(g)) nodes.push_back({b.ids[g], b.Data(g), {}, {}, true});
+      }
     }
-    for (const auto& b : edge_builds) {
-      if (!b.dropped) edges.push_back({b.id.value(), &b, b.src, b.dst, true});
+    for (const EdgeBuilds& b : edge_builds) {
+      for (size_t g = 0; g < b.size(); ++g) {
+        if (b.Dropped(g)) continue;
+        edges.push_back({b.ids[g], b.Data(g), b.src[g], b.dst[g], true});
+      }
     }
-    std::vector<const PathBuild*> stored;
-    for (const auto& b : path_builds) {
-      if (b.dropped) continue;
+    for (const PathBuilds& b : path_builds) {
       // The walk's nodes and edges carry their λ/σ from the source graph.
       auto import_node = [&](NodeId n) {
-        nodes.push_back({n.value(), b.source->FindNode(n), {}, {}, false});
+        nodes.push_back({n.value(), b.graph->FindNode(n), {}, {}, false});
       };
       auto import_edge = [&](EdgeId e) {
-        const PathPropertyGraph::EdgeData* data = b.source->FindEdge(e);
+        const PathPropertyGraph::EdgeData* data = b.graph->FindEdge(e);
         if (data == nullptr) return;
         import_node(data->src);
         import_node(data->dst);
         edges.push_back({e.value(), data, data->src, data->dst, false});
       };
-      for (NodeId n : b.body.nodes) import_node(n);
-      for (EdgeId e : b.body.edges) import_edge(e);
-      for (NodeId n : b.extra_nodes) import_node(n);
-      for (EdgeId e : b.extra_edges) import_edge(e);
-      if (b.make_object) stored.push_back(&b);
+      for (size_t g = 0; g < b.size(); ++g) {
+        if (b.Dropped(g)) continue;
+        const auto [walk_nodes, walk_edges] = Walk(*b.values[g]);
+        for (NodeId n : *walk_nodes) import_node(n);
+        for (EdgeId e : *walk_edges) import_edge(e);
+      }
     }
     auto by_id = [](const Piece& x, const Piece& y) { return x.id < y.id; };
     std::stable_sort(nodes.begin(), nodes.end(), by_id);
     std::stable_sort(edges.begin(), edges.end(), by_id);
-    std::stable_sort(stored.begin(), stored.end(),
-                     [](const PathBuild* x, const PathBuild* y) {
-                       return x->id < y->id;
-                     });
 
     PathPropertyGraph graph;
     auto merge = [](const Piece& p, ObjectData* into) {
@@ -648,12 +786,7 @@ struct Constructor::ItemState {
       graph.SetLabels(id, std::move(merged.labels));
       graph.SetProperties(id, std::move(merged.props));
     }
-    // Stored paths replace λ/σ: the last build of an id wins.
-    for (const PathBuild* b : stored) {
-      GCORE_RETURN_NOT_OK(graph.AddPath(b->id, b->body));
-      graph.SetLabels(b->id, b->labels);
-      graph.SetProperties(b->id, b->props);
-    }
+    GCORE_RETURN_NOT_OK(AddStoredPaths(&graph));
     return graph;
   }
 
@@ -698,51 +831,116 @@ struct Constructor::ItemState {
     std::vector<size_t> cols_;
   };
 
-  /// The rows of each group, in row order (only built when needed).
-  std::vector<std::vector<size_t>> RowsByGroup(
-      const std::vector<uint32_t>& group_of_row, size_t groups) const {
-    std::vector<std::vector<size_t>> out(groups);
+  /// Fills `b`'s entry rows as one offsets + rows array from each row's
+  /// entry (a counting sort; row order within an entry).
+  void CollectRows(const std::vector<uint32_t>& pos_of_row, size_t entries,
+                   Builds* b) const {
+    b->row_start.assign(entries + 1, 0);
     for (size_t r : rows) {
-      if (group_of_row[r] != kNoGroup) out[group_of_row[r]].push_back(r);
+      if (pos_of_row[r] != kNoGroup) ++b->row_start[pos_of_row[r] + 1];
     }
-    return out;
+    for (size_t p = 0; p < entries; ++p) {
+      b->row_start[p + 1] += b->row_start[p];
+    }
+    b->rows.resize(b->row_start.back());
+    std::vector<size_t> next(b->row_start.begin(), b->row_start.end() - 1);
+    for (size_t r : rows) {
+      if (pos_of_row[r] != kNoGroup) b->rows[next[pos_of_row[r]]++] = r;
+    }
   }
 
-  /// Keys of a first-appearance index, by group number.
-  static std::vector<const Key*> KeysByGroup(
-      const std::unordered_map<Key, uint32_t, KeyHash>& index) {
-    std::vector<const Key*> out(index.size());
-    for (const auto& [key, g] : index) out[g] = &key;
-    return out;
+  /// Result ids in group order: a bound constructor keeps its objects' ids
+  /// (`bound`), any other draws new(x, key) per group, in group order (a
+  /// copy keys on its source object's id).
+  template <typename Id, typename NextFn>
+  static std::vector<uint64_t> GroupIds(
+      size_t groups, const std::vector<Id>& bound, bool is_copy,
+      const std::unordered_map<Key, uint32_t, KeyHash>& key_index,
+      SkolemTable* skolems, NextFn next) {
+    std::vector<uint64_t> ids(groups);
+    if (skolems == nullptr) {
+      for (size_t g = 0; g < groups; ++g) ids[g] = bound[g].value();
+      return ids;
+    }
+    std::vector<const Key*> keys(key_index.size());
+    for (const auto& [key, g] : key_index) keys[g] = &key;
+    for (size_t g = 0; g < ids.size(); ++g) {
+      Key copy_key;
+      if (is_copy) copy_key.a = bound[g].value();
+      ids[g] = Skolem(skolems, is_copy ? copy_key : *keys[g], next);
+    }
+    return ids;
+  }
+
+  /// Stores the group-order `ids` (and `reps`) as entries in ascending id
+  /// order; returns the order (entry -> group, empty when the groups
+  /// already ascend) and maps `pos_of_row` from groups to entries.
+  static std::vector<uint32_t> SortEntries(std::vector<uint64_t> ids,
+                                           std::vector<size_t> reps,
+                                           std::vector<uint32_t>* pos_of_row,
+                                           Builds* b) {
+    std::vector<uint32_t> order = AscendingOrder(ids);
+    b->ids = Permuted(std::move(ids), order);
+    b->reps = Permuted(std::move(reps), order);
+    b->group_pos = Inverse(order);
+    if (!order.empty()) {
+      for (uint32_t& pos : *pos_of_row) {
+        if (pos != kNoGroup) pos = b->group_pos[pos];
+      }
+    }
+    return order;
+  }
+
+  /// Gives every entry of `b` its own λ/σ when the constructor edits them:
+  /// the source object's plus the pattern labels, in id order, then the
+  /// assignments in group order (so the first failing group decides).
+  Status EditEntries(const std::string& var, const LabelSet& pattern_labels,
+                     const std::vector<PropPattern>& props,
+                     const PathPropertyGraph* source, Builds* b) const {
+    if (pattern_labels.empty() && props.empty() && set_vars.count(var) == 0) {
+      return Status::OK();
+    }
+    b->own.resize(b->size());
+    for (size_t p = 0; p < b->size(); ++p) {
+      if (b->source[p] != nullptr) b->own[p] = *b->source[p];
+      b->own[p].labels.UnionWith(pattern_labels);
+    }
+    if (props.empty()) return Status::OK();
+    std::vector<size_t> scratch;
+    for (size_t g = 0; g < b->size(); ++g) {
+      const size_t p = b->Pos(g);
+      GCORE_RETURN_NOT_OK(ApplyAssignments(props, b->RowsOf(p, &scratch),
+                                           source, &b->own[p].props));
+    }
+    return Status::OK();
   }
 
   Status BuildNodesColumnar() {
     const size_t n = bindings.NumRows();
-    node_of_row.assign(node_ctors.size(), std::vector<NodeId>());
+    node_pos_of_row.assign(node_ctors.size(), std::vector<uint32_t>());
     for (size_t ci = 0; ci < node_ctors.size(); ++ci) {
       const NodeCtor& nc = node_ctors[ci];
       const NodePattern& pat = *nc.pattern;
       const size_t col = bindings.ColumnIndex(nc.name);
       const bool identity_bound = col != BindingTable::kNpos && !pat.is_copy;
       const bool by_id = identity_bound || pat.is_copy;
-      std::vector<NodeId>& assign = node_of_row[ci];
-      assign.assign(n, NodeId());
+      std::vector<uint32_t>& pos_of_row = node_pos_of_row[ci];
+      pos_of_row.assign(n, kNoGroup);
       if (by_id && col == BindingTable::kNpos) continue;  // (=x), x unbound
 
       // Row pass: each row's group, groups numbered by first appearance.
-      std::vector<uint32_t> group_of_row(n, kNoGroup);
       std::vector<size_t> reps;
       std::unordered_map<Key, uint32_t, KeyHash> key_index;
       std::vector<NodeId> bound;  // by_id: each group's node
       if (by_id) {
         const Column& c = bindings.ColumnAt(col);
-        IdGroups index(rows.size());
+        IdGroups index;
         for (size_t r : rows) {
           const Column::Kind kind = c.KindAt(r);
           if (kind == Column::Kind::kUnbound) continue;
           if (kind != Column::Kind::kNode) return NotANode(nc.name);
           bool fresh = false;
-          group_of_row[r] = index.Insert(c.NodeAt(r).value(), &fresh);
+          pos_of_row[r] = index.Insert(c.NodeAt(r).value(), &fresh);
           if (fresh) {
             reps.push_back(r);
             bound.push_back(c.NodeAt(r));
@@ -762,54 +960,37 @@ struct Constructor::ItemState {
           auto [it, inserted] = key_index.try_emplace(
               std::move(key), static_cast<uint32_t>(reps.size()));
           if (inserted) reps.push_back(r);
-          group_of_row[r] = it->second;
+          pos_of_row[r] = it->second;
         }
       }
 
-      // Group pass: identity, one source lookup, λ/σ, assignments.
+      // Entries in id order; source objects by one ascending merge.
+      Builds& b = node_builds[ci];
+      SkolemTable* skolems =
+          identity_bound
+              ? nullptr
+              : &owner->node_skolems_[pat.is_copy ? nc.name + "(copy)"
+                                                  : nc.name];
+      std::vector<uint64_t> group_ids =
+          GroupIds(reps.size(), bound, pat.is_copy, key_index, skolems,
+                   [&] { return ids()->NextNode(); });
+      const std::vector<uint32_t> order = SortEntries(
+          std::move(group_ids), std::move(reps), &pos_of_row, &b);
       const PathPropertyGraph* source =
           by_id ? ProvenanceGraph(nc.name) : nullptr;
-      const LabelSet pattern_labels(FlattenLabels(pat.label_groups));
-      const bool needs_rows = NeedsRows(nc.name, !pat.props.empty());
-      std::vector<std::vector<size_t>> group_rows;
-      if (needs_rows) group_rows = RowsByGroup(group_of_row, reps.size());
-      const std::vector<const Key*> keys = KeysByGroup(key_index);
-      SkolemTable* skolems =
-          identity_bound ? nullptr
-                         : &owner->node_skolems_[pat.is_copy
-                                                     ? nc.name + "(copy)"
-                                                     : nc.name];
-      auto next = [&] { return ids()->NextNode(); };
-      std::vector<NodeId> group_ids(reps.size());
-      node_builds.reserve(node_builds.size() + reps.size());
-      for (size_t g = 0; g < reps.size(); ++g) {
-        NodeBuild build;
-        build.var = nc.name;
-        build.rep = reps[g];
-        if (identity_bound) {
-          build.id = bound[g];
-        } else if (pat.is_copy) {
-          Key key;
-          key.a = bound[g].value();
-          build.id = NodeId(Skolem(skolems, key, next));
-        } else {
-          build.id = NodeId(Skolem(skolems, *keys[g], next));
-        }
-        const ObjectData* object =
-            source != nullptr ? source->FindNode(bound[g]) : nullptr;
-        if (object != nullptr) static_cast<ObjectData&>(build) = *object;
-        build.labels.UnionWith(pattern_labels);
-        if (needs_rows) {
-          build.rows = std::move(group_rows[g]);
-          GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows, source,
-                                               &build.props));
-        }
-        group_ids[g] = build.id;
-        node_builds.push_back(std::move(build));
+      b.source.assign(b.size(), nullptr);
+      if (source != nullptr) {
+        b.source = FindInOrder(Permuted(std::move(bound), order),
+                               [&](const std::vector<NodeId>& sorted) {
+                                 return source->FindNodes(sorted);
+                               });
       }
-      for (size_t r : rows) {
-        if (group_of_row[r] != kNoGroup) assign[r] = group_ids[group_of_row[r]];
+      if (NeedsRows(nc.name, !pat.props.empty())) {
+        CollectRows(pos_of_row, b.size(), &b);
       }
+      GCORE_RETURN_NOT_OK(EditEntries(nc.name,
+                                      LabelSet(FlattenLabels(pat.label_groups)),
+                                      pat.props, source, &b));
     }
     return Status::OK();
   }
@@ -817,20 +998,26 @@ struct Constructor::ItemState {
   Status BuildEdgesColumnar() {
     constexpr size_t kNoRow = ~size_t{0};
     const size_t n = bindings.NumRows();
-    for (const EdgeCtor& ec : edge_ctors) {
+    for (size_t ei = 0; ei < edge_ctors.size(); ++ei) {
+      const EdgeCtor& ec = edge_ctors[ei];
       const EdgePattern& pat = *ec.pattern;
       const size_t col = bindings.ColumnIndex(ec.name);
       const Column* column =
           col == BindingTable::kNpos ? nullptr : &bindings.ColumnAt(col);
       const bool identity_bound = column != nullptr && !pat.is_copy;
+      // Arrow orientation decides ρ.
       const bool reversed = pat.direction == EdgePattern::Direction::kLeft;
-      const std::vector<NodeId>& from = node_of_row[ec.from_ctor];
-      const std::vector<NodeId>& to = node_of_row[ec.to_ctor];
+      const size_t src_ctor = reversed ? ec.to_ctor : ec.from_ctor;
+      const size_t dst_ctor = reversed ? ec.from_ctor : ec.to_ctor;
+      const std::vector<uint32_t>& src_pos = node_pos_of_row[src_ctor];
+      const std::vector<uint32_t>& dst_pos = node_pos_of_row[dst_ctor];
+      const std::vector<uint64_t>& src_ids = node_builds[src_ctor].ids;
+      const std::vector<uint64_t>& dst_ids = node_builds[dst_ctor].ids;
       const PathPropertyGraph* source =
           identity_bound || pat.is_copy ? ProvenanceGraph(ec.name) : nullptr;
 
       // Row pass. A group keeps its first row and that row's endpoints, the
-      // first row whose endpoints differ from those, and the last row's
+      // first row whose endpoints differ from those, and its last row's
       // endpoints (the build's ρ).
       struct Group {
         size_t rep;
@@ -841,20 +1028,21 @@ struct Constructor::ItemState {
         size_t divergent;
       };
       std::vector<Group> groups;
-      std::vector<uint32_t> group_of_row(n, kNoGroup);
+      std::vector<uint32_t> pos_of_row(n, kNoGroup);
       std::unordered_map<Key, uint32_t, KeyHash> key_index;
       std::vector<EdgeId> bound;  // identity_bound: each group's edge
       size_t type_error_row = kNoRow;
-      IdGroups id_index(identity_bound ? rows.size() : 0);
+      IdGroups id_index;
       std::optional<GroupListEval> group_eval;
       if (!identity_bound && !pat.group_by.empty()) {
         group_eval.emplace(*this, pat.group_by);
       }
       for (size_t r : rows) {
-        NodeId src = from[r];
-        NodeId dst = to[r];
-        if (!src.valid() || !dst.valid()) continue;  // dangling prevention
-        if (reversed) std::swap(src, dst);
+        if (src_pos[r] == kNoGroup || dst_pos[r] == kNoGroup) {
+          continue;  // dangling prevention
+        }
+        const NodeId src(src_ids[src_pos[r]]);
+        const NodeId dst(dst_ids[dst_pos[r]]);
         uint32_t g = 0;
         bool fresh = false;
         if (identity_bound) {
@@ -893,24 +1081,49 @@ struct Constructor::ItemState {
           group.src = src;
           group.dst = dst;
         }
-        group_of_row[r] = g;
+        pos_of_row[r] = g;
+      }
+
+      // Entries in id order; source objects by one ascending merge: a
+      // bound edge's own, a copy's the edge its first row binds.
+      EdgeBuilds& b = edge_builds[ei];
+      std::vector<size_t> reps(groups.size());
+      for (size_t g = 0; g < groups.size(); ++g) reps[g] = groups[g].rep;
+      SkolemTable* skolems =
+          identity_bound
+              ? nullptr
+              : &owner->edge_skolems_[pat.is_copy ? ec.name + "(copy)"
+                                                  : ec.name];
+      std::vector<uint64_t> group_ids =
+          GroupIds(groups.size(), bound, /*is_copy=*/false, key_index,
+                   skolems, [&] { return ids()->NextEdge(); });
+      const std::vector<uint32_t> order = SortEntries(
+          std::move(group_ids), std::move(reps), &pos_of_row, &b);
+      std::vector<const PathPropertyGraph::EdgeData*> objects(b.size(),
+                                                              nullptr);
+      if (source != nullptr && column != nullptr) {
+        std::vector<EdgeId> wanted(b.size());
+        for (size_t p = 0; p < b.size(); ++p) {
+          const size_t rep = b.reps[p];
+          if (column->KindAt(rep) == Column::Kind::kEdge) {
+            wanted[p] = column->EdgeAt(rep);
+          }
+        }
+        objects = FindInOrder(wanted, [&](const std::vector<EdgeId>& sorted) {
+          return source->FindEdges(sorted);
+        });
       }
 
       // A bound edge must keep its source endpoints (Section 3: changing
       // them violates identity). Checked per distinct edge; the earliest
       // violating row decides, as row by row.
-      std::vector<const PathPropertyGraph::EdgeData*> objects(groups.size(),
-                                                              nullptr);
-      if (identity_bound && source != nullptr) {
-        for (size_t g = 0; g < groups.size(); ++g) {
-          objects[g] = source->FindEdge(bound[g]);
-        }
+      if (identity_bound) {
         size_t violation = kNoRow;
-        for (size_t g = 0; g < groups.size(); ++g) {
-          if (objects[g] == nullptr) continue;
-          const Group& group = groups[g];
-          const bool rep_differs = objects[g]->src != group.first_src ||
-                                   objects[g]->dst != group.first_dst;
+        for (size_t p = 0; p < b.size(); ++p) {
+          if (objects[p] == nullptr) continue;
+          const Group& group = groups[Slot(order, p)];
+          const bool rep_differs = objects[p]->src != group.first_src ||
+                                   objects[p]->dst != group.first_dst;
           violation =
               std::min(violation, rep_differs ? group.rep : group.divergent);
         }
@@ -918,60 +1131,35 @@ struct Constructor::ItemState {
       }
       if (type_error_row != kNoRow) return NotAnEdge(ec.name);
 
-      // Group pass.
-      const LabelSet pattern_labels(FlattenLabels(pat.label_groups));
-      const bool needs_rows = NeedsRows(ec.name, !pat.props.empty());
-      std::vector<std::vector<size_t>> group_rows;
-      if (needs_rows) group_rows = RowsByGroup(group_of_row, groups.size());
-      const std::vector<const Key*> keys = KeysByGroup(key_index);
-      SkolemTable* skolems =
-          identity_bound ? nullptr
-                         : &owner->edge_skolems_[pat.is_copy
-                                                     ? ec.name + "(copy)"
-                                                     : ec.name];
-      edge_builds.reserve(edge_builds.size() + groups.size());
-      for (size_t g = 0; g < groups.size(); ++g) {
-        const Group& group = groups[g];
-        EdgeBuild build;
-        build.var = ec.name;
-        build.rep = group.rep;
-        build.src = group.src;
-        build.dst = group.dst;
-        const ObjectData* object = objects[g];
-        if (identity_bound) {
-          build.id = bound[g];
-        } else {
-          build.id = EdgeId(
-              Skolem(skolems, *keys[g], [&] { return ids()->NextEdge(); }));
-          if (source != nullptr && column != nullptr &&
-              column->KindAt(group.rep) == Column::Kind::kEdge) {
-            object = source->FindEdge(column->EdgeAt(group.rep));
-          }
-        }
-        if (object != nullptr) static_cast<ObjectData&>(build) = *object;
-        build.labels.UnionWith(pattern_labels);
-        if (needs_rows) {
-          build.rows = std::move(group_rows[g]);
-          GCORE_RETURN_NOT_OK(ApplyAssignments(pat.props, build.rows, source,
-                                               &build.props));
-        }
-        edge_builds.push_back(std::move(build));
+      b.source.assign(objects.begin(), objects.end());
+      b.src.resize(b.size());
+      b.dst.resize(b.size());
+      for (size_t p = 0; p < b.size(); ++p) {
+        const Group& group = groups[Slot(order, p)];
+        b.src[p] = group.src;
+        b.dst[p] = group.dst;
       }
+      if (NeedsRows(ec.name, !pat.props.empty())) {
+        CollectRows(pos_of_row, b.size(), &b);
+      }
+      GCORE_RETURN_NOT_OK(EditEntries(ec.name,
+                                      LabelSet(FlattenLabels(pat.label_groups)),
+                                      pat.props, source, &b));
     }
     return Status::OK();
   }
 
   Status BuildPathsColumnar() {
     const size_t n = bindings.NumRows();
-    for (const PathCtor& pc : path_ctors) {
-      const PathPattern& pat = *pc.pattern;
+    for (size_t pi = 0; pi < path_ctors.size(); ++pi) {
+      const PathCtor& pc = path_ctors[pi];
       const size_t col = bindings.ColumnIndex(pc.name);
       if (col == BindingTable::kNpos) return UnboundPath(pc.name);
       const Column& column = bindings.ColumnAt(col);
 
       std::vector<uint32_t> group_of_row(n, kNoGroup);
       std::vector<size_t> reps;
-      IdGroups index(rows.size());
+      IdGroups index;
       for (size_t r : rows) {
         const Column::Kind kind = column.KindAt(r);
         if (kind == Column::Kind::kUnbound) continue;
@@ -982,123 +1170,171 @@ struct Constructor::ItemState {
         if (fresh) reps.push_back(r);
       }
 
-      const PathPropertyGraph* source = ProvenanceGraph(pc.name);
-      std::vector<std::vector<size_t>> group_rows;
-      if (NeedsRows(pc.name, !pat.props.empty())) {
-        group_rows = RowsByGroup(group_of_row, reps.size());
-      } else {
-        group_rows.resize(reps.size());
+      PathBuilds& b = path_builds[pi];
+      b.graph = ProvenanceGraph(pc.name);
+      if (NeedsRows(pc.name, !pc.pattern->props.empty())) {
+        CollectRows(group_of_row, reps.size(), &b);
       }
+      std::vector<size_t> scratch;
       for (size_t g = 0; g < reps.size(); ++g) {
-        GCORE_RETURN_NOT_OK(AddPathBuild(pat, pc.name,
-                                         column.HeavyAt(reps[g]).path(),
-                                         source, reps[g],
-                                         std::move(group_rows[g])));
+        GCORE_RETURN_NOT_OK(AddPathBuild(pc, &column.HeavyAt(reps[g]).path(),
+                                         reps[g], b.RowsOf(g, &scratch), &b));
       }
     }
     return Status::OK();
   }
 
-  /// Adds every surviving build into a fresh graph in ascending id order.
-  /// Members built more than once (a variable at two chain positions, a
-  /// node on many path bodies) merge by set union; contributions that
-  /// share a payload (the same source object) are skipped, so each
-  /// distinct source object is merged once whatever its number of
-  /// contributions, and path bodies import each (source, object) once.
-  Result<PathPropertyGraph> AssembleColumnar() {
-    std::vector<Piece> nodes;
-    std::vector<Piece> edges;
-    nodes.reserve(node_builds.size());
-    edges.reserve(edge_builds.size());
-    for (const NodeBuild& b : node_builds) {
-      if (!b.dropped) nodes.push_back({b.id.value(), &b, {}, {}, true});
-    }
-    for (const EdgeBuild& b : edge_builds) {
-      if (!b.dropped) edges.push_back({b.id.value(), &b, b.src, b.dst, true});
-    }
-
-    using SourceObject = std::pair<const void*, uint64_t>;
-    std::unordered_set<SourceObject, SourceObjectHash> imported_nodes;
-    std::unordered_set<SourceObject, SourceObjectHash> imported_edges;
-    auto import_node = [&](const PathPropertyGraph& source, NodeId id) {
-      if (imported_nodes.insert({&source, id.value()}).second) {
-        nodes.push_back({id.value(), source.FindNode(id), {}, {}, false});
-      }
-    };
-    auto import_edge = [&](const PathPropertyGraph& source, EdgeId id) {
-      if (!imported_edges.insert({&source, id.value()}).second) return;
-      const PathPropertyGraph::EdgeData* object = source.FindEdge(id);
-      if (object == nullptr) return;
-      import_node(source, object->src);
-      import_node(source, object->dst);
-      edges.push_back({id.value(), object, object->src, object->dst, false});
-    };
-    std::vector<size_t> stored;
-    for (size_t i = 0; i < path_builds.size(); ++i) {
-      const PathBuild& b = path_builds[i];
-      if (b.dropped) continue;
-      for (NodeId id : b.body.nodes) import_node(*b.source, id);
-      for (EdgeId id : b.body.edges) import_edge(*b.source, id);
-      for (NodeId id : b.extra_nodes) import_node(*b.source, id);
-      for (EdgeId id : b.extra_edges) import_edge(*b.source, id);
-      if (b.make_object) stored.push_back(i);
-    }
-
-    auto by_id = [](const Piece& x, const Piece& y) { return x.id < y.id; };
-    std::stable_sort(nodes.begin(), nodes.end(), by_id);
-    std::stable_sort(edges.begin(), edges.end(), by_id);
-
-    PathPropertyGraph graph;
-    // Unions one run of equal-id pieces into `out`.
-    auto merge_run = [](const std::vector<Piece>& pieces, size_t begin,
-                        size_t end, ObjectData* out) {
-      for (size_t i = begin; i < end; ++i) {
-        if (pieces[i].data == nullptr) continue;
-        out->labels.UnionWith(pieces[i].data->labels);
-        out->props.UnionWith(pieces[i].data->props);
-      }
-    };
-    auto run_end = [](const std::vector<Piece>& pieces, size_t begin) {
-      size_t end = begin + 1;
-      while (end < pieces.size() && pieces[end].id == pieces[begin].id) ++end;
-      return end;
-    };
-
-    for (size_t i = 0; i < nodes.size();) {
-      const size_t end = run_end(nodes, i);
-      merge_run(nodes, i, end, &graph.UpsertNode(NodeId(nodes[i].id)));
-      i = end;
-    }
-    for (size_t i = 0; i < edges.size();) {
-      const size_t end = run_end(edges, i);
-      const Piece& first = edges[i];
-      // Builds precede imports within a run: a second build with other
-      // endpoints is an identity violation, a diverging import is not.
-      for (size_t j = i + 1; j < end; ++j) {
-        if (edges[j].build &&
-            (edges[j].src != first.src || edges[j].dst != first.dst)) {
-          return Status::InvalidArgument(
-              "edge " + gcore::ToString(EdgeId(first.id)) +
-              " re-added with different endpoints (identity violation)");
+  /// Calls emit(id, contributions) once per distinct id of the runs
+  /// (column sets whose ids ascend), ids ascending. `contributions` lists
+  /// (run, entry) pairs in run order; a run holds each id at most once,
+  /// and dropped entries are skipped.
+  template <typename B, typename Emit>
+  static Status MergeRuns(const std::vector<B*>& runs, Emit emit) {
+    std::vector<size_t> pos(runs.size(), 0);
+    std::vector<std::pair<size_t, size_t>> contributions;
+    while (true) {
+      uint64_t id = ~uint64_t{0};
+      bool any = false;
+      for (size_t r = 0; r < runs.size(); ++r) {
+        const B& run = *runs[r];
+        while (pos[r] < run.size() && run.Dropped(pos[r])) ++pos[r];
+        if (pos[r] < run.size()) {
+          id = std::min(id, run.ids[pos[r]]);
+          any = true;
         }
       }
-      GCORE_ASSIGN_OR_RETURN(
-          ObjectData * out,
-          graph.UpsertEdge(EdgeId(first.id), first.src, first.dst));
-      merge_run(edges, i, end, out);
-      i = end;
+      if (!any) return Status::OK();
+      contributions.clear();
+      for (size_t r = 0; r < runs.size(); ++r) {
+        if (pos[r] < runs[r]->size() && runs[r]->ids[pos[r]] == id) {
+          contributions.push_back({r, pos[r]++});
+        }
+      }
+      GCORE_RETURN_NOT_OK(emit(id, contributions));
     }
-    // Stored paths replace λ/σ: the last build of an id wins.
-    std::stable_sort(stored.begin(), stored.end(), [&](size_t x, size_t y) {
-      return path_builds[x].id < path_builds[y].id;
-    });
-    for (size_t i : stored) {
-      PathBuild& b = path_builds[i];
-      GCORE_ASSIGN_OR_RETURN(ObjectData * out,
-                             graph.UpsertPath(b.id, std::move(b.body)));
-      out->labels = std::move(b.labels);
-      out->props = std::move(b.props);
+  }
+
+  /// Merges the builds' id-sorted runs into a fresh graph's stores, ids
+  /// ascending, each member appended once. Members built more than once
+  /// (a variable at two chain positions, a node on many path bodies)
+  /// merge by set union; a contribution holding the payload already there
+  /// is skipped, so each distinct source object costs one handle copy.
+  /// Path bodies are imported per path constructor: their distinct edges,
+  /// then their nodes and those edges' endpoints, each read by one
+  /// ascending merge over the source graph's store.
+  Result<PathPropertyGraph> AssembleColumnar() {
+    std::vector<Builds> node_imports(path_builds.size());
+    std::vector<EdgeBuilds> edge_imports(path_builds.size());
+    for (size_t pi = 0; pi < path_builds.size(); ++pi) {
+      const PathBuilds& b = path_builds[pi];
+      if (b.size() == 0) continue;
+      std::vector<NodeId> node_ids;
+      std::vector<EdgeId> edge_ids;
+      for (size_t g = 0; g < b.size(); ++g) {
+        if (b.Dropped(g)) continue;
+        const auto [walk_nodes, walk_edges] = Walk(*b.values[g]);
+        node_ids.insert(node_ids.end(), walk_nodes->begin(),
+                        walk_nodes->end());
+        edge_ids.insert(edge_ids.end(), walk_edges->begin(),
+                        walk_edges->end());
+      }
+      SortUnique(&edge_ids);
+      EdgeBuilds& edges = edge_imports[pi];
+      const auto found = b.graph->FindEdges(edge_ids);
+      for (size_t i = 0; i < edge_ids.size(); ++i) {
+        if (found[i] == nullptr) continue;
+        edges.ids.push_back(edge_ids[i].value());
+        edges.source.push_back(found[i]);
+        edges.src.push_back(found[i]->src);
+        edges.dst.push_back(found[i]->dst);
+        node_ids.push_back(found[i]->src);
+        node_ids.push_back(found[i]->dst);
+      }
+      SortUnique(&node_ids);
+      Builds& nodes = node_imports[pi];
+      nodes.source = b.graph->FindNodes(node_ids);
+      for (NodeId id : node_ids) nodes.ids.push_back(id.value());
     }
+
+    // Builds come before imports within an id.
+    std::vector<Builds*> node_runs;
+    std::vector<EdgeBuilds*> edge_runs;
+    size_t node_total = 0;
+    size_t edge_total = 0;
+    for (auto* builds : {&node_builds, &node_imports}) {
+      for (Builds& b : *builds) {
+        node_runs.push_back(&b);
+        node_total += b.size();
+      }
+    }
+    for (auto* builds : {&edge_builds, &edge_imports}) {
+      for (EdgeBuilds& b : *builds) {
+        edge_runs.push_back(&b);
+        edge_total += b.size();
+      }
+    }
+
+    PathPropertyGraph graph;
+    graph.Reserve(node_total, edge_total);
+    // Unions entry p of `b` into `out`. Assembly is the builds' last
+    // reader, so an entry's own λ/σ moves into an empty member.
+    auto merge = [](Builds* b, size_t p, ObjectData* out) {
+      if (!b->own.empty() && out->labels.empty() && out->props.empty()) {
+        *out = std::move(b->own[p]);
+        return;
+      }
+      const ObjectData* data = b->Data(p);
+      if (data == nullptr) return;
+      out->labels.UnionWith(data->labels);
+      out->props.UnionWith(data->props);
+    };
+    GCORE_RETURN_NOT_OK(MergeRuns(
+        node_runs,
+        [&](uint64_t id,
+            const std::vector<std::pair<size_t, size_t>>& contributions) {
+          ObjectData& out = graph.AppendNode(NodeId(id));
+          for (auto [r, g] : contributions) merge(node_runs[r], g, &out);
+          return Status::OK();
+        }));
+
+    // A build's ρ names nodes of its own item, which are members unless
+    // post-WHEN dropped them; then the build is skipped, as in the spec.
+    // An import's endpoints were imported with it.
+    auto endpoints_kept = [&](size_t r, size_t g) {
+      return !post_when || r >= edge_builds.size() ||
+             (graph.HasNode(edge_runs[r]->src[g]) &&
+              graph.HasNode(edge_runs[r]->dst[g]));
+    };
+    std::vector<std::pair<size_t, size_t>> kept;
+    GCORE_RETURN_NOT_OK(MergeRuns(
+        edge_runs,
+        [&](uint64_t id,
+            const std::vector<std::pair<size_t, size_t>>& contributions)
+            -> Status {
+          kept.clear();
+          for (auto [r, g] : contributions) {
+            if (endpoints_kept(r, g)) kept.push_back({r, g});
+          }
+          if (kept.empty()) return Status::OK();
+          const EdgeBuilds& first = *edge_runs[kept[0].first];
+          const NodeId src = first.src[kept[0].second];
+          const NodeId dst = first.dst[kept[0].second];
+          // A second build with other endpoints is an identity violation;
+          // a diverging import is not.
+          for (auto [r, g] : kept) {
+            if (r < edge_builds.size() &&
+                (edge_runs[r]->src[g] != src || edge_runs[r]->dst[g] != dst)) {
+              return Status::InvalidArgument(
+                  "edge " + gcore::ToString(EdgeId(id)) +
+                  " re-added with different endpoints (identity violation)");
+            }
+          }
+          ObjectData& out = graph.AppendEdge(EdgeId(id), src, dst);
+          for (auto [r, g] : kept) merge(edge_runs[r], g, &out);
+          return Status::OK();
+        }));
+
+    GCORE_RETURN_NOT_OK(AddStoredPaths(&graph));
     return graph;
   }
 
@@ -1107,21 +1343,27 @@ struct Constructor::ItemState {
   // --- SET / REMOVE statements -----------------------------------------------------
 
   Status ApplySetStatements() {
+    std::vector<size_t> scratch;
     for (const auto& stmt : item.sets) {
       bool found = false;
       ExprEvaluator eval = MakeEvaluator(nullptr);
-      auto apply = [&](auto& builds) -> Status {
-        for (auto& build : builds) {
-          if (build.var != stmt.var) continue;
+      auto apply = [&](const auto& ctors, auto* builds) -> Status {
+        for (size_t c = 0; c < ctors.size(); ++c) {
+          Builds& b = (*builds)[c];
+          if (ctors[c].name != stmt.var || b.size() == 0) continue;
           found = true;
-          GCORE_RETURN_NOT_OK(ApplyOneSet(stmt, eval, build.rows,
-                                          &build.labels, &build.props));
+          for (size_t g = 0; g < b.size(); ++g) {
+            ObjectData& data = b.own[b.Pos(g)];
+            GCORE_RETURN_NOT_OK(ApplyOneSet(stmt, eval,
+                                            b.RowsOf(b.Pos(g), &scratch),
+                                            &data.labels, &data.props));
+          }
         }
         return Status::OK();
       };
-      GCORE_RETURN_NOT_OK(apply(node_builds));
-      GCORE_RETURN_NOT_OK(apply(edge_builds));
-      GCORE_RETURN_NOT_OK(apply(path_builds));
+      GCORE_RETURN_NOT_OK(apply(node_ctors, &node_builds));
+      GCORE_RETURN_NOT_OK(apply(edge_ctors, &edge_builds));
+      GCORE_RETURN_NOT_OK(apply(path_ctors, &path_builds));
       if (!found) {
         return Status::BindError("SET/REMOVE on '" + stmt.var +
                                  "' which is not constructed by this item");
@@ -1190,27 +1432,33 @@ struct Constructor::ItemState {
     // ascending id order (stable, so "last" keeps build order).
     std::vector<Piece> nodes;
     std::vector<Piece> edges;
-    for (const auto& b : node_builds) {
-      nodes.push_back({b.id.value(), &b, {}, {}, true});
+    for (const Builds& b : node_builds) {
+      for (size_t g = 0; g < b.size(); ++g) {
+        nodes.push_back({b.ids[g], b.Data(g), {}, {}, true});
+      }
     }
-    for (const auto& b : edge_builds) {
-      nodes.push_back({b.src.value(), nullptr, {}, {}, false});
-      nodes.push_back({b.dst.value(), nullptr, {}, {}, false});
-      edges.push_back({b.id.value(), &b, b.src, b.dst, true});
+    for (const EdgeBuilds& b : edge_builds) {
+      for (size_t g = 0; g < b.size(); ++g) {
+        nodes.push_back({b.src[g].value(), nullptr, {}, {}, false});
+        nodes.push_back({b.dst[g].value(), nullptr, {}, {}, false});
+        edges.push_back({b.ids[g], b.Data(g), b.src[g], b.dst[g], true});
+      }
     }
     auto by_id = [](const Piece& x, const Piece& y) { return x.id < y.id; };
     std::stable_sort(nodes.begin(), nodes.end(), by_id);
     std::stable_sort(edges.begin(), edges.end(), by_id);
+    const ObjectData none;
     PathPropertyGraph scratch;
     for (const Piece& p : nodes) {
       ObjectData& out = scratch.UpsertNode(NodeId(p.id));
-      if (p.data != nullptr) out = *p.data;
+      if (p.build) out = p.data != nullptr ? *p.data : none;
     }
     for (const Piece& p : edges) {
       Status st = scratch.AddEdge(EdgeId(p.id), p.src, p.dst);
       (void)st;
-      scratch.SetLabels(EdgeId(p.id), p.data->labels);
-      scratch.SetProperties(EdgeId(p.id), p.data->props);
+      const ObjectData& data = p.data != nullptr ? *p.data : none;
+      scratch.SetLabels(EdgeId(p.id), data.labels);
+      scratch.SetProperties(EdgeId(p.id), data.props);
     }
 
     // Extended binding table: original columns plus construct variables.
@@ -1218,63 +1466,63 @@ struct Constructor::ItemState {
     for (const auto& [v, g] : bindings.column_graphs()) {
       extended.SetColumnGraph(v, g);
     }
-    std::map<std::string, size_t> ctor_cols;
-    for (const auto& b : node_builds) {
-      if (ctor_cols.count(b.var) == 0 && !bindings.HasColumn(b.var)) {
-        ctor_cols[b.var] = extended.AddColumn(b.var);
-      }
-    }
-    for (const auto& b : edge_builds) {
-      if (ctor_cols.count(b.var) == 0 && !bindings.HasColumn(b.var)) {
-        ctor_cols[b.var] = extended.AddColumn(b.var);
-      }
-    }
-    // Row index map original -> extended.
-    std::unordered_map<size_t, size_t> row_map;
+    std::vector<size_t> row_map(bindings.NumRows());
     for (size_t r : rows) {
       row_map[r] = extended.NumRows();
       extended.AppendRowFrom(bindings, r);
     }
-    for (const auto& b : node_builds) {
-      auto it = ctor_cols.find(b.var);
-      if (it == ctor_cols.end()) continue;
-      for (size_t r : b.rows) {
-        extended.SetCell(row_map[r], it->second, Datum::OfNode(b.id));
+    std::map<std::string, size_t> ctor_cols;
+    auto fill = [&](const auto& ctors, const auto& builds, auto datum_of) {
+      for (size_t c = 0; c < ctors.size(); ++c) {
+        const Builds& b = builds[c];
+        const std::string& var = ctors[c].name;
+        if (b.size() == 0 || bindings.HasColumn(var)) continue;
+        if (ctor_cols.count(var) == 0) ctor_cols[var] = extended.AddColumn(var);
+        for (size_t g = 0; g < b.size(); ++g) {
+          for (size_t i = b.row_start[g]; i < b.row_start[g + 1]; ++i) {
+            extended.SetCell(row_map[b.rows[i]], ctor_cols[var],
+                             datum_of(b.ids[g]));
+          }
+        }
       }
-    }
-    for (const auto& b : edge_builds) {
-      auto it = ctor_cols.find(b.var);
-      if (it == ctor_cols.end()) continue;
-      for (size_t r : b.rows) {
-        extended.SetCell(row_map[r], it->second, Datum::OfEdge(b.id));
-      }
-    }
+    };
+    fill(node_ctors, node_builds,
+         [](uint64_t id) { return Datum::OfNode(NodeId(id)); });
+    fill(edge_ctors, edge_builds,
+         [](uint64_t id) { return Datum::OfEdge(EdgeId(id)); });
 
     ExprEvaluator eval = MakeEvaluator(&scratch);
-
-    auto group_passes = [&](size_t rep) -> Result<bool> {
-      return eval.EvalPredicate(*item.when, extended, row_map[rep]);
+    auto evaluate = [&](auto* builds) -> Status {
+      for (Builds& b : *builds) {
+        b.dropped.assign(b.size(), 0);
+        for (size_t g = 0; g < b.size(); ++g) {
+          const size_t p = b.Pos(g);
+          GCORE_ASSIGN_OR_RETURN(
+              bool keep,
+              eval.EvalPredicate(*item.when, extended, row_map[b.reps[p]]));
+          b.dropped[p] = !keep;
+        }
+      }
+      return Status::OK();
     };
-
-    for (auto& b : edge_builds) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rep));
-      if (!keep) b.dropped = true;
+    GCORE_RETURN_NOT_OK(evaluate(&edge_builds));
+    GCORE_RETURN_NOT_OK(evaluate(&node_builds));
+    // Drop edges touching a dropped node (dangling prevention).
+    std::unordered_set<uint64_t> dropped_nodes;
+    for (const Builds& b : node_builds) {
+      for (size_t g = 0; g < b.size(); ++g) {
+        if (b.dropped[g]) dropped_nodes.insert(b.ids[g]);
+      }
     }
-    for (auto& b : node_builds) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rep));
-      if (!keep) {
-        b.dropped = true;
-        // Drop edges touching the dropped node (dangling prevention).
-        for (auto& e : edge_builds) {
-          if (e.src == b.id || e.dst == b.id) e.dropped = true;
+    for (EdgeBuilds& b : edge_builds) {
+      for (size_t g = 0; g < b.size(); ++g) {
+        if (dropped_nodes.count(b.src[g].value()) > 0 ||
+            dropped_nodes.count(b.dst[g].value()) > 0) {
+          b.dropped[g] = 1;
         }
       }
     }
-    for (auto& b : path_builds) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, group_passes(b.rep));
-      if (!keep) b.dropped = true;
-    }
-    return Status::OK();
+    return evaluate(&path_builds);
   }
 
   // --- driver ------------------------------------------------------------------------

@@ -21,14 +21,17 @@
 //
 //   * the columnar fast path (the default) resolves each construct
 //     variable's column and provenance graph once per item, reads ids
-//     through Column::KindAt/NodeAt/EdgeAt, groups rows in hash tables
+//     through Column::KindAt/NodeAt/EdgeAt and groups rows in hash tables
 //     keyed on raw ids (a bound object's identity determines every other
-//     attribute of it, so the id alone is its group key), records each
-//     row's node in dense per-row vectors, looks every distinct object up
-//     in its source graph once (λ/σ and, for a bound edge, ρ for the
-//     identity check), and appends the built objects to the result graph
-//     in ascending id order, importing each (source, object) pair of path
-//     bodies once;
+//     attribute of it, so the id alone is its group key). Each
+//     constructor's builds are columns (id, first row, source object, ρ,
+//     rows only when read) stored in ascending id order, with the group
+//     order kept as a permutation for the passes that need it. The
+//     distinct bound ids are resolved by one ascending merge over the
+//     source graph's id-sorted store (PathPropertyGraph::FindNodes /
+//     FindEdges), path bodies import their distinct nodes and edges the
+//     same way, and assembly merges the id-sorted runs straight into the
+//     result's stores, each member appended once;
 //   * the row-at-a-time executable spec (`ConstructorContext::use_spec`,
 //     which the engine sets under `use_planner = false`) reads bindings by
 //     column name, resolves provenance per row and inserts every
@@ -46,7 +49,9 @@
 // group, as they do under SELECT DISTINCT). Fresh skolem identities are
 // drawn per item, node constructors before edge constructors, each in
 // chain order and then in group order — so both paths allocate the same
-// ids.
+// ids. Errors follow the same precedence on both paths: the earliest
+// binding row decides type errors and identity violations, and group
+// order decides assignment and SET errors.
 #ifndef GCORE_EVAL_CONSTRUCTOR_H_
 #define GCORE_EVAL_CONSTRUCTOR_H_
 

@@ -198,14 +198,6 @@ Result<std::shared_ptr<const GraphSnapshot>> GraphCatalog::Snapshot(
   return snapshot;
 }
 
-std::vector<std::string> GraphCatalog::GraphNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(graphs_.size());
-  for (const auto& [name, entry] : graphs_) names.push_back(name);
-  return names;
-}
-
 void GraphCatalog::RegisterTable(const std::string& name, Table table) {
   bool invalidate = false;
   {

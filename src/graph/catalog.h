@@ -95,7 +95,6 @@ class GraphCatalog {
       const std::string& name) const;
   bool HasGraph(const std::string& name) const;
   void DropGraph(const std::string& name);
-  std::vector<std::string> GraphNames() const;
 
   /// Version of a registered graph: monotonically increasing across the
   /// whole catalog, bumped on every (re-)registration. 0 when the name is

@@ -1,6 +1,7 @@
 #include "graph/ppg.h"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 #include <stdexcept>
 
@@ -186,9 +187,57 @@ typename Store::value_type& FindOrInsert(Store* store, Id id, bool* inserted) {
   return *store->emplace(it, id, typename Store::value_type::second_type());
 }
 
+/// Find for each of the ascending `ids`: a galloping search forward from
+/// the previous hit, doubling the step until it passes the id, then a
+/// binary search inside the last step.
+template <typename Store, typename Id>
+auto FindAscending(const Store& store, const std::vector<Id>& ids) {
+  std::vector<const typename Store::value_type::second_type*> out(ids.size(),
+                                                                 nullptr);
+  auto below = [](const auto& entry, Id key) { return entry.first < key; };
+  size_t at = 0;
+  for (size_t i = 0; i < ids.size() && at < store.size(); ++i) {
+    size_t step = 1;
+    size_t hi = at;
+    while (hi < store.size() && store[hi].first < ids[i]) {
+      at = hi + 1;
+      hi += step;
+      step <<= 1;
+    }
+    at = std::lower_bound(store.begin() + at,
+                          store.begin() + std::min(hi, store.size()), ids[i],
+                          below) -
+         store.begin();
+    if (at < store.size() && store[at].first == ids[i]) {
+      out[i] = &store[at].second;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 void PathPropertyGraph::AddNode(NodeId id) { UpsertNode(id); }
+
+void PathPropertyGraph::Reserve(size_t nodes, size_t edges) {
+  nodes_.reserve(nodes);
+  edges_.reserve(edges);
+}
+
+PathPropertyGraph::ObjectData& PathPropertyGraph::AppendNode(NodeId id) {
+  assert(nodes_.empty() || nodes_.back().first < id);
+  return nodes_.emplace_back(id, ObjectData()).second;
+}
+
+PathPropertyGraph::ObjectData& PathPropertyGraph::AppendEdge(EdgeId id,
+                                                             NodeId src,
+                                                             NodeId dst) {
+  assert(edges_.empty() || edges_.back().first < id);
+  EdgeData& data = edges_.emplace_back(id, EdgeData()).second;
+  data.src = src;
+  data.dst = dst;
+  return data;
+}
 
 Status PathPropertyGraph::AddEdge(EdgeId id, NodeId src, NodeId dst) {
   return UpsertEdge(id, src, dst).status();
@@ -278,6 +327,16 @@ const PathPropertyGraph::PathData* PathPropertyGraph::FindPath(
     PathId id) const {
   const auto* entry = Find(paths_, id);
   return entry == nullptr ? nullptr : &entry->second;
+}
+
+std::vector<const PathPropertyGraph::ObjectData*> PathPropertyGraph::FindNodes(
+    const std::vector<NodeId>& ids) const {
+  return FindAscending(nodes_, ids);
+}
+
+std::vector<const PathPropertyGraph::EdgeData*> PathPropertyGraph::FindEdges(
+    const std::vector<EdgeId>& ids) const {
+  return FindAscending(edges_, ids);
 }
 
 std::pair<NodeId, NodeId> PathPropertyGraph::EdgeEndpoints(EdgeId id) const {

@@ -22,9 +22,10 @@
 //
 // Storage. Each member kind (nodes, edges, paths) is one vector of
 // (id, data) entries sorted by id. Appending an id above every present
-// one costs amortized O(1); a lookup is a binary search, O(log n);
-// inserting an id below the largest present one shifts the entries
-// after it, O(members) per insert, so producers emit members in
+// one costs amortized O(1); a lookup is a binary search, O(log n), and a
+// batch of ascending ids is one forward galloping merge (FindNodes /
+// FindEdges); inserting an id below the largest present one shifts the
+// entries after it, O(members) per insert, so producers emit members in
 // ascending id order (the id allocator, the snapshot thaw, CONSTRUCT's
 // assembly and the set operations all do). A reference or pointer into a
 // member's data, from UpsertNode/UpsertEdge/UpsertPath or
@@ -255,11 +256,29 @@ class PathPropertyGraph {
   Result<ObjectData*> UpsertEdge(EdgeId id, NodeId src, NodeId dst);
   Result<ObjectData*> UpsertPath(PathId id, PathBody body);
 
+  /// Ascending append for an assembler that merges id-sorted runs
+  /// (CONSTRUCT): `id` must exceed every present id of its kind, and an
+  /// edge's endpoints must already be members. The caller guarantees
+  /// both, so neither is checked (a debug build asserts the order).
+  /// Reserve sizes the stores up front.
+  void Reserve(size_t nodes, size_t edges);
+  ObjectData& AppendNode(NodeId id);
+  ObjectData& AppendEdge(EdgeId id, NodeId src, NodeId dst);
+
   /// One lookup for ρ/δ, λ and σ of a member; null when absent. Valid
   /// until the next insertion into this graph.
   const ObjectData* FindNode(NodeId id) const;
   const EdgeData* FindEdge(EdgeId id) const;
   const PathData* FindPath(PathId id) const;
+
+  /// FindNode/FindEdge of many ids at once: `ids` must be ascending
+  /// (repeats allowed), and entry i of the result is the member of
+  /// ids[i] or null. One forward galloping merge over the id-sorted
+  /// store, so k lookups cost O(k log(n/k)) sequential probes instead of
+  /// k binary searches over all n members.
+  std::vector<const ObjectData*> FindNodes(
+      const std::vector<NodeId>& ids) const;
+  std::vector<const EdgeData*> FindEdges(const std::vector<EdgeId>& ids) const;
 
   // --- structure access ----------------------------------------------------
 

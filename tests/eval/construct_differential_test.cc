@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 
 #include "bench/paper_queries.h"
 #include "engine/engine.h"
@@ -131,6 +132,34 @@ class ConstructDifferential : public ::testing::TestWithParam<size_t> {
         Construct(&fast_catalog, basic, *fast_bindings, /*spec=*/false);
     Outcome spec =
         Construct(&spec_catalog, basic, *spec_bindings, /*spec=*/true);
+    ExpectSameOutcome(query, fast, spec);
+    return spec;
+  }
+
+  /// Checks `query` (a CONSTRUCT without MATCH) over hand-built bindings,
+  /// so row order and cell kinds can be chosen freely. `make` builds the
+  /// table from a twin catalog (the twins hold the same ids).
+  Outcome CheckTable(const Populate& populate, const std::string& query,
+                     const std::function<BindingTable(GraphCatalog*)>& make) {
+    GraphCatalog fast_catalog;
+    GraphCatalog spec_catalog;
+    populate(&fast_catalog);
+    populate(&spec_catalog);
+    auto parsed = ParseQuery(query);
+    EXPECT_TRUE(parsed.ok()) << query;
+    if (!parsed.ok()) return {};
+    const BasicQuery& basic = BasicOf(**parsed);
+    const Outcome fast = Construct(&fast_catalog, basic, make(&fast_catalog),
+                                   /*spec=*/false);
+    Outcome spec = Construct(&spec_catalog, basic, make(&spec_catalog),
+                             /*spec=*/true);
+    ExpectSameOutcome(query, fast, spec);
+    return spec;
+  }
+
+ private:
+  static void ExpectSameOutcome(const std::string& query, const Outcome& fast,
+                                const Outcome& spec) {
     EXPECT_EQ(fast.status.code(), spec.status.code())
         << query << "\nfast: " << fast.status.ToString()
         << "\nspec: " << spec.status.ToString();
@@ -143,10 +172,8 @@ class ConstructDifferential : public ::testing::TestWithParam<size_t> {
       EXPECT_EQ(fast.graph.PathIds(), spec.graph.PathIds()) << query;
       EXPECT_TRUE(fast.graph.Validate().ok()) << query;
     }
-    return spec;
   }
 
- private:
   static const BasicQuery& BasicOf(const Query& query) {
     if (query.body == nullptr) {
       return *query.graph_clauses.back().query->body->basic;
@@ -383,6 +410,137 @@ TEST_P(ConstructDifferential, GroupKeysUseValueEquality) {
   Check(Scores, "CONSTRUCT (x GROUP n.tag :T {tag:=n.tag}) MATCH (n:Q)");
   Check(Scores,
         "CONSTRUCT (x GROUP v)-[:has]->(n) MATCH (n:P {score=v})");
+}
+
+// --- error precedence and skolem order -------------------------------------------------
+
+/// Node ids of the `chain` graph, ascending: a, b, c.
+std::vector<NodeId> ChainNodes(GraphCatalog* catalog) {
+  return (*catalog->Lookup("chain"))->NodeIds();
+}
+
+TEST_P(ConstructDifferential, FirstAppearingGroupDecidesAssignmentErrors) {
+  // Two groups of n fail differently: 1 / 0 is an evaluation error and
+  // 1 / 'x' a type error. Row 0's group holds the larger node id, so group
+  // order and id order disagree; the group that appears first decides.
+  auto rows = [](Value first, Value second) {
+    return [=](GraphCatalog* catalog) {
+      const std::vector<NodeId> nodes = ChainNodes(catalog);
+      BindingTable table({"n", "v"});
+      Status st = table.AddRow({Datum::OfNode(nodes[2]), Datum::OfValue(first)});
+      st = table.AddRow({Datum::OfNode(nodes[0]), Datum::OfValue(second)});
+      (void)st;
+      return table;
+    };
+  };
+  for (const char* q : {"CONSTRUCT (n) SET n.k := 1 / v",
+                        "CONSTRUCT (n {k:=1 / v})",
+                        "CONSTRUCT (=n) SET n.k := 1 / v"}) {
+    EXPECT_TRUE(CheckTable(Chain, q, rows(Value::Int(0), Value::String("x")))
+                    .status.IsEvaluationError())
+        << q;
+    EXPECT_TRUE(CheckTable(Chain, q, rows(Value::String("x"), Value::Int(0)))
+                    .status.IsTypeError())
+        << q;
+  }
+}
+
+TEST_P(ConstructDifferential, EarliestRowDecidesTypeAndIdentityErrors) {
+  // On the chain a -e1-> b -e2-> c: `ok` binds e2 with its own endpoints,
+  // `violation` binds e1 reversed and `type` binds e to a node. The
+  // violation sits on the smallest edge id, so id order and row order
+  // disagree whenever it comes after the type error.
+  enum RowKind { kOk, kViolation, kType };
+  auto rows = [](std::vector<RowKind> kinds) {
+    return [=](GraphCatalog* catalog) {
+      const std::vector<NodeId> n = ChainNodes(catalog);
+      const std::vector<EdgeId> e = (*catalog->Lookup("chain"))->EdgeIds();
+      BindingTable table({"n", "e", "m"});
+      for (RowKind kind : kinds) {
+        Status st;
+        switch (kind) {
+          case kOk:
+            st = table.AddRow({Datum::OfNode(n[1]), Datum::OfEdge(e[1]),
+                               Datum::OfNode(n[2])});
+            break;
+          case kViolation:
+            st = table.AddRow({Datum::OfNode(n[1]), Datum::OfEdge(e[0]),
+                               Datum::OfNode(n[0])});
+            break;
+          case kType:
+            st = table.AddRow({Datum::OfNode(n[0]), Datum::OfNode(n[0]),
+                               Datum::OfNode(n[1])});
+            break;
+        }
+        (void)st;
+      }
+      return table;
+    };
+  };
+  const std::string q = "CONSTRUCT (n)-[e]->(m)";
+  EXPECT_TRUE(CheckTable(Chain, q, rows({kOk, kType, kViolation}))
+                  .status.IsTypeError());
+  EXPECT_TRUE(CheckTable(Chain, q, rows({kOk, kViolation, kType}))
+                  .status.IsBindError());
+  EXPECT_TRUE(CheckTable(Chain, q, rows({kType, kOk, kViolation}))
+                  .status.IsTypeError());
+  EXPECT_TRUE(CheckTable(Chain, q, rows({kViolation, kOk, kType}))
+                  .status.IsBindError());
+}
+
+TEST_P(ConstructDifferential, BoundAndSkolemConstructorsKeepFreshIds) {
+  // Rows bind c before a: each fresh id is drawn in the order its group
+  // first appears, not in the order of the bound ids.
+  auto rows = [](GraphCatalog* catalog) {
+    const std::vector<NodeId> nodes = ChainNodes(catalog);
+    BindingTable table({"n"});
+    for (NodeId id : {nodes[2], nodes[0], nodes[2], nodes[1]}) {
+      Status st = table.AddRow({Datum::OfNode(id)});
+      (void)st;
+    }
+    return table;
+  };
+  const Outcome out = CheckTable(
+      Chain, "CONSTRUCT (n)-[:k]->(x GROUP n)<-[:j]-(=n), (n)-[:self]->(n)",
+      rows);
+  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  GraphCatalog catalog;
+  Chain(&catalog);
+  const std::vector<NodeId> nodes = ChainNodes(&catalog);
+  std::map<NodeId, NodeId> group_of;  // bound n -> its x
+  out.graph.ForEachEdge([&](EdgeId e, NodeId src, NodeId dst) {
+    if (out.graph.Labels(e).Contains("k")) group_of[src] = dst;
+  });
+  ASSERT_EQ(group_of.size(), 3u);
+  EXPECT_LT(group_of[nodes[2]], group_of[nodes[0]]);
+  EXPECT_LT(group_of[nodes[0]], group_of[nodes[1]]);
+  // Bound and skolem constructors in one item, over MATCH rows whose
+  // order is not the id order of m.
+  for (const char* q : {
+           "CONSTRUCT (m)<-[e]-(n)-[:twin]->(x GROUP m)<-[:of]-(=m) "
+           "MATCH (n:Person)-[e:knows]->(m:Person)",
+           "CONSTRUCT (n)-[e]->(m), (x GROUP m)-[:near]->(n) "
+           "MATCH (m:Person)<-[e:knows]-(n:Person)",
+       }) {
+    Check(ToyData, q);
+    Check(Snb300, q);
+  }
+}
+
+TEST_P(ConstructDifferential, SetOnAConstructorWithoutGroups) {
+  Check(ToyData, "CONSTRUCT (n) SET n.k := 1 MATCH (n:Nobody)");
+  Check(ToyData, "CONSTRUCT (n)-[e:x]->(m) SET e.k := 1 MATCH (n:Nobody)");
+}
+
+TEST_P(ConstructDifferential, TableColumnsOfTheWrongSort) {
+  // The validator gives table columns no sort, so a FROM query reaches
+  // the constructor's own sort checks.
+  EXPECT_TRUE(Check(ToyData, "CONSTRUCT (custName) FROM orders")
+                  .status.IsTypeError());
+  EXPECT_TRUE(Check(ToyData, "CONSTRUCT (a)-/p/->(b) FROM orders")
+                  .status.IsBindError());
+  EXPECT_TRUE(Check(ToyData, "CONSTRUCT (a)-/custName/->(b) FROM orders")
+                  .status.IsTypeError());
 }
 
 INSTANTIATE_TEST_SUITE_P(Parallelism, ConstructDifferential,

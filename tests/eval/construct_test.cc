@@ -314,6 +314,21 @@ TEST_F(ConstructTest, ConstructWithoutMatchUsesUnitBinding) {
   EXPECT_EQ(g->NumNodes(), 1u);
 }
 
+TEST_F(ConstructTest, TableColumnsOfTheWrongSortAreRejected) {
+  // The validator assigns no sort to a FROM table's columns, so these
+  // reach the constructor's own checks through the engine.
+  Table orders({"custName", "prodCode"});
+  ASSERT_TRUE(
+      orders.AddRow({Value::String("cust0"), Value::String("P0")}).ok());
+  catalog.RegisterTable("orders", std::move(orders));
+  auto node = Run("CONSTRUCT (custName) FROM orders");
+  EXPECT_TRUE(node.status().IsTypeError()) << node.status().ToString();
+  auto unbound = Run("CONSTRUCT (a)-/p/->(b) FROM orders");
+  EXPECT_TRUE(unbound.status().IsBindError()) << unbound.status().ToString();
+  auto path = Run("CONSTRUCT (a)-/custName/->(b) FROM orders");
+  EXPECT_TRUE(path.status().IsTypeError()) << path.status().ToString();
+}
+
 TEST(ConstructProvenance, ReadsThePinnedGraphNotTheCatalogs) {
   // The bindings were matched on `pinned`; the catalog has since
   // re-registered "g" with other λ/σ. Bound objects, copies, assignments

@@ -9,6 +9,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <tuple>
 
 #include "graph/graph_builder.h"
 #include "graph/graph_ops.h"
@@ -249,6 +250,70 @@ TEST(PathPropertyGraph, LookupOverUnevenIds) {
   }
   EXPECT_FALSE(g.HasNode(NodeId((uint64_t{1} << 40) + 1)));
   EXPECT_FALSE(PathPropertyGraph().HasNode(NodeId(1)));
+}
+
+TEST(PathPropertyGraph, BatchLookupMatchesSingleLookups) {
+  // The same uneven ids, probed in ascending batches with repeats, gaps
+  // before, between and after the members, and far jumps the gallop must
+  // cross.
+  std::set<uint64_t> ids;
+  for (uint64_t i = 1; i <= 100; ++i) ids.insert(2 * i);
+  ids.insert(uint64_t{1} << 40);
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 300; ++i) ids.insert(rng() % 1000000 + 1);
+  PathPropertyGraph g;
+  NodeId prev;
+  for (uint64_t id : ids) {
+    g.AddNode(NodeId(id));
+    if (prev.valid()) {
+      ASSERT_TRUE(g.AddEdge(EdgeId(id), prev, NodeId(id)).ok());
+    }
+    prev = NodeId(id);
+  }
+  std::vector<uint64_t> probes = {0, 1, 2, 2, 3, 200, 201, 1000001,
+                                  uint64_t{1} << 40, (uint64_t{1} << 40) + 1};
+  for (int i = 0; i < 500; ++i) probes.push_back(rng() % 1100000);
+  for (uint64_t id : ids) probes.push_back(id);
+  std::sort(probes.begin(), probes.end());
+  std::vector<NodeId> nodes;
+  std::vector<EdgeId> edges;
+  for (uint64_t id : probes) {
+    nodes.push_back(NodeId(id));
+    edges.push_back(EdgeId(id));
+  }
+  const auto found_nodes = g.FindNodes(nodes);
+  const auto found_edges = g.FindEdges(edges);
+  ASSERT_EQ(found_nodes.size(), probes.size());
+  ASSERT_EQ(found_edges.size(), probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(found_nodes[i], g.FindNode(nodes[i])) << probes[i];
+    EXPECT_EQ(found_edges[i], g.FindEdge(edges[i])) << probes[i];
+  }
+  EXPECT_TRUE(g.FindNodes({}).empty());
+  EXPECT_EQ(PathPropertyGraph().FindEdges(edges),
+            std::vector<const PathPropertyGraph::EdgeData*>(edges.size()));
+}
+
+TEST(PathPropertyGraph, AscendingAppendEqualsUpsert) {
+  PathPropertyGraph appended;
+  PathPropertyGraph upserted;
+  appended.Reserve(3, 2);
+  for (uint64_t id : {3, 5, 9}) {
+    appended.AppendNode(NodeId(id)).labels.Insert("N");
+    upserted.UpsertNode(NodeId(id)).labels.Insert("N");
+  }
+  for (auto [id, src, dst] :
+       {std::make_tuple(4, 3, 5), std::make_tuple(7, 9, 3)}) {
+    appended.AppendEdge(EdgeId(id), NodeId(src), NodeId(dst))
+        .props.Set("w", ValueSet(Value::Int(id)));
+    auto out = upserted.UpsertEdge(EdgeId(id), NodeId(src), NodeId(dst));
+    ASSERT_TRUE(out.ok());
+    (*out)->props.Set("w", ValueSet(Value::Int(id)));
+  }
+  EXPECT_TRUE(appended.Validate().ok());
+  EXPECT_TRUE(GraphEquals(appended, upserted));
+  EXPECT_EQ(appended.EdgeEndpoints(EdgeId(7)),
+            std::make_pair(NodeId(9), NodeId(3)));
 }
 
 // --- copy-on-write λ/σ -----------------------------------------------------------
