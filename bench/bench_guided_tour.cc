@@ -65,10 +65,13 @@ BENCHMARK(BM_GuidedTourQuery)
     ->Unit(benchmark::kMicrosecond);
 
 /// The same language features on a generated SNB graph (SF-equivalent
-/// workload): pattern match, aggregation, reachability, and the
-/// correlated predicates of Q7 and Q9 (a pattern predicate and an EXISTS
-/// whose inner relation is evaluated once per query, then probed per
-/// row).
+/// workload): pattern match, aggregation, reachability, the correlated
+/// predicates of Q7 and Q9 (a pattern predicate and an EXISTS whose inner
+/// relation is evaluated once per query, then probed per row), and label
+/// constraints: the MATCH of Q10's edge count with its labels tested in
+/// the WHERE and written in the pattern (the planner folds the former
+/// into the latter, so the two rows should agree), and the serving
+/// profile card, whose anchor labels one occurrence of four.
 void BM_SnbWorkload(benchmark::State& state) {
   static const char* kQueries[] = {
       // pattern matching + filter
@@ -91,6 +94,23 @@ void BM_SnbWorkload(benchmark::State& state) {
       "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
       "AND EXISTS ( CONSTRUCT () "
       "MATCH (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m) )",
+      // Q10's MATCH, label tests in the WHERE
+      "SELECT COUNT(*) AS k MATCH (n)-[e:knows]->(m) "
+      "WHERE (n:Person) AND (m:Person) "
+      "OPTIONAL (n)<-[c1]-(msg1:Post|Comment), (msg1)-[:reply_of]-(msg2), "
+      "(msg2:Post|Comment)-[c2]->(m) "
+      "WHERE (c1:has_creator) AND (c2:has_creator)",
+      // the same MATCH, labels in the pattern
+      "SELECT COUNT(*) AS k MATCH (n:Person)-[e:knows]->(m:Person) "
+      "OPTIONAL (n)<-[c1:has_creator]-(msg1:Post|Comment), "
+      "(msg1)-[:reply_of]-(msg2), (msg2:Post|Comment)-[c2:has_creator]->(m)",
+      // the 7-relation profile card anchored at John Doe
+      "SELECT co1.name AS employer, c1.name AS city, COUNT(*) AS fanout "
+      "MATCH (a:Person)-[:knows]->(b:Person), "
+      "(a)-[:isLocatedIn]->(c1:City), (b)-[:isLocatedIn]->(c2:City), "
+      "(a)-[:worksAt]->(co1:Company), (b)-[:worksAt]->(co2:Company), "
+      "(a)-[:hasInterest]->(t1:Tag), (b)-[:hasInterest]->(t2:Tag) "
+      "WHERE a.firstName = 'John' AND a.lastName = 'Doe'",
   };
   const char* query = kQueries[state.range(0)];
 
@@ -109,12 +129,13 @@ void BM_SnbWorkload(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(r);
   }
-  static const char* kLabels[] = {"filter_match",         "aggregation",
-                                  "two_hop_join",         "reachability",
-                                  "colocation_predicate", "correlated_exists"};
+  static const char* kLabels[] = {
+      "filter_match",         "aggregation",       "two_hop_join",
+      "reachability",         "colocation_predicate", "correlated_exists",
+      "q10_match_where_labels", "q10_match_pattern_labels", "profile_card"};
   state.SetLabel(std::string("snb800/") + kLabels[state.range(0)]);
 }
-BENCHMARK(BM_SnbWorkload)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnbWorkload)->DenseRange(0, 8)->Unit(benchmark::kMillisecond);
 
 /// Anchored pair reachability at SNB 20k, parallelism 1: both endpoints
 /// of a `<:knows*>` hop pinned by name (persons 0 and 19,999 of the

@@ -19,8 +19,7 @@ void AddUnique(std::vector<std::string>* out, const std::string& v) {
   out->push_back(v);
 }
 
-std::string LabelGroupsToString(
-    const std::vector<std::vector<std::string>>& groups) {
+std::string LabelGroupsToString(const LabelGroups& groups) {
   std::string out;
   for (const auto& group : groups) {
     out += ":";
@@ -67,21 +66,30 @@ std::string GroupByToString(
 }  // namespace
 
 std::string ToString(const NodePattern& node) {
+  return ToString(node, node.label_groups);
+}
+
+std::string ToString(const NodePattern& node, const LabelGroups& labels) {
   std::string out = "(";
   if (node.is_copy) out += "=";
   out += node.var;
   out += GroupByToString(node.group_by);
-  out += LabelGroupsToString(node.label_groups);
+  out += LabelGroupsToString(labels);
   out += PropsToString(node.props);
   return out + ")";
 }
 
 std::string ToString(const EdgePattern& edge, const NodePattern& to) {
+  return ToString(edge, edge.label_groups, to, to.label_groups);
+}
+
+std::string ToString(const EdgePattern& edge, const LabelGroups& edge_labels,
+                     const NodePattern& to, const LabelGroups& to_labels) {
   std::string inner;
   if (edge.is_copy) inner += "=";
   inner += edge.var;
   inner += GroupByToString(edge.group_by);
-  inner += LabelGroupsToString(edge.label_groups);
+  inner += LabelGroupsToString(edge_labels);
   inner += PropsToString(edge.props);
   std::string out;
   switch (edge.direction) {
@@ -95,10 +103,15 @@ std::string ToString(const EdgePattern& edge, const NodePattern& to) {
       out = "-[" + inner + "]-";
       break;
   }
-  return out + ToString(to);
+  return out + ToString(to, to_labels);
 }
 
 std::string ToString(const PathPattern& path, const NodePattern& to) {
+  return ToString(path, to, to.label_groups);
+}
+
+std::string ToString(const PathPattern& path, const NodePattern& to,
+                     const LabelGroups& to_labels) {
   std::string inner;
   switch (path.mode) {
     case PathPattern::Mode::kShortest:
@@ -117,7 +130,7 @@ std::string ToString(const PathPattern& path, const NodePattern& to) {
   if (path.rpq != nullptr) inner += " <" + path.rpq->ToString() + ">";
   inner += PropsToString(path.props);
   if (!path.cost_var.empty()) inner += " COST " + path.cost_var;
-  return "-/" + inner + "/->" + ToString(to);
+  return "-/" + inner + "/->" + ToString(to, to_labels);
 }
 
 void GraphPattern::CollectBoundVariables(std::vector<std::string>* out) const {

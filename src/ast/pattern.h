@@ -36,15 +36,17 @@ struct PropPattern {
   std::unique_ptr<Expr> value;  // kFilter / kAssign
 };
 
+/// Conjunction of disjunctions: (n:Person) -> {{Person}};
+/// (m:Post|Comment) -> {{Post, Comment}}.
+using LabelGroups = std::vector<std::vector<std::string>>;
+
 /// `(x :A|B {..})`, `(x GROUP e :Company {name := e})`, `(=n)`, `()`.
 struct NodePattern {
   std::string var;  // empty for anonymous ()
   /// CONSTRUCT copy syntax `(=n)`: a fresh node copying labels/properties
   /// of the binding of `var`.
   bool is_copy = false;
-  /// Conjunction of disjunctions: (n:Person) -> {{Person}};
-  /// (m:Post|Comment) -> {{Post, Comment}}.
-  std::vector<std::vector<std::string>> label_groups;
+  LabelGroups label_groups;
   std::vector<PropPattern> props;
   /// CONSTRUCT GROUP clause: explicit grouping expressions Γ.
   std::vector<std::unique_ptr<Expr>> group_by;
@@ -60,7 +62,7 @@ struct EdgePattern {
   Direction direction = Direction::kRight;
   std::string var;  // empty for anonymous
   bool is_copy = false;  // -[=y]- copy syntax
-  std::vector<std::vector<std::string>> label_groups;
+  LabelGroups label_groups;
   std::vector<PropPattern> props;
   std::vector<std::unique_ptr<Expr>> group_by;  // CONSTRUCT GROUP
 };
@@ -87,7 +89,7 @@ struct PathPattern {
   std::string var;       // empty for reachability
   std::string cost_var;  // COST c; empty when absent
   std::unique_ptr<RpqExpr> rpq;  // null for kStoredMatch / construct side
-  std::vector<std::vector<std::string>> label_groups;  // stored match/construct
+  LabelGroups label_groups;  // stored match/construct
   std::vector<PropPattern> props;  // construct side assignments
 };
 
@@ -132,6 +134,13 @@ struct OptionalBlock {
 std::string ToString(const NodePattern& node);
 std::string ToString(const EdgePattern& edge, const NodePattern& to);
 std::string ToString(const PathPattern& path, const NodePattern& to);
+/// The same renderings with `labels` in place of the elements' own label
+/// groups (EXPLAIN prints an operator's effective label constraint).
+std::string ToString(const NodePattern& node, const LabelGroups& labels);
+std::string ToString(const EdgePattern& edge, const LabelGroups& edge_labels,
+                     const NodePattern& to, const LabelGroups& to_labels);
+std::string ToString(const PathPattern& path, const NodePattern& to,
+                     const LabelGroups& to_labels);
 
 }  // namespace gcore
 

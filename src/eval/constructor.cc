@@ -693,8 +693,12 @@ struct Constructor::ItemState {
   }
 
   /// Adds the surviving stored paths (@p) in ascending id order. A stored
-  /// path replaces λ/σ, so the last build of an id wins.
-  Status AddStoredPaths(PathPropertyGraph* graph) const {
+  /// path replaces λ/σ, so the last build of an id wins. The spec passes
+  /// `check`; the columnar assembly, which has imported every body node
+  /// and edge with its source ρ, appends a body unchecked unless some
+  /// body edge was missing from its source graph or kept other endpoints.
+  /// ALL projections and repeated ids always go through UpsertPath.
+  Status AddStoredPaths(PathPropertyGraph* graph, bool check) const {
     struct Stored {
       uint64_t id;
       const PathBuilds* builds;
@@ -711,10 +715,16 @@ struct Constructor::ItemState {
     std::stable_sort(
         stored.begin(), stored.end(),
         [](const Stored& x, const Stored& y) { return x.id < y.id; });
-    for (const Stored& s : stored) {
-      GCORE_ASSIGN_OR_RETURN(
-          ObjectData * out,
-          graph->UpsertPath(PathId(s.id), s.builds->values[s.group]->body));
+    for (size_t i = 0; i < stored.size(); ++i) {
+      const Stored& s = stored[i];
+      const PathValue& pv = *s.builds->values[s.group];
+      ObjectData* out = nullptr;
+      if (check || pv.projection.has_value() ||
+          (i > 0 && stored[i - 1].id == s.id)) {
+        GCORE_ASSIGN_OR_RETURN(out, graph->UpsertPath(PathId(s.id), pv.body));
+      } else {
+        out = &graph->AppendPath(PathId(s.id), pv.body);
+      }
       *out = s.builds->own[s.group];
     }
     return Status::OK();
@@ -786,7 +796,7 @@ struct Constructor::ItemState {
       graph.SetLabels(id, std::move(merged.labels));
       graph.SetProperties(id, std::move(merged.props));
     }
-    GCORE_RETURN_NOT_OK(AddStoredPaths(&graph));
+    GCORE_RETURN_NOT_OK(AddStoredPaths(&graph, /*check=*/true));
     return graph;
   }
 
@@ -1225,6 +1235,7 @@ struct Constructor::ItemState {
   Result<PathPropertyGraph> AssembleColumnar() {
     std::vector<Builds> node_imports(path_builds.size());
     std::vector<EdgeBuilds> edge_imports(path_builds.size());
+    bool check_paths = false;
     for (size_t pi = 0; pi < path_builds.size(); ++pi) {
       const PathBuilds& b = path_builds[pi];
       if (b.size() == 0) continue;
@@ -1242,7 +1253,10 @@ struct Constructor::ItemState {
       EdgeBuilds& edges = edge_imports[pi];
       const auto found = b.graph->FindEdges(edge_ids);
       for (size_t i = 0; i < edge_ids.size(); ++i) {
-        if (found[i] == nullptr) continue;
+        if (found[i] == nullptr) {
+          check_paths = true;
+          continue;
+        }
         edges.ids.push_back(edge_ids[i].value());
         edges.source.push_back(found[i]);
         edges.src.push_back(found[i]->src);
@@ -1322,19 +1336,22 @@ struct Constructor::ItemState {
           // A second build with other endpoints is an identity violation;
           // a diverging import is not.
           for (auto [r, g] : kept) {
-            if (r < edge_builds.size() &&
-                (edge_runs[r]->src[g] != src || edge_runs[r]->dst[g] != dst)) {
+            if (edge_runs[r]->src[g] == src && edge_runs[r]->dst[g] == dst) {
+              continue;
+            }
+            if (r < edge_builds.size()) {
               return Status::InvalidArgument(
                   "edge " + gcore::ToString(EdgeId(id)) +
                   " re-added with different endpoints (identity violation)");
             }
+            check_paths = true;
           }
           ObjectData& out = graph.AppendEdge(EdgeId(id), src, dst);
           for (auto [r, g] : kept) merge(edge_runs[r], g, &out);
           return Status::OK();
         }));
 
-    GCORE_RETURN_NOT_OK(AddStoredPaths(&graph));
+    GCORE_RETURN_NOT_OK(AddStoredPaths(&graph, check_paths));
     return graph;
   }
 
@@ -1352,11 +1369,25 @@ struct Constructor::ItemState {
           Builds& b = (*builds)[c];
           if (ctors[c].name != stmt.var || b.size() == 0) continue;
           found = true;
+          // `SET x:L` / `REMOVE x:L` do not read the group: consecutive
+          // groups that start from the same label set share one edited
+          // copy.
+          const bool label_edit =
+              stmt.kind == SetStatement::Kind::kSetLabel ||
+              stmt.kind == SetStatement::Kind::kRemoveLabel;
+          LabelSet edited_from;
+          LabelSet edited;
           for (size_t g = 0; g < b.size(); ++g) {
             ObjectData& data = b.own[b.Pos(g)];
+            if (label_edit && g > 0 && data.labels == edited_from) {
+              data.labels = edited;
+              continue;
+            }
+            if (label_edit) edited_from = data.labels;
             GCORE_RETURN_NOT_OK(ApplyOneSet(stmt, eval,
                                             b.RowsOf(b.Pos(g), &scratch),
                                             &data.labels, &data.props));
+            if (label_edit) edited = data.labels;
           }
         }
         return Status::OK();

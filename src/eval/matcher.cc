@@ -80,14 +80,9 @@ Status CheckOptionalVariableSharing(const MatchClause& match) {
   return Status::OK();
 }
 
-namespace {
-const std::vector<PropPattern> kNoProps;
-}  // namespace
-
-SnapshotPred::SnapshotPred(
-    const GraphSnapshot& snap, bool node_side,
-    const std::vector<std::vector<std::string>>& label_groups,
-    const std::vector<PropPattern>& props)
+SnapshotPred::SnapshotPred(const GraphSnapshot& snap, bool node_side,
+                           const LabelGroups& label_groups,
+                           const std::vector<PropPattern>& props)
     : snap_(&snap), node_side_(node_side) {
   for (const auto& group : label_groups) {
     std::vector<uint32_t> ids;
@@ -128,19 +123,15 @@ SnapshotPred::SnapshotPred(
 }
 
 SnapshotPred SnapshotPred::ForNode(const GraphSnapshot& snap,
-                                   const NodePattern& node) {
-  return SnapshotPred(snap, /*node_side=*/true, node.label_groups, node.props);
+                                   const LabelGroups& labels,
+                                   const std::vector<PropPattern>& props) {
+  return SnapshotPred(snap, /*node_side=*/true, labels, props);
 }
 
 SnapshotPred SnapshotPred::ForEdge(const GraphSnapshot& snap,
-                                   const EdgePattern& edge) {
-  return SnapshotPred(snap, /*node_side=*/false, edge.label_groups,
-                      edge.props);
-}
-
-SnapshotPred SnapshotPred::ForEdgeLabels(const GraphSnapshot& snap,
-                                         const EdgePattern& edge) {
-  return SnapshotPred(snap, /*node_side=*/false, edge.label_groups, kNoProps);
+                                   const LabelGroups& labels,
+                                   const std::vector<PropPattern>& props) {
+  return SnapshotPred(snap, /*node_side=*/false, labels, props);
 }
 
 bool SnapshotPred::Admits(uint32_t idx) const {
@@ -279,9 +270,8 @@ const GraphSnapshot& Matcher::Snapshot(const PathPropertyGraph& graph) const {
   return *it->second;
 }
 
-bool Matcher::LabelsMatch(
-    const LabelSet& labels,
-    const std::vector<std::vector<std::string>>& groups) {
+bool Matcher::LabelsMatch(const LabelSet& labels,
+                          const LabelGroups& groups) {
   for (const auto& group : groups) {
     bool any = false;
     for (const auto& l : group) {
@@ -296,13 +286,14 @@ bool Matcher::LabelsMatch(
 }
 
 Result<BindingTable> Matcher::MatchStartNode(const NodePattern& node,
+                                             const LabelGroups& labels,
                                              const PathPropertyGraph& graph,
                                              const std::string& graph_name,
                                              const std::string& var) {
   BindingTable table({var});
   table.SetColumnGraph(var, graph_name);
   const GraphSnapshot& snap = Snapshot(graph);
-  const SnapshotPred pred = SnapshotPred::ForNode(snap, node);
+  const SnapshotPred pred = SnapshotPred::ForNode(snap, labels, node.props);
   const AdjacencyIndex& adj = snap.adjacency();
   auto emit = [&](DenseNodeIndex n) {
     if (!pred.Admits(n)) return;
@@ -383,7 +374,8 @@ Result<BindingTable> Matcher::ApplyPropPatterns(
 
 Result<BindingTable> Matcher::ExpandEdgeHop(
     BindingTable table, const std::string& from_var, const EdgePattern& edge,
-    const std::string& edge_var, const NodePattern& to,
+    const LabelGroups& edge_labels, const std::string& edge_var,
+    const NodePattern& to, const LabelGroups& to_labels,
     const std::string& to_var, const PathPropertyGraph& graph,
     const std::string& graph_name) {
   if (edge.is_copy) {
@@ -395,8 +387,8 @@ Result<BindingTable> Matcher::ExpandEdgeHop(
   // Labels only, matching the pre-snapshot inline check: literal edge
   // props are applied by ApplyPropPatterns below with expression
   // semantics (null literal = ∅), which are not Contains semantics.
-  const SnapshotPred edge_pred = SnapshotPred::ForEdgeLabels(snap, edge);
-  const SnapshotPred to_pred = SnapshotPred::ForNode(snap, to);
+  const SnapshotPred edge_pred = SnapshotPred::ForEdge(snap, edge_labels);
+  const SnapshotPred to_pred = SnapshotPred::ForNode(snap, to_labels, to.props);
 
   BindingTable next(table.columns());
   for (const auto& [v, g] : table.column_graphs()) next.SetColumnGraph(v, g);
@@ -466,11 +458,11 @@ Result<BindingTable> Matcher::ExpandEdgeHop(
 Result<BindingTable> Matcher::ExpandPathHop(
     BindingTable table, const std::string& from_var, const PathPattern& path,
     const std::string& path_var, const NodePattern& to,
-    const std::string& to_var, const PathPropertyGraph& graph,
-    const std::string& graph_name) {
+    const LabelGroups& to_labels, const std::string& to_var,
+    const PathPropertyGraph& graph, const std::string& graph_name) {
   const GraphSnapshot& snap = Snapshot(graph);
   const AdjacencyIndex& adj = snap.adjacency();
-  const SnapshotPred to_pred = SnapshotPred::ForNode(snap, to);
+  const SnapshotPred to_pred = SnapshotPred::ForNode(snap, to_labels, to.props);
   auto to_admits = [&](NodeId target) {
     const DenseNodeIndex n = adj.Find(target);
     if (n == adj.num_nodes()) return to_pred.unconstrained();
@@ -853,7 +845,8 @@ Result<BindingTable> Matcher::EvalChainInternal(const GraphPattern& pattern,
 
   GCORE_ASSIGN_OR_RETURN(
       BindingTable table,
-      MatchStartNode(pattern.start, *graph, graph_name, start_var));
+      MatchStartNode(pattern.start, pattern.start.label_groups, *graph,
+                     graph_name, start_var));
   GCORE_ASSIGN_OR_RETURN(
       table, ApplyPushdownFilters(std::move(table), start_var, graph));
 
@@ -869,8 +862,10 @@ Result<BindingTable> Matcher::EvalChainInternal(const GraphPattern& pattern,
         detail->element_columns.push_back(to_var);
       }
       GCORE_ASSIGN_OR_RETURN(
-          table, ExpandEdgeHop(std::move(table), prev_var, hop.edge, edge_var,
-                               hop.to, to_var, *graph, graph_name));
+          table, ExpandEdgeHop(std::move(table), prev_var, hop.edge,
+                               hop.edge.label_groups, edge_var, hop.to,
+                               hop.to.label_groups, to_var, *graph,
+                               graph_name));
       GCORE_ASSIGN_OR_RETURN(
           table, ApplyPushdownFilters(std::move(table), edge_var, graph));
       GCORE_ASSIGN_OR_RETURN(
@@ -888,7 +883,8 @@ Result<BindingTable> Matcher::EvalChainInternal(const GraphPattern& pattern,
       }
       GCORE_ASSIGN_OR_RETURN(
           table, ExpandPathHop(std::move(table), prev_var, hop.path, path_var,
-                               hop.to, to_var, *graph, graph_name));
+                               hop.to, hop.to.label_groups, to_var, *graph,
+                               graph_name));
       GCORE_ASSIGN_OR_RETURN(
           table, ApplyPushdownFilters(std::move(table), to_var, graph));
     }

@@ -79,15 +79,18 @@ struct ChainResult {
 /// business).
 class SnapshotPred {
  public:
+  /// Admission by the label groups `labels` and the literal kFilter
+  /// entries of `props` (a pattern element's own groups, or a plan
+  /// operator's effective constraint).
   static SnapshotPred ForNode(const GraphSnapshot& snap,
-                              const NodePattern& node);
+                              const LabelGroups& labels,
+                              const std::vector<PropPattern>& props);
+  /// Without `props`: labels only — the edge-side test ExpandEdgeHop
+  /// applies inline (literal edge props are re-checked by
+  /// ApplyPropPatterns with expression semantics, as before).
   static SnapshotPred ForEdge(const GraphSnapshot& snap,
-                              const EdgePattern& edge);
-  /// Labels only — the edge-side test ExpandEdgeHop applies inline
-  /// (literal edge props are re-checked by ApplyPropPatterns with
-  /// expression semantics, as before).
-  static SnapshotPred ForEdgeLabels(const GraphSnapshot& snap,
-                                    const EdgePattern& edge);
+                              const LabelGroups& labels,
+                              const std::vector<PropPattern>& props = {});
 
   /// Admission of a member object by dense node/edge index.
   bool Admits(uint32_t idx) const;
@@ -107,7 +110,7 @@ class SnapshotPred {
 
  private:
   SnapshotPred(const GraphSnapshot& snap, bool node_side,
-               const std::vector<std::vector<std::string>>& label_groups,
+               const LabelGroups& label_groups,
                const std::vector<PropPattern>& props);
 
   const GraphSnapshot* snap_;
@@ -187,19 +190,21 @@ class Matcher {
 
   // --- pattern-element primitives ------------------------------------------
   // Used by both evaluation paths; they extend/filter `table` in place.
+  // Admission reads the label groups passed next to each pattern element:
+  // the element's own (legacy walk) or the plan operator's effective
+  // constraint (PlanNode::node_labels / edge_labels).
 
   Result<BindingTable> MatchStartNode(const NodePattern& node,
+                                      const LabelGroups& labels,
                                       const PathPropertyGraph& graph,
                                       const std::string& graph_name,
                                       const std::string& var);
-  Result<BindingTable> ExpandEdgeHop(BindingTable table,
-                                     const std::string& from_var,
-                                     const EdgePattern& edge,
-                                     const std::string& edge_var,
-                                     const NodePattern& to,
-                                     const std::string& to_var,
-                                     const PathPropertyGraph& graph,
-                                     const std::string& graph_name);
+  Result<BindingTable> ExpandEdgeHop(
+      BindingTable table, const std::string& from_var,
+      const EdgePattern& edge, const LabelGroups& edge_labels,
+      const std::string& edge_var, const NodePattern& to,
+      const LabelGroups& to_labels, const std::string& to_var,
+      const PathPropertyGraph& graph, const std::string& graph_name);
   /// Batch-oriented: the source column is deduplicated and each distinct
   /// source answered by one batched kernel launch — multi-source product
   /// BFS waves for reachable sets, batched k-shortest, bidirectional pair
@@ -211,8 +216,9 @@ class Matcher {
   Result<BindingTable> ExpandPathHop(
       BindingTable table, const std::string& from_var,
       const PathPattern& path, const std::string& path_var,
-      const NodePattern& to, const std::string& to_var,
-      const PathPropertyGraph& graph, const std::string& graph_name);
+      const NodePattern& to, const LabelGroups& to_labels,
+      const std::string& to_var, const PathPropertyGraph& graph,
+      const std::string& graph_name);
 
   /// Keeps the rows of `table` on which every conjunct holds: a pushed
   /// list, or a whole WHERE passed as a one-element list. Conjuncts run
@@ -271,8 +277,7 @@ class Matcher {
   Result<BindingTable> PatternRelation(const GraphPattern& pattern);
 
   /// Label-group test: every group must have at least one matching label.
-  static bool LabelsMatch(const LabelSet& labels,
-                          const std::vector<std::vector<std::string>>& groups);
+  static bool LabelsMatch(const LabelSet& labels, const LabelGroups& groups);
 
   /// Applies `{k = ...}` entries of a node/edge to rows of `table` whose
   /// column `var` holds the object; filters and unrolls bind-variables.

@@ -239,6 +239,14 @@ PathPropertyGraph::ObjectData& PathPropertyGraph::AppendEdge(EdgeId id,
   return data;
 }
 
+PathPropertyGraph::ObjectData& PathPropertyGraph::AppendPath(PathId id,
+                                                             PathBody body) {
+  assert(paths_.empty() || paths_.back().first < id);
+  PathData& data = paths_.emplace_back(id, PathData()).second;
+  data.body = std::move(body);
+  return data;
+}
+
 Status PathPropertyGraph::AddEdge(EdgeId id, NodeId src, NodeId dst) {
   return UpsertEdge(id, src, dst).status();
 }

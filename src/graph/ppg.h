@@ -257,13 +257,15 @@ class PathPropertyGraph {
   Result<ObjectData*> UpsertPath(PathId id, PathBody body);
 
   /// Ascending append for an assembler that merges id-sorted runs
-  /// (CONSTRUCT): `id` must exceed every present id of its kind, and an
-  /// edge's endpoints must already be members. The caller guarantees
-  /// both, so neither is checked (a debug build asserts the order).
-  /// Reserve sizes the stores up front.
+  /// (CONSTRUCT): `id` must exceed every present id of its kind, an
+  /// edge's endpoints must already be members, and a path's body must be
+  /// a valid walk over member edges. The caller guarantees all of it, so
+  /// none is checked (a debug build asserts the order). Reserve sizes the
+  /// stores up front.
   void Reserve(size_t nodes, size_t edges);
   ObjectData& AppendNode(NodeId id);
   ObjectData& AppendEdge(EdgeId id, NodeId src, NodeId dst);
+  ObjectData& AppendPath(PathId id, PathBody body);
 
   /// One lookup for ρ/δ, λ and σ of a member; null when absent. Valid
   /// until the next insertion into this graph.

@@ -173,9 +173,8 @@ const PlanNode* FindBinder(const PlanNode& node, const std::string& var) {
 /// Most selective single-label group of a node pattern element (the label
 /// anchor of degree lookups and per-label property buckets); "" when no
 /// single-label group pins one.
-std::string AnchorNodeLabel(
-    const std::vector<std::vector<std::string>>& groups,
-    const GraphStats& stats) {
+std::string AnchorNodeLabel(const LabelGroups& groups,
+                            const GraphStats& stats) {
   std::string anchor;
   size_t best = std::numeric_limits<size_t>::max();
   for (const auto& group : groups) {
@@ -189,9 +188,8 @@ std::string AnchorNodeLabel(
   return anchor;
 }
 
-std::string AnchorEdgeLabel(
-    const std::vector<std::vector<std::string>>& groups,
-    const GraphStats& stats) {
+std::string AnchorEdgeLabel(const LabelGroups& groups,
+                            const GraphStats& stats) {
   std::string anchor;
   size_t best = std::numeric_limits<size_t>::max();
   for (const auto& group : groups) {
@@ -212,7 +210,8 @@ std::string AnchorEdgeLabel(
 /// degree is the sum of its labels' degrees (an upper bound); a
 /// conjunction of groups takes the most selective group.
 double AvgFanout(const GraphStats& stats, const std::string& label,
-                 const EdgePattern& edge, bool forward) {
+                 const EdgePattern& edge, const LabelGroups& edge_labels,
+                 bool forward) {
   auto degree_of = [&](const std::string& edge_label) {
     switch (edge.direction) {
       case EdgePattern::Direction::kRight:
@@ -227,9 +226,9 @@ double AvgFanout(const GraphStats& stats, const std::string& label,
     }
     return 0.0;
   };
-  if (edge.label_groups.empty()) return degree_of("");
+  if (edge_labels.empty()) return degree_of("");
   double fanout = std::numeric_limits<double>::infinity();
-  for (const auto& group : edge.label_groups) {
+  for (const auto& group : edge_labels) {
     double group_degree = 0.0;
     for (const auto& label_of_edge : group) {
       group_degree += degree_of(label_of_edge);
@@ -239,38 +238,26 @@ double AvgFanout(const GraphStats& stats, const std::string& label,
   return fanout;
 }
 
-/// Appends the label groups of `pattern` that `groups` does not hold yet
-/// (re-stating a label on a second occurrence of a variable does not
-/// select again).
-void AppendDistinctGroups(const NodePattern& pattern,
-                          std::vector<std::vector<std::string>>* groups) {
-  for (const auto& group : pattern.label_groups) {
-    if (std::find(groups->begin(), groups->end(), group) == groups->end()) {
-      groups->push_back(group);
-    }
-  }
-}
-
 /// Label groups of every pattern occurrence a MultiwayExpand absorbed for
 /// cycle variable `var`, each distinct group once.
-std::vector<std::vector<std::string>> AbsorbedLabelGroups(
-    const PlanNode& node, const std::string& var) {
-  std::vector<std::vector<std::string>> groups;
-  for (const auto& [v, pattern] : node.multi_nodes) {
-    if (v == var && pattern != nullptr) AppendDistinctGroups(*pattern, &groups);
+LabelGroups AbsorbedLabelGroups(const PlanNode& node, const std::string& var) {
+  LabelGroups groups;
+  for (const MultiwayNode& absorbed : node.multi_nodes) {
+    if (absorbed.var == var) AppendDistinctGroups(absorbed.labels, &groups);
   }
   return groups;
 }
 
-/// The node pattern a binder operator admits `var` with, or null.
-const NodePattern* BinderNodePattern(const PlanNode& binder,
-                                     const std::string& var) {
+/// The label constraint a binder operator admits node variable `var`
+/// with, or null.
+const LabelGroups* BinderNodeLabels(const PlanNode& binder,
+                                    const std::string& var) {
   switch (binder.op) {
     case PlanOp::kNodeScan:
-      return binder.var == var ? binder.node : nullptr;
+      return binder.var == var ? &binder.node_labels : nullptr;
     case PlanOp::kExpandEdge:
     case PlanOp::kPathSearch:
-      return binder.to_var == var ? binder.to : nullptr;
+      return binder.to_var == var ? &binder.node_labels : nullptr;
     default:
       return nullptr;
   }
@@ -294,7 +281,7 @@ const GraphStats* CardinalityEstimator::StatsFor(
 }
 
 double CardinalityEstimator::LabelSelectivity(
-    const std::vector<std::vector<std::string>>& groups,
+    const LabelGroups& groups,
     const std::map<std::string, size_t>& label_counts, size_t total) {
   if (total == 0) return 0.0;
   double selectivity = 1.0;
@@ -397,9 +384,9 @@ double CardinalityEstimator::PushedSelectivity(
 double CardinalityEstimator::EstimateScan(const PlanNode& node) {
   const GraphStats* stats = StatsFor(node.graph);
   if (stats == nullptr) return -1.0;
-  const std::string anchor = AnchorNodeLabel(node.node->label_groups, *stats);
+  const std::string anchor = AnchorNodeLabel(node.node_labels, *stats);
   return static_cast<double>(stats->num_nodes) *
-         LabelSelectivity(node.node->label_groups, stats->node_label_counts,
+         LabelSelectivity(node.node_labels, stats->node_label_counts,
                           stats->num_nodes) *
          PropSelectivity(node.node->props, *stats, /*edge_props=*/false,
                          anchor) *
@@ -418,12 +405,13 @@ double CardinalityEstimator::EstimateExpand(const PlanNode& node,
   const PlanNode& child = *node.children[0];
   std::string src_label;
   const PlanNode* binder = FindBinder(child, node.from_var);
-  const NodePattern* from_pattern =
-      binder == nullptr ? nullptr : BinderNodePattern(*binder, node.from_var);
-  if (from_pattern != nullptr) {
-    src_label = AnchorNodeLabel(from_pattern->label_groups, *stats);
+  const LabelGroups* from_labels =
+      binder == nullptr ? nullptr : BinderNodeLabels(*binder, node.from_var);
+  if (from_labels != nullptr) {
+    src_label = AnchorNodeLabel(*from_labels, *stats);
   }
-  double fanout = AvgFanout(*stats, src_label, *node.edge, /*forward=*/true);
+  double fanout = AvgFanout(*stats, src_label, *node.edge, node.edge_labels,
+                            /*forward=*/true);
   // A closing edge (to_var already bound below) intersects instead of
   // expanding: each of the fanout edges lands on the bound node with
   // probability 1 / its domain.
@@ -431,13 +419,11 @@ double CardinalityEstimator::EstimateExpand(const PlanNode& node,
     const double domain = VarDomain(child, node.to_var);
     if (domain > 0.0) fanout /= std::max(1.0, domain);
   }
-  const std::string to_anchor =
-      AnchorNodeLabel(node.to->label_groups, *stats);
-  const std::string edge_anchor =
-      AnchorEdgeLabel(node.edge->label_groups, *stats);
+  const std::string to_anchor = AnchorNodeLabel(node.node_labels, *stats);
+  const std::string edge_anchor = AnchorEdgeLabel(node.edge_labels, *stats);
 
   return child_est * fanout *
-         LabelSelectivity(node.to->label_groups, stats->node_label_counts,
+         LabelSelectivity(node.node_labels, stats->node_label_counts,
                           stats->num_nodes) *
          PropSelectivity(node.to->props, *stats, /*edge_props=*/false,
                          to_anchor) *
@@ -457,15 +443,14 @@ double CardinalityEstimator::EstimatePathSearch(const PlanNode& node,
   } else {
     // Reachability-style searches can touch most of the graph.
     per_source = static_cast<double>(stats->num_nodes) *
-                 LabelSelectivity(node.to->label_groups,
+                 LabelSelectivity(node.node_labels,
                                   stats->node_label_counts,
                                   stats->num_nodes);
     if (node.path->mode == PathPattern::Mode::kShortest) {
       per_source *= static_cast<double>(std::max<int64_t>(1, node.path->k));
     }
   }
-  const std::string to_anchor =
-      AnchorNodeLabel(node.to->label_groups, *stats);
+  const std::string to_anchor = AnchorNodeLabel(node.node_labels, *stats);
   return child_est * std::max(1.0, per_source) *
          PropSelectivity(node.to->props, *stats, /*edge_props=*/false,
                          to_anchor) *
@@ -481,28 +466,27 @@ double CardinalityEstimator::VarDomain(const PlanNode& tree,
   switch (binder->op) {
     case PlanOp::kNodeScan:
       return static_cast<double>(stats->num_nodes) *
-             LabelSelectivity(binder->node->label_groups,
+             LabelSelectivity(binder->node_labels,
                               stats->node_label_counts, stats->num_nodes);
     case PlanOp::kExpandEdge:
       if (var == binder->edge_var) {
         return static_cast<double>(stats->num_edges) *
-               LabelSelectivity(binder->edge->label_groups,
+               LabelSelectivity(binder->edge_labels,
                                 stats->edge_label_counts, stats->num_edges);
       }
       return static_cast<double>(stats->num_nodes) *
-             LabelSelectivity(binder->to->label_groups,
+             LabelSelectivity(binder->node_labels,
                               stats->node_label_counts, stats->num_nodes);
     case PlanOp::kPathSearch:
       if (var == binder->path_var) return -1.0;  // fresh path ids
       return static_cast<double>(stats->num_nodes) *
-             LabelSelectivity(binder->to->label_groups,
+             LabelSelectivity(binder->node_labels,
                               stats->node_label_counts, stats->num_nodes);
     case PlanOp::kMultiwayExpand: {
       for (const MultiwayEdge& me : binder->multi_edges) {
         if (var == me.edge_var) {
           return static_cast<double>(stats->num_edges) *
-                 LabelSelectivity(me.edge->label_groups,
-                                  stats->edge_label_counts,
+                 LabelSelectivity(me.labels, stats->edge_label_counts,
                                   stats->num_edges);
         }
       }
@@ -575,12 +559,10 @@ CardinalityEstimator::EstimateMultiway(const PlanNode& node,
   double agm = 1.0;
   for (const MultiwayEdge& me : node.multi_edges) {
     double edges = static_cast<double>(stats->num_edges) *
-                   LabelSelectivity(me.edge->label_groups,
-                                    stats->edge_label_counts,
+                   LabelSelectivity(me.labels, stats->edge_label_counts,
                                     stats->num_edges) *
                    PropSelectivity(me.edge->props, *stats, /*edge_props=*/true,
-                                   AnchorEdgeLabel(me.edge->label_groups,
-                                                   *stats));
+                                   AnchorEdgeLabel(me.labels, *stats));
     if (me.edge->direction == EdgePattern::Direction::kUndirected) {
       edges *= 2.0;
     }
@@ -596,12 +578,11 @@ CardinalityEstimator::EstimateMultiway(const PlanNode& node,
   // Label groups of a cycle variable: every absorbed pattern occurrence,
   // plus the child binder's pattern for pre-bound variables.
   auto groups_of = [&](const std::string& var) {
-    std::vector<std::vector<std::string>> groups =
-        AbsorbedLabelGroups(node, var);
+    LabelGroups groups = AbsorbedLabelGroups(node, var);
     const PlanNode* binder = FindBinder(child, var);
-    const NodePattern* bound_pattern =
-        binder == nullptr ? nullptr : BinderNodePattern(*binder, var);
-    if (bound_pattern != nullptr) AppendDistinctGroups(*bound_pattern, &groups);
+    const LabelGroups* bound_labels =
+        binder == nullptr ? nullptr : BinderNodeLabels(*binder, var);
+    if (bound_labels != nullptr) AppendDistinctGroups(*bound_labels, &groups);
     return groups;
   };
   auto anchor_of = [&](const std::string& var) {
@@ -626,13 +607,13 @@ CardinalityEstimator::EstimateMultiway(const PlanNode& node,
                                                   : std::string();
       if (other.empty() || other == v || bound.count(other) == 0) continue;
       if (!expanded) {
-        rows *= AvgFanout(*stats, anchor_of(other), *me.edge,
+        rows *= AvgFanout(*stats, anchor_of(other), *me.edge, me.labels,
                           /*forward=*/me.from_var == other) *
                 LabelSelectivity(groups_of(v), stats->node_label_counts,
                                  stats->num_nodes);
         expanded = true;
       } else {
-        rows *= AvgFanout(*stats, anchor_of(v), *me.edge,
+        rows *= AvgFanout(*stats, anchor_of(v), *me.edge, me.labels,
                           /*forward=*/me.from_var == v) /
                 std::max(1.0, VarDomain(node, other));
       }
@@ -672,10 +653,8 @@ double CardinalityEstimator::Annotate(PlanNode* node) {
         // The residual WHERE re-checks conjuncts the pushdown rule
         // already applied inside the subtree; those filter nothing
         // further. Only genuinely residual conjuncts charge the constant.
-        std::vector<const Expr*> conjuncts;
-        SplitConjuncts(*node->predicate, &conjuncts);
         est = child_est;
-        for (const Expr* conjunct : conjuncts) {
+        for (const Expr* conjunct : node->conjuncts) {
           if (!IsPushedBelow(*node->children[0], conjunct)) {
             est *= kResidualFilterSelectivity;
           }

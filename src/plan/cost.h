@@ -71,7 +71,7 @@ class CardinalityEstimator {
   /// independence union formula 1 - Π(1 - fᵢ) — summing raw counts would
   /// double-count objects carrying several of the group's labels.
   static double LabelSelectivity(
-      const std::vector<std::vector<std::string>>& groups,
+      const LabelGroups& groups,
       const std::map<std::string, size_t>& label_counts, size_t total);
 
   /// Distinct-key domain `tree` can bind `var` to (the binder pattern's

@@ -255,7 +255,8 @@ class NodeScanOp : public PhysicalOp {
                            rt_->ResolveGraph(plan_->graph));
     GCORE_ASSIGN_OR_RETURN(
         BindingTable table,
-        rt_->MatchStartNode(*plan_->node, *graph, graph->name(), plan_->var));
+        rt_->MatchStartNode(*plan_->node, plan_->node_labels, *graph,
+                            graph->name(), plan_->var));
     if (stats_ != nullptr && plan_->pushed.empty()) {
       stats_->Record(plan_, table.NumRows());
       stats_->RecordTime(plan_, MsSince(t0));
@@ -294,8 +295,8 @@ class PathSearchOp : public PhysicalOp {
     GCORE_ASSIGN_OR_RETURN(
         BindingTable expanded,
         rt_->ExpandPathHop(std::move(input), plan_->from_var, *plan_->path,
-                           plan_->path_var, *plan_->to, plan_->to_var, *graph,
-                           graph->name()));
+                           plan_->path_var, *plan_->to, plan_->node_labels,
+                           plan_->to_var, *graph, graph->name()));
     GCORE_ASSIGN_OR_RETURN(
         BindingTable filtered,
         rt_->FilterByConjuncts(std::move(expanded), plan_->pushed, graph));
@@ -332,7 +333,7 @@ class DrainingFilterOp : public PhysicalOp {
     if (resolved.ok()) graph = *resolved;
     GCORE_ASSIGN_OR_RETURN(
         BindingTable filtered,
-        rt_->FilterByConjuncts(std::move(table), {plan_->predicate}, graph));
+        rt_->FilterByConjuncts(std::move(table), plan_->conjuncts, graph));
     if (stats_ != nullptr) {
       stats_->Record(plan_, filtered.NumRows());
       stats_->RecordTime(plan_, MsSince(t0));
@@ -511,7 +512,8 @@ Stage MakeExpandEdgeStage(Matcher* rt, const PlanNode* plan,
         GCORE_ASSIGN_OR_RETURN(
             BindingTable expanded,
             rt->ExpandEdgeHop(std::move(morsel), plan->from_var, *plan->edge,
-                              plan->edge_var, *plan->to, plan->to_var,
+                              plan->edge_labels, plan->edge_var, *plan->to,
+                              plan->node_labels, plan->to_var,
                               *resolved->graph, resolved->graph->name()));
         return rt->FilterByConjuncts(std::move(expanded), plan->pushed,
                                      resolved->graph);
@@ -560,10 +562,10 @@ Stage MakeResidualFilterStage(Matcher* rt, const PlanNode* plan,
     if (graph.ok()) resolved->graph = *graph;
     return Status::OK();
   };
-  stage.thread_safe = ExprParallelSafe(*plan->predicate);
+  stage.thread_safe = ExprsParallelSafe(plan->conjuncts);
   stage.fn = Recorded(
       [rt, plan, resolved](BindingTable morsel) {
-        return rt->FilterByConjuncts(std::move(morsel), {plan->predicate},
+        return rt->FilterByConjuncts(std::move(morsel), plan->conjuncts,
                                      resolved->graph);
       },
       rt, plan, stats, stage.thread_safe);
@@ -609,7 +611,8 @@ Result<OpPtr> Build(const PlanNode& plan, Matcher* rt, ExecContext exec,
     }
     case PlanOp::kFilter: {
       GCORE_ASSIGN_OR_RETURN(OpPtr child, build_child(0));
-      if (plan.predicate->ContainsAggregate()) {
+      if (std::any_of(plan.conjuncts.begin(), plan.conjuncts.end(),
+                      [](const Expr* c) { return c->ContainsAggregate(); })) {
         return OpPtr(
             new DrainingFilterOp(rt, &plan, std::move(child), stats));
       }

@@ -42,6 +42,14 @@ PlanPtr MakePlan(PlanOp op, std::vector<PlanPtr> children) {
   return node;
 }
 
+void AppendDistinctGroups(const LabelGroups& from, LabelGroups* groups) {
+  for (const auto& group : from) {
+    if (std::find(groups->begin(), groups->end(), group) == groups->end()) {
+      groups->push_back(group);
+    }
+  }
+}
+
 std::vector<std::string> MultiwayNodeVars(const PlanNode& node) {
   std::vector<std::string> vars;
   auto add = [&vars](const std::string& v) {
@@ -106,12 +114,13 @@ std::string PlanNode::Describe() const {
   out << PlanOpName(op);
   switch (op) {
     case PlanOp::kNodeScan:
-      out << " " << gcore::ToString(*node);
+      out << " " << gcore::ToString(*node, node_labels);
       if (!graph.empty()) out << " on " << graph;
       AppendPushed(pushed, &out);
       break;
     case PlanOp::kExpandEdge:
-      out << " (" << from_var << ")" << gcore::ToString(*edge, *to);
+      out << " (" << from_var << ")"
+          << gcore::ToString(*edge, edge_labels, *to, node_labels);
       if (!graph.empty()) out << " on " << graph;
       AppendPushed(pushed, &out);
       break;
@@ -123,7 +132,7 @@ std::string PlanNode::Describe() const {
         NodePattern to_node;
         to_node.var = me.to_var;
         out << "(" << me.from_var << ")"
-            << gcore::ToString(*me.edge, to_node);
+            << gcore::ToString(*me.edge, me.labels, to_node, {});
       }
       out << "]";
       if (!graph.empty()) out << " on " << graph;
@@ -131,13 +140,21 @@ std::string PlanNode::Describe() const {
       break;
     }
     case PlanOp::kPathSearch:
-      out << " (" << from_var << ")" << gcore::ToString(*path, *to);
+      out << " (" << from_var << ")"
+          << gcore::ToString(*path, *to, node_labels);
       if (!graph.empty()) out << " on " << graph;
       AppendPushed(pushed, &out);
       break;
-    case PlanOp::kFilter:
-      out << " " << predicate->ToString();
+    case PlanOp::kFilter: {
+      // Left-nested like the parser's AND chain, so an unfolded WHERE
+      // prints as the query wrote it.
+      std::string text = conjuncts.front()->ToString();
+      for (size_t i = 1; i < conjuncts.size(); ++i) {
+        text = "(" + text + " AND " + conjuncts[i]->ToString() + ")";
+      }
+      out << " " << text;
       break;
+    }
     case PlanOp::kProject: {
       out << " [";
       for (size_t i = 0; i < output.size(); ++i) {

@@ -55,12 +55,22 @@ struct PlanNode;
 using PlanPtr = std::unique_ptr<PlanNode>;
 
 /// One pattern edge of a MultiwayExpand cycle (kMultiwayExpand). The
-/// edge pattern pointer is non-owning into the query AST.
+/// edge pattern pointer is non-owning into the query AST; `labels` is the
+/// edge variable's effective label constraint (PlanNode::edge_labels).
 struct MultiwayEdge {
   std::string from_var;
   const EdgePattern* edge = nullptr;
   std::string edge_var;
   std::string to_var;
+  LabelGroups labels;
+};
+
+/// One node-pattern occurrence a MultiwayExpand absorbed: its variable,
+/// its pattern (props) and the variable's effective label constraint.
+struct MultiwayNode {
+  std::string var;
+  const NodePattern* node = nullptr;
+  LabelGroups labels;
 };
 
 /// One operator of a logical plan. Pattern members are non-owning
@@ -87,12 +97,24 @@ struct PlanNode {
   const NodePattern* to = nullptr;
   std::string to_var;
 
+  /// Effective label constraint of the node variable this operator binds
+  /// (`var` of kNodeScan, `to_var` of kExpandEdge/kPathSearch) and of
+  /// kExpandEdge's `edge_var`. Without the pushdown rule these are the
+  /// pattern element's own label groups; with it, the conjunction over
+  /// every occurrence of the variable in the MATCH block that reads the
+  /// same graph, plus the block WHERE's folded `(x:ℓ)` conjuncts.
+  /// Admission, estimates and EXPLAIN read these, not the AST's groups.
+  LabelGroups node_labels;
+  LabelGroups edge_labels;
+
   /// Pushed-down single-variable WHERE conjuncts applied by this operator
   /// as soon as their variable is bound (the optimizer's pushdown rule).
   std::vector<const Expr*> pushed;
 
-  // kFilter
-  const Expr* predicate = nullptr;
+  /// kFilter: the WHERE's top-level AND-conjuncts in query order, less
+  /// those the pushdown rule folded into label admission. Evaluated left
+  /// to right, each on the rows the earlier ones kept.
+  std::vector<const Expr*> conjuncts;
 
   // kProject: visible output columns in legacy binding order. Projection
   // always deduplicates (bindings form a set, Appendix A.1).
@@ -120,7 +142,7 @@ struct PlanNode {
   /// kMultiwayExpand: every node-pattern occurrence of the cycle's
   /// variables absorbed by the rewrite (admission checks for the new
   /// columns; entries for pre-bound variables re-check trivially).
-  std::vector<std::pair<std::string, const NodePattern*>> multi_nodes;
+  std::vector<MultiwayNode> multi_nodes;
 
   /// kProject (the plan root): resolved morsel-parallel execution degree
   /// the executor will use; 0 = not annotated (plans built outside a
@@ -159,6 +181,10 @@ struct PlanNode {
 
 /// Creates a node of kind `op` with the given children.
 PlanPtr MakePlan(PlanOp op, std::vector<PlanPtr> children = {});
+
+/// Appends the label groups of `from` that `groups` does not hold yet, in
+/// order: conjoining a variable's occurrences states each group once.
+void AppendDistinctGroups(const LabelGroups& from, LabelGroups* groups);
 
 /// Distinct node variables of a MultiwayExpand cycle, in first-appearance
 /// order over multi_edges (from before to, edge by edge).

@@ -39,27 +39,44 @@ std::string Planner::EffectiveLocation(const GraphPattern& pattern) const {
   return clause_override_;
 }
 
-void Planner::AttachPushed(
-    PlanNode* node, const std::string& var,
-    const std::map<std::string, std::vector<const Expr*>>* pushdown) {
-  if (pushdown == nullptr) return;
-  auto it = pushdown->find(var);
-  if (it == pushdown->end()) return;
+std::string Planner::LabelScope(const GraphPattern& pattern) const {
+  std::string scope = EffectiveLocation(pattern);
+  if (scope == "(subquery)") {
+    scope += std::to_string(reinterpret_cast<uintptr_t>(&pattern));
+  }
+  return scope;
+}
+
+void Planner::AttachPushed(PlanNode* node, const std::string& var,
+                           const BlockRules& rules) {
+  auto it = rules.pushdown.find(var);
+  if (it == rules.pushdown.end()) return;
   node->pushed.insert(node->pushed.end(), it->second.begin(),
                       it->second.end());
 }
 
-Result<PlanPtr> Planner::PlanChain(
-    const GraphPattern& pattern,
-    const std::map<std::string, std::vector<const Expr*>>* pushdown) {
+Result<PlanPtr> Planner::PlanChain(const GraphPattern& pattern,
+                                   const BlockRules& rules) {
   const std::string location = EffectiveLocation(pattern);
+  const std::string scope = LabelScope(pattern);
+  // A named variable's block-wide constraint at its first occurrence in
+  // the chain. Anonymous elements, elements without the pushdown rule and
+  // repeat occurrences (a closing edge re-checks a variable the chain
+  // already bound) keep their own groups.
+  std::set<std::string> bound;
+  auto labels_of = [&](const std::string& var, const LabelGroups& own) {
+    auto it = rules.labels.find({var, scope});
+    if (!bound.insert(var).second || it == rules.labels.end()) return own;
+    return it->second;
+  };
 
   auto scan = MakePlan(PlanOp::kNodeScan);
   scan->graph = location;
   scan->node = &pattern.start;
   scan->var = pattern.start.var.empty() ? runtime_->FreshAnonName()
                                         : pattern.start.var;
-  AttachPushed(scan.get(), scan->var, pushdown);
+  scan->node_labels = labels_of(pattern.start.var, pattern.start.label_groups);
+  AttachPushed(scan.get(), scan->var, rules);
 
   PlanPtr plan = std::move(scan);
   std::string prev_var = plan->var;
@@ -75,10 +92,12 @@ Result<PlanPtr> Planner::PlanChain(
                                               : hop.edge.var;
       expand->to = &hop.to;
       expand->to_var = to_var;
+      expand->edge_labels = labels_of(hop.edge.var, hop.edge.label_groups);
+      expand->node_labels = labels_of(hop.to.var, hop.to.label_groups);
       // Same application order as the legacy walk: the edge variable's
       // conjuncts run before the target node's.
-      AttachPushed(expand.get(), expand->edge_var, pushdown);
-      AttachPushed(expand.get(), to_var, pushdown);
+      AttachPushed(expand.get(), expand->edge_var, rules);
+      AttachPushed(expand.get(), to_var, rules);
       expand->children.push_back(std::move(plan));
       plan = std::move(expand);
     } else {
@@ -94,7 +113,8 @@ Result<PlanPtr> Planner::PlanChain(
               : hop.path.var;
       search->to = &hop.to;
       search->to_var = to_var;
-      AttachPushed(search.get(), to_var, pushdown);
+      search->node_labels = labels_of(hop.to.var, hop.to.label_groups);
+      AttachPushed(search.get(), to_var, rules);
       search->children.push_back(std::move(plan));
       plan = std::move(search);
     }
@@ -197,6 +217,7 @@ PlanPtr CopyScanLeaf(const PlanNode& scan) {
   copy->graph = scan.graph;
   copy->node = scan.node;
   copy->var = scan.var;
+  copy->node_labels = scan.node_labels;
   copy->pushed = scan.pushed;
   return copy;
 }
@@ -379,15 +400,17 @@ void Planner::TryMultiwayRewrite(std::vector<JoinUnit>* units) {
     for (size_t u : consumed) {
       const ChainShape& shape = shapes[u];
       if (u != seed_unit) {
-        node->multi_nodes.emplace_back(shape.scan->var, shape.scan->node);
+        node->multi_nodes.push_back(MultiwayNode{
+            shape.scan->var, shape.scan->node, shape.scan->node_labels});
         node->pushed.insert(node->pushed.end(), shape.scan->pushed.begin(),
                             shape.scan->pushed.end());
       }
       for (const PlanNode* expand : shape.expands) {
-        node->multi_edges.push_back(MultiwayEdge{
-            expand->from_var, expand->edge, expand->edge_var,
-            expand->to_var});
-        node->multi_nodes.emplace_back(expand->to_var, expand->to);
+        node->multi_edges.push_back(
+            MultiwayEdge{expand->from_var, expand->edge, expand->edge_var,
+                         expand->to_var, expand->edge_labels});
+        node->multi_nodes.push_back(
+            MultiwayNode{expand->to_var, expand->to, expand->node_labels});
         node->pushed.insert(node->pushed.end(), expand->pushed.begin(),
                             expand->pushed.end());
       }
@@ -597,12 +620,11 @@ PlanPtr Planner::EnumerateJoins(std::vector<JoinUnit> units) {
 }
 
 Result<PlanPtr> Planner::PlanPatternsJoined(
-    const std::vector<GraphPattern>& patterns,
-    const std::map<std::string, std::vector<const Expr*>>* pushdown) {
+    const std::vector<GraphPattern>& patterns, const BlockRules& rules) {
   std::vector<PlanPtr> chains;
   chains.reserve(patterns.size());
   for (const auto& pattern : patterns) {
-    GCORE_ASSIGN_OR_RETURN(PlanPtr chain, PlanChain(pattern, pushdown));
+    GCORE_ASSIGN_OR_RETURN(PlanPtr chain, PlanChain(pattern, rules));
     chains.push_back(std::move(chain));
   }
   if (chains.empty()) {
@@ -710,6 +732,66 @@ void Planner::CollectOutputColumns(const GraphPattern& pattern,
   }
 }
 
+Planner::BlockRules Planner::DeriveBlockRules(
+    const std::vector<GraphPattern>& patterns, const Expr* where) const {
+  BlockRules rules;
+  if (where != nullptr) SplitConjuncts(*where, &rules.residual);
+  if (!options_.enable_pushdown) return rules;
+  if (where != nullptr) CollectSingleVarConjuncts(*where, &rules.pushdown);
+
+  // Every named node/edge occurrence contributes its groups to the
+  // constraint of (variable, scope), in source order.
+  std::map<std::string, std::set<std::string>> scopes;
+  auto occurrence = [&](const std::string& var, const std::string& scope,
+                        const LabelGroups& groups) {
+    if (var.empty()) return;
+    scopes[var].insert(scope);
+    AppendDistinctGroups(groups, &rules.labels[{var, scope}]);
+  };
+  for (const auto& pattern : patterns) {
+    const std::string scope = LabelScope(pattern);
+    occurrence(pattern.start.var, scope, pattern.start.label_groups);
+    for (const auto& hop : pattern.hops) {
+      if (hop.kind == PatternHop::Kind::kEdge) {
+        occurrence(hop.edge.var, scope, hop.edge.label_groups);
+      }
+      occurrence(hop.to.var, scope, hop.to.label_groups);
+    }
+  }
+
+  // A top-level `(x:ℓ1|ℓ2)` conjunct folds into x's constraint when the
+  // block binds x as a node or edge on one graph — the graph the WHERE
+  // reads x's labels from. It then leaves the WHERE and the pushed lists.
+  std::vector<const Expr*> residual;
+  for (const Expr* conjunct : rules.residual) {
+    auto it = conjunct->kind == Expr::Kind::kLabelTest
+                  ? scopes.find(conjunct->var)
+                  : scopes.end();
+    if (it == scopes.end() || it->second.size() != 1) {
+      residual.push_back(conjunct);
+      continue;
+    }
+    LabelGroups& labels = rules.labels[{it->first, *it->second.begin()}];
+    AppendDistinctGroups({conjunct->labels}, &labels);
+    auto& pushed = rules.pushdown[it->first];
+    pushed.erase(std::remove(pushed.begin(), pushed.end(), conjunct),
+                 pushed.end());
+  }
+  rules.residual = std::move(residual);
+  return rules;
+}
+
+Result<PlanPtr> Planner::PlanBlock(const std::vector<GraphPattern>& patterns,
+                                   const Expr* where) {
+  const BlockRules rules = DeriveBlockRules(patterns, where);
+  GCORE_ASSIGN_OR_RETURN(PlanPtr plan, PlanPatternsJoined(patterns, rules));
+  if (rules.residual.empty()) return plan;
+  auto filter = MakePlan(PlanOp::kFilter);
+  filter->conjuncts = rules.residual;
+  filter->children.push_back(std::move(plan));
+  return filter;
+}
+
 Result<PlanPtr> Planner::PlanMatch(const MatchClause& match) {
   clause_override_ = ClauseOnOverride(match);
   default_location_ = clause_override_.empty()
@@ -718,46 +800,18 @@ Result<PlanPtr> Planner::PlanMatch(const MatchClause& match) {
 
   GCORE_RETURN_NOT_OK(CheckOptionalVariableSharing(match));
 
-  // Pushdown rule: single-variable AND-conjuncts of the WHERE clause are
-  // attached to the operator binding their variable.
-  std::map<std::string, std::vector<const Expr*>> pushdown;
-  if (match.where != nullptr && options_.enable_pushdown) {
-    CollectSingleVarConjuncts(*match.where, &pushdown);
-  }
-
-  GCORE_ASSIGN_OR_RETURN(
-      PlanPtr plan,
-      PlanPatternsJoined(match.patterns,
-                         pushdown.empty() ? nullptr : &pushdown));
-
-  if (match.where != nullptr) {
-    auto filter = MakePlan(PlanOp::kFilter);
-    filter->predicate = match.where.get();
-    filter->children.push_back(std::move(plan));
-    plan = std::move(filter);
-  }
+  GCORE_ASSIGN_OR_RETURN(PlanPtr plan,
+                         PlanBlock(match.patterns, match.where.get()));
 
   // OPTIONAL blocks chain with left outer joins in source order
   // (Appendix A.2); block WHEREs filter the block before the join, so
-  // their single-variable conjuncts push into the block's own chains
-  // exactly like the main WHERE does above (the residual block filter
-  // re-checks them, keeping the ⟕ semantics literal).
+  // the pushdown rule applies to each block on its own, exactly like the
+  // main block above (the residual block filter re-checks pushed
+  // conjuncts, keeping the ⟕ semantics literal). Main-block labels are
+  // not carried into a block: the ⟕ keys enforce them anyway.
   for (const auto& block : match.optionals) {
-    std::map<std::string, std::vector<const Expr*>> block_pushdown;
-    if (block.where != nullptr && options_.enable_pushdown) {
-      CollectSingleVarConjuncts(*block.where, &block_pushdown);
-    }
-    GCORE_ASSIGN_OR_RETURN(
-        PlanPtr block_plan,
-        PlanPatternsJoined(block.patterns,
-                           block_pushdown.empty() ? nullptr
-                                                  : &block_pushdown));
-    if (block.where != nullptr) {
-      auto filter = MakePlan(PlanOp::kFilter);
-      filter->predicate = block.where.get();
-      filter->children.push_back(std::move(block_plan));
-      block_plan = std::move(filter);
-    }
+    GCORE_ASSIGN_OR_RETURN(PlanPtr block_plan,
+                           PlanBlock(block.patterns, block.where.get()));
     auto outer = MakePlan(PlanOp::kLeftOuterJoin);
     outer->children.push_back(std::move(plan));
     outer->children.push_back(std::move(block_plan));

@@ -9,6 +9,13 @@
 //     as soon as the variable exists (generalizes the matcher's old
 //     ad-hoc pushdown map). Label and property predicates written inside
 //     the pattern are inherently part of NodeScan/ExpandEdge admission.
+//     Labels become one constraint per variable and MATCH block (the main
+//     patterns, or one OPTIONAL block): a variable is bound to one object,
+//     so the label groups of all its occurrences that read the same graph,
+//     plus the block WHERE's top-level `(x:ℓ1|ℓ2)` conjuncts (when all its
+//     occurrences read one graph), are admitted at every occurrence
+//     (PlanNode::node_labels / edge_labels). Folded conjuncts leave the
+//     WHERE; NOT, OR and tests on path, cost or `{k = v}` variables stay.
 //   * Join enumeration — comma-separated pattern chains are combined by a
 //     DP over subsets (plan/cost.h estimates over GraphCatalog::Stats)
 //     that minimizes the summed intermediate cardinality (C_out) and may
@@ -23,11 +30,12 @@
 //     larger than the accumulated left gets swap_build: the executor
 //     builds over the left and re-merges in canonical column order.
 //
-// The full WHERE is kept as a residual Filter above the joins (re-checking
-// pushed conjuncts is harmless and keeps the filter semantics of Appendix
-// A.2 literal); a final Project drops matcher-internal columns in the
-// source-binding order the legacy evaluator produced, so downstream
-// consumers see identical schemas regardless of join order.
+// The WHERE's conjuncts not folded into label admission are kept as a
+// residual Filter above the joins (re-checking pushed conjuncts is
+// harmless and keeps the filter semantics of Appendix A.2 literal); a
+// final Project drops matcher-internal columns in the source-binding
+// order the legacy evaluator produced, so downstream consumers see
+// identical schemas regardless of join order.
 #ifndef GCORE_PLAN_PLANNER_H_
 #define GCORE_PLAN_PLANNER_H_
 
@@ -76,13 +84,28 @@ class Planner {
   /// on the same planner (uses its resolved default location).
   void AnnotateEstimates(PlanNode* plan) const;
 
-  /// One pattern chain: NodeScan followed by Expand operators.
-  /// `pushdown` maps variables to pushed conjuncts (may be null).
-  Result<PlanPtr> PlanChain(
-      const GraphPattern& pattern,
-      const std::map<std::string, std::vector<const Expr*>>* pushdown);
-
  private:
+  /// What the pushdown rule derives from one MATCH block's patterns and
+  /// WHERE.
+  struct BlockRules {
+    /// Single-variable conjuncts by variable (folded label tests left out).
+    std::map<std::string, std::vector<const Expr*>> pushdown;
+    /// Label constraint by (variable, LabelScope of its occurrence).
+    std::map<std::pair<std::string, std::string>, LabelGroups> labels;
+    /// The WHERE's top-level conjuncts the residual Filter keeps.
+    std::vector<const Expr*> residual;
+  };
+  BlockRules DeriveBlockRules(const std::vector<GraphPattern>& patterns,
+                              const Expr* where) const;
+
+  /// One block: its joined chains under the residual Filter.
+  Result<PlanPtr> PlanBlock(const std::vector<GraphPattern>& patterns,
+                            const Expr* where);
+
+  /// One pattern chain: NodeScan followed by Expand operators.
+  Result<PlanPtr> PlanChain(const GraphPattern& pattern,
+                            const BlockRules& rules);
+
   /// One joinable subplan of the enumeration: a pattern chain or the
   /// MultiwayExpand unit a cycle rewrite produced.
   struct JoinUnit {
@@ -97,8 +120,7 @@ class Planner {
   /// Joined plan over comma-separated chains: builds the chain units,
   /// attempts the cycle rewrite, then enumerates the join tree.
   Result<PlanPtr> PlanPatternsJoined(
-      const std::vector<GraphPattern>& patterns,
-      const std::map<std::string, std::vector<const Expr*>>* pushdown);
+      const std::vector<GraphPattern>& patterns, const BlockRules& rules);
 
   /// Collapses a priced-favorable cycle among the units into one
   /// MultiwayExpand unit (in place); no-op when no eligible cycle wins.
@@ -128,14 +150,18 @@ class Planner {
   /// Effective ON location of a pattern (override > pattern ON > clause
   /// ON > default); "" means the default graph.
   std::string EffectiveLocation(const GraphPattern& pattern) const;
+  /// The graph a pattern's occurrences read, as the label rule compares
+  /// them: the effective location, made unique per pattern while an ON
+  /// subquery is unmaterialized (EXPLAIN), since each evaluates to its
+  /// own graph.
+  std::string LabelScope(const GraphPattern& pattern) const;
 
   /// Appends the chain's visible output columns in binding order.
   void CollectOutputColumns(const GraphPattern& pattern,
                             std::vector<std::string>* out) const;
 
-  static void AttachPushed(
-      PlanNode* node, const std::string& var,
-      const std::map<std::string, std::vector<const Expr*>>* pushdown);
+  static void AttachPushed(PlanNode* node, const std::string& var,
+                           const BlockRules& rules);
 
   Matcher* runtime_;
   PlannerOptions options_;

@@ -23,8 +23,9 @@ constexpr size_t kNpos = BindingTable::kNpos;
 /// enough for the intersection hot path without a verdict memo.
 class EdgePred {
  public:
-  EdgePred(const GraphSnapshot& snap, const EdgePattern& pattern)
-      : snap_(&snap), pred_(SnapshotPred::ForEdge(snap, pattern)) {}
+  EdgePred(const GraphSnapshot& snap, const MultiwayEdge& me)
+      : snap_(&snap),
+        pred_(SnapshotPred::ForEdge(snap, me.labels, me.edge->props)) {}
 
   bool Admits(EdgeId id) const {
     // Unconstrained patterns admit everything — skip the index lookup.
@@ -206,22 +207,22 @@ Result<BindingTable> MultiwayExpandChunk(Matcher* rt, const PlanNode& plan,
   // snapshot predicates once per chunk; candidates arrive as dense
   // indices, so the per-candidate test never resolves an id.
   std::vector<std::pair<size_t, SnapshotPred>> bound_checks;
-  for (const auto& [v, pattern] : plan.multi_nodes) {
+  for (const auto& [v, pattern, labels] : plan.multi_nodes) {
     if (pattern == nullptr) continue;
     const size_t slot = slot_of(v);
     if (slot >= nvars) continue;  // not a cycle node variable
+    SnapshotPred check = SnapshotPred::ForNode(snap, labels, pattern->props);
     if (var_step[slot] == 0) {
-      bound_checks.emplace_back(slot, SnapshotPred::ForNode(snap, *pattern));
+      bound_checks.emplace_back(slot, std::move(check));
     } else {
-      steps[var_step[slot]].checks.push_back(
-          SnapshotPred::ForNode(snap, *pattern));
+      steps[var_step[slot]].checks.push_back(std::move(check));
     }
   }
 
   std::vector<EdgePred> preds;
   preds.reserve(nedges);
   for (size_t e = 0; e < nedges; ++e) {
-    preds.emplace_back(snap, *plan.multi_edges[e].edge);
+    preds.emplace_back(snap, plan.multi_edges[e]);
   }
 
   // Chunk-lifetime scratch, reused across rows: each pattern edge owns

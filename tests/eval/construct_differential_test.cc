@@ -354,6 +354,37 @@ TEST_P(ConstructDifferential, SetRemoveAndCopy) {
   }
 }
 
+// Label edits over many groups that start from one shared label set (the
+// bound knows edges): the fast path edits the set once and shares it.
+TEST_P(ConstructDifferential, LabelEditsOverManyGroups) {
+  for (const char* q : {
+           "CONSTRUCT (n)-[e]->(m) SET e:X MATCH (n)-[e:knows]->(m)",
+           "CONSTRUCT (n)-[e]->(m) REMOVE e:knows "
+           "MATCH (n:Person)-[e:knows]->(m:Person)",
+           "CONSTRUCT (n)-[e]->(m) SET e:X REMOVE e:knows SET n:Busy "
+           "REMOVE n:Busy MATCH (n)-[e:knows|isLocatedIn]->(m)",
+       }) {
+    Check(ToyData, q);
+    Check(Snb300, q);
+  }
+  // Both paths run the SET statements through the same code, so check
+  // the edits themselves: groups starting from other label sets (knows
+  // and isLocatedIn edges) must not share one edited set.
+  const Outcome out = Check(
+      ToyData,
+      "CONSTRUCT (n)-[e]->(m) SET e:X REMOVE e:knows "
+      "MATCH (n)-[e:knows|isLocatedIn]->(m)");
+  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+  size_t located = 0;
+  out.graph.ForEachEdge([&](EdgeId e, NodeId, NodeId) {
+    const LabelSet& labels = out.graph.Labels(e);
+    EXPECT_TRUE(labels.Contains("X"));
+    EXPECT_FALSE(labels.Contains("knows"));
+    if (labels.Contains("isLocatedIn")) ++located;
+  });
+  EXPECT_EQ(located, 5u);  // the five persons' city edges
+}
+
 TEST_P(ConstructDifferential, MultiItemClausesShareSkolems) {
   for (const char* q : {
            "CONSTRUCT (x GROUP e :Company {name:=e}), (x)<-[:worksAt]-(n), "
@@ -525,6 +556,34 @@ TEST_P(ConstructDifferential, BoundAndSkolemConstructorsKeepFreshIds) {
     Check(ToyData, q);
     Check(Snb300, q);
   }
+}
+
+TEST_P(ConstructDifferential, StoredPathsAppendOnlyImportedBodies) {
+  // Computed paths over the chain a -e1-> b -e2-> c: the full walk, and
+  // a walk through an edge id the chain graph does not hold. A body whose
+  // edges were all imported appends; the other keeps UpsertPath's check.
+  auto rows = [](bool missing_edge) {
+    return [=](GraphCatalog* catalog) {
+      const std::vector<NodeId> n = ChainNodes(catalog);
+      const std::vector<EdgeId> e = (*catalog->Lookup("chain"))->EdgeIds();
+      auto path = std::make_shared<PathValue>();
+      path->id = catalog->ids()->NextPath();
+      path->body.nodes = n;
+      path->body.edges = {e[0], missing_edge ? EdgeId(e[1].value() + 100)
+                                             : e[1]};
+      BindingTable table({"a", "p", "c"});
+      Status st = table.AddRow({Datum::OfNode(n[0]),
+                                Datum::OfPath(std::move(path)),
+                                Datum::OfNode(n[2])});
+      (void)st;
+      return table;
+    };
+  };
+  const std::string q = "CONSTRUCT (a)-/@p:walk/->(c)";
+  const Outcome whole = CheckTable(Chain, q, rows(false));
+  ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+  EXPECT_EQ(whole.graph.NumPaths(), 1u);
+  EXPECT_TRUE(CheckTable(Chain, q, rows(true)).status.IsInvalidArgument());
 }
 
 TEST_P(ConstructDifferential, SetOnAConstructorWithoutGroups) {

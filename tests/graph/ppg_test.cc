@@ -316,6 +316,40 @@ TEST(PathPropertyGraph, AscendingAppendEqualsUpsert) {
             std::make_pair(NodeId(9), NodeId(3)));
 }
 
+// CONSTRUCT appends stored paths whose bodies it has just imported; the
+// unchecked append builds the graph the checked upsert does.
+TEST(PathPropertyGraph, PathAppendEqualsUpsert) {
+  PathPropertyGraph appended;
+  PathPropertyGraph upserted;
+  for (PathPropertyGraph* g : {&appended, &upserted}) {
+    for (uint64_t id : {1, 2, 3}) g->AddNode(NodeId(id));
+    ASSERT_TRUE(g->AddEdge(EdgeId(10), NodeId(1), NodeId(2)).ok());
+    ASSERT_TRUE(g->AddEdge(EdgeId(11), NodeId(3), NodeId(2)).ok());
+  }
+  PathBody forward;
+  forward.nodes = {NodeId(1), NodeId(2)};
+  forward.edges = {EdgeId(10)};
+  PathBody across;  // the second edge walked against its direction
+  across.nodes = {NodeId(1), NodeId(2), NodeId(3)};
+  across.edges = {EdgeId(10), EdgeId(11)};
+  PathBody single;
+  single.nodes = {NodeId(3)};
+  for (auto [id, body] : {std::make_pair(100, forward),
+                          std::make_pair(101, across),
+                          std::make_pair(105, single)}) {
+    PathPropertyGraph::ObjectData& out = appended.AppendPath(PathId(id), body);
+    out.labels.Insert("nearest");
+    out.props.Set("len", ValueSet(Value::Int(body.Length())));
+    auto upsert = upserted.UpsertPath(PathId(id), body);
+    ASSERT_TRUE(upsert.ok());
+    (*upsert)->labels.Insert("nearest");
+    (*upsert)->props.Set("len", ValueSet(Value::Int(body.Length())));
+  }
+  EXPECT_TRUE(appended.Validate().ok());
+  EXPECT_TRUE(GraphEquals(appended, upserted));
+  EXPECT_EQ(appended.Path(PathId(101)), across);
+}
+
 // --- copy-on-write λ/σ -----------------------------------------------------------
 
 /// Two nodes, an edge and a stored path, each with two labels and two

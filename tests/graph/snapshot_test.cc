@@ -278,7 +278,8 @@ TEST(GraphSnapshot, PredicateAgreesWithAdmissionChecks) {
   patterns[3].props.push_back(filter("nope", Value::Int(1)));
   size_t admitted = 0;
   for (const NodePattern& pattern : patterns) {
-    const SnapshotPred pred = SnapshotPred::ForNode(snap, pattern);
+    const SnapshotPred pred =
+        SnapshotPred::ForNode(snap, pattern.label_groups, pattern.props);
     g->ForEachNode([&](NodeId id) {
       const bool expected =
           PpgAdmits(*g, id, pattern.label_groups, pattern.props);
@@ -293,7 +294,8 @@ TEST(GraphSnapshot, PredicateAgreesWithAdmissionChecks) {
   EdgePattern ep;
   ep.label_groups = {{"knows", "hasInterest"}};
   ep.props.push_back(filter("since", Value::Int(2010)));
-  const SnapshotPred epred = SnapshotPred::ForEdge(snap, ep);
+  const SnapshotPred epred =
+      SnapshotPred::ForEdge(snap, ep.label_groups, ep.props);
   size_t admitted_edges = 0;
   g->ForEachEdge([&](EdgeId id, NodeId, NodeId) {
     const bool expected = PpgAdmits(*g, id, ep.label_groups, ep.props);

@@ -265,6 +265,93 @@ TEST_F(DifferentialEngine, ViewsAndOptionals) {
       "WHERE (c1:has_creator) AND (c2:has_creator) )");
 }
 
+// WHERE label tests and labels written on one occurrence of a variable.
+// The pushdown rule folds them into scan and expand admission at every
+// occurrence (NOT, OR, path variables, OPTIONAL-only variables and
+// occurrences on two graphs stay conjuncts); every point of the 8-point
+// lattice (planner × pushdown × multiway), at parallelism 1 and 3, must
+// reproduce the spec.
+const char* const kLabelFoldQueries[] = {
+    // A node variable and an edge variable.
+    "SELECT n.firstName AS f MATCH (n) WHERE (n:Person)",
+    "SELECT n.firstName AS a, m.firstName AS b MATCH (n)-[e]->(m) "
+    "WHERE (e:knows) AND (n:Person)",
+    // A disjunctive test, and a test that repeats a pattern label.
+    "SELECT x.content AS c, p.firstName AS f "
+    "MATCH (x)-[:has_creator]->(p:Person) WHERE (x:Post|Comment) "
+    "AND (p:Person)",
+    // A variable in several chains: labelled in the WHERE, or on one
+    // occurrence only (profile_card's shape).
+    "SELECT a.firstName AS a, c.name AS city "
+    "MATCH (a)-[:knows]->(b), (a)-[:isLocatedIn]->(c), (b)-[:knows]->(a) "
+    "WHERE (a:Person) AND (c:City|Tag) AND a.firstName <> 'Peter'",
+    "SELECT a.firstName AS a, t.name AS tag "
+    "MATCH (a:Person)-[:knows]->(b:Person), (a)-[:isLocatedIn]->(c), "
+    "(b)-[:hasInterest]->(t)",
+    // A closing occurrence in the same chain.
+    "SELECT a.firstName AS a MATCH (a)-[:knows]->(b)-[:knows]->(a) "
+    "WHERE (a:Person)",
+    // Label tests inside an OPTIONAL block's WHERE.
+    "SELECT n.firstName AS f, msg.content AS c MATCH (n) WHERE (n:Person) "
+    "OPTIONAL (msg)-[e]->(n) WHERE (e:has_creator) AND (msg:Comment)",
+    // NOT and OR forms stay conjuncts.
+    "SELECT n.firstName AS f, m.name AS g MATCH (n)-[e]->(m) "
+    "WHERE NOT (m:Person) AND (n:Person)",
+    "SELECT n.firstName AS f, m.name AS g MATCH (n)-[e]->(m) "
+    "WHERE (m:City) OR (m:Tag)",
+    "SELECT n.firstName AS f MATCH (n)-[e]->(m) "
+    "WHERE (n:Person) AND ((m:City) OR NOT (e:knows))",
+    // Path variables: a path-search target, and label tests on stored
+    // and computed path variables (which stay conjuncts).
+    "SELECT n.firstName AS a, m.firstName AS b "
+    "MATCH (n)-/<:knows*>/->(m) WHERE (n:Person) AND (m:Person) "
+    "AND n.firstName = 'John'",
+    "SELECT a.name AS a, b.name AS b "
+    "MATCH (a)-/@p:toWagner/->(b) ON example_graph "
+    "WHERE (p:toWagner) AND (b:Person)",
+    "SELECT n.firstName AS a, m.firstName AS b "
+    "MATCH (n:Person)-/SHORTEST p<:knows*>/->(m) WHERE (p:Person) "
+    "AND (m:Person)",
+    // A main-WHERE test on a variable only an OPTIONAL block binds.
+    "SELECT n.firstName AS f MATCH (n:Person) WHERE (c:City) "
+    "OPTIONAL (n)-[:isLocatedIn]->(c)",
+    // Occurrences ON two graphs whose labels differ: Acme's employees
+    // are :Vip in `vip` only.
+    "GRAPH vip AS (CONSTRUCT (n:Vip) MATCH (n:Person) "
+    "WHERE n.employer = 'Acme') "
+    "SELECT n.firstName AS f, m.firstName AS g "
+    "MATCH (n:Vip) ON vip, (n)-[:knows]->(m) ON social_graph",
+    "GRAPH vip AS (CONSTRUCT (n:Vip) MATCH (n:Person) "
+    "WHERE n.employer = 'Acme') "
+    "SELECT n.firstName AS f, m.firstName AS g "
+    "MATCH (n) ON vip, (n)-[:knows]->(m:Person) ON social_graph "
+    "WHERE (m:Person)",
+};
+
+TEST_F(DifferentialEngine, WhereLabelTestsOverLattice) {
+  for (size_t parallelism : {size_t{1}, size_t{3}}) {
+    for (unsigned bits = 0; bits < 8; ++bits) {
+      EngineOptions options;
+      options.use_planner = (bits & 4u) != 0;
+      options.enable_pushdown = (bits & 1u) != 0;
+      options.enable_multiway = (bits & 2u) != 0;
+      options.parallelism = parallelism;
+      SCOPED_TRACE("knob bits " + std::to_string(bits) + ", parallelism " +
+                   std::to_string(parallelism));
+      for (const char* query : kLabelFoldQueries) {
+        ExpectSameResult(query, options);
+      }
+      ExpectSameResult(
+          "CONSTRUCT (n)-[e]->(m) SET e.nr_messages := COUNT(*) "
+          "MATCH (n)-[e:knows]->(m) WHERE (n:Person) AND (m:Person) "
+          "OPTIONAL (n)<-[c1]-(msg1:Post|Comment), (msg1)-[:reply_of]-(msg2), "
+          "(msg2:Post|Comment)-[c2]->(m) "
+          "WHERE (c1:has_creator) AND (c2:has_creator)",
+          options);
+    }
+  }
+}
+
 TEST_F(DifferentialEngine, TabularExtensions) {
   ExpectSameResult(
       "SELECT c.name AS company, n.firstName AS person "

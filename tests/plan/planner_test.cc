@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "engine/engine.h"
 #include "eval/matcher.h"
 #include "graph/graph_builder.h"
@@ -169,6 +171,98 @@ TEST_F(PlannerTest, PushedConjunctsKeepQueryOrder) {
   EXPECT_NE(plan.find("push={(n.firstName = 'John'), (n.lastName = 'Doe')}"),
             std::string::npos)
       << plan;
+}
+
+// The pushdown rule folds a WHERE's top-level label tests into scan and
+// expand admission: the WHERE form plans exactly like its pattern-label
+// twin — the construct workload's q10 MATCH and tour Q6 — and no label
+// test is left in a Filter or a pushed list.
+TEST_F(PlannerTest, WhereLabelTestsPlanLikePatternLabels) {
+  const std::pair<const char*, const char*> twins[] = {
+      {"CONSTRUCT (n)-[e]->(m) SET e.nr_messages := COUNT(*) "
+       "MATCH (n)-[e:knows]->(m) WHERE (n:Person) AND (m:Person) "
+       "OPTIONAL (n)<-[c1]-(msg1:Post|Comment), (msg1)-[:reply_of]-(msg2), "
+       "(msg2:Post|Comment)-[c2]->(m) "
+       "WHERE (c1:has_creator) AND (c2:has_creator)",
+       "CONSTRUCT (n)-[e]->(m) SET e.nr_messages := COUNT(*) "
+       "MATCH (n:Person)-[e:knows]->(m:Person) "
+       "OPTIONAL (n)<-[c1:has_creator]-(msg1:Post|Comment), "
+       "(msg1)-[:reply_of]-(msg2), (msg2:Post|Comment)-[c2:has_creator]->(m)"},
+      {"CONSTRUCT (n)-/@p:localPeople{distance:=c}/->(m) "
+       "MATCH (n)-/3 SHORTEST p<:knows*> COST c/->(m) "
+       "WHERE (n:Person) AND (m:Person) "
+       "AND n.firstName = 'John' AND n.lastName = 'Doe' "
+       "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)",
+       "CONSTRUCT (n)-/@p:localPeople{distance:=c}/->(m) "
+       "MATCH (n:Person)-/3 SHORTEST p<:knows*> COST c/->(m:Person) "
+       "WHERE n.firstName = 'John' AND n.lastName = 'Doe' "
+       "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)"},
+  };
+  for (const auto& [where_form, pattern_form] : twins) {
+    const std::string plan = Explain(where_form);
+    EXPECT_EQ(plan, Explain(pattern_form));
+    std::istringstream lines(plan);
+    for (std::string line; std::getline(lines, line);) {
+      const size_t push = line.find("push={");
+      const size_t filter = line.find("Filter ");
+      for (size_t at : {push, filter}) {
+        if (at == std::string::npos) continue;
+        EXPECT_EQ(line.find(":Person", at), std::string::npos) << plan;
+        EXPECT_EQ(line.find(":has_creator", at), std::string::npos) << plan;
+      }
+    }
+  }
+}
+
+// A label written on one occurrence of a variable holds at all of them:
+// every scan of profile_card's anchor `a` and of `b` reads the Person
+// span.
+TEST_F(PlannerTest, EveryScanOfAVariableCarriesItsLabels) {
+  const std::string plan = Explain(
+      "SELECT co1.name AS employer, c1.name AS city, COUNT(*) AS fanout "
+      "MATCH (a:Person)-[:knows]->(b:Person), "
+      "(a)-[:isLocatedIn]->(c1:City), (b)-[:isLocatedIn]->(c2:City), "
+      "(a)-[:worksAt]->(co1:Company), (b)-[:worksAt]->(co2:Company), "
+      "(a)-[:hasInterest]->(t1:Tag), (b)-[:hasInterest]->(t2:Tag) "
+      "WHERE a.firstName = 'John' AND a.lastName = 'Doe'");
+  size_t scans_of_a = 0;
+  size_t scans_of_b = 0;
+  std::istringstream lines(plan);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("NodeScan (a") != std::string::npos) {
+      ++scans_of_a;
+      EXPECT_NE(line.find("NodeScan (a:Person)"), std::string::npos) << plan;
+    }
+    if (line.find("NodeScan (b") != std::string::npos) {
+      ++scans_of_b;
+      EXPECT_NE(line.find("NodeScan (b:Person)"), std::string::npos) << plan;
+    }
+  }
+  EXPECT_EQ(scans_of_a, 4u) << plan;
+  EXPECT_EQ(scans_of_b, 3u) << plan;
+}
+
+// The label fold is part of the pushdown rule: without it, label tests
+// stay in the residual Filter and each occurrence keeps its own labels.
+TEST_F(PlannerTest, PushdownFlagControlsLabelFold) {
+  const std::string query =
+      "CONSTRUCT (n) MATCH (n)-[e]->(m), (m)-[:isLocatedIn]->(c:City) "
+      "WHERE (e:knows) AND (m:Person) AND n.employer = 'Acme'";
+  const std::string with = Explain(query, /*pushdown=*/true);
+  const std::string without = Explain(query, /*pushdown=*/false);
+  EXPECT_NE(with.find("ExpandEdge (n)-[e:knows]->(m:Person)"),
+            std::string::npos)
+      << with;
+  EXPECT_NE(with.find("NodeScan (m:Person)"), std::string::npos) << with;
+  EXPECT_NE(with.find("Filter (n.employer = 'Acme')"), std::string::npos)
+      << with;
+  EXPECT_NE(without.find("ExpandEdge (n)-[e]->(m)"), std::string::npos)
+      << without;
+  EXPECT_NE(without.find("NodeScan (m)"), std::string::npos) << without;
+  EXPECT_NE(
+      without.find("Filter ((e:knows AND m:Person) AND (n.employer = 'Acme'))"),
+      std::string::npos)
+      << without;
 }
 
 // Chain-ordering rule: independent chains join smallest-first (4
